@@ -15,18 +15,13 @@ from .array_geometry import (
     steering_derivative,
 )
 from .quantization import (
-    BussgangPair,
     EchoCovariance,
     bussgang_gain,
-    bussgang_pair,
-    covariance_czz_approx,
     covariance_czz_exact,
     crr_et,
-    crr_pt,
     quantize_one_bit,
 )
 from .crb_metrics import (
-    CrbReport,
     PtModel,
     crb_et,
     crb_et_forms_equal,

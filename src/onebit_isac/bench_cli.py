@@ -6,11 +6,12 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -73,12 +74,20 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
+        for spec in fields(self):
+            if not _has_type(getattr(self, spec.name), spec.type):
+                raise ConfigError(f"{spec.name} must be of type {spec.type.__name__}, "
+                                  f"got {getattr(self, spec.name)!r}")
+        admm_types = {spec.name: spec.type for spec in fields(AdmmConfig)}
+        for key, value in self.admm_overrides.items():
+            if key not in admm_types or not _has_type(value, admm_types[key]):
+                raise ConfigError(f"bad admm override {key!r}: {value!r}")
         if self.experiment not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.target not in ("pt", "et"):
             raise ConfigError("target must be 'pt' or 'et'")
         for name in ("n_t", "n_r", "block_len", "qam_order"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.n_users < 0:
             raise ConfigError("n_users must be >= 0")
@@ -92,6 +101,21 @@ class ExperimentConfig:
             raise ConfigError("threads must be >= 1")
 
 
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _has_type(value, kind):
+    """JSON-level type check: bools are not numbers, ints pass as floats."""
+    if kind is int:
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if kind is float:
+        return _is_real(value)
+    if kind is list:
+        return isinstance(value, (list, tuple)) and all(_is_real(v) for v in value)
+    return isinstance(value, kind)
+
+
 @dataclass
 class ResultRow:
     experiment: str
@@ -100,7 +124,6 @@ class ResultRow:
     value: float
     std_error: float = None
     seed: int = 0
-    wall_time_ms: float = None  # not serialized; timing rows carry seconds as value
 
     def to_record(self):
         return {
@@ -281,8 +304,8 @@ def _timing_rows(cfg, seed):
         t0 = time.perf_counter()
         admm_run(sc, variant, config=_admm_config(local, variant), seed=seed)
         elapsed = time.perf_counter() - t0
-        rows.append(ResultRow("timing", f"algo={variant}", "cpu_time_s",
-                              elapsed, seed=seed, wall_time_ms=elapsed * 1e3))
+        rows.append(ResultRow("timing", f"algo={variant}", "wall_time_s", elapsed,
+                              seed=seed))
     return rows
 
 

@@ -174,6 +174,8 @@ def empirical_ser(x_matrix, h, s, d, sigma_w, n_noise_draws, seed, order=None):
     if order is None:
         order = int((max(np.max(np.abs(s.real)), np.max(np.abs(s.imag))) + 1) ** 2)
     d = np.asarray(d, dtype=float)
+    if d.shape != (2 * k,) or not np.all(np.isfinite(d)) or np.any(d <= 0.0):
+        raise ValueError(f"d must hold 2K = {2 * k} finite positive decision values")
     d_r = d[:k][:, None]
     d_i = d[k:][:, None]
     noiseless = h @ x_matrix

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import XtildeOperator, hermitian_solve
+from .linalg import DiagLowRank, XtildeOperator, hermitian_solve
 from .array_geometry import pt_response_operator, pt_response_derivative_operator
 from .quantization import TWO_OVER_PI
 
@@ -20,19 +20,22 @@ SQRT_TWO_OVER_PI = math.sqrt(TWO_OVER_PI)
 class PtCrbWorkspace:
     """Covariance chain of the point-target bound at one waveform.
 
-    Diagonal matrices (f, d_f_dtheta and the diagonal of c_rr) are stored as
-    vectors; everything dense is Hermitian.
+    Every matrix is a :class:`DiagLowRank`. With g = A x and h = f g,
+    c_rr = sigma_v^2 I + sigma_alpha^2 g g^H and c_zz_hat = diag +
+    sigma_alpha^2 h h^H are diagonal plus rank one, and their angle
+    derivatives diagonal plus rank two. Diagonal matrices (f, d_f_dtheta and
+    the diagonal of c_rr) are stored as vectors.
     """
 
     g: np.ndarray
     g_prime: np.ndarray
-    c_rr: np.ndarray
-    d_crr_dtheta: np.ndarray
+    c_rr: DiagLowRank
+    d_crr_dtheta: DiagLowRank
     diag_crr: np.ndarray
     f: np.ndarray
     d_f_dtheta: np.ndarray
-    c_zz_hat: np.ndarray
-    d_czz_dtheta: np.ndarray
+    c_zz_hat: DiagLowRank
+    d_czz_dtheta: DiagLowRank
 
 
 @dataclass
@@ -47,6 +50,9 @@ class PtModel:
     block_len: int
     response: object = field(default=None, repr=False)
     response_derivative: object = field(default=None, repr=False)
+    # (waveform, workspace) of the last call: the MM loop asks for the
+    # workspace at the anchor and at the accepted step more than once
+    _last: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sigma_v_sq <= 0.0:
@@ -67,26 +73,28 @@ class PtModel:
     def workspace(self, x):
         """Build the full covariance/derivative chain at waveform x."""
         x = np.asarray(x, dtype=complex)
-        n = self.dim
+        last = self._last
+        if last is not None and np.array_equal(last[0], x):
+            return last[1]
         g = self.response.apply(x)
         gp = self.response_derivative.apply(x)
         sa = self.sigma_alpha_sq
-        c_rr = sa * np.outer(g, g.conj()) + self.sigma_v_sq * np.eye(n)
-        d_crr = sa * (np.outer(gp, g.conj()) + np.outer(g, gp.conj()))
+        zero = np.zeros(g.size)
+        c_rr = DiagLowRank(np.full(g.size, self.sigma_v_sq), sa * g[:, None], g[:, None])
+        d_crr = DiagLowRank(zero, sa * np.array([gp, g]).T, np.array([g, gp]).T)
         diag_crr = np.abs(g) ** 2 * sa + self.sigma_v_sq
         f = SQRT_TWO_OVER_PI / np.sqrt(diag_crr)
         diag_dcrr = 2.0 * sa * (gp * g.conj()).real
         d_f = -0.5 * SQRT_TWO_OVER_PI * diag_dcrr / diag_crr**1.5
-        c_zz_hat = np.outer(f, f) * c_rr + (1.0 - TWO_OVER_PI) * np.eye(n)
-        np.fill_diagonal(c_zz_hat, 1.0)
-        d_czz = (
-            np.outer(d_f, f) * c_rr
-            + np.outer(f, f) * d_crr
-            + np.outer(f, d_f) * c_rr
-        )
-        # diag is analytically zero (unit quantizer diagonal); pin it exactly
-        np.fill_diagonal(d_czz, 0.0)
-        return PtCrbWorkspace(
+        # F C_rr F + (1 - 2/pi) I has the unit quantizer diagonal; pin it
+        h = f * g
+        c_zz_hat = DiagLowRank(zero, sa * h[:, None], h[:, None]).with_diagonal(1.0)
+        # dF C F + F dC F + F C dF = diag + sa (q h^H + h q^H); the diagonal
+        # is analytically zero, so pin it exactly
+        q = d_f * g + f * gp
+        d_czz = DiagLowRank(zero, sa * np.array([q, h]).T,
+                            np.array([h, q]).T).with_diagonal(0.0)
+        ws = PtCrbWorkspace(
             g=g,
             g_prime=gp,
             c_rr=c_rr,
@@ -97,12 +105,14 @@ class PtModel:
             c_zz_hat=c_zz_hat,
             d_czz_dtheta=d_czz,
         )
+        self._last = (x.copy(), ws)
+        return ws
 
 
 def _trace_form(cov, dcov):
-    """tr(C^{-1} dC C^{-1} dC) via one Hermitian solve."""
-    s = hermitian_solve(cov, dcov)
-    return float(np.einsum("ij,ji->", s, s).real)
+    """tr(C^{-1} dC C^{-1} dC) for diagonal-plus-low-rank C and dC."""
+    s = cov.solve(dcov)
+    return float(s.trace_prod(s).real)
 
 
 def crb_pt(x, theta, sigma_alpha_sq, sigma_v_sq, n_r, block_len):
@@ -219,16 +229,3 @@ def mse_et_quantization_unaware(x_matrix, c_aa, sigma_v_sq):
     sol = hermitian_solve(m, l_mat)
     gain = float(np.einsum("ij,ij->", l_mat.conj(), sol).real)
     return float(np.trace(c_aa).real - gain)
-
-
-@dataclass
-class CrbReport:
-    """A bound value together with where it came from."""
-
-    value: float
-    provenance: str  # "pt" | "pt_infinite" | "et" | "et_qu"
-    workspace: object = None
-
-    @property
-    def is_infinite(self):
-        return math.isinf(self.value)

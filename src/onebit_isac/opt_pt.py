@@ -1,21 +1,17 @@
 """Waveform subproblem solver for point-like targets: concave-Taylor
 surrogate of the trace objective, its analytic conjugate gradient (built
-from rank-one response applies, never from materialized Kronecker
-products), one-step normalized projected gradient descent with backtracking,
-and the outer majorize-minimize loop."""
+from rank-one response applies and diagonal-plus-low-rank covariances, never
+from materialized Kronecker products or n x n matrices), one-step normalized
+projected gradient descent with backtracking, and the outer
+majorize-minimize loop."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .crb_metrics import PtModel, SQRT_TWO_OVER_PI, _trace_form
-from .linalg import (
-    h_tilde_adjoint,
-    h_tilde_apply,
-    hermitian_solve,
-    project_power_ball,
-)
+from .linalg import DiagLowRank, h_tilde_adjoint, h_tilde_apply, project_power_ball
 
 
 @dataclass
@@ -32,31 +28,29 @@ class SurrogateAnchor:
     """Taylor anchor of the trace surrogate at one iterate.
 
     p_big is unvec(Q_t^{-1} p_t) = C^{-1} dC C^{-1} evaluated at the anchor
-    (quantized or infinite-resolution covariance chain as configured).
+    (quantized or infinite-resolution covariance chain as configured), held
+    as a Hermitian :class:`DiagLowRank`.
     """
 
     model: PtModel
     x_t: np.ndarray
-    p_big: np.ndarray
+    p_big: DiagLowRank
     quantized: bool
-    ws_t: object = field(repr=False, default=None)
 
-    def q_inverse_apply(self, mat):
-        """Apply Q_t^{-1} = C^{-T} kron C^{-1} to vec(mat) as two solves."""
-        base = self.ws_t.c_zz_hat if self.quantized else self.ws_t.c_rr
-        s1 = hermitian_solve(base, np.asarray(mat))
-        return hermitian_solve(base, s1.conj().T).conj().T
+
+def _chain(ws, quantized):
+    """(C, dC/dtheta) of the configured covariance chain."""
+    if quantized:
+        return ws.c_zz_hat, ws.d_czz_dtheta
+    return ws.c_rr, ws.d_crr_dtheta
 
 
 def build_anchor(model, x_t, quantized=True):
-    ws = model.workspace(x_t)
-    base = ws.c_zz_hat if quantized else ws.c_rr
-    dbase = ws.d_czz_dtheta if quantized else ws.d_crr_dtheta
-    s1 = hermitian_solve(base, dbase)
-    p_big = hermitian_solve(base, s1.conj().T).conj().T
-    p_big = (p_big + p_big.conj().T) / 2.0
+    base, dbase = _chain(model.workspace(x_t), quantized)
+    base_inv = base.inv()
+    p_big = (base_inv @ dbase @ base_inv).hermitian()
     return SurrogateAnchor(model=model, x_t=np.asarray(x_t, dtype=complex),
-                           p_big=p_big, quantized=quantized, ws_t=ws)
+                           p_big=p_big, quantized=quantized)
 
 
 def _penalty_residual(model, x, u_i, lambda_i, channel):
@@ -75,9 +69,7 @@ def penalty_value(model, x, rho, u_i, lambda_i, channel):
 def objective_value(model, x, quantized=True, workspace=None):
     """True objective f(x) = -tr(C^{-1} dC C^{-1} dC) at waveform x."""
     ws = workspace or model.workspace(x)
-    if quantized:
-        return -_trace_form(ws.c_zz_hat, ws.d_czz_dtheta)
-    return -_trace_form(ws.c_rr, ws.d_crr_dtheta)
+    return -_trace_form(*_chain(ws, quantized))
 
 
 def augmented_objective(model, x, rho, u_i=None, lambda_i=None, channel=None,
@@ -94,29 +86,21 @@ def surrogate_value(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None):
     vanishes for this parameterization).
     """
     model = anchor.model
-    ws = model.workspace(x)
+    base, dbase = _chain(model.workspace(x), anchor.quantized)
     p = anchor.p_big
-    if anchor.quantized:
-        base, dbase = ws.c_zz_hat, ws.d_czz_dtheta
-    else:
-        base, dbase = ws.c_rr, ws.d_crr_dtheta
-    lin = -2.0 * float(np.einsum("ij,ji->", p, dbase).real)
+    lin = -2.0 * float(p.trace_prod(dbase).real)
     pc = p @ base
-    quad = float(np.einsum("ij,ji->", pc, pc).real)
+    quad = float(pc.trace_prod(pc).real)
     return lin + quad + penalty_value(model, x, rho, u_i, lambda_i, channel)
 
 
 def _diag_of_triple(a, dvec, b):
-    """diag(A diag(dvec) B) as a vector."""
-    return np.einsum("nk,k,kn->n", a, dvec, b)
+    """diag(A diag(dvec) B) as a vector, for DiagLowRank A and B."""
+    return (a.scaled(right=dvec) @ b).diag()
 
 
-def _row(coef, v, mat_vec, op):
-    """Row coef * v^H D Op returned entrywise (D Hermitian dense or diagonal)."""
-    if mat_vec.ndim == 1:
-        w = mat_vec * v
-    else:
-        w = mat_vec @ v
+def _row(coef, w, op):
+    """Row coef * w^H Op returned entrywise."""
     return coef * np.conj(op.adjoint(w))
 
 
@@ -125,7 +109,9 @@ def gradient_rows(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None):
 
     Keys m11..m16 cover the six linear-term paths (quantized chain), m3 the
     quadratic term, m4 the penalty. The infinite-resolution chain collapses
-    to keys m1 and m3.
+    to keys m1 and m3. P, C and dC are Hermitian and F, dF real diagonal,
+    so diag(P dF C) and diag(dC F P) are the conjugates of diag(C dF P) and
+    diag(P F dC); only real parts of those diagonals enter.
     """
     model = anchor.model
     ws = model.workspace(x)
@@ -140,39 +126,28 @@ def gradient_rows(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None):
         f, df = ws.f, ws.d_f_dtheta
         j1 = 1.0 / ws.diag_crr
         j2 = 1.0 / np.sqrt(ws.diag_crr)
-        diag_dc = np.diag(dc).real
-        fpf = np.outer(f, f) * p
-        fpdf = np.outer(f, df) * p + np.outer(df, f) * p
-        rows["m11"] = _row(-sa, g, fpdf, op_a)
-        rows["m12"] = _row(-sa, g, fpf, op_ad) + _row(-sa, gp, fpf, op_a)
-        diag_k1 = (
-            _diag_of_triple(c, df, p)
-            + _diag_of_triple(p, f, dc)
-            + _diag_of_triple(p, df, c)
-            + _diag_of_triple(dc, f, p)
-        ).real
-        rows["m13"] = _row(0.5 * sa * SQRT_TWO_OVER_PI, g, j1 * j2 * diag_k1, op_a)
+        diag_dc = dc.diag().real
+        pfg = p @ (f * g)
+        rows["m11"] = _row(-sa, f * (p @ (df * g)) + df * pfg, op_a)
+        rows["m12"] = _row(-sa, f * pfg, op_ad) + _row(-sa, f * (p @ (f * gp)), op_a)
+        diag_k1 = 2.0 * (_diag_of_triple(c, df, p) + _diag_of_triple(p, f, dc)).real
+        coef = 0.5 * sa * SQRT_TWO_OVER_PI
+        rows["m13"] = _row(coef, j1 * j2 * diag_k1 * g, op_a)
         diag_k2 = 2.0 * _diag_of_triple(c, f, p).real
         v46 = j1 * j1 * j2 * diag_dc * diag_k2
-        rows["m14"] = _row(-0.5 * sa * SQRT_TWO_OVER_PI, g, v46, op_a)
+        rows["m14"] = _row(-coef, v46 * g, op_a)
         v15 = j1 * j2 * diag_k2
-        rows["m15"] = _row(0.5 * sa * SQRT_TWO_OVER_PI, g, v15, op_ad) + _row(
-            0.5 * sa * SQRT_TWO_OVER_PI, gp, v15, op_a
-        )
-        rows["m16"] = _row(-0.25 * sa * SQRT_TWO_OVER_PI, g, v46, op_a)
+        rows["m15"] = _row(coef, v15 * g, op_ad) + _row(coef, v15 * gp, op_a)
+        rows["m16"] = _row(-0.5 * coef, v46 * g, op_a)
         w_mat = p @ ws.c_zz_hat @ p
-        w_mat = (w_mat + w_mat.conj().T) / 2.0
-        fwf = np.outer(f, f) * w_mat
         diag_cfw = 2.0 * _diag_of_triple(c, f, w_mat).real
-        rows["m3"] = _row(2.0 * sa, g, fwf, op_a) + _row(
-            -sa * SQRT_TWO_OVER_PI, g, j1 * j2 * diag_cfw, op_a
+        rows["m3"] = _row(2.0 * sa, f * (w_mat @ (f * g)), op_a) + _row(
+            -2.0 * coef, j1 * j2 * diag_cfw * g, op_a
         )
         linear_keys = ("m11", "m12", "m13", "m14", "m15", "m16")
     else:
-        rows["m1"] = _row(-sa, g, p, op_ad) + _row(-sa, gp, p, op_a)
-        w_mat = p @ ws.c_rr @ p
-        w_mat = (w_mat + w_mat.conj().T) / 2.0
-        rows["m3"] = _row(2.0 * sa, g, w_mat, op_a)
+        rows["m1"] = _row(-sa, p @ g, op_ad) + _row(-sa, p @ gp, op_a)
+        rows["m3"] = _row(2.0 * sa, p @ (ws.c_rr @ (p @ g)), op_a)
         linear_keys = ("m1",)
     if rho != 0.0 and channel is not None and channel.size:
         w = _penalty_residual(model, x, u_i, lambda_i, channel)

@@ -1,11 +1,11 @@
-"""One-bit quantizer, Bussgang gain, arcsine-law covariance and its linear
-approximation, plus the echo-covariance builders for both target models."""
+"""One-bit quantizer, Bussgang gain, arcsine-law covariance, and the
+extended-target echo-covariance builder. The point-target chain, with the
+linearized arcsine covariance, lives in ``crb_metrics.PtModel.workspace``."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .array_geometry import pt_response_operator
 from .linalg import XtildeOperator
 
 TWO_OVER_PI = 2.0 / np.pi
@@ -61,28 +61,6 @@ def covariance_czz_exact(c_rr):
     return czz
 
 
-def covariance_czz_approx(c_rr):
-    """Linearized arcsine covariance F C_rr F + (1 - 2/pi) I, unit diagonal."""
-    c_rr = np.asarray(c_rr)
-    f = bussgang_gain(c_rr)
-    czz = np.outer(f, f) * c_rr + (1.0 - TWO_OVER_PI) * np.eye(c_rr.shape[0])
-    czz = (czz + czz.conj().T) / 2.0
-    np.fill_diagonal(czz, 1.0)
-    return czz
-
-
-@dataclass
-class BussgangPair:
-    """Bussgang gain (vector form) together with the linearized covariance."""
-
-    f: np.ndarray
-    c_zz_hat: np.ndarray
-
-
-def bussgang_pair(c_rr):
-    return BussgangPair(bussgang_gain(c_rr), covariance_czz_approx(c_rr))
-
-
 @dataclass
 class EchoCovariance:
     """Covariance of the unquantized echo, rank-one + diagonal for PT.
@@ -117,21 +95,6 @@ class EchoCovariance:
         if self.dense_matrix is not None:
             return np.diag(self.dense_matrix).real
         return np.abs(self.factor) ** 2 + self.noise_floor
-
-
-def crr_pt(x, theta, sigma_alpha_sq, sigma_v_sq, block_len, n_r):
-    """Point-target echo covariance sigma_alpha^2 (A x)(A x)^H + sigma_v^2 I."""
-    if sigma_v_sq <= 0.0:
-        raise ValueError("noise power must be positive")
-    x = np.asarray(x)
-    n_t = x.size // block_len
-    op = pt_response_operator(theta, block_len, n_t, n_r)
-    g = op.apply(x)
-    return EchoCovariance(
-        model_tag="pt",
-        noise_floor=float(sigma_v_sq),
-        factor=np.sqrt(sigma_alpha_sq) * g,
-    )
 
 
 def crr_et(x_matrix, c_aa, sigma_v_sq):

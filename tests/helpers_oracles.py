@@ -1,13 +1,145 @@
 """Shared test oracles: Wirtinger finite differences, slot functions that
-isolate each derivative path of the point-target surrogate, and dense
-Kronecker/commutation builders for small instances."""
+isolate each derivative path of the point-target surrogate, the dense n x n
+point-target covariance chain (workspace, trace form, anchor, surrogate value
+and gradient rows) that the library holds as diagonal plus low rank, and
+dense Kronecker/commutation builders for small instances."""
+
+from types import SimpleNamespace
 
 import numpy as np
 
 from onebit_isac.crb_metrics import PtModel
-from onebit_isac.linalg import complex_normal
+from onebit_isac.linalg import complex_normal, h_tilde_adjoint, h_tilde_apply, hermitian_solve
+from onebit_isac.opt_pt import penalty_value
 
 TWO_OVER_PI = 2.0 / np.pi
+SQRT_TWO_OVER_PI = np.sqrt(TWO_OVER_PI)
+
+
+def as_dense(m):
+    """Dense array of a DiagLowRank (or of an array already dense)."""
+    return m.dense() if hasattr(m, "dense") else np.asarray(m)
+
+
+def linearized_czz(c_rr):
+    """Linearized arcsine covariance F C_rr F + (1 - 2/pi) I, unit diagonal."""
+    c_rr = np.asarray(c_rr)
+    f = np.sqrt(TWO_OVER_PI / np.diag(c_rr).real)
+    czz = np.outer(f, f) * c_rr + (1.0 - TWO_OVER_PI) * np.eye(c_rr.shape[0])
+    czz = (czz + czz.conj().T) / 2.0
+    np.fill_diagonal(czz, 1.0)
+    return czz
+
+
+def dense_pt_workspace(model: PtModel, x):
+    """The point-target covariance chain with every matrix dense n x n."""
+    x = np.asarray(x, dtype=complex)
+    n = model.dim
+    g = model.response.apply(x)
+    gp = model.response_derivative.apply(x)
+    sa = model.sigma_alpha_sq
+    c_rr = sa * np.outer(g, g.conj()) + model.sigma_v_sq * np.eye(n)
+    d_crr = sa * (np.outer(gp, g.conj()) + np.outer(g, gp.conj()))
+    diag_crr = np.abs(g) ** 2 * sa + model.sigma_v_sq
+    f = SQRT_TWO_OVER_PI / np.sqrt(diag_crr)
+    diag_dcrr = 2.0 * sa * (gp * g.conj()).real
+    d_f = -0.5 * SQRT_TWO_OVER_PI * diag_dcrr / diag_crr**1.5
+    c_zz_hat = np.outer(f, f) * c_rr + (1.0 - TWO_OVER_PI) * np.eye(n)
+    np.fill_diagonal(c_zz_hat, 1.0)
+    d_czz = np.outer(d_f, f) * c_rr + np.outer(f, f) * d_crr + np.outer(f, d_f) * c_rr
+    np.fill_diagonal(d_czz, 0.0)
+    return SimpleNamespace(g=g, g_prime=gp, c_rr=c_rr, d_crr_dtheta=d_crr,
+                           diag_crr=diag_crr, f=f, d_f_dtheta=d_f,
+                           c_zz_hat=c_zz_hat, d_czz_dtheta=d_czz)
+
+
+def _dense_chain(ws, quantized):
+    if quantized:
+        return ws.c_zz_hat, ws.d_czz_dtheta
+    return ws.c_rr, ws.d_crr_dtheta
+
+
+def dense_trace_form(cov, dcov):
+    """tr(C^{-1} dC C^{-1} dC) via one dense Hermitian solve."""
+    s = hermitian_solve(cov, dcov)
+    return float(np.einsum("ij,ji->", s, s).real)
+
+
+def dense_anchor_p(model: PtModel, x_t, quantized=True):
+    """Anchor P = C^{-1} dC C^{-1} by two dense solves, symmetrized."""
+    base, dbase = _dense_chain(dense_pt_workspace(model, x_t), quantized)
+    s1 = hermitian_solve(base, dbase)
+    p_big = hermitian_solve(base, s1.conj().T).conj().T
+    return (p_big + p_big.conj().T) / 2.0
+
+
+def dense_surrogate_value(model: PtModel, p_big, x, quantized=True, rho=0.0,
+                          u_i=None, lambda_i=None, channel=None):
+    """-2 Re tr(P dC(x)) + tr(P C(x) P C(x)) + penalty, all dense."""
+    p = as_dense(p_big)
+    base, dbase = _dense_chain(dense_pt_workspace(model, x), quantized)
+    lin = -2.0 * float(np.einsum("ij,ji->", p, dbase).real)
+    pc = p @ base
+    quad = float(np.einsum("ij,ji->", pc, pc).real)
+    return lin + quad + penalty_value(model, x, rho, u_i, lambda_i, channel)
+
+
+def _diag_of_triple(a, dvec, b):
+    return np.einsum("nk,k,kn->n", a, dvec, b)
+
+
+def _row(coef, v, mat_vec, op):
+    w = mat_vec * v if mat_vec.ndim == 1 else mat_vec @ v
+    return coef * np.conj(op.adjoint(w))
+
+
+def dense_chain_gradient_rows(model: PtModel, p_big, x, quantized=True, rho=0.0,
+                              u_i=None, lambda_i=None, channel=None):
+    """Every surrogate gradient row (m11..m16/m1, m3, m4, total) from dense
+    n x n matrices, term by term as the library's gradient_rows keys them."""
+    ws = dense_pt_workspace(model, x)
+    p = as_dense(p_big)
+    sa = model.sigma_alpha_sq
+    g, gp = ws.g, ws.g_prime
+    op_a, op_ad = model.response, model.response_derivative
+    rows = {}
+    if quantized:
+        c, dc = ws.c_rr, ws.d_crr_dtheta
+        f, df = ws.f, ws.d_f_dtheta
+        j1 = 1.0 / ws.diag_crr
+        j2 = 1.0 / np.sqrt(ws.diag_crr)
+        diag_dc = np.diag(dc).real
+        fpf = np.outer(f, f) * p
+        fpdf = np.outer(f, df) * p + np.outer(df, f) * p
+        coef = 0.5 * sa * SQRT_TWO_OVER_PI
+        rows["m11"] = _row(-sa, g, fpdf, op_a)
+        rows["m12"] = _row(-sa, g, fpf, op_ad) + _row(-sa, gp, fpf, op_a)
+        diag_k1 = (_diag_of_triple(c, df, p) + _diag_of_triple(p, f, dc)
+                   + _diag_of_triple(p, df, c) + _diag_of_triple(dc, f, p)).real
+        rows["m13"] = _row(coef, g, j1 * j2 * diag_k1, op_a)
+        diag_k2 = 2.0 * _diag_of_triple(c, f, p).real
+        v46 = j1 * j1 * j2 * diag_dc * diag_k2
+        rows["m14"] = _row(-coef, g, v46, op_a)
+        v15 = j1 * j2 * diag_k2
+        rows["m15"] = _row(coef, g, v15, op_ad) + _row(coef, gp, v15, op_a)
+        rows["m16"] = _row(-0.5 * coef, g, v46, op_a)
+        w_mat = p @ ws.c_zz_hat @ p
+        w_mat = (w_mat + w_mat.conj().T) / 2.0
+        diag_cfw = 2.0 * _diag_of_triple(c, f, w_mat).real
+        rows["m3"] = _row(2.0 * sa, g, np.outer(f, f) * w_mat, op_a) + _row(
+            -2.0 * coef, g, j1 * j2 * diag_cfw, op_a)
+        linear_keys = ("m11", "m12", "m13", "m14", "m15", "m16")
+    else:
+        rows["m1"] = _row(-sa, g, p, op_ad) + _row(-sa, gp, p, op_a)
+        w_mat = p @ ws.c_rr @ p
+        rows["m3"] = _row(2.0 * sa, g, (w_mat + w_mat.conj().T) / 2.0, op_a)
+        linear_keys = ("m1",)
+    rows["m4"] = np.zeros(model.n_t * model.block_len, dtype=complex)
+    if rho != 0.0 and channel is not None and channel.size:
+        w = h_tilde_apply(channel, x, model.block_len) - u_i + lambda_i
+        rows["m4"] = rho * np.conj(h_tilde_adjoint(channel, w, model.block_len))
+    rows["total"] = rows["m4"] + rows["m3"] + 2.0 * sum(rows[k] for k in linear_keys)
+    return rows
 
 
 def wirtinger_dx(fn, x, h=1e-6):
@@ -47,8 +179,8 @@ class PtSlotOracle:
 
     def __init__(self, model: PtModel, anchor_p, x0):
         self.model = model
-        self.p = anchor_p
-        ws0 = model.workspace(x0)
+        self.p = as_dense(anchor_p)
+        ws0 = dense_pt_workspace(model, x0)
         self.c0 = ws0.c_rr
         self.dc0 = ws0.d_crr_dtheta
         self.f0 = np.diag(ws0.f)
@@ -58,7 +190,7 @@ class PtSlotOracle:
         self.delta0 = np.diag(np.diag(ws0.d_crr_dtheta).real)
 
     def _pieces(self, x):
-        ws = self.model.workspace(x)
+        ws = dense_pt_workspace(self.model, x)
         f = np.diag(ws.f)
         j1 = np.diag(1.0 / ws.diag_crr)
         j2 = np.diag(1.0 / np.sqrt(ws.diag_crr))
@@ -105,7 +237,8 @@ def dense_gradient_rows(model: PtModel, anchor_p, x):
 
     n = model.dim
     sa = model.sigma_alpha_sq
-    ws = model.workspace(x)
+    ws = dense_pt_workspace(model, x)
+    anchor_p = as_dense(anchor_p)
     a_dense = model.response.dense()
     ad_dense = model.response_derivative.dense()
     g = ws.g

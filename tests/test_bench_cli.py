@@ -38,6 +38,33 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict({"n_t": 0})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_t", "8"), ("n_t", True), ("n_t", 8.0), ("seed", None), ("trials", 1.5),
+    ("snr_db_list", "0,10"), ("snr_db_list", [0.0, "10"]), ("snr_db_list", [True]),
+    ("epsilon", "0.01"), ("theta_deg", False), ("experiment", 3),
+    ("admm_overrides", [("max_outer", 5)]), ("admm_overrides", {"max_outer": "5"}),
+    ("admm_overrides", {"rho0": True}), ("admm_overrides", {"bogus": 1}),
+])
+def test_config_rejects_wrong_types(field, value):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({field: value})
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"scenario": {field: value}})
+
+
+def test_config_accepts_ints_for_floats():
+    cfg = ExperimentConfig.from_dict({"theta_deg": 30, "snr_db_list": [0, 10.5]})
+    assert cfg.theta_deg == 30 and cfg.snr_db_list == [0, 10.5]
+
+
+def test_timing_rows_are_wall_time():
+    rows, _ = run_experiment(tiny_cfg(experiment="timing", snr_db_list=[20.0],
+                                      admm_overrides={"max_outer": 2, "max_inner": 2}))
+    assert [r.metric for r in rows] == ["wall_time_s"] * 4
+    assert [r.point for r in rows] == ["algo=PT", "algo=PT_INF", "algo=ET", "algo=ET_QU"]
+    assert all(r.value > 0.0 for r in rows)
+
+
 def test_config_scenario_nesting():
     cfg = ExperimentConfig.from_dict(
         {"experiment": "pt_sweep", "scenario": {"n_t": 5, "theta_deg": 10.0}}

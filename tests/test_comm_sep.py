@@ -168,3 +168,17 @@ def test_empirical_ser_deterministic():
     a = empirical_ser(x, h, s, d, 0.5, 200, seed=7, order=16)
     b = empirical_ser(x, h, s, d, 0.5, 200, seed=7, order=16)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("d", [
+    np.full(3, 1.0), np.full(5, 1.0), np.full((2, 2), 1.0),
+    np.array([1.0, 0.0, 1.0, 1.0]), np.array([1.0, -0.5, 1.0, 1.0]),
+    np.array([1.0, np.nan, 1.0, 1.0]), np.array([1.0, np.inf, 1.0, 1.0]),
+])
+def test_empirical_ser_rejects_bad_decision_values(d):
+    rng = np.random.default_rng(5)
+    s = random_qam_symbols(2, 3, 16, rng)
+    h = complex_normal(rng, (2, 4))
+    x = complex_normal(rng, (4, 3))
+    with pytest.raises(ValueError):
+        empirical_ser(x, h, s, d, 0.5, 10, seed=0, order=16)

@@ -6,6 +6,7 @@ from helpers_oracles import (
     PtSlotOracle,
     conjugate_gradient_fd,
     dense_gradient_rows,
+    dense_pt_workspace,
     random_ball_point,
     wirtinger_dx,
 )
@@ -125,16 +126,15 @@ def test_majorization_touches_and_dominates():
             assert gap >= -1e-9 * scale
 
 
-def test_anchor_q_inverse_apply_matches_dense_kronecker():
-    rng = np.random.default_rng(13)
+def test_anchor_p_matches_dense_kronecker():
+    # p_big = unvec(Q^{-1} vec(dC)) with Q = C^T kron C built densely
     model, x, *_ = make_instance(14, n_t=2, n_r=2, block_len=2)
     anchor = build_anchor(model, x)
-    chat = model.workspace(x).c_zz_hat
+    ws = dense_pt_workspace(model, x)
+    chat = ws.c_zz_hat
     q_inv = np.kron(np.linalg.inv(chat).T, np.linalg.inv(chat))
-    m = complex_normal(rng, (4, 4))
-    got = anchor.q_inverse_apply(m)
-    want = (q_inv @ m.reshape(-1, order="F")).reshape((4, 4), order="F")
-    assert np.linalg.norm(got - want) < 1e-10
+    want = (q_inv @ ws.d_czz_dtheta.reshape(-1, order="F")).reshape((4, 4), order="F")
+    assert np.linalg.norm(anchor.p_big.dense() - want) < 1e-10
 
 
 def test_pgd_step_zero_gradient_is_identity():

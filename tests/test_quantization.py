@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
+from helpers_oracles import dense_pt_workspace, linearized_czz
 
 from onebit_isac.array_geometry import pt_response_operator
+from onebit_isac.crb_metrics import PtModel
 from onebit_isac.linalg import complex_normal, psd_sqrt
 from onebit_isac.quantization import (
     TWO_OVER_PI,
     bussgang_gain,
-    bussgang_pair,
-    covariance_czz_approx,
     covariance_czz_exact,
     crr_et,
-    crr_pt,
     quantize_one_bit,
 )
 
@@ -90,10 +89,10 @@ def test_czz_exact_monte_carlo():
 
 
 def test_czz_approx_identity_and_diag():
-    assert np.allclose(covariance_czz_approx(np.eye(4)), np.eye(4))
+    assert np.allclose(linearized_czz(np.eye(4)), np.eye(4))
     rng = np.random.default_rng(4)
     c = random_cov(rng, 5)
-    czz = covariance_czz_approx(c)
+    czz = linearized_czz(c)
     assert np.allclose(np.diag(czz).real, 1.0, atol=1e-12)
 
 
@@ -101,7 +100,7 @@ def test_czz_approx_offdiagonal_form():
     # off-diagonal entries are (2/pi) times the normalized correlation
     rho = 0.1
     c = np.array([[1.0, rho], [rho, 1.0]])
-    approx = covariance_czz_approx(c)
+    approx = linearized_czz(c)
     exact = covariance_czz_exact(c)
     assert approx[0, 1] == pytest.approx(TWO_OVER_PI * rho, rel=1e-12)
     assert abs(approx[0, 1] - exact[0, 1]) < 2e-4
@@ -111,42 +110,47 @@ def test_czz_approx_cubic_error_decay():
     def gap(rho):
         c = np.array([[1.0, rho], [rho, 1.0]])
         return abs(
-            covariance_czz_exact(c)[0, 1] - covariance_czz_approx(c)[0, 1]
+            covariance_czz_exact(c)[0, 1] - linearized_czz(c)[0, 1]
         )
 
     assert gap(0.2) / gap(0.1) >= 8.0
 
 
+def pt_c_rr(x, theta, sa, sv, block_len, n_r):
+    """Point-target echo covariance sigma_alpha^2 (A x)(A x)^H + sigma_v^2 I."""
+    return PtModel(theta, sa, sv, x.size // block_len, n_r, block_len).workspace(x).c_rr
+
+
 def test_crr_pt_zero_waveform():
-    cov = crr_pt(np.zeros(6, dtype=complex), 0.3, 1.0, 0.2, block_len=2, n_r=3)
-    assert np.allclose(cov.matrix, 0.2 * np.eye(6))
+    cov = pt_c_rr(np.zeros(6, dtype=complex), 0.3, 1.0, 0.2, block_len=2, n_r=3)
+    assert np.allclose(cov.dense(), 0.2 * np.eye(6))
 
 
 def test_crr_pt_trace_identity():
     rng = np.random.default_rng(5)
     x = complex_normal(rng, 6)
     theta, sa, sv = 0.4, 1.5, 0.3
-    cov = crr_pt(x, theta, sa, sv, block_len=2, n_r=3)
+    cov = pt_c_rr(x, theta, sa, sv, block_len=2, n_r=3)
     g = pt_response_operator(theta, 2, 3, 3).apply(x)
     expected = sa * np.linalg.norm(g) ** 2 + sv * 6
-    assert np.trace(cov.matrix).real == pytest.approx(expected, rel=1e-12)
-    assert np.allclose(cov.diagonal(), np.diag(cov.matrix).real, atol=1e-14)
+    assert np.trace(cov.dense()).real == pytest.approx(expected, rel=1e-12)
+    assert np.allclose(cov.diag().real, np.diag(cov.dense()).real, atol=1e-14)
 
 
 def test_crr_pt_dense_oracle():
     rng = np.random.default_rng(6)
     x = complex_normal(rng, 6)
     theta, sa, sv = -0.2, 0.8, 0.1
-    cov = crr_pt(x, theta, sa, sv, block_len=2, n_r=3)
+    cov = pt_c_rr(x, theta, sa, sv, block_len=2, n_r=3)
     a_dense = pt_response_operator(theta, 2, 3, 3).dense()
     g = a_dense @ x
     oracle = sa * np.outer(g, g.conj()) + sv * np.eye(6)
-    assert np.linalg.norm(cov.matrix - oracle) < 1e-12
+    assert np.linalg.norm(cov.dense() - oracle) < 1e-12
 
 
 def test_crr_pt_rejects_bad_noise():
     with pytest.raises(ValueError):
-        crr_pt(np.zeros(6, dtype=complex), 0.3, 1.0, 0.0, block_len=2, n_r=3)
+        pt_c_rr(np.zeros(6, dtype=complex), 0.3, 1.0, 0.0, block_len=2, n_r=3)
 
 
 def test_crr_et_zero_waveform():
@@ -191,8 +195,13 @@ def test_crr_et_monte_carlo():
 
 
 def test_bussgang_pair_consistency():
+    # the workspace's gain and quantized covariance are the Bussgang pair of
+    # its own echo covariance
     rng = np.random.default_rng(9)
-    c = random_cov(rng, 4)
-    pair = bussgang_pair(c)
-    assert np.allclose(pair.c_zz_hat, covariance_czz_approx(c))
-    assert np.allclose(pair.f, bussgang_gain(c))
+    model = PtModel(0.3, 1.2, 0.4, 2, 2, 2)
+    x = complex_normal(rng, 4)
+    ws = model.workspace(x)
+    c = ws.c_rr.dense()
+    assert np.allclose(ws.c_zz_hat.dense(), linearized_czz(c))
+    assert np.allclose(ws.f, bussgang_gain(c))
+    assert np.allclose(ws.c_zz_hat.dense(), dense_pt_workspace(model, x).c_zz_hat)
