@@ -5,7 +5,6 @@ reproducible benchmark CLI."""
 from .array_geometry import (
     EtTarget,
     PtTarget,
-    UlaSteering,
     et_prior_covariance,
     et_sample,
     exponential_correlation,
@@ -15,19 +14,19 @@ from .array_geometry import (
     steering_derivative,
 )
 from .quantization import (
-    EchoCovariance,
     bussgang_gain,
     covariance_czz_exact,
-    crr_et,
     quantize_one_bit,
 )
 from .crb_metrics import (
+    EtAnchor,
     PtModel,
     crb_et,
     crb_et_forms_equal,
     crb_et_information_form,
     crb_pt,
     crb_pt_infinite_resolution,
+    et_anchor,
     mse_et_quantization_unaware,
 )
 from .estimators import MleConfig, MleGrid, TrialResult, TrialsSummary, blmmse_et, mle_pt, run_trials
@@ -43,13 +42,11 @@ from .comm_sep import (
 from .sep_projection import UserQpInstance, boundary_points, solve_block, solve_user_qp
 from .opt_pt import SearchConfig, SurrogateAnchor, build_anchor, pgd_step, solve_x_pt, surrogate_gradient, surrogate_value
 from .opt_et import (
-    CommutationOp,
     EtProblem,
     EtSurrogate,
     build_et_surrogate,
     build_lt,
     build_mbar,
-    commutation_apply,
     mm_update_et,
     solve_x_et,
     solve_x_et_qu,

@@ -36,20 +36,6 @@ def steering_derivative(n, theta):
     return steering(n, theta) * (-1j * np.pi * m * np.cos(theta))
 
 
-@dataclass(frozen=True)
-class UlaSteering:
-    """Half-wavelength ULA described by element count and look angle."""
-
-    n_elements: int
-    angle: float
-
-    def vector(self):
-        return steering(self.n_elements, self.angle)
-
-    def derivative(self):
-        return steering_derivative(self.n_elements, self.angle)
-
-
 class BlockRankOneOperator:
     """I_L kron B applied without materialization, B = sum_i u_i v_i^T.
 

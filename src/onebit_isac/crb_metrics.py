@@ -1,7 +1,8 @@
 """Estimation-accuracy metrics: the one-bit DOA bound for point-like targets
 with its full derivative chain, the Bayesian trace bound for extended
 targets in both algebraic forms, their infinite-resolution / quantization-
-unaware counterparts, and the workspace types the optimizers reuse."""
+unaware counterparts, and the point-target workspace and extended-target
+anchor the optimizers reuse."""
 
 import math
 from dataclasses import dataclass, field
@@ -165,12 +166,40 @@ def et_crb_inputs(x_matrix, c_aa, sigma_v_sq):
     return EtCrbInputs(x_tilde=op, c_aa=c_aa, c_vv_tilde=c_vv, f=f)
 
 
-def _et_m_matrix(op, c_aa, sigma_v_sq):
-    """X~ C X~^H + (pi/2 - 1) diag(X~ C X~^H) + (pi/2) sigma_v^2 I."""
+@dataclass(frozen=True)
+class EtAnchor:
+    """The extended-target bound's pieces at one waveform.
+
+    l_mat = X~ C_aa, m = M(x) and m_inv_l = M^{-1} L, where M is
+    X~ C X~^H + (pi/2 - 1) diag(X~ C X~^H) + (pi/2) sigma_v^2 I for the
+    one-bit bound and X~ C X~^H + sigma_v^2 I for the unquantized LMMSE
+    (both Hermitian-symmetrized); gain = tr(L^H M^{-1} L).
+    """
+
+    l_mat: np.ndarray
+    m: np.ndarray
+    m_inv_l: np.ndarray
+    gain: float
+
+
+def et_anchor(x_matrix, c_aa, sigma_v_sq, quantization_aware=True):
+    """L, M, M^{-1} L and the gain of the extended-target bound at X."""
+    if sigma_v_sq <= 0.0:
+        raise ValueError("noise power must be positive")
+    x_matrix = np.asarray(x_matrix)
+    c_aa = np.asarray(c_aa)
+    op = XtildeOperator(x_matrix, c_aa.shape[0] // x_matrix.shape[0])
     gram = op.gram(c_aa)
-    m = gram + (np.pi / 2.0 - 1.0) * np.diag(np.diag(gram))
-    m += (np.pi / 2.0) * sigma_v_sq * np.eye(gram.shape[0])
-    return (m + m.conj().T) / 2.0
+    if quantization_aware:
+        m = gram + (np.pi / 2.0 - 1.0) * np.diag(np.diag(gram))
+        m += (np.pi / 2.0) * sigma_v_sq * np.eye(gram.shape[0])
+    else:
+        m = gram + sigma_v_sq * np.eye(gram.shape[0])
+    m = (m + m.conj().T) / 2.0
+    l_mat = op.right_multiply(c_aa)
+    m_inv_l = hermitian_solve(m, l_mat)
+    gain = float(np.einsum("ij,ij->", l_mat.conj(), m_inv_l).real)
+    return EtAnchor(l_mat=l_mat, m=m, m_inv_l=m_inv_l, gain=gain)
 
 
 def crb_et(x_matrix, c_aa, sigma_v_sq):
@@ -179,18 +208,8 @@ def crb_et(x_matrix, c_aa, sigma_v_sq):
     Uses the expanded form tr(C_aa) - tr(L^H M^{-1} L), which stays valid for
     merely PSD priors.
     """
-    if sigma_v_sq <= 0.0:
-        raise ValueError("noise power must be positive")
-    x_matrix = np.asarray(x_matrix)
-    c_aa = np.asarray(c_aa)
-    n_t = x_matrix.shape[0]
-    n_r = c_aa.shape[0] // n_t
-    op = XtildeOperator(x_matrix, n_r)
-    l_mat = op.right_multiply(c_aa)
-    m = _et_m_matrix(op, c_aa, sigma_v_sq)
-    sol = hermitian_solve(m, l_mat)
-    gain = float(np.einsum("ij,ij->", l_mat.conj(), sol).real)
-    return float(np.trace(c_aa).real - gain)
+    gain = et_anchor(x_matrix, c_aa, sigma_v_sq).gain
+    return float(np.trace(np.asarray(c_aa)).real - gain)
 
 
 def crb_et_information_form(x_matrix, c_aa, sigma_v_sq):
@@ -217,15 +236,5 @@ def crb_et_forms_equal(x_matrix, c_aa, sigma_v_sq, rtol=1e-9):
 
 def mse_et_quantization_unaware(x_matrix, c_aa, sigma_v_sq):
     """Unquantized LMMSE MSE, tr(C_aa) - tr(C_aa X~^H (X~ C X~^H + s^2 I)^{-1} X~ C_aa)."""
-    if sigma_v_sq <= 0.0:
-        raise ValueError("noise power must be positive")
-    x_matrix = np.asarray(x_matrix)
-    c_aa = np.asarray(c_aa)
-    n_t = x_matrix.shape[0]
-    n_r = c_aa.shape[0] // n_t
-    op = XtildeOperator(x_matrix, n_r)
-    l_mat = op.right_multiply(c_aa)
-    m = op.gram(c_aa) + sigma_v_sq * np.eye(n_r * x_matrix.shape[1])
-    sol = hermitian_solve(m, l_mat)
-    gain = float(np.einsum("ij,ij->", l_mat.conj(), sol).real)
-    return float(np.trace(c_aa).real - gain)
+    gain = et_anchor(x_matrix, c_aa, sigma_v_sq, quantization_aware=False).gain
+    return float(np.trace(np.asarray(c_aa)).real - gain)

@@ -9,6 +9,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .array_geometry import pt_response_operator
+from .crb_metrics import et_anchor
 from .linalg import (
     XtildeOperator,
     chol_logdet,
@@ -245,10 +246,11 @@ def _build_runner(scenario, waveform, cfg, unquantized, normalize_alpha):
             x_matrix = x_matrix.reshape((scenario.n_t, scenario.block_len), order="F")
         op = XtildeOperator(x_matrix, scenario.n_r)
         if unquantized:
-            l_mat = op.right_multiply(scenario.target.c_aa)
-            m = op.gram(scenario.target.c_aa)
-            m += scenario.sigma_v_sq * np.eye(m.shape[0])
-            estimator = hermitian_solve(m, l_mat).conj().T
+            # unquantized LMMSE: C_aa X~^H C_rr^{-1} = (C_rr^{-1} L)^H
+            estimator = et_anchor(
+                x_matrix, scenario.target.c_aa, scenario.sigma_v_sq,
+                quantization_aware=False,
+            ).m_inv_l.conj().T
         else:
             estimator = blmmse_matrix(
                 x_matrix, scenario.target.c_aa, scenario.sigma_v_sq

@@ -1,64 +1,20 @@
-"""Waveform subproblem solver for extended targets: commutation-matrix index
-maps, the trace-to-inner-product reduction of the linear term, the lifted
-quadratic-form operator with its spectral bound, and the closed-form
-majorize-minimize update (plus the quantization-unaware variant)."""
+"""Waveform subproblem solver for extended targets: the trace-to-inner-
+product reduction of the linear term, the dense quadratic-form matrix with
+its spectral bound, and the closed-form majorize-minimize update (plus the
+quantization-unaware variant)."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .crb_metrics import et_anchor
 from .linalg import (
-    XtildeOperator,
     h_tilde_adjoint,
     h_tilde_apply,
-    hermitian_solve,
     power_iteration,
     project_power_ball,
     unvec,
 )
-
-DENSE_GUARD = 4096
-
-
-def commutation_permutation(m, n):
-    """Index map realizing vec(A) -> vec(A^T) for A of shape m x n."""
-    j = np.arange(m * n)
-    return (j // n) + m * (j % n)
-
-
-def commutation_apply(m, n, v):
-    """Apply the m,n commutation to a length-mn vector (pure permutation)."""
-    v = np.asarray(v)
-    if v.size != m * n:
-        raise ValueError(f"expected length {m * n}, got {v.size}")
-    return v[commutation_permutation(m, n)]
-
-
-def commutation_matrix(m, n, max_entries=DENSE_GUARD):
-    """Dense commutation matrix, guarded to test-scale sizes."""
-    size = m * n
-    if size * size > max_entries:
-        raise ValueError(f"refusing to materialize {size * size} entries")
-    t = np.zeros((size, size))
-    t[np.arange(size), commutation_permutation(m, n)] = 1.0
-    return t
-
-
-@dataclass(frozen=True)
-class CommutationOp:
-    """vec-transpose permutation T_{rows,cols}."""
-
-    rows: int
-    cols: int
-
-    def apply(self, v):
-        return commutation_apply(self.rows, self.cols, v)
-
-    def inverse_apply(self, v):
-        return commutation_apply(self.cols, self.rows, v)
-
-    def dense(self, max_entries=DENSE_GUARD):
-        return commutation_matrix(self.rows, self.cols, max_entries)
 
 
 def _partial_trace_to_x(w, n_r, n_t, block_len):
@@ -83,32 +39,33 @@ class EtProblem:
     n_r: int
     block_len: int
     quantization_aware: bool = True
+    # (waveform, anchor) of the last call: the MM loop and the ADMM driver
+    # ask for the anchor at an accepted iterate up to three times
+    _last: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sigma_v_sq <= 0.0:
             raise ValueError("noise power must be positive")
         self.c_aa = np.asarray(self.c_aa)
 
-    def x_operator(self, x):
-        return XtildeOperator(unvec(x, self.n_t, self.block_len), self.n_r)
+    def anchor(self, x):
+        """The :class:`~onebit_isac.crb_metrics.EtAnchor` at waveform x."""
+        x = np.asarray(x)
+        last = self._last
+        if last is not None and np.array_equal(last[0], x):
+            return last[1]
+        anchor = et_anchor(unvec(x, self.n_t, self.block_len), self.c_aa,
+                           self.sigma_v_sq, self.quantization_aware)
+        self._last = (x.copy(), anchor)
+        return anchor
 
     def m_matrix(self, x):
         """M(x): the regularized echo Gram driving the trace objective."""
-        op = self.x_operator(x)
-        gram = op.gram(self.c_aa)
-        if self.quantization_aware:
-            m = gram + (np.pi / 2.0 - 1.0) * np.diag(np.diag(gram))
-            m += (np.pi / 2.0) * self.sigma_v_sq * np.eye(gram.shape[0])
-        else:
-            m = gram + self.sigma_v_sq * np.eye(gram.shape[0])
-        return (m + m.conj().T) / 2.0
+        return self.anchor(x).m
 
     def objective(self, x):
         """h(x) = -tr(L(x)^H M(x)^{-1} L(x)); bound value = tr(C_aa) + h."""
-        op = self.x_operator(x)
-        l_mat = op.right_multiply(self.c_aa)
-        sol = hermitian_solve(self.m_matrix(x), l_mat)
-        return -float(np.einsum("ij,ij->", l_mat.conj(), sol).real)
+        return -self.anchor(x).gain
 
     def bound_value(self, x):
         return float(np.trace(self.c_aa).real) + self.objective(x)
@@ -128,46 +85,43 @@ def build_lt(x_t, c_aa, m_inv_l, n_r):
     return _partial_trace_to_x(g, n_r, n_t, block_len)
 
 
-def build_mbar(x_t, c_aa, sigma_v_sq, n_r, quantization_aware=True,
-               power_tol=1e-8, power_seed=7, inflation=1.01, power_v0=None):
-    """Quadratic-form operator x -> Mbar x plus a safe spectral upper bound.
-
-    Mbar realizes x^H Mbar x = tr(Mtilde X~ C_aa X~^H); the apply route is
-    Mtilde @ X~(x) @ C_aa followed by the receive partial trace. The largest
-    eigenvalue comes from seeded power iteration (warm-startable via
-    power_v0) inflated by 1.01, falling back to the trace bound if it fails
-    to converge.
-    """
-    x_t = np.asarray(x_t)
-    n_t, block_len = x_t.shape
-    op_t = XtildeOperator(x_t, n_r)
-    gram = op_t.gram(c_aa)
-    if quantization_aware:
-        m_t = gram + (np.pi / 2.0 - 1.0) * np.diag(np.diag(gram))
-        m_t += (np.pi / 2.0) * sigma_v_sq * np.eye(gram.shape[0])
-    else:
-        m_t = gram + sigma_v_sq * np.eye(gram.shape[0])
-    m_t = (m_t + m_t.conj().T) / 2.0
-    l_t = op_t.right_multiply(c_aa)
-    y_t = hermitian_solve(m_t, l_t)
-    m_tilde = y_t @ y_t.conj().T
+def m_tilde_matrix(anchor, quantization_aware=True):
+    """Mtilde = Y Y^H, Y = M^{-1} L, plus (pi/2 - 1) diag(Y Y^H) when aware."""
+    y = anchor.m_inv_l
+    m_tilde = y @ y.conj().T
     if quantization_aware:
         m_tilde = m_tilde + (np.pi / 2.0 - 1.0) * np.diag(np.diag(m_tilde))
-    m_tilde = (m_tilde + m_tilde.conj().T) / 2.0
+    return (m_tilde + m_tilde.conj().T) / 2.0
 
-    def apply(xv):
-        op = XtildeOperator(unvec(xv, n_t, block_len), n_r)
-        w = m_tilde @ op.right_multiply(c_aa)
-        return _partial_trace_to_x(w, n_r, n_t, block_len)
 
+def build_mbar(anchor, c_aa, n_r, quantization_aware=True, power_tol=1e-8,
+               power_seed=7, inflation=1.01, power_v0=None):
+    """Dense quadratic-form matrix Mbar at an anchor plus a safe spectral
+    upper bound.
+
+    Mbar realizes x^H Mbar x = tr(Mtilde X~ C_aa X~^H); it is one
+    contraction of Mtilde with C_aa over the two receive indices:
+    Mbar[(n, l), (b, k)] = sum_{r, s} Mtilde[(r, l), (s, k)] C_aa[(s, b), (r, n)].
+    The largest eigenvalue comes from seeded power iteration (warm-startable
+    via power_v0) inflated by 1.01; if that does not converge, trace(Mbar)
+    bounds it instead. Returns (m_bar, lam_max, v_last, fell_back).
+    """
+    c_aa = np.asarray(c_aa)
+    n_t = c_aa.shape[0] // n_r
+    block_len = anchor.m_inv_l.shape[0] // n_r
     dim = n_t * block_len
+    m4 = m_tilde_matrix(anchor, quantization_aware).reshape(
+        (n_r, block_len, n_r, block_len), order="F")
+    c4 = c_aa.reshape((n_r, n_t, n_r, n_t), order="F")
+    lkbn = np.tensordot(m4, c4, axes=([0, 2], [2, 0]))
+    m_bar = lkbn.transpose(3, 0, 2, 1).reshape((dim, dim), order="F")
     lam, v_last, converged = power_iteration(
-        apply, dim, tol=power_tol, seed=power_seed, v0=power_v0
+        m_bar.dot, dim, tol=power_tol, seed=power_seed, v0=power_v0
     )
     if not converged:
-        lam = sum(apply(e)[i].real for i, e in enumerate(np.eye(dim, dtype=complex)))
+        lam = float(np.trace(m_bar).real)
     lam_max = inflation * max(float(lam), 0.0)
-    return apply, lam_max, m_tilde, y_t, v_last
+    return m_bar, lam_max, v_last, not converged
 
 
 @dataclass
@@ -176,13 +130,13 @@ class EtSurrogate:
 
     x_t: np.ndarray
     l_t: np.ndarray
-    m_bar_apply: object
+    m_bar: np.ndarray = field(repr=False)
     lam_max_mbar: float
     lam_max_hth: float
     m_t: np.ndarray
     rho: float
-    m_tilde: np.ndarray = field(repr=False, default=None)
     power_vector: np.ndarray = field(repr=False, default=None)
+    power_fallback: bool = False
 
     @property
     def denominator(self):
@@ -207,12 +161,13 @@ def build_et_surrogate(problem, x_t, rho=0.0, u_i=None, lambda_i=None,
                        channel=None, lam_hth=None, power_v0=None):
     x_t = np.asarray(x_t, dtype=complex)
     x_mat = unvec(x_t, problem.n_t, problem.block_len)
-    apply_mbar, lam_mbar, m_tilde, y_t, v_last = build_mbar(
-        x_mat, problem.c_aa, problem.sigma_v_sq, problem.n_r,
-        problem.quantization_aware, power_v0=power_v0,
+    anchor = problem.anchor(x_t)
+    m_bar, lam_mbar, v_last, fell_back = build_mbar(
+        anchor, problem.c_aa, problem.n_r, problem.quantization_aware,
+        power_v0=power_v0,
     )
-    l_t = build_lt(x_mat, problem.c_aa, y_t, problem.n_r)
-    m_t = l_t + lam_mbar * x_t - apply_mbar(x_t)
+    l_t = build_lt(x_mat, problem.c_aa, anchor.m_inv_l, problem.n_r)
+    m_t = l_t + lam_mbar * x_t - m_bar @ x_t
     if rho != 0.0 and channel is not None and channel.size:
         if lam_hth is None:
             lam_hth = lam_max_channel(channel)
@@ -225,9 +180,9 @@ def build_et_surrogate(problem, x_t, rho=0.0, u_i=None, lambda_i=None,
         lam_hth = 0.0
         rho = float(rho)
     return EtSurrogate(
-        x_t=x_t, l_t=l_t, m_bar_apply=apply_mbar, lam_max_mbar=lam_mbar,
-        lam_max_hth=float(lam_hth), m_t=m_t, rho=float(rho), m_tilde=m_tilde,
-        power_vector=v_last,
+        x_t=x_t, l_t=l_t, m_bar=m_bar, lam_max_mbar=lam_mbar,
+        lam_max_hth=float(lam_hth), m_t=m_t, rho=float(rho),
+        power_vector=v_last, power_fallback=fell_back,
     )
 
 
@@ -253,7 +208,9 @@ def solve_x_et(problem, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,
     """Closed-form MM loop for the extended-target subproblem.
 
     Returns (x, info); the true augmented objective is tracked and is
-    non-increasing across iterations.
+    non-increasing across iterations. info["power_fallbacks"] counts the
+    anchors whose power iteration did not converge and fell back to the
+    trace bound.
     """
     x = np.asarray(x_init, dtype=complex)
     if float(np.vdot(x, x).real) > power * (1.0 + 1e-9):
@@ -263,11 +220,13 @@ def solve_x_et(problem, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,
     f_prev = augmented_objective_et(problem, x, rho, u_i, lambda_i, channel)
     history = [f_prev]
     warm = None
+    fallbacks = 0
     for _ in range(max_iter):
         surrogate = build_et_surrogate(
             problem, x, rho, u_i, lambda_i, channel, lam_hth, power_v0=warm
         )
         warm = surrogate.power_vector
+        fallbacks += surrogate.power_fallback
         x = mm_update_et(x, surrogate, power)
         f_new = augmented_objective_et(problem, x, rho, u_i, lambda_i, channel)
         history.append(f_new)
@@ -275,7 +234,8 @@ def solve_x_et(problem, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,
             f_prev = f_new
             break
         f_prev = f_new
-    return x, {"objective_history": history, "n_iter": len(history) - 1}
+    return x, {"objective_history": history, "n_iter": len(history) - 1,
+               "power_fallbacks": fallbacks}
 
 
 def solve_x_et_qu(problem, x_init, rho=0.0, u_i=None, lambda_i=None,

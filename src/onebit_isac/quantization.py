@@ -1,12 +1,9 @@
-"""One-bit quantizer, Bussgang gain, arcsine-law covariance, and the
-extended-target echo-covariance builder. The point-target chain, with the
-linearized arcsine covariance, lives in ``crb_metrics.PtModel.workspace``."""
-
-from dataclasses import dataclass, field
+"""One-bit quantizer, Bussgang gain and arcsine-law covariance. The
+point-target chain, with the linearized arcsine covariance, lives in
+``crb_metrics.PtModel.workspace``; the extended-target echo covariance is
+the quantization-unaware M of ``crb_metrics.et_anchor``."""
 
 import numpy as np
-
-from .linalg import XtildeOperator
 
 TWO_OVER_PI = 2.0 / np.pi
 
@@ -59,55 +56,3 @@ def covariance_czz_exact(c_rr):
     czz = (czz + czz.conj().T) / 2.0
     np.fill_diagonal(czz, 1.0)
     return czz
-
-
-@dataclass
-class EchoCovariance:
-    """Covariance of the unquantized echo, rank-one + diagonal for PT.
-
-    For PT the matrix is held as factor factor^H + noise_floor I and only
-    materialized on demand; ET instances carry the dense matrix directly.
-    """
-
-    model_tag: str
-    noise_floor: float
-    factor: np.ndarray = None
-    dense_matrix: np.ndarray = None
-    _cache: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def n(self):
-        if self.dense_matrix is not None:
-            return self.dense_matrix.shape[0]
-        return self.factor.size
-
-    @property
-    def matrix(self):
-        if self.dense_matrix is not None:
-            return self.dense_matrix
-        if self._cache is None:
-            self._cache = np.outer(self.factor, self.factor.conj()) + (
-                self.noise_floor * np.eye(self.n)
-            )
-        return self._cache
-
-    def diagonal(self):
-        if self.dense_matrix is not None:
-            return np.diag(self.dense_matrix).real
-        return np.abs(self.factor) ** 2 + self.noise_floor
-
-
-def crr_et(x_matrix, c_aa, sigma_v_sq):
-    """Extended-target echo covariance X~ C_aa X~^H + sigma_v^2 I."""
-    if sigma_v_sq <= 0.0:
-        raise ValueError("noise power must be positive")
-    x_matrix = np.asarray(x_matrix)
-    c_aa = np.asarray(c_aa)
-    n_t = x_matrix.shape[0]
-    if c_aa.shape[0] % n_t != 0:
-        raise ValueError("prior covariance size incompatible with waveform")
-    n_r = c_aa.shape[0] // n_t
-    op = XtildeOperator(x_matrix, n_r)
-    dense = op.gram(c_aa) + sigma_v_sq * np.eye(n_r * x_matrix.shape[1])
-    dense = (dense + dense.conj().T) / 2.0
-    return EchoCovariance(model_tag="et", noise_floor=float(sigma_v_sq), dense_matrix=dense)

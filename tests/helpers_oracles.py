@@ -1,15 +1,28 @@
 """Shared test oracles: Wirtinger finite differences, slot functions that
 isolate each derivative path of the point-target surrogate, the dense n x n
 point-target covariance chain (workspace, trace form, anchor, surrogate value
-and gradient rows) that the library holds as diagonal plus low rank, and
-dense Kronecker/commutation builders for small instances."""
+and gradient rows) that the library holds as diagonal plus low rank, the
+extended-target chain as the library computed it before the shared anchor
+and the dense Mbar (explicit Kronecker bound, matrix-free Mbar apply,
+uncached MM loop), and dense Kronecker/commutation builders for small
+instances."""
 
 from types import SimpleNamespace
 
 import numpy as np
 
 from onebit_isac.crb_metrics import PtModel
-from onebit_isac.linalg import complex_normal, h_tilde_adjoint, h_tilde_apply, hermitian_solve
+from onebit_isac.linalg import (
+    XtildeOperator,
+    complex_normal,
+    h_tilde_adjoint,
+    h_tilde_apply,
+    hermitian_solve,
+    power_iteration,
+    project_power_ball,
+    unvec,
+)
+from onebit_isac.opt_et import build_lt, lam_max_channel
 from onebit_isac.opt_pt import penalty_value
 
 TWO_OVER_PI = 2.0 / np.pi
@@ -233,8 +246,6 @@ class PtSlotOracle:
 def dense_gradient_rows(model: PtModel, anchor_p, x):
     """Verbatim dense evaluation of every surrogate gradient term using
     explicit Kronecker products and the commutation matrix (small sizes)."""
-    from onebit_isac.opt_et import commutation_matrix
-
     n = model.dim
     sa = model.sigma_alpha_sq
     ws = dense_pt_workspace(model, x)
@@ -307,3 +318,124 @@ def random_ball_point(rng, dim, power=1.0):
     x = complex_normal(rng, dim)
     x *= (power * rng.uniform(0.0, 1.0)) ** 0.5 / np.linalg.norm(x)
     return x
+
+
+DENSE_GUARD = 4096
+
+
+def commutation_permutation(m, n):
+    """Index map realizing vec(A) -> vec(A^T) for A of shape m x n."""
+    j = np.arange(m * n)
+    return (j // n) + m * (j % n)
+
+
+def commutation_apply(m, n, v):
+    """Apply the m,n commutation to a length-mn vector (pure permutation)."""
+    v = np.asarray(v)
+    if v.size != m * n:
+        raise ValueError(f"expected length {m * n}, got {v.size}")
+    return v[commutation_permutation(m, n)]
+
+
+def commutation_matrix(m, n, max_entries=DENSE_GUARD):
+    """Dense commutation matrix, guarded to test-scale sizes."""
+    size = m * n
+    if size * size > max_entries:
+        raise ValueError(f"refusing to materialize {size * size} entries")
+    t = np.zeros((size, size))
+    t[np.arange(size), commutation_permutation(m, n)] = 1.0
+    return t
+
+
+def dense_mbar_commutation(m_tilde, c_aa, n_t, n_r, block_len):
+    """Mbar = T~^T (C_aa^T kron Mtilde) T~ with the explicit commutation
+    matrices (small sizes only)."""
+    vec_i = np.eye(n_r).reshape(-1, order="F")[:, None]
+    ttilde = np.kron(
+        np.eye(n_t), np.kron(commutation_matrix(n_r, block_len), np.eye(n_r))
+    ) @ np.kron(commutation_matrix(n_t, block_len), vec_i)
+    return ttilde.T @ np.kron(np.asarray(c_aa).T, m_tilde) @ ttilde
+
+
+def mbar_apply_matrix_free(m_tilde, c_aa, n_t, n_r, block_len):
+    """x -> Mbar x as Mtilde @ X~(x) @ C_aa followed by the receive partial
+    trace, never forming Mbar."""
+
+    def apply(xv):
+        op = XtildeOperator(unvec(xv, n_t, block_len), n_r)
+        w4 = (m_tilde @ op.right_multiply(c_aa)).reshape(
+            (n_r, block_len, n_r, n_t), order="F")
+        return np.einsum("rlrn->nl", w4).reshape(-1, order="F")
+
+    return apply
+
+
+def dense_et_anchor(x, c_aa, sigma_v_sq, n_t, n_r, block_len, quantization_aware=True):
+    """(L, M, M^{-1} L, gain) of the extended-target bound with X~ = X^T kron I
+    formed explicitly."""
+    xt = np.kron(unvec(x, n_t, block_len).T, np.eye(n_r))
+    gram = xt @ c_aa @ xt.conj().T
+    n = gram.shape[0]
+    if quantization_aware:
+        m = gram + (np.pi / 2.0 - 1.0) * np.diag(np.diag(gram))
+        m = m + (np.pi / 2.0) * sigma_v_sq * np.eye(n)
+    else:
+        m = gram + sigma_v_sq * np.eye(n)
+    m = (m + m.conj().T) / 2.0
+    l_mat = xt @ c_aa
+    y = hermitian_solve(m, l_mat)
+    return l_mat, m, y, float(np.einsum("ij,ij->", l_mat.conj(), y).real)
+
+
+def dense_m_tilde(y, quantization_aware=True):
+    m_tilde = y @ y.conj().T
+    if quantization_aware:
+        m_tilde = m_tilde + (np.pi / 2.0 - 1.0) * np.diag(np.diag(m_tilde))
+    return (m_tilde + m_tilde.conj().T) / 2.0
+
+
+def uncached_solve_x_et(problem, x_init, rho=0.0, u_i=None, lambda_i=None,
+                        channel=None, power=1.0, tol=1e-6, max_iter=20):
+    """The MM loop of ``solve_x_et`` with nothing shared between steps: the
+    bound's pieces are rebuilt from the explicit Kronecker X~ at every use
+    and the spectral bound comes from power iteration on the matrix-free
+    Mbar apply (trace bound if it does not converge). Returns the objective
+    history."""
+    dims = (problem.n_t, problem.n_r, problem.block_len)
+    aware = problem.quantization_aware
+
+    def objective(x):
+        val = -dense_et_anchor(x, problem.c_aa, problem.sigma_v_sq, *dims, aware)[3]
+        if rho != 0.0 and channel is not None and channel.size:
+            w = h_tilde_apply(channel, x, problem.block_len) - u_i + lambda_i
+            val += rho * float(np.vdot(w, w).real)
+        return val
+
+    lam_hth = lam_max_channel(channel)
+    x = np.asarray(x_init, dtype=complex)
+    f_prev = objective(x)
+    history = [f_prev]
+    warm = None
+    dim = problem.n_t * problem.block_len
+    for _ in range(max_iter):
+        _, _, y, _ = dense_et_anchor(x, problem.c_aa, problem.sigma_v_sq, *dims, aware)
+        apply = mbar_apply_matrix_free(dense_m_tilde(y, aware), problem.c_aa, *dims)
+        lam, warm, converged = power_iteration(apply, dim, tol=1e-8, seed=7, v0=warm)
+        if not converged:
+            lam = sum(apply(e)[i].real for i, e in enumerate(np.eye(dim, dtype=complex)))
+        lam_mbar = 1.01 * max(float(lam), 0.0)
+        l_t = build_lt(unvec(x, problem.n_t, problem.block_len), problem.c_aa, y, problem.n_r)
+        m_t = l_t + lam_mbar * x - apply(x)
+        denom = lam_mbar
+        if rho != 0.0 and channel is not None and channel.size:
+            hx = h_tilde_apply(channel, x, problem.block_len)
+            m_t = m_t + rho * h_tilde_adjoint(channel, u_i - lambda_i, problem.block_len)
+            m_t = m_t + rho * (lam_hth * x - h_tilde_adjoint(channel, hx, problem.block_len))
+            denom = lam_mbar + rho * lam_hth
+        x = project_power_ball(m_t / denom, power)
+        f_new = objective(x)
+        history.append(f_new)
+        if abs(f_new - f_prev) <= tol * (abs(f_prev) + 1e-30):
+            break
+        f_prev = f_new
+    return history

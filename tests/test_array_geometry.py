@@ -4,7 +4,6 @@ import pytest
 from onebit_isac.array_geometry import (
     EtTarget,
     PtTarget,
-    UlaSteering,
     et_prior_covariance,
     et_sample,
     exponential_correlation,
@@ -68,12 +67,6 @@ def test_steering_derivative_finite_difference():
         fd = _central_diff(lambda t: steering(n, t), theta)
         an = steering_derivative(n, theta)
         assert np.linalg.norm(an - fd) / np.linalg.norm(fd) < 1e-6
-
-
-def test_ula_steering_dataclass():
-    s = UlaSteering(5, 0.2)
-    assert np.allclose(s.vector(), steering(5, 0.2))
-    assert np.allclose(s.derivative(), steering_derivative(5, 0.2))
 
 
 def test_pt_operator_matched_filter_case():

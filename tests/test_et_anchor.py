@@ -1,0 +1,156 @@
+"""The shared extended-target anchor and the dense Mbar against the chain they
+replace: the explicit-Kronecker bound, the matrix-free Mbar apply, the
+commutation form and the uncached MM loop, quantization-aware and -unaware,
+from desk size up to 8x8 with L = 32."""
+
+import functools
+
+import numpy as np
+import pytest
+from helpers_oracles import (
+    dense_et_anchor,
+    dense_mbar_commutation,
+    mbar_apply_matrix_free,
+    random_ball_point,
+    uncached_solve_x_et,
+)
+
+from onebit_isac import linalg, opt_et
+from onebit_isac.array_geometry import et_prior_covariance, exponential_correlation
+from onebit_isac.crb_metrics import crb_et, crb_et_information_form, mse_et_quantization_unaware
+from onebit_isac.linalg import complex_normal, unvec
+from onebit_isac.opt_et import EtProblem, build_mbar, m_tilde_matrix, solve_x_et
+
+RTOL = 1e-12
+SHAPES = [(2, 2, 2), (3, 2, 3), (4, 4, 8), (8, 8, 32)]
+
+
+def make_problem(n_t, n_r, block_len, aware, sv=0.05, corr=0.5):
+    c_aa = et_prior_covariance(
+        exponential_correlation(n_r, corr), exponential_correlation(n_t, corr)
+    )
+    return EtProblem(c_aa=c_aa, sigma_v_sq=sv, n_t=n_t, n_r=n_r,
+                     block_len=block_len, quantization_aware=aware)
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("aware", [True, False])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_dense_mbar_matches_matrix_free_apply(shape, aware):
+    n_t, n_r, block_len = shape
+    rng = np.random.default_rng(sum(shape))
+    prob = make_problem(n_t, n_r, block_len, aware)
+    x = random_ball_point(rng, n_t * block_len)
+    anchor = prob.anchor(x)
+    m_bar, lam_max, _, fell_back = build_mbar(anchor, prob.c_aa, n_r, aware)
+    apply = mbar_apply_matrix_free(m_tilde_matrix(anchor, aware), prob.c_aa, *shape)
+    dim = n_t * block_len
+    oracle = np.column_stack([apply(e) for e in np.eye(dim, dtype=complex)])
+    assert rel_err(m_bar, oracle) <= RTOL
+    assert np.linalg.norm(m_bar - m_bar.conj().T) <= RTOL * np.linalg.norm(m_bar)
+    lam_true = np.linalg.eigvalsh((oracle + oracle.conj().T) / 2.0)[-1]
+    assert not fell_back
+    assert lam_true <= lam_max <= 1.01 * lam_true * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("aware", [True, False])
+@pytest.mark.parametrize("shape", SHAPES[:2])
+def test_dense_mbar_matches_commutation_form(shape, aware):
+    n_t, n_r, block_len = shape
+    rng = np.random.default_rng(10 + sum(shape))
+    prob = make_problem(n_t, n_r, block_len, aware)
+    anchor = prob.anchor(random_ball_point(rng, n_t * block_len))
+    m_bar = build_mbar(anchor, prob.c_aa, n_r, aware)[0]
+    oracle = dense_mbar_commutation(m_tilde_matrix(anchor, aware), prob.c_aa, *shape)
+    assert rel_err(m_bar, oracle) <= RTOL
+
+
+@pytest.mark.parametrize("aware", [True, False])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_anchor_matches_dense_kronecker_chain(shape, aware):
+    n_t, n_r, block_len = shape
+    rng = np.random.default_rng(20 + sum(shape))
+    prob = make_problem(n_t, n_r, block_len, aware)
+    x = random_ball_point(rng, n_t * block_len)
+    anchor = prob.anchor(x)
+    l_mat, m, y, gain = dense_et_anchor(x, prob.c_aa, prob.sigma_v_sq, *shape, aware)
+    assert rel_err(anchor.l_mat, l_mat) <= RTOL
+    assert rel_err(anchor.m, m) <= RTOL
+    assert rel_err(anchor.m_inv_l, y) <= 1e-10
+    assert anchor.gain == pytest.approx(gain, rel=RTOL)
+    x_mat = unvec(x, n_t, block_len)
+    bound = (crb_et if aware else mse_et_quantization_unaware)(x_mat, prob.c_aa, prob.sigma_v_sq)
+    assert prob.bound_value(x) == pytest.approx(bound, rel=RTOL)
+    assert bound == pytest.approx(np.trace(prob.c_aa).real - gain, rel=RTOL)
+
+
+def test_anchor_bound_matches_information_form_at_scale():
+    rng = np.random.default_rng(30)
+    prob = make_problem(8, 8, 32, aware=True)
+    x = random_ball_point(rng, 256)
+    info = crb_et_information_form(unvec(x, 8, 32), prob.c_aa, prob.sigma_v_sq)
+    assert prob.bound_value(x) == pytest.approx(info, rel=1e-9)
+
+
+@pytest.mark.parametrize("aware", [True, False])
+@pytest.mark.parametrize("shape,rho,max_iter", [
+    ((2, 2, 3), 0.7, 40), ((4, 4, 8), 0.0, 30), ((4, 4, 8), 1.3, 20), ((8, 8, 32), 0.0, 3),
+])
+def test_solve_history_matches_uncached_chain(shape, rho, max_iter, aware):
+    n_t, n_r, block_len = shape
+    rng = np.random.default_rng(40 + sum(shape))
+    prob = make_problem(n_t, n_r, block_len, aware, sv=1e-3)
+    x0 = complex_normal(rng, n_t * block_len)
+    x0 /= np.linalg.norm(x0)
+    k = 2
+    u = complex_normal(rng, k * block_len)
+    lam = 0.1 * complex_normal(rng, k * block_len)
+    h = complex_normal(rng, (k, n_t))
+    kw = dict(rho=rho, u_i=u, lambda_i=lam, channel=h, power=1.0, tol=1e-10,
+              max_iter=max_iter)
+    _, info = solve_x_et(prob, x0, **kw)
+    oracle = uncached_solve_x_et(prob, x0, **kw)
+    assert info["n_iter"] == len(oracle) - 1
+    assert info["power_fallbacks"] == 0
+    np.testing.assert_allclose(info["objective_history"], oracle, rtol=RTOL)
+
+
+def test_anchor_cache_recomputes_after_in_place_change():
+    rng = np.random.default_rng(50)
+    prob = make_problem(3, 2, 3, aware=True)
+    x = random_ball_point(rng, 9)
+    first = prob.anchor(x)
+    assert prob.anchor(x.copy()) is first
+    assert prob.objective(x) == -first.gain
+    x *= 0.5
+    second = prob.anchor(x)
+    assert second is not first
+    fresh = make_problem(3, 2, 3, aware=True)
+    assert prob.objective(x) == fresh.objective(x)
+    assert prob.bound_value(x) == pytest.approx(
+        crb_et(unvec(x, 3, 3), prob.c_aa, prob.sigma_v_sq), rel=RTOL)
+
+
+def test_power_fallback_is_counted_and_bounds_lam_max(monkeypatch):
+    # one power step never meets the tolerance, so every anchor falls back to
+    # the trace of Mbar, which still dominates its largest eigenvalue
+    monkeypatch.setattr(opt_et, "power_iteration",
+                        functools.partial(linalg.power_iteration, max_iter=1))
+    rng = np.random.default_rng(60)
+    for aware in (True, False):
+        prob = make_problem(4, 4, 8, aware, sv=1e-3)
+        x0 = random_ball_point(rng, 32)
+        m_bar, lam_max, _, fell_back = build_mbar(prob.anchor(x0), prob.c_aa, 4, aware)
+        assert fell_back
+        assert lam_max == pytest.approx(1.01 * np.trace(m_bar).real, rel=RTOL)
+        assert lam_max >= np.linalg.eigvalsh((m_bar + m_bar.conj().T) / 2.0)[-1]
+        x, info = solve_x_et(prob, x0, rho=0.0, power=1.0, tol=1e-10, max_iter=5)
+        assert info["power_fallbacks"] == info["n_iter"] == 5
+        hist = info["objective_history"]
+        assert all(b <= a + 1e-9 * (abs(a) + 1.0) for a, b in zip(hist, hist[1:]))
+    monkeypatch.undo()
+    _, info = solve_x_et(prob, x0, rho=0.0, power=1.0, tol=1e-10, max_iter=5)
+    assert info["power_fallbacks"] == 0

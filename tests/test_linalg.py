@@ -84,6 +84,17 @@ def test_power_iteration_matches_eigvalsh():
     assert lam == pytest.approx(np.linalg.eigvalsh(a)[-1], rel=1e-6)
 
 
+def test_power_iteration_norm_is_numpy_norm_bit_for_bit():
+    # the power iteration's vector norm skips np.linalg.norm's dispatch but
+    # must sum exactly as it does, so iterates and eigenvalues are unchanged
+    from onebit_isac.linalg import _norm
+
+    rng = np.random.default_rng(4)
+    for n in (1, 7, 32, 256, 1000):
+        for v in (complex_normal(rng, n), rng.standard_normal(n), np.zeros(n, dtype=complex)):
+            assert _norm(v) == np.linalg.norm(v)
+
+
 def test_xtilde_apply_matches_dense_kron():
     rng = np.random.default_rng(4)
     x = complex_normal(rng, (3, 4))

@@ -3,13 +3,12 @@ import pytest
 from helpers_oracles import dense_pt_workspace, linearized_czz
 
 from onebit_isac.array_geometry import pt_response_operator
-from onebit_isac.crb_metrics import PtModel
+from onebit_isac.crb_metrics import PtModel, et_anchor
 from onebit_isac.linalg import complex_normal, psd_sqrt
 from onebit_isac.quantization import (
     TWO_OVER_PI,
     bussgang_gain,
     covariance_czz_exact,
-    crr_et,
     quantize_one_bit,
 )
 
@@ -153,9 +152,15 @@ def test_crr_pt_rejects_bad_noise():
         pt_c_rr(np.zeros(6, dtype=complex), 0.3, 1.0, 0.0, block_len=2, n_r=3)
 
 
+def crr_et(x_matrix, c_aa, sigma_v_sq):
+    """Extended-target echo covariance X~ C_aa X~^H + sigma_v^2 I: the M of
+    the quantization-unaware anchor."""
+    return et_anchor(x_matrix, c_aa, sigma_v_sq, quantization_aware=False).m
+
+
 def test_crr_et_zero_waveform():
     cov = crr_et(np.zeros((2, 3), dtype=complex), np.eye(4), 0.7)
-    assert np.allclose(cov.matrix, 0.7 * np.eye(6))
+    assert np.allclose(cov, 0.7 * np.eye(6))
 
 
 def test_crr_et_identity_prior_trace():
@@ -164,7 +169,7 @@ def test_crr_et_identity_prior_trace():
     n_r, sv = 2, 0.2
     cov = crr_et(x, np.eye(4), sv)
     expected = n_r * np.linalg.norm(x) ** 2 + sv * n_r * 3
-    assert np.trace(cov.matrix).real == pytest.approx(expected, rel=1e-12)
+    assert np.trace(cov).real == pytest.approx(expected, rel=1e-12)
 
 
 def test_crr_et_monte_carlo():
@@ -189,9 +194,9 @@ def test_crr_et_monte_carlo():
         a = vec(et_sample(phi_r, phi_t, rng))
         r[i] = op.apply(a) + complex_normal(rng, 4, scale=np.sqrt(sv))
     c_emp = r.T @ r.conj() / n
-    d = np.diag(cov.matrix).real
+    d = np.diag(cov).real
     se = np.sqrt(np.outer(d, d) / n)
-    assert np.all(np.abs(c_emp - cov.matrix) <= 3.0 * se + 5.0 / n)
+    assert np.all(np.abs(c_emp - cov) <= 3.0 * se + 5.0 / n)
 
 
 def test_bussgang_pair_consistency():
