@@ -22,8 +22,6 @@ from .crb_metrics import (
     EtAnchor,
     PtModel,
     crb_et,
-    crb_et_forms_equal,
-    crb_et_information_form,
     crb_pt,
     crb_pt_infinite_resolution,
     et_anchor,
@@ -49,7 +47,6 @@ from .opt_et import (
     build_mbar,
     mm_update_et,
     solve_x_et,
-    solve_x_et_qu,
 )
 from .admm import AdmmConfig, AdmmResult, AdmmTrace, admm_run, initialize
 from .scenario import Scenario, et_scenario, pt_scenario

@@ -105,18 +105,11 @@ def initialize(scenario, seed=0):
 
 
 def _objective(scenario, variant, model, x):
-    if variant == "PT":
-        return crb_metrics.crb_pt(
-            x, scenario.target.theta, scenario.target.sigma_alpha_sq,
-            scenario.sigma_v_sq, scenario.n_r, scenario.block_len,
-        )
-    if variant == "PT_INF":
-        return crb_metrics.crb_pt_infinite_resolution(
-            x, scenario.target.theta, scenario.target.sigma_alpha_sq,
-            scenario.sigma_v_sq, scenario.n_r, scenario.block_len,
-        )
-    # the ET solver leaves the anchor at its returned x in the model's cache;
-    # its bound is crb_et (ET) or mse_et_quantization_unaware (ET_QU)
+    # each solver leaves its returned x in the model's cache: the workspace
+    # gives crb_pt (PT) or crb_pt_infinite_resolution (PT_INF), the anchor
+    # crb_et (ET) or mse_et_quantization_unaware (ET_QU)
+    if variant in ("PT", "PT_INF"):
+        return crb_metrics.pt_bound(model.workspace(x), quantized=(variant == "PT"))
     return model.bound_value(x) / float(np.trace(scenario.target.c_aa).real)
 
 

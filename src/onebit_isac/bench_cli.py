@@ -7,10 +7,8 @@ import csv
 import json
 import math
 import numbers
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -20,7 +18,7 @@ from .admm import AdmmConfig, admm_run
 from .crb_metrics import PtModel
 from .estimators import run_trials
 from .linalg import complex_normal
-from .opt_et import EtProblem, solve_x_et, solve_x_et_qu
+from .opt_et import EtProblem, solve_x_et
 from .opt_pt import solve_x_pt
 from .scenario import et_scenario, pt_scenario
 
@@ -49,7 +47,6 @@ class ExperimentConfig:
     epsilon_list: list = field(default_factory=lambda: [1e-3, 1e-2, 1e-1])
     trials: int = 0
     seed: int = 0
-    threads: int = 1
     admm_overrides: dict = field(default_factory=dict)
     solver_max_iter: int = 150
 
@@ -97,8 +94,6 @@ class ExperimentConfig:
             raise ConfigError("epsilon_list must be non-empty")
         if self.trials < 0:
             raise ConfigError("trials must be >= 0")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
 
 
 def _is_real(value):
@@ -230,17 +225,15 @@ def _pt_point(cfg, snr_db, seed):
 
 def _et_point(cfg, snr_db, seed):
     sc = _scenario_for(cfg, snr_db, cfg.epsilon, seed)
-    prob = EtProblem(c_aa=sc.target.c_aa, sigma_v_sq=sc.sigma_v_sq,
-                     n_t=sc.n_t, n_r=sc.n_r, block_len=sc.block_len)
     x0 = _initial_waveform(sc.n_t * sc.block_len, seed + 1)
-    xa, _ = solve_x_et(prob, x0, rho=0.0, power=sc.power, tol=1e-10,
-                       max_iter=cfg.solver_max_iter)
-    xq, _ = solve_x_et_qu(prob, x0, rho=0.0, power=sc.power, tol=1e-10,
-                          max_iter=cfg.solver_max_iter)
     trc = float(np.trace(sc.target.c_aa).real)
     point = f"snr={snr_db:g}"
     rows = []
-    for tag, x in (("mmcf", xa), ("qu_mmcf", xq)):
+    for tag, aware in (("mmcf", True), ("qu_mmcf", False)):
+        prob = EtProblem(c_aa=sc.target.c_aa, sigma_v_sq=sc.sigma_v_sq, n_t=sc.n_t,
+                         n_r=sc.n_r, block_len=sc.block_len, quantization_aware=aware)
+        x, _ = solve_x_et(prob, x0, rho=0.0, power=sc.power, tol=1e-10,
+                          max_iter=cfg.solver_max_iter)
         xm = sc.unvec_waveform(x)
         rows.append(ResultRow("et_sweep", point, f"crb_onebit_{tag}",
                               crb_metrics.crb_et(xm, sc.target.c_aa,
@@ -312,22 +305,20 @@ def _timing_rows(cfg, seed):
 def run_experiment(cfg):
     """Dispatch one experiment; returns (rows, summary string).
 
-    Sweep points fan out across a thread pool with per-point seeds fixed in
-    advance, so the row content never depends on scheduling.
+    Sweep points run in order, each with its own seed fixed in advance.
     """
     t0 = time.perf_counter()
     if cfg.experiment == "convergence":
         rows = _convergence_rows(cfg, cfg.seed)
     elif cfg.experiment == "pt_sweep":
         points = [(snr, cfg.seed + 100 * i) for i, snr in enumerate(cfg.snr_db_list)]
-        rows = _fan_out(lambda p: _pt_point(cfg, p[0], p[1]), points, cfg.threads)
+        rows = _fan_out(lambda p: _pt_point(cfg, p[0], p[1]), points)
     elif cfg.experiment == "et_sweep":
         points = [(snr, cfg.seed + 100 * i) for i, snr in enumerate(cfg.snr_db_list)]
-        rows = _fan_out(lambda p: _et_point(cfg, p[0], p[1]), points, cfg.threads)
+        rows = _fan_out(lambda p: _et_point(cfg, p[0], p[1]), points)
     elif cfg.experiment == "tradeoff":
         points = [(eps, cfg.seed + 100 * i) for i, eps in enumerate(cfg.epsilon_list)]
-        rows = _fan_out(lambda p: _tradeoff_point(cfg, p[0], p[1]), points,
-                        cfg.threads)
+        rows = _fan_out(lambda p: _tradeoff_point(cfg, p[0], p[1]), points)
     elif cfg.experiment == "timing":
         rows = _timing_rows(cfg, cfg.seed)
     else:  # pragma: no cover - validate() already rejects
@@ -338,13 +329,8 @@ def run_experiment(cfg):
     return rows, summary
 
 
-def _fan_out(fn, points, threads):
-    if threads <= 1 or len(points) <= 1:
-        chunks = [fn(p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(fn, points))
-    return [row for chunk in chunks for row in chunk]
+def _fan_out(fn, points):
+    return [row for p in points for row in fn(p)]
 
 
 def build_parser():
@@ -358,7 +344,6 @@ def build_parser():
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--trials", type=int)
-    parser.add_argument("--threads", type=int)
     return parser
 
 
@@ -376,10 +361,6 @@ def main(argv=None):
             cfg.seed = args.seed
         if args.trials is not None:
             cfg.trials = args.trials
-        if args.threads is not None:
-            cfg.threads = args.threads
-        elif "ISAC_BENCH_THREADS" in os.environ:
-            cfg.threads = int(os.environ["ISAC_BENCH_THREADS"])
         cfg.validate()
     except (ConfigError, OSError, json.JSONDecodeError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -1,8 +1,7 @@
 """Estimation-accuracy metrics: the one-bit DOA bound for point-like targets
 with its full derivative chain, the Bayesian trace bound for extended
-targets in both algebraic forms, their infinite-resolution / quantization-
-unaware counterparts, and the point-target workspace and extended-target
-anchor the optimizers reuse."""
+targets, their infinite-resolution / quantization-unaware counterparts, and
+the point-target workspace and extended-target anchor the optimizers reuse."""
 
 import math
 from dataclasses import dataclass, field
@@ -116,6 +115,23 @@ def _trace_form(cov, dcov):
     return float(s.trace_prod(s).real)
 
 
+def _chain(ws, quantized):
+    """(C, dC/dtheta) of the one-bit or the unquantized covariance chain."""
+    if quantized:
+        return ws.c_zz_hat, ws.d_czz_dtheta
+    return ws.c_rr, ws.d_crr_dtheta
+
+
+def pt_bound(ws, quantized=True):
+    """1 / tr(C^{-1} dC C^{-1} dC) of a workspace: the one-bit bound, or the
+    infinite-resolution one when quantized is False; math.inf when the trace
+    falls below INFINITE_CRB_FLOOR (unidentifiable direction)."""
+    t = _trace_form(*_chain(ws, quantized))
+    if t < INFINITE_CRB_FLOOR:
+        return math.inf
+    return 1.0 / t
+
+
 def crb_pt(x, theta, sigma_alpha_sq, sigma_v_sq, n_r, block_len):
     """Worst-case one-bit DOA bound for a point-like target (rad^2).
 
@@ -124,46 +140,14 @@ def crb_pt(x, theta, sigma_alpha_sq, sigma_v_sq, n_r, block_len):
     """
     x = np.asarray(x)
     model = PtModel(theta, sigma_alpha_sq, sigma_v_sq, x.size // block_len, n_r, block_len)
-    ws = model.workspace(x)
-    t = _trace_form(ws.c_zz_hat, ws.d_czz_dtheta)
-    if t < INFINITE_CRB_FLOOR:
-        return math.inf
-    return 1.0 / t
+    return pt_bound(model.workspace(x))
 
 
 def crb_pt_infinite_resolution(x, theta, sigma_alpha_sq, sigma_v_sq, n_r, block_len):
     """Same trace bound with the unquantized echo covariance."""
     x = np.asarray(x)
     model = PtModel(theta, sigma_alpha_sq, sigma_v_sq, x.size // block_len, n_r, block_len)
-    ws = model.workspace(x)
-    t = _trace_form(ws.c_rr, ws.d_crr_dtheta)
-    if t < INFINITE_CRB_FLOOR:
-        return math.inf
-    return 1.0 / t
-
-
-@dataclass
-class EtCrbInputs:
-    """Pieces of the extended-target bound: X~ operator, prior, effective noise."""
-
-    x_tilde: XtildeOperator
-    c_aa: np.ndarray
-    c_vv_tilde: np.ndarray  # diagonal, stored as a vector
-    f: np.ndarray
-
-
-def et_crb_inputs(x_matrix, c_aa, sigma_v_sq):
-    if sigma_v_sq <= 0.0:
-        raise ValueError("noise power must be positive")
-    x_matrix = np.asarray(x_matrix)
-    c_aa = np.asarray(c_aa)
-    n_t = x_matrix.shape[0]
-    n_r = c_aa.shape[0] // n_t
-    op = XtildeOperator(x_matrix, n_r)
-    diag_crr = np.diag(op.gram(c_aa)).real + sigma_v_sq
-    f = SQRT_TWO_OVER_PI / np.sqrt(diag_crr)
-    c_vv = sigma_v_sq * f**2 + (1.0 - TWO_OVER_PI)
-    return EtCrbInputs(x_tilde=op, c_aa=c_aa, c_vv_tilde=c_vv, f=f)
+    return pt_bound(model.workspace(x), quantized=False)
 
 
 @dataclass(frozen=True)
@@ -189,14 +173,15 @@ def et_anchor(x_matrix, c_aa, sigma_v_sq, quantization_aware=True):
     x_matrix = np.asarray(x_matrix)
     c_aa = np.asarray(c_aa)
     op = XtildeOperator(x_matrix, c_aa.shape[0] // x_matrix.shape[0])
-    gram = op.gram(c_aa)
+    l_mat = op.right_multiply(c_aa)
+    # X~ C_aa X~^H = (X~ L^H)^H
+    gram = op.right_multiply(l_mat.conj().T).conj().T
     if quantization_aware:
         m = gram + (np.pi / 2.0 - 1.0) * np.diag(np.diag(gram))
         m += (np.pi / 2.0) * sigma_v_sq * np.eye(gram.shape[0])
     else:
         m = gram + sigma_v_sq * np.eye(gram.shape[0])
     m = (m + m.conj().T) / 2.0
-    l_mat = op.right_multiply(c_aa)
     m_inv_l = hermitian_solve(m, l_mat)
     gain = float(np.einsum("ij,ij->", l_mat.conj(), m_inv_l).real)
     return EtAnchor(l_mat=l_mat, m=m, m_inv_l=m_inv_l, gain=gain)
@@ -210,28 +195,6 @@ def crb_et(x_matrix, c_aa, sigma_v_sq):
     """
     gain = et_anchor(x_matrix, c_aa, sigma_v_sq).gain
     return float(np.trace(np.asarray(c_aa)).real - gain)
-
-
-def crb_et_information_form(x_matrix, c_aa, sigma_v_sq):
-    """Information-form bound tr((C_aa^{-1} + X~^H F Cvv^{-1} F X~)^{-1}).
-
-    Requires an invertible prior.
-    """
-    inputs = et_crb_inputs(x_matrix, c_aa, sigma_v_sq)
-    op = inputs.x_tilde
-    w = inputs.f**2 / inputs.c_vv_tilde
-    xd = op.dense(max_entries=1 << 22)
-    info = xd.conj().T @ (w[:, None] * xd)
-    info += np.linalg.inv(np.asarray(c_aa))
-    return float(np.trace(hermitian_solve(info, np.eye(info.shape[0]))).real)
-
-
-def crb_et_forms_equal(x_matrix, c_aa, sigma_v_sq, rtol=1e-9):
-    """Compare the expanded and information forms of the extended-target bound."""
-    a = crb_et(x_matrix, c_aa, sigma_v_sq)
-    b = crb_et_information_form(x_matrix, c_aa, sigma_v_sq)
-    gap = abs(a - b) / max(abs(a), abs(b), np.finfo(float).tiny)
-    return gap <= rtol, gap
 
 
 def mse_et_quantization_unaware(x_matrix, c_aa, sigma_v_sq):

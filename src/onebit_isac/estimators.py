@@ -106,17 +106,12 @@ def mle_pt(z, x, sigma_alpha_sq, sigma_v_sq, block_len, cfg=None, grid=None):
 
 def blmmse_matrix(x_matrix, c_aa, sigma_v_sq):
     """Linear estimator matrix C_aa X~^H F C_zz^{-1} (exact arcsine C_zz)."""
-    x_matrix = np.asarray(x_matrix)
-    c_aa = np.asarray(c_aa)
-    n_t = x_matrix.shape[0]
-    n_r = c_aa.shape[0] // n_t
-    op = XtildeOperator(x_matrix, n_r)
-    c_rr = op.gram(c_aa) + sigma_v_sq * np.eye(n_r * x_matrix.shape[1])
-    f = bussgang_gain(c_rr)
-    czz = covariance_czz_exact(c_rr)
+    # the unquantized anchor's M is C_rr = X~ C_aa X~^H + sigma_v^2 I
+    anchor = et_anchor(x_matrix, c_aa, sigma_v_sq, quantization_aware=False)
+    f = bussgang_gain(anchor.m)
+    czz = covariance_czz_exact(anchor.m)
     # estimator = (F X~ C_aa)^H C_zz^{-1}, via one Hermitian solve
-    b = f[:, None] * op.right_multiply(c_aa)
-    return hermitian_solve(czz, b).conj().T
+    return hermitian_solve(czz, f[:, None] * anchor.l_mat).conj().T
 
 
 def blmmse_et(z, x_matrix, c_aa, sigma_v_sq, estimator=None):
@@ -134,10 +129,15 @@ class TrialResult:
     seed: int
 
 
+# what a trial may raise and still be counted as failed: numerical trouble
+NUMERICAL_ERRORS = (np.linalg.LinAlgError, FloatingPointError, ValueError)
+
+
 @dataclass
 class TrialsSummary:
     """Monte-Carlo MSE summary; ``normalizer`` is tr(C_aa) for extended
-    targets and 1 for point targets."""
+    targets and 1 for point targets. ``failures`` counts the failed trials
+    per reason ("<exception type>: <message>" or "non-finite squared error")."""
 
     mse: float
     std_error: float
@@ -145,6 +145,7 @@ class TrialsSummary:
     n_failed: int
     normalizer: float
     records: list = field(default_factory=list)
+    failures: dict = field(default_factory=dict)
 
     @property
     def normalized_mse(self):
@@ -190,44 +191,53 @@ def run_trials(scenario, waveform, n_trials, base_seed, cfg=None, unquantized=Fa
     """Seeded Monte-Carlo MSE of the matching one-bit estimator.
 
     Trial t draws everything from seed base_seed + t, so results do not
-    depend on execution order and repeat bit-exactly. Failing trials are
-    counted and skipped instead of aborting the batch. Point-target trials
-    draw the reflection coefficient as a normalized complex Gaussian (unit
-    modulus, uniform phase); pass normalize_alpha=False for a raw CN(0,1)
-    draw.
+    depend on execution order and repeat bit-exactly. Trials that fail
+    numerically (NUMERICAL_ERRORS or a non-finite error) are counted per
+    reason and skipped instead of aborting the batch; any other exception
+    propagates. Point-target trials draw the reflection coefficient as a
+    normalized complex Gaussian (unit modulus, uniform phase); pass
+    normalize_alpha=False for a raw CN(0,1) draw.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
     records = []
     errors = []
-    n_failed = 0
+    failures = {}
     try:
         runner, normalizer = _build_runner(scenario, waveform, cfg, unquantized,
                                            normalize_alpha)
-    except Exception:
+    except NUMERICAL_ERRORS as err:
         # shared estimator setup failed: every trial is reported as failed
         normalizer = 1.0
         if scenario.kind == "et":
             normalizer = float(np.trace(scenario.target.c_aa).real)
-        return TrialsSummary(math.nan, math.nan, n_trials, n_trials, normalizer, [])
+        return TrialsSummary(math.nan, math.nan, n_trials, n_trials, normalizer, [],
+                             {_reason(err): n_trials})
     for t in range(n_trials):
         seed = base_seed + t
         try:
             rec = runner(seed)
-        except Exception:
-            n_failed += 1
-            continue
-        if not math.isfinite(rec.squared_error):
-            n_failed += 1
-            continue
-        records.append(rec)
-        errors.append(rec.squared_error)
+        except NUMERICAL_ERRORS as err:
+            reason = _reason(err)
+        else:
+            if math.isfinite(rec.squared_error):
+                records.append(rec)
+                errors.append(rec.squared_error)
+                continue
+            reason = "non-finite squared error"
+        failures[reason] = failures.get(reason, 0) + 1
+    n_failed = n_trials - len(records)
     errors = np.asarray(errors)
     if errors.size == 0:
-        return TrialsSummary(math.nan, math.nan, n_trials, n_failed, normalizer, records)
+        return TrialsSummary(math.nan, math.nan, n_trials, n_failed, normalizer, records,
+                             failures)
     mse = float(errors.mean())
     se = float(errors.std(ddof=1) / math.sqrt(errors.size)) if errors.size > 1 else 0.0
-    return TrialsSummary(mse, se, n_trials, n_failed, normalizer, records)
+    return TrialsSummary(mse, se, n_trials, n_failed, normalizer, records, failures)
+
+
+def _reason(err):
+    return f"{type(err).__name__}: {err}"
 
 
 def _build_runner(scenario, waveform, cfg, unquantized, normalize_alpha):

@@ -228,10 +228,6 @@ class XtildeOperator:
         self.n_t, self.block_len = self.x.shape
         self.n_r = int(n_r)
 
-    @property
-    def shape(self):
-        return (self.n_r * self.block_len, self.n_r * self.n_t)
-
     def apply(self, a):
         return vec(unvec(a, self.n_r, self.n_t) @ self.x)
 
@@ -246,19 +242,6 @@ class XtildeOperator:
         c4 = c.reshape((self.n_r, self.n_t, c.shape[1]), order="F")
         out = np.einsum("bl,rbj->rlj", self.x, c4)
         return out.reshape((self.n_r * self.block_len, c.shape[1]), order="F")
-
-    def gram(self, c_aa):
-        """X~ @ C_aa @ X~^H."""
-        n_r, n_t, L = self.n_r, self.n_t, self.block_len
-        t4 = np.asarray(c_aa).reshape((n_r, n_t, n_r, n_t), order="F")
-        out = np.einsum("bl,rbsd,dk->rlsk", self.x, t4, self.x.conj())
-        return out.reshape((n_r * L, n_r * L), order="F")
-
-    def dense(self, max_entries=65536):
-        total = self.shape[0] * self.shape[1]
-        if total > max_entries:
-            raise ValueError(f"refusing to materialize {total} entries")
-        return np.kron(self.x.T, np.eye(self.n_r))
 
 
 def h_tilde_apply(h, x, block_len):

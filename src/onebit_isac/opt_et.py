@@ -1,20 +1,14 @@
 """Waveform subproblem solver for extended targets: the trace-to-inner-
 product reduction of the linear term, the dense quadratic-form matrix with
-its spectral bound, and the closed-form majorize-minimize update (plus the
-quantization-unaware variant)."""
+its spectral bound, and the closed-form majorize-minimize update (for the
+quantization-unaware variant too, through EtProblem)."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .crb_metrics import et_anchor
-from .linalg import (
-    h_tilde_adjoint,
-    h_tilde_apply,
-    power_iteration,
-    project_power_ball,
-    unvec,
-)
+from .linalg import h_tilde_adjoint, h_tilde_apply, project_power_ball, unvec
 
 
 def _partial_trace_to_x(w, n_r, n_t, block_len):
@@ -59,10 +53,6 @@ class EtProblem:
         self._last = (x.copy(), anchor)
         return anchor
 
-    def m_matrix(self, x):
-        """M(x): the regularized echo Gram driving the trace objective."""
-        return self.anchor(x).m
-
     def objective(self, x):
         """h(x) = -tr(L(x)^H M(x)^{-1} L(x)); bound value = tr(C_aa) + h."""
         return -self.anchor(x).gain
@@ -94,17 +84,15 @@ def m_tilde_matrix(anchor, quantization_aware=True):
     return (m_tilde + m_tilde.conj().T) / 2.0
 
 
-def build_mbar(anchor, c_aa, n_r, quantization_aware=True, power_tol=1e-8,
-               power_seed=7, inflation=1.01, power_v0=None):
+def build_mbar(anchor, c_aa, n_r, quantization_aware=True):
     """Dense quadratic-form matrix Mbar at an anchor plus a safe spectral
     upper bound.
 
     Mbar realizes x^H Mbar x = tr(Mtilde X~ C_aa X~^H); it is one
     contraction of Mtilde with C_aa over the two receive indices:
     Mbar[(n, l), (b, k)] = sum_{r, s} Mtilde[(r, l), (s, k)] C_aa[(s, b), (r, n)].
-    The largest eigenvalue comes from seeded power iteration (warm-startable
-    via power_v0) inflated by 1.01; if that does not converge, trace(Mbar)
-    bounds it instead. Returns (m_bar, lam_max, v_last, fell_back).
+    The bound is its largest eigenvalue (eigvalsh, which raises if it fails)
+    inflated by 1.01. Returns (m_bar, lam_max).
     """
     c_aa = np.asarray(c_aa)
     n_t = c_aa.shape[0] // n_r
@@ -115,13 +103,7 @@ def build_mbar(anchor, c_aa, n_r, quantization_aware=True, power_tol=1e-8,
     c4 = c_aa.reshape((n_r, n_t, n_r, n_t), order="F")
     lkbn = np.tensordot(m4, c4, axes=([0, 2], [2, 0]))
     m_bar = lkbn.transpose(3, 0, 2, 1).reshape((dim, dim), order="F")
-    lam, v_last, converged = power_iteration(
-        m_bar.dot, dim, tol=power_tol, seed=power_seed, v0=power_v0
-    )
-    if not converged:
-        lam = float(np.trace(m_bar).real)
-    lam_max = inflation * max(float(lam), 0.0)
-    return m_bar, lam_max, v_last, not converged
+    return m_bar, 1.01 * float(np.linalg.eigvalsh(m_bar)[-1])
 
 
 @dataclass
@@ -135,8 +117,6 @@ class EtSurrogate:
     lam_max_hth: float
     m_t: np.ndarray
     rho: float
-    power_vector: np.ndarray = field(repr=False, default=None)
-    power_fallback: bool = False
 
     @property
     def denominator(self):
@@ -158,14 +138,12 @@ def lam_max_channel(channel):
 
 
 def build_et_surrogate(problem, x_t, rho=0.0, u_i=None, lambda_i=None,
-                       channel=None, lam_hth=None, power_v0=None):
+                       channel=None, lam_hth=None):
     x_t = np.asarray(x_t, dtype=complex)
     x_mat = unvec(x_t, problem.n_t, problem.block_len)
     anchor = problem.anchor(x_t)
-    m_bar, lam_mbar, v_last, fell_back = build_mbar(
-        anchor, problem.c_aa, problem.n_r, problem.quantization_aware,
-        power_v0=power_v0,
-    )
+    m_bar, lam_mbar = build_mbar(anchor, problem.c_aa, problem.n_r,
+                                 problem.quantization_aware)
     l_t = build_lt(x_mat, problem.c_aa, anchor.m_inv_l, problem.n_r)
     m_t = l_t + lam_mbar * x_t - m_bar @ x_t
     if rho != 0.0 and channel is not None and channel.size:
@@ -182,7 +160,6 @@ def build_et_surrogate(problem, x_t, rho=0.0, u_i=None, lambda_i=None,
     return EtSurrogate(
         x_t=x_t, l_t=l_t, m_bar=m_bar, lam_max_mbar=lam_mbar,
         lam_max_hth=float(lam_hth), m_t=m_t, rho=float(rho),
-        power_vector=v_last, power_fallback=fell_back,
     )
 
 
@@ -208,9 +185,8 @@ def solve_x_et(problem, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,
     """Closed-form MM loop for the extended-target subproblem.
 
     Returns (x, info); the true augmented objective is tracked and is
-    non-increasing across iterations. info["power_fallbacks"] counts the
-    anchors whose power iteration did not converge and fell back to the
-    trace bound.
+    non-increasing across iterations. Pass an EtProblem with
+    quantization_aware=False for the quantization-unaware variant.
     """
     x = np.asarray(x_init, dtype=complex)
     if float(np.vdot(x, x).real) > power * (1.0 + 1e-9):
@@ -219,14 +195,8 @@ def solve_x_et(problem, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,
         lam_hth = lam_max_channel(channel)
     f_prev = augmented_objective_et(problem, x, rho, u_i, lambda_i, channel)
     history = [f_prev]
-    warm = None
-    fallbacks = 0
     for _ in range(max_iter):
-        surrogate = build_et_surrogate(
-            problem, x, rho, u_i, lambda_i, channel, lam_hth, power_v0=warm
-        )
-        warm = surrogate.power_vector
-        fallbacks += surrogate.power_fallback
+        surrogate = build_et_surrogate(problem, x, rho, u_i, lambda_i, channel, lam_hth)
         x = mm_update_et(x, surrogate, power)
         f_new = augmented_objective_et(problem, x, rho, u_i, lambda_i, channel)
         history.append(f_new)
@@ -234,16 +204,4 @@ def solve_x_et(problem, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,
             f_prev = f_new
             break
         f_prev = f_new
-    return x, {"objective_history": history, "n_iter": len(history) - 1,
-               "power_fallbacks": fallbacks}
-
-
-def solve_x_et_qu(problem, x_init, rho=0.0, u_i=None, lambda_i=None,
-                  channel=None, power=1.0, tol=1e-6, max_iter=20, lam_hth=None):
-    """Quantization-unaware variant: same machinery on the plain LMMSE MSE."""
-    qu = EtProblem(
-        c_aa=problem.c_aa, sigma_v_sq=problem.sigma_v_sq, n_t=problem.n_t,
-        n_r=problem.n_r, block_len=problem.block_len, quantization_aware=False,
-    )
-    return solve_x_et(qu, x_init, rho, u_i, lambda_i, channel, power, tol,
-                      max_iter, lam_hth)
+    return x, {"objective_history": history, "n_iter": len(history) - 1}

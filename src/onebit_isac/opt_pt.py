@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crb_metrics import PtModel, SQRT_TWO_OVER_PI, _trace_form
+from .crb_metrics import PtModel, SQRT_TWO_OVER_PI, _chain, _trace_form
 from .linalg import DiagLowRank, h_tilde_adjoint, h_tilde_apply, project_power_ball
 
 
@@ -36,13 +36,6 @@ class SurrogateAnchor:
     x_t: np.ndarray
     p_big: DiagLowRank
     quantized: bool
-
-
-def _chain(ws, quantized):
-    """(C, dC/dtheta) of the configured covariance chain."""
-    if quantized:
-        return ws.c_zz_hat, ws.d_czz_dtheta
-    return ws.c_rr, ws.d_crr_dtheta
 
 
 def build_anchor(model, x_t, quantized=True):

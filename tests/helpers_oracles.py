@@ -4,26 +4,28 @@ point-target covariance chain (workspace, trace form, anchor, surrogate value
 and gradient rows) that the library holds as diagonal plus low rank, the
 extended-target chain as the library computed it before the shared anchor
 and the dense Mbar (explicit Kronecker bound, matrix-free Mbar apply,
-uncached MM loop), and dense Kronecker/commutation builders for small
-instances."""
+uncached MM loop), the information form of the extended-target bound, the
+explicit-Kronecker BLMMSE estimator, and dense Kronecker/commutation builders
+for small instances."""
 
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from onebit_isac.crb_metrics import PtModel
+from onebit_isac.crb_metrics import PtModel, crb_et
 from onebit_isac.linalg import (
     XtildeOperator,
     complex_normal,
     h_tilde_adjoint,
     h_tilde_apply,
     hermitian_solve,
-    power_iteration,
     project_power_ball,
     unvec,
 )
 from onebit_isac.opt_et import build_lt, lam_max_channel
 from onebit_isac.opt_pt import penalty_value
+from onebit_isac.quantization import bussgang_gain, covariance_czz_exact
 
 TWO_OVER_PI = 2.0 / np.pi
 SQRT_TWO_OVER_PI = np.sqrt(TWO_OVER_PI)
@@ -398,8 +400,8 @@ def uncached_solve_x_et(problem, x_init, rho=0.0, u_i=None, lambda_i=None,
                         channel=None, power=1.0, tol=1e-6, max_iter=20):
     """The MM loop of ``solve_x_et`` with nothing shared between steps: the
     bound's pieces are rebuilt from the explicit Kronecker X~ at every use
-    and the spectral bound comes from power iteration on the matrix-free
-    Mbar apply (trace bound if it does not converge). Returns the objective
+    and the spectral bound is 1.01 times the largest eigenvalue of the
+    matrix-free Mbar apply taken column by column. Returns the objective
     history."""
     dims = (problem.n_t, problem.n_r, problem.block_len)
     aware = problem.quantization_aware
@@ -415,15 +417,12 @@ def uncached_solve_x_et(problem, x_init, rho=0.0, u_i=None, lambda_i=None,
     x = np.asarray(x_init, dtype=complex)
     f_prev = objective(x)
     history = [f_prev]
-    warm = None
-    dim = problem.n_t * problem.block_len
+    identity = np.eye(problem.n_t * problem.block_len, dtype=complex)
     for _ in range(max_iter):
         _, _, y, _ = dense_et_anchor(x, problem.c_aa, problem.sigma_v_sq, *dims, aware)
         apply = mbar_apply_matrix_free(dense_m_tilde(y, aware), problem.c_aa, *dims)
-        lam, warm, converged = power_iteration(apply, dim, tol=1e-8, seed=7, v0=warm)
-        if not converged:
-            lam = sum(apply(e)[i].real for i, e in enumerate(np.eye(dim, dtype=complex)))
-        lam_mbar = 1.01 * max(float(lam), 0.0)
+        m_bar = np.column_stack([apply(e) for e in identity])
+        lam_mbar = 1.01 * float(np.linalg.eigvalsh(m_bar)[-1])
         l_t = build_lt(unvec(x, problem.n_t, problem.block_len), problem.c_aa, y, problem.n_r)
         m_t = l_t + lam_mbar * x - apply(x)
         denom = lam_mbar
@@ -439,3 +438,67 @@ def uncached_solve_x_et(problem, x_init, rho=0.0, u_i=None, lambda_i=None,
             break
         f_prev = f_new
     return history
+
+
+def xtilde_dense(x_matrix, n_r, max_entries=65536):
+    """X~ = X^T kron I_{n_r} formed explicitly, guarded to test-scale sizes."""
+    x_matrix = np.asarray(x_matrix)
+    n_t, block_len = x_matrix.shape
+    total = (n_r * block_len) * (n_r * n_t)
+    if total > max_entries:
+        raise ValueError(f"refusing to materialize {total} entries")
+    return np.kron(x_matrix.T, np.eye(n_r))
+
+
+@dataclass
+class EtCrbInputs:
+    """Pieces of the extended-target bound: dense X~, prior, effective noise."""
+
+    x_tilde: np.ndarray
+    c_aa: np.ndarray
+    c_vv_tilde: np.ndarray  # diagonal, stored as a vector
+    f: np.ndarray
+
+
+def et_crb_inputs(x_matrix, c_aa, sigma_v_sq):
+    if sigma_v_sq <= 0.0:
+        raise ValueError("noise power must be positive")
+    x_matrix = np.asarray(x_matrix)
+    c_aa = np.asarray(c_aa)
+    xd = xtilde_dense(x_matrix, c_aa.shape[0] // x_matrix.shape[0], max_entries=1 << 22)
+    diag_crr = np.einsum("ij,jk,ik->i", xd, c_aa, xd.conj()).real + sigma_v_sq
+    f = SQRT_TWO_OVER_PI / np.sqrt(diag_crr)
+    c_vv = sigma_v_sq * f**2 + (1.0 - TWO_OVER_PI)
+    return EtCrbInputs(x_tilde=xd, c_aa=c_aa, c_vv_tilde=c_vv, f=f)
+
+
+def crb_et_information_form(x_matrix, c_aa, sigma_v_sq):
+    """Information-form bound tr((C_aa^{-1} + X~^H F Cvv^{-1} F X~)^{-1}).
+
+    Requires an invertible prior.
+    """
+    inputs = et_crb_inputs(x_matrix, c_aa, sigma_v_sq)
+    xd = inputs.x_tilde
+    w = inputs.f**2 / inputs.c_vv_tilde
+    info = xd.conj().T @ (w[:, None] * xd)
+    info += np.linalg.inv(np.asarray(c_aa))
+    return float(np.trace(hermitian_solve(info, np.eye(info.shape[0]))).real)
+
+
+def crb_et_forms_equal(x_matrix, c_aa, sigma_v_sq, rtol=1e-9):
+    """Compare the library's expanded form of the extended-target bound with
+    the information form."""
+    a = crb_et(x_matrix, c_aa, sigma_v_sq)
+    b = crb_et_information_form(x_matrix, c_aa, sigma_v_sq)
+    gap = abs(a - b) / max(abs(a), abs(b), np.finfo(float).tiny)
+    return gap <= rtol, gap
+
+
+def dense_blmmse_matrix(x_matrix, c_aa, sigma_v_sq):
+    """C_aa X~^H F C_zz^{-1} with X~ = X^T kron I formed explicitly and the
+    exact arcsine C_zz inverted directly."""
+    c_aa = np.asarray(c_aa)
+    xd = xtilde_dense(x_matrix, c_aa.shape[0] // np.shape(x_matrix)[0], max_entries=1 << 22)
+    c_rr = xd @ c_aa @ xd.conj().T + sigma_v_sq * np.eye(xd.shape[0])
+    f = bussgang_gain(c_rr)
+    return c_aa @ xd.conj().T @ np.diag(f) @ np.linalg.inv(covariance_czz_exact(c_rr))

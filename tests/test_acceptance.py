@@ -13,6 +13,7 @@ import numpy as np
 from helpers_oracles import (
     PtSlotOracle,
     conjugate_gradient_fd,
+    crb_et_forms_equal,
     random_ball_point,
     wirtinger_dx,
 )
@@ -25,7 +26,6 @@ from onebit_isac.comm_sep import empirical_ser, sep_constraints_satisfied
 from onebit_isac.crb_metrics import (
     PtModel,
     crb_et,
-    crb_et_forms_equal,
     crb_pt,
     crb_pt_infinite_resolution,
 )
@@ -37,7 +37,6 @@ from onebit_isac.opt_et import (
     build_et_surrogate,
     mm_update_et,
     solve_x_et,
-    solve_x_et_qu,
 )
 from onebit_isac.opt_pt import (
     augmented_objective,
@@ -289,11 +288,13 @@ def test_criterion_08_quantization_unaware_degradation():
         sc = et_scenario(n_t=4, n_r=4, block_len=8, snr_sensing_db=snr_db, seed=0)
         prob = EtProblem(c_aa=sc.target.c_aa, sigma_v_sq=sc.sigma_v_sq,
                          n_t=4, n_r=4, block_len=8)
+        prob_qu = EtProblem(c_aa=sc.target.c_aa, sigma_v_sq=sc.sigma_v_sq,
+                            n_t=4, n_r=4, block_len=8, quantization_aware=False)
         rng = np.random.default_rng(3)
         x0 = complex_normal(rng, 32)
         x0 /= np.linalg.norm(x0)
         xa, _ = solve_x_et(prob, x0, rho=0.0, power=1.0, tol=1e-10, max_iter=400)
-        xq, _ = solve_x_et_qu(prob, x0, rho=0.0, power=1.0, tol=1e-10, max_iter=400)
+        xq, _ = solve_x_et(prob_qu, x0, rho=0.0, power=1.0, tol=1e-10, max_iter=400)
         ca = crb_et(unvec(xa, 4, 8), sc.target.c_aa, sc.sigma_v_sq)
         cq = crb_et(unvec(xq, 4, 8), sc.target.c_aa, sc.sigma_v_sq)
         results.append((snr_db, ca, cq))

@@ -146,13 +146,6 @@ def test_deterministic_output_bytes(tmp_path):
     assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
 
 
-def test_threads_do_not_change_results():
-    base = dict(experiment="pt_sweep", snr_db_list=[10.0, 20.0], trials=0)
-    rows1, _ = run_experiment(tiny_cfg(**base, threads=1))
-    rows2, _ = run_experiment(tiny_cfg(**base, threads=2))
-    assert [r.to_record() for r in rows1] == [r.to_record() for r in rows2]
-
-
 def test_tradeoff_experiment_rows():
     cfg = tiny_cfg(experiment="tradeoff", epsilon_list=[1e-2, 1e-1],
                    snr_db_list=[20.0],
@@ -194,16 +187,3 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert out.exists()
     # unwritable output path aborts at runtime
     assert main(["--config", str(good), "--out", "/nonexistent/dir/res.csv"]) == 3
-
-
-def test_cli_env_threads(tmp_path, monkeypatch):
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps({
-        "experiment": "pt_sweep", "scenario": {"n_t": 4, "n_r": 4,
-        "n_users": 2, "block_len": 4}, "snr_db_list": [10.0, 20.0],
-        "solver_max_iter": 10,
-    }))
-    out = tmp_path / "res.json"
-    monkeypatch.setenv("ISAC_BENCH_THREADS", "2")
-    assert main(["--config", str(good), "--out", str(out), "--format", "json"]) == 0
-    assert parse_results(str(out))

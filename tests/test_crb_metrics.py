@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers_oracles import crb_et_forms_equal, crb_et_information_form, et_crb_inputs
 
 from onebit_isac.array_geometry import (
     et_prior_covariance,
@@ -10,11 +11,8 @@ from onebit_isac.array_geometry import (
 from onebit_isac.crb_metrics import (
     PtModel,
     crb_et,
-    crb_et_forms_equal,
-    crb_et_information_form,
     crb_pt,
     crb_pt_infinite_resolution,
-    et_crb_inputs,
     mse_et_quantization_unaware,
 )
 from onebit_isac.linalg import complex_normal, unvec

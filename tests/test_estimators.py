@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from helpers_oracles import dense_blmmse_matrix
 
+from onebit_isac import estimators
+from onebit_isac.array_geometry import et_prior_covariance, exponential_correlation
 from onebit_isac.crb_metrics import crb_et
 from onebit_isac.estimators import (
     MleConfig,
@@ -91,6 +94,18 @@ def test_blmmse_linearity():
     assert np.linalg.norm(lhs - rhs) < 1e-10
 
 
+@pytest.mark.parametrize("n_t,n_r,block_len", [(2, 2, 3), (3, 2, 4), (4, 4, 8)])
+def test_blmmse_matrix_matches_dense_kronecker(n_t, n_r, block_len):
+    rng = np.random.default_rng(n_t + 10 * block_len)
+    x = complex_normal(rng, (n_t, block_len))
+    c_aa = et_prior_covariance(exponential_correlation(n_r, 0.6),
+                               exponential_correlation(n_t, 0.3))
+    for sv in (1e-3, 0.1, 2.0):
+        want = dense_blmmse_matrix(x, c_aa, sv)
+        got = blmmse_matrix(x, c_aa, sv)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_blmmse_mse_tracks_bound():
     # smoke version of the acceptance check (fewer trials, looser gate)
     sc = et_scenario(snr_sensing_db=20.0, seed=0)
@@ -145,6 +160,44 @@ def test_run_trials_counts_failures():
     summary = run_trials(sc, x, 3, base_seed=0)
     assert summary.n_failed == 3
     assert math.isnan(summary.mse)
+    [(reason, count)] = summary.failures.items()
+    assert reason.startswith("ValueError: ") and count == 3
+
+
+def test_run_trials_counts_numerical_failures_by_reason(monkeypatch):
+    sc = et_scenario(seed=0)
+    rng = np.random.default_rng(12)
+    x = complex_normal(rng, sc.n_t * sc.block_len)
+    real_trial = estimators._et_trial
+
+    def flaky(scenario, x_matrix, estimator, op, seed, unquantized):
+        if seed % 3 == 0:
+            raise np.linalg.LinAlgError("singular")
+        rec = real_trial(scenario, x_matrix, estimator, op, seed, unquantized)
+        if seed % 3 == 1:
+            rec.squared_error = math.inf
+        return rec
+
+    monkeypatch.setattr(estimators, "_et_trial", flaky)
+    summary = run_trials(sc, x, 9, base_seed=0)
+    assert summary.n_failed == 6 and len(summary.records) == 3
+    assert summary.failures == {"LinAlgError: singular": 3, "non-finite squared error": 3}
+    assert math.isfinite(summary.mse)
+
+
+def test_run_trials_propagates_non_numerical_errors(monkeypatch):
+    sc = et_scenario(seed=0)
+    x = complex_normal(np.random.default_rng(13), sc.n_t * sc.block_len)
+
+    def broken(*args):
+        raise TypeError("not a numerical failure")
+
+    monkeypatch.setattr(estimators, "_et_trial", broken)
+    with pytest.raises(TypeError):
+        run_trials(sc, x, 2, base_seed=0)
+    monkeypatch.setattr(estimators, "blmmse_matrix", broken)
+    with pytest.raises(TypeError):
+        run_trials(sc, x, 2, base_seed=0)
 
 
 def test_run_trials_normalizer():

@@ -3,11 +3,10 @@ replace: the explicit-Kronecker bound, the matrix-free Mbar apply, the
 commutation form and the uncached MM loop, quantization-aware and -unaware,
 from desk size up to 8x8 with L = 32."""
 
-import functools
-
 import numpy as np
 import pytest
 from helpers_oracles import (
+    crb_et_information_form,
     dense_et_anchor,
     dense_mbar_commutation,
     mbar_apply_matrix_free,
@@ -15,9 +14,8 @@ from helpers_oracles import (
     uncached_solve_x_et,
 )
 
-from onebit_isac import linalg, opt_et
 from onebit_isac.array_geometry import et_prior_covariance, exponential_correlation
-from onebit_isac.crb_metrics import crb_et, crb_et_information_form, mse_et_quantization_unaware
+from onebit_isac.crb_metrics import crb_et, mse_et_quantization_unaware
 from onebit_isac.linalg import complex_normal, unvec
 from onebit_isac.opt_et import EtProblem, build_mbar, m_tilde_matrix, solve_x_et
 
@@ -45,14 +43,13 @@ def test_dense_mbar_matches_matrix_free_apply(shape, aware):
     prob = make_problem(n_t, n_r, block_len, aware)
     x = random_ball_point(rng, n_t * block_len)
     anchor = prob.anchor(x)
-    m_bar, lam_max, _, fell_back = build_mbar(anchor, prob.c_aa, n_r, aware)
+    m_bar, lam_max = build_mbar(anchor, prob.c_aa, n_r, aware)
     apply = mbar_apply_matrix_free(m_tilde_matrix(anchor, aware), prob.c_aa, *shape)
     dim = n_t * block_len
     oracle = np.column_stack([apply(e) for e in np.eye(dim, dtype=complex)])
     assert rel_err(m_bar, oracle) <= RTOL
     assert np.linalg.norm(m_bar - m_bar.conj().T) <= RTOL * np.linalg.norm(m_bar)
     lam_true = np.linalg.eigvalsh((oracle + oracle.conj().T) / 2.0)[-1]
-    assert not fell_back
     assert lam_true <= lam_max <= 1.01 * lam_true * (1.0 + 1e-6)
 
 
@@ -114,7 +111,6 @@ def test_solve_history_matches_uncached_chain(shape, rho, max_iter, aware):
     _, info = solve_x_et(prob, x0, **kw)
     oracle = uncached_solve_x_et(prob, x0, **kw)
     assert info["n_iter"] == len(oracle) - 1
-    assert info["power_fallbacks"] == 0
     np.testing.assert_allclose(info["objective_history"], oracle, rtol=RTOL)
 
 
@@ -132,25 +128,3 @@ def test_anchor_cache_recomputes_after_in_place_change():
     assert prob.objective(x) == fresh.objective(x)
     assert prob.bound_value(x) == pytest.approx(
         crb_et(unvec(x, 3, 3), prob.c_aa, prob.sigma_v_sq), rel=RTOL)
-
-
-def test_power_fallback_is_counted_and_bounds_lam_max(monkeypatch):
-    # one power step never meets the tolerance, so every anchor falls back to
-    # the trace of Mbar, which still dominates its largest eigenvalue
-    monkeypatch.setattr(opt_et, "power_iteration",
-                        functools.partial(linalg.power_iteration, max_iter=1))
-    rng = np.random.default_rng(60)
-    for aware in (True, False):
-        prob = make_problem(4, 4, 8, aware, sv=1e-3)
-        x0 = random_ball_point(rng, 32)
-        m_bar, lam_max, _, fell_back = build_mbar(prob.anchor(x0), prob.c_aa, 4, aware)
-        assert fell_back
-        assert lam_max == pytest.approx(1.01 * np.trace(m_bar).real, rel=RTOL)
-        assert lam_max >= np.linalg.eigvalsh((m_bar + m_bar.conj().T) / 2.0)[-1]
-        x, info = solve_x_et(prob, x0, rho=0.0, power=1.0, tol=1e-10, max_iter=5)
-        assert info["power_fallbacks"] == info["n_iter"] == 5
-        hist = info["objective_history"]
-        assert all(b <= a + 1e-9 * (abs(a) + 1.0) for a, b in zip(hist, hist[1:]))
-    monkeypatch.undo()
-    _, info = solve_x_et(prob, x0, rho=0.0, power=1.0, tol=1e-10, max_iter=5)
-    assert info["power_fallbacks"] == 0

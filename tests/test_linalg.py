@@ -99,8 +99,7 @@ def test_xtilde_apply_matches_dense_kron():
     rng = np.random.default_rng(4)
     x = complex_normal(rng, (3, 4))
     op = XtildeOperator(x, n_r=2)
-    dense = op.dense()
-    assert np.allclose(dense, np.kron(x.T, np.eye(2)))
+    dense = np.kron(x.T, np.eye(2))
     a = complex_normal(rng, 6)
     assert np.allclose(op.apply(a), dense @ a, atol=1e-12)
     y = complex_normal(rng, 8)
@@ -111,10 +110,13 @@ def test_xtilde_gram_and_right_multiply():
     rng = np.random.default_rng(5)
     x = complex_normal(rng, (3, 4))
     op = XtildeOperator(x, n_r=2)
-    dense = op.dense()
+    dense = np.kron(x.T, np.eye(2))
     c = random_psd(rng, 6)
-    assert np.allclose(op.gram(c), dense @ c @ dense.conj().T, atol=1e-12)
-    assert np.allclose(op.right_multiply(c), dense @ c, atol=1e-12)
+    l_mat = op.right_multiply(c)
+    assert np.allclose(l_mat, dense @ c, atol=1e-12)
+    # the Gram as et_anchor forms it: X~ C X~^H = (X~ L^H)^H
+    gram = op.right_multiply(l_mat.conj().T).conj().T
+    assert np.allclose(gram, dense @ c @ dense.conj().T, atol=1e-12)
 
 
 def test_h_tilde_roundtrip_against_kron():

@@ -5,6 +5,7 @@ from helpers_oracles import (
     commutation_matrix,
     dense_mbar_commutation,
     random_ball_point,
+    xtilde_dense,
 )
 
 from onebit_isac.array_geometry import et_prior_covariance, exponential_correlation
@@ -20,7 +21,6 @@ from onebit_isac.opt_et import (
     m_tilde_matrix,
     mm_update_et,
     solve_x_et,
-    solve_x_et_qu,
 )
 
 
@@ -68,7 +68,7 @@ def test_build_lt_trace_identity():
     x_t = random_ball_point(rng, 4)
     x_mat = unvec(x_t, 2, 2)
     op_t = XtildeOperator(x_mat, 2)
-    m_t = prob.m_matrix(x_t)
+    m_t = prob.anchor(x_t).m
     l_big = op_t.right_multiply(prob.c_aa)
     y_t = hermitian_solve(m_t, l_big)
     l_t = build_lt(x_mat, prob.c_aa, y_t, 2)
@@ -83,7 +83,7 @@ def test_build_lt_zero_cases():
     prob = make_problem()
     zero_x = np.zeros((2, 2), dtype=complex)
     op = XtildeOperator(zero_x, 2)
-    y = hermitian_solve(prob.m_matrix(np.zeros(4)), op.right_multiply(prob.c_aa))
+    y = hermitian_solve(prob.anchor(np.zeros(4)).m, op.right_multiply(prob.c_aa))
     assert np.allclose(build_lt(zero_x, prob.c_aa, y, 2), 0.0)
     rng = np.random.default_rng(4)
     x_mat = unvec(complex_normal(rng, 4), 2, 2)
@@ -97,7 +97,7 @@ def test_mbar_matches_dense_commutation_form():
     prob = make_problem()
     x_t = random_ball_point(rng, 4)
     anchor = prob.anchor(x_t)
-    m_bar, lam_max, _, _ = build_mbar(anchor, prob.c_aa, 2)
+    m_bar, lam_max = build_mbar(anchor, prob.c_aa, 2)
     dense = dense_mbar_commutation(m_tilde_matrix(anchor), prob.c_aa, 2, 2, 2)
     for _ in range(20):
         xr = complex_normal(rng, 4)
@@ -105,13 +105,14 @@ def test_mbar_matches_dense_commutation_form():
     # spectral bound dominates the true maximum eigenvalue
     true_lam = np.linalg.eigvalsh((dense + dense.conj().T) / 2)[-1]
     assert lam_max >= true_lam
+    assert lam_max == pytest.approx(1.01 * true_lam, rel=1e-12)
 
 
 def test_mbar_psd_and_bound_on_probes():
     rng = np.random.default_rng(6)
     prob = make_problem(n_t=3, n_r=2, block_len=3)
     x_t = random_ball_point(rng, 9)
-    m_bar, lam_max, _, _ = build_mbar(prob.anchor(x_t), prob.c_aa, 2)
+    m_bar, lam_max = build_mbar(prob.anchor(x_t), prob.c_aa, 2)
     for _ in range(100):
         v = complex_normal(rng, 9)
         quad = np.vdot(v, m_bar @ v).real
@@ -211,9 +212,9 @@ def test_qu_variant_structural_degeneration():
     prob_aware = make_problem(aware=True)
     prob_qu = make_problem(aware=False)
     x = random_ball_point(rng, 4)
-    m_qu = prob_qu.m_matrix(x)
-    op = XtildeOperator(unvec(x, 2, 2), 2)
-    gram = op.gram(prob_qu.c_aa)
+    m_qu = prob_qu.anchor(x).m
+    xd = xtilde_dense(unvec(x, 2, 2), 2)
+    gram = xd @ prob_qu.c_aa @ xd.conj().T
     assert np.allclose(m_qu, gram + prob_qu.sigma_v_sq * np.eye(4), atol=1e-12)
     assert prob_qu.bound_value(x) == pytest.approx(
         mse_et_quantization_unaware(unvec(x, 2, 2), prob_qu.c_aa, prob_qu.sigma_v_sq),
@@ -226,9 +227,9 @@ def test_qu_variant_structural_degeneration():
 
 def test_qu_solver_monotone():
     rng = np.random.default_rng(13)
-    prob = make_problem(n_t=2, n_r=2, block_len=3)
+    prob = make_problem(n_t=2, n_r=2, block_len=3, aware=False)
     x0 = random_ball_point(rng, 6)
-    x, info = solve_x_et_qu(prob, x0, rho=0.0, power=1.0, max_iter=30)
+    x, info = solve_x_et(prob, x0, rho=0.0, power=1.0, max_iter=30)
     hist = info["objective_history"]
     for a, b in zip(hist, hist[1:]):
         assert b <= a + 1e-9 * (abs(a) + 1.0)
@@ -251,7 +252,8 @@ def test_high_snr_quantization_aware_beats_unaware():
     x0 = complex_normal(rng, 32)
     x0 /= np.linalg.norm(x0)
     xa, _ = solve_x_et(prob, x0, rho=0.0, power=1.0, tol=1e-10, max_iter=300)
-    xq, _ = solve_x_et_qu(prob, x0, rho=0.0, power=1.0, tol=1e-10, max_iter=300)
+    prob_qu = make_problem(n_t=4, n_r=4, block_len=8, sv=10 ** -3.5, aware=False)
+    xq, _ = solve_x_et(prob_qu, x0, rho=0.0, power=1.0, tol=1e-10, max_iter=300)
     ca = crb_et(unvec(xa, 4, 8), prob.c_aa, prob.sigma_v_sq)
     cq = crb_et(unvec(xq, 4, 8), prob.c_aa, prob.sigma_v_sq)
     assert ca < cq
