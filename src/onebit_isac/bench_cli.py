@@ -312,13 +312,13 @@ def run_experiment(cfg):
         rows = _convergence_rows(cfg, cfg.seed)
     elif cfg.experiment == "pt_sweep":
         points = [(snr, cfg.seed + 100 * i) for i, snr in enumerate(cfg.snr_db_list)]
-        rows = _fan_out(lambda p: _pt_point(cfg, p[0], p[1]), points)
+        rows = [r for snr, s in points for r in _pt_point(cfg, snr, s)]
     elif cfg.experiment == "et_sweep":
         points = [(snr, cfg.seed + 100 * i) for i, snr in enumerate(cfg.snr_db_list)]
-        rows = _fan_out(lambda p: _et_point(cfg, p[0], p[1]), points)
+        rows = [r for snr, s in points for r in _et_point(cfg, snr, s)]
     elif cfg.experiment == "tradeoff":
         points = [(eps, cfg.seed + 100 * i) for i, eps in enumerate(cfg.epsilon_list)]
-        rows = _fan_out(lambda p: _tradeoff_point(cfg, p[0], p[1]), points)
+        rows = [r for eps, s in points for r in _tradeoff_point(cfg, eps, s)]
     elif cfg.experiment == "timing":
         rows = _timing_rows(cfg, cfg.seed)
     else:  # pragma: no cover - validate() already rejects
@@ -327,10 +327,6 @@ def run_experiment(cfg):
     summary = (f"{cfg.experiment}: {len(rows)} rows in {elapsed:.2f} s "
                f"(seed {cfg.seed})")
     return rows, summary
-
-
-def _fan_out(fn, points):
-    return [row for p in points for row in fn(p)]
 
 
 def build_parser():

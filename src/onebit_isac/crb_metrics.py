@@ -166,8 +166,11 @@ class EtAnchor:
     gain: float
 
 
-def et_anchor(x_matrix, c_aa, sigma_v_sq, quantization_aware=True):
-    """L, M, M^{-1} L and the gain of the extended-target bound at X."""
+def et_l_and_m(x_matrix, c_aa, sigma_v_sq, quantization_aware=True):
+    """L = X~ C_aa and the Hermitian M of the extended-target bound at X.
+
+    Unaware, M is the unquantized C_rr = X~ C_aa X~^H + sigma_v^2 I.
+    """
     if sigma_v_sq <= 0.0:
         raise ValueError("noise power must be positive")
     x_matrix = np.asarray(x_matrix)
@@ -181,7 +184,12 @@ def et_anchor(x_matrix, c_aa, sigma_v_sq, quantization_aware=True):
         m += (np.pi / 2.0) * sigma_v_sq * np.eye(gram.shape[0])
     else:
         m = gram + sigma_v_sq * np.eye(gram.shape[0])
-    m = (m + m.conj().T) / 2.0
+    return l_mat, (m + m.conj().T) / 2.0
+
+
+def et_anchor(x_matrix, c_aa, sigma_v_sq, quantization_aware=True):
+    """L, M, M^{-1} L and the gain of the extended-target bound at X."""
+    l_mat, m = et_l_and_m(x_matrix, c_aa, sigma_v_sq, quantization_aware)
     m_inv_l = hermitian_solve(m, l_mat)
     gain = float(np.einsum("ij,ij->", l_mat.conj(), m_inv_l).real)
     return EtAnchor(l_mat=l_mat, m=m, m_inv_l=m_inv_l, gain=gain)

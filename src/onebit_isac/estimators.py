@@ -9,7 +9,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .array_geometry import pt_response_operator
-from .crb_metrics import et_anchor
+from .crb_metrics import et_anchor, et_l_and_m
 from .linalg import (
     XtildeOperator,
     chol_logdet,
@@ -106,12 +106,11 @@ def mle_pt(z, x, sigma_alpha_sq, sigma_v_sq, block_len, cfg=None, grid=None):
 
 def blmmse_matrix(x_matrix, c_aa, sigma_v_sq):
     """Linear estimator matrix C_aa X~^H F C_zz^{-1} (exact arcsine C_zz)."""
-    # the unquantized anchor's M is C_rr = X~ C_aa X~^H + sigma_v^2 I
-    anchor = et_anchor(x_matrix, c_aa, sigma_v_sq, quantization_aware=False)
-    f = bussgang_gain(anchor.m)
-    czz = covariance_czz_exact(anchor.m)
+    l_mat, c_rr = et_l_and_m(x_matrix, c_aa, sigma_v_sq, quantization_aware=False)
+    f = bussgang_gain(c_rr)
+    czz = covariance_czz_exact(c_rr)
     # estimator = (F X~ C_aa)^H C_zz^{-1}, via one Hermitian solve
-    return hermitian_solve(czz, f[:, None] * anchor.l_mat).conj().T
+    return hermitian_solve(czz, f[:, None] * l_mat).conj().T
 
 
 def blmmse_et(z, x_matrix, c_aa, sigma_v_sq, estimator=None):
@@ -130,7 +129,7 @@ class TrialResult:
 
 
 # what a trial may raise and still be counted as failed: numerical trouble
-NUMERICAL_ERRORS = (np.linalg.LinAlgError, FloatingPointError, ValueError)
+NUMERICAL_ERRORS = (np.linalg.LinAlgError, FloatingPointError)
 
 
 @dataclass
@@ -192,9 +191,9 @@ def run_trials(scenario, waveform, n_trials, base_seed, cfg=None, unquantized=Fa
 
     Trial t draws everything from seed base_seed + t, so results do not
     depend on execution order and repeat bit-exactly. Trials that fail
-    numerically (NUMERICAL_ERRORS or a non-finite error) are counted per
-    reason and skipped instead of aborting the batch; any other exception
-    propagates. Point-target trials draw the reflection coefficient as a
+    numerically (NUMERICAL_ERRORS, a non-finite waveform or a non-finite
+    error) are counted per reason and skipped instead of aborting the batch;
+    any other exception, ValueError included, propagates. Point-target trials draw the reflection coefficient as a
     normalized complex Gaussian (unit modulus, uniform phase); pass
     normalize_alpha=False for a raw CN(0,1) draw.
     """
@@ -241,6 +240,8 @@ def _reason(err):
 
 
 def _build_runner(scenario, waveform, cfg, unquantized, normalize_alpha):
+    if not np.all(np.isfinite(waveform)):
+        raise FloatingPointError("waveform has non-finite entries")
     if scenario.kind == "pt":
         x = vec(waveform) if np.asarray(waveform).ndim == 2 else np.asarray(waveform)
         grid = MleGrid(
