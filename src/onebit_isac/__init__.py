@@ -29,7 +29,6 @@ from .crb_metrics import (
 )
 from .estimators import MleConfig, MleGrid, TrialResult, TrialsSummary, blmmse_et, mle_pt, run_trials
 from .comm_sep import (
-    QamSymbols,
     SepSpec,
     build_sep_spec,
     empirical_ser,

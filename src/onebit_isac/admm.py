@@ -90,15 +90,10 @@ def initialize(scenario, seed=0):
     if k:
         hx = h_tilde_apply(scenario.channel, x, scenario.block_len)
         chi = hx.reshape((k, scenario.block_len), order="F")
-        u = np.zeros_like(chi)
-        for kk in range(k):
-            u[kk].real = _clamp_u(
-                chi[kk].real, spec.s_real[kk], spec.a_r[kk], spec.b_r[kk], spec.gamma
-            )
-            u[kk] = u[kk].real + 1j * _clamp_u(
-                chi[kk].imag, spec.s_imag[kk], spec.a_i[kk], spec.b_i[kk], spec.gamma
-            )
-        u = vec(u)
+        u = vec(
+            _clamp_u(chi.real, spec.s_real, spec.a_r, spec.b_r, spec.gamma)
+            + 1j * _clamp_u(chi.imag, spec.s_imag, spec.a_i, spec.b_i, spec.gamma)
+        )
     else:
         u = np.zeros(0, dtype=complex)
     return x, u, d, lam

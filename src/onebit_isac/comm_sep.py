@@ -40,17 +40,6 @@ def random_qam_symbols(n_users, block_len, order, rng):
     return re + 1j * im
 
 
-@dataclass
-class QamSymbols:
-    """Square-QAM information block."""
-
-    order: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        validate_qam(self.matrix, self.order)
-
-
 def validate_qam(s, order):
     levels = qam_levels(order)
     s = np.asarray(s)

@@ -231,9 +231,6 @@ class XtildeOperator:
     def apply(self, a):
         return vec(unvec(a, self.n_r, self.n_t) @ self.x)
 
-    def adjoint(self, y):
-        return vec(unvec(y, self.n_r, self.block_len) @ self.x.conj().T)
-
     def right_multiply(self, c):
         """X~ @ C for a matrix C with n_r * n_t rows."""
         c = np.asarray(c)

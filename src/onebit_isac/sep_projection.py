@@ -1,6 +1,9 @@
 """Exact solver for the SEP-feasible projection subproblem: per-user box
-QPs with a shared decision variable, solved by boundary-point enumeration
-with a closed-form candidate on each interval."""
+QPs with a shared decision variable d >= gamma. The objective in d is a sum
+of squared hinges of affine functions of d, convex when a + b <= 2*gamma on
+every two-sided row, so one sweep over the sorted breakpoints finds the
+interval that holds the minimizer (as in the Duchi et al., ICML 2008, and
+Condat, Math. Prog. 2016, projections)."""
 
 from dataclasses import dataclass
 
@@ -14,7 +17,10 @@ class UserQpInstance:
     """One real dimension of one user's subproblem.
 
     chi are the projection targets, s_tilde the constellation levels, and
-    a_tilde/b_tilde the threshold vectors (-inf marks a vacuous side).
+    a_tilde/b_tilde the threshold vectors (-inf marks a vacuous side). gamma
+    must be positive, and a row with both thresholds finite needs
+    a + b <= 2*gamma: its box [(s-1)d + b, (s+1)d - a] is otherwise empty at
+    d = gamma and the objective is not convex.
     """
 
     chi: np.ndarray
@@ -30,6 +36,11 @@ class UserQpInstance:
         self.b_tilde = np.asarray(self.b_tilde, dtype=float)
         if not np.all(np.isfinite(self.chi)):
             raise ValueError("projection targets must be finite")
+        if not self.gamma > 0.0:
+            raise ValueError("gamma must be positive")
+        two_sided = np.isfinite(self.a_tilde) & np.isfinite(self.b_tilde)
+        if np.any(self.a_tilde[two_sided] + self.b_tilde[two_sided] > 2.0 * self.gamma):
+            raise ValueError("a two-sided row needs a + b <= 2*gamma")
 
 
 def boundary_points(inst):
@@ -68,44 +79,31 @@ def _objective_at(inst, d):
 
 
 def solve_user_qp(inst):
-    """Global minimizer (d*, u*, objective) of one per-user subproblem.
+    """Smallest global minimizer (d*, u*, objective) of one per-user subproblem.
 
     Each interval between consecutive boundary points has a constant
     active-set classification (evaluated at the midpoint, or at tau + 1 on
-    the unbounded last interval); the unconstrained quadratic candidate is
-    clamped into the interval and the best interval wins. Ties go to the
-    smaller decision value.
+    the unbounded last interval), so the objective is one quadratic there
+    with stationary point num/den. By convexity the first interval whose
+    stationary point is not past its right end, or whose objective is
+    constant (den == 0), holds the smallest minimizer: clamp into it.
     """
-    if inst.gamma <= 0.0:
-        raise ValueError("gamma must be positive")
     pts = boundary_points(inst)
-    s = inst.s_tilde
-    chi = inst.chi
-    a = inst.a_tilde
-    b = inst.b_tilde
-    best_d = None
-    best_obj = np.inf
-    for i in range(len(pts) - 1):
-        lo, hi = pts[i], pts[i + 1]
-        probe = 0.5 * (lo + hi) if np.isfinite(hi) else lo + 1.0
-        with np.errstate(invalid="ignore"):
-            in_gamma = chi > (s + 1.0) * probe - a
-            in_omega = chi < (s - 1.0) * probe + b
-        den = np.sum((s + 1.0)[in_gamma] ** 2) + np.sum((s - 1.0)[in_omega] ** 2)
-        if den == 0.0:
-            # objective constant on the interval; keep decision regions tight
-            d_hat = lo
-        else:
-            num = np.sum(((a + chi) * (s + 1.0))[in_gamma]) + np.sum(
-                ((chi - b) * (s - 1.0))[in_omega]
-            )
-            d_hat = min(max(num / den, lo), hi)
-        obj, _ = _objective_at(inst, d_hat)
-        if obj < best_obj:  # ties keep the earlier, smaller decision value
-            best_obj = obj
-            best_d = d_hat
-    obj, u = _objective_at(inst, best_d)
-    return float(best_d), u, obj
+    lo, hi = pts[:-1], pts[1:]
+    probe = np.where(np.isfinite(hi), 0.5 * (lo + hi), lo + 1.0)[:, None]
+    s, chi, a, b = inst.s_tilde, inst.chi, inst.a_tilde, inst.b_tilde
+    with np.errstate(divide="ignore", invalid="ignore"):
+        in_gamma = chi > (s + 1.0) * probe - a
+        in_omega = chi < (s - 1.0) * probe + b
+        den = in_gamma @ (s + 1.0) ** 2 + in_omega @ (s - 1.0) ** 2
+        term_a = np.where(np.isfinite(a), (a + chi) * (s + 1.0), 0.0)
+        term_b = np.where(np.isfinite(b), (chi - b) * (s - 1.0), 0.0)
+        num = in_gamma @ term_a + in_omega @ term_b
+        stationary = num / den
+    i = int(np.argmax((den == 0.0) | (stationary <= hi)))
+    d = lo[i] if den[i] == 0.0 else max(stationary[i], lo[i])
+    obj, u = _objective_at(inst, d)
+    return float(d), u, obj
 
 
 def solve_block(lambda_tilde, spec):

@@ -5,8 +5,9 @@ and gradient rows) that the library holds as diagonal plus low rank, the
 extended-target chain as the library computed it before the shared anchor
 and the dense Mbar (explicit Kronecker bound, matrix-free Mbar apply,
 uncached MM loop), the information form of the extended-target bound, the
-explicit-Kronecker BLMMSE estimator, and dense Kronecker/commutation builders
-for small instances."""
+explicit-Kronecker BLMMSE estimator, dense Kronecker/commutation builders
+for small instances, and the SEP projection solver that scores every
+interval."""
 
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -26,6 +27,7 @@ from onebit_isac.linalg import (
 from onebit_isac.opt_et import build_lt, lam_max_channel
 from onebit_isac.opt_pt import penalty_value
 from onebit_isac.quantization import bussgang_gain, covariance_czz_exact
+from onebit_isac.sep_projection import _objective_at, boundary_points
 
 TWO_OVER_PI = 2.0 / np.pi
 SQRT_TWO_OVER_PI = np.sqrt(TWO_OVER_PI)
@@ -502,3 +504,36 @@ def dense_blmmse_matrix(x_matrix, c_aa, sigma_v_sq):
     c_rr = xd @ c_aa @ xd.conj().T + sigma_v_sq * np.eye(xd.shape[0])
     f = bussgang_gain(c_rr)
     return c_aa @ xd.conj().T @ np.diag(f) @ np.linalg.inv(covariance_czz_exact(c_rr))
+
+
+def enumerate_user_qp(inst):
+    """Per-user SEP subproblem solved by scoring every interval between
+    boundary points: clamp each interval's stationary point into it, keep
+    the best objective, ties to the earlier, smaller decision value."""
+    pts = boundary_points(inst)
+    s = inst.s_tilde
+    chi = inst.chi
+    a = inst.a_tilde
+    b = inst.b_tilde
+    best_d = None
+    best_obj = np.inf
+    for i in range(len(pts) - 1):
+        lo, hi = pts[i], pts[i + 1]
+        probe = 0.5 * (lo + hi) if np.isfinite(hi) else lo + 1.0
+        with np.errstate(invalid="ignore"):
+            in_gamma = chi > (s + 1.0) * probe - a
+            in_omega = chi < (s - 1.0) * probe + b
+        den = np.sum((s + 1.0)[in_gamma] ** 2) + np.sum((s - 1.0)[in_omega] ** 2)
+        if den == 0.0:
+            d_hat = lo
+        else:
+            num = np.sum(((a + chi) * (s + 1.0))[in_gamma]) + np.sum(
+                ((chi - b) * (s - 1.0))[in_omega]
+            )
+            d_hat = min(max(num / den, lo), hi)
+        obj, _ = _objective_at(inst, d_hat)
+        if obj < best_obj:
+            best_obj = obj
+            best_d = d_hat
+    obj, u = _objective_at(inst, best_d)
+    return float(best_d), u, obj

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from helpers_oracles import enumerate_user_qp
 from onebit_isac.comm_sep import build_sep_spec, random_qam_symbols, sep_constraints_satisfied
 from onebit_isac.linalg import complex_normal
 from onebit_isac.sep_projection import (
@@ -218,7 +219,60 @@ def test_solve_block_shape_mismatch():
 
 
 def test_gamma_must_be_positive():
-    inst = UserQpInstance(np.array([0.0]), np.array([1.0]), np.array([0.1]),
-                          np.array([0.1]), 0.0)
-    with pytest.raises(ValueError):
-        solve_user_qp(inst)
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        UserQpInstance(np.array([0.0]), np.array([1.0]), np.array([0.1]),
+                       np.array([0.1]), 0.0)
+
+
+def test_two_sided_row_must_keep_its_box_at_gamma():
+    # a + b > 2*gamma empties [(s-1)d + b, (s+1)d - a] at d = gamma
+    with pytest.raises(ValueError, match=r"a \+ b <= 2\*gamma"):
+        UserQpInstance(np.array([0.0, 0.0]), np.array([1.0, 3.0]), np.array([0.3, -np.inf]),
+                       np.array([0.31, 0.5]), 0.3)
+    rng = np.random.default_rng(7)
+    for order in (4, 16, 64):
+        s = random_qam_symbols(3, 6, order, rng)
+        spec = build_sep_spec(s, 1e-2, 0.3, order)
+        for kk in range(3):
+            UserQpInstance(np.zeros(6), spec.s_real[kk], spec.a_r[kk], spec.b_r[kk], spec.gamma)
+            UserQpInstance(np.zeros(6), spec.s_imag[kk], spec.a_i[kk], spec.b_i[kk], spec.gamma)
+
+
+def test_tie_goes_to_smallest_minimizer():
+    # the objective is zero on [0.76374..., 2.12288...]; scoring every interval
+    # lets a 4.9e-32 rounding residue at the smaller end lose the tie
+    gamma = 0.33030000273662885
+    edge = 0.10653833755354956
+    inst = UserQpInstance(
+        chi=np.array([-1.1971806150305142, 4.930216351495398, 4.352300747794231]),
+        s_tilde=np.array([-1.0, 3.0, 3.0]),
+        a_tilde=np.array([gamma, -np.inf, -np.inf]),
+        b_tilde=np.array([gamma, edge, edge]),
+        gamma=gamma,
+    )
+    d, u, obj = solve_user_qp(inst)
+    assert d == pytest.approx(0.7637403088835715, rel=1e-12)
+    assert obj == pytest.approx(0.0, abs=1e-15)
+    assert np.allclose(u, inst.chi, atol=1e-15)
+
+
+def test_sweep_matches_enumerating_oracle():
+    rng = np.random.default_rng(8)
+    for trial in range(2000):
+        n = int(rng.integers(1, 33))
+        inst = random_instance(rng, n, order=int(rng.choice([4, 16, 64])),
+                               chi_scale=float(rng.choice([0.3, 3.0])))
+        if trial % 2:
+            # two-sided rows with a + b < 2*gamma, targets near s*d0 so that
+            # the objective is often zero on a whole range of d
+            two_sided = np.isfinite(inst.a_tilde) & np.isfinite(inst.b_tilde)
+            inst.a_tilde[two_sided] *= rng.uniform(0.2, 1.0, two_sided.sum())
+            inst.b_tilde[two_sided] *= rng.uniform(0.2, 1.0, two_sided.sum())
+            d0 = inst.gamma * rng.uniform(1.0, 4.0)
+            inst.chi = d0 * inst.s_tilde + rng.uniform(-1.0, 1.0, n) * inst.gamma
+        d, _, obj = solve_user_qp(inst)
+        d_ref, _, obj_ref = enumerate_user_qp(inst)
+        tol = 1e-12 * (1.0 + obj_ref)
+        assert obj <= obj_ref + tol, f"trial {trial}: {obj} vs {obj_ref}"
+        if abs(obj - obj_ref) <= tol:
+            assert d <= d_ref + 1e-12, f"trial {trial}: d {d} vs {d_ref}"
