@@ -8,7 +8,6 @@ from .array_geometry import (
     et_prior_covariance,
     et_sample,
     exponential_correlation,
-    pt_response_derivative_operator,
     pt_response_operator,
     steering,
     steering_derivative,

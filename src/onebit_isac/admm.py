@@ -76,6 +76,16 @@ class AdmmResult:
     n_outer: int = 0
 
 
+def _feasible_u(scenario, spec, x):
+    """The auxiliary block H~ x projected to feasibility at all-gamma decisions."""
+    hx = h_tilde_apply(scenario.channel, x, scenario.block_len)
+    chi = hx.reshape((scenario.n_users, scenario.block_len), order="F")
+    return vec(
+        _clamp_u(chi.real, spec.s_real, spec.a_r, spec.b_r, spec.gamma)
+        + 1j * _clamp_u(chi.imag, spec.s_imag, spec.a_i, spec.b_i, spec.gamma)
+    )
+
+
 def initialize(scenario, seed=0):
     """Random full-power waveform, zero dual, all-gamma decisions, and the
     auxiliary block projected to feasibility at those decisions."""
@@ -87,15 +97,7 @@ def initialize(scenario, seed=0):
     lam = np.zeros(k * scenario.block_len, dtype=complex)
     spec = scenario.sep_spec() if k else None
     d = np.full(2 * k, spec.gamma if k else 0.0)
-    if k:
-        hx = h_tilde_apply(scenario.channel, x, scenario.block_len)
-        chi = hx.reshape((k, scenario.block_len), order="F")
-        u = vec(
-            _clamp_u(chi.real, spec.s_real, spec.a_r, spec.b_r, spec.gamma)
-            + 1j * _clamp_u(chi.imag, spec.s_imag, spec.a_i, spec.b_i, spec.gamma)
-        )
-    else:
-        u = np.zeros(0, dtype=complex)
+    u = _feasible_u(scenario, spec, x) if k else np.zeros(0, dtype=complex)
     return x, u, d, lam
 
 
@@ -118,16 +120,16 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     config = config or AdmmConfig.for_variant(variant)
-    x0, u, d, lam = initialize(scenario, seed)
+    x, u, d, lam = initialize(scenario, seed)
+    k = scenario.n_users
+    channel = scenario.channel if k else None
+    spec = scenario.sep_spec() if k else None
     if x_init is not None:
         x = np.asarray(x_init, dtype=complex)
         if float(np.vdot(x, x).real) > scenario.power * (1.0 + 1e-9):
             raise ValueError("initial waveform violates the power constraint")
-    else:
-        x = x0
-    k = scenario.n_users
-    channel = scenario.channel if k else None
-    spec = scenario.sep_spec() if k else None
+        if k:
+            u = _feasible_u(scenario, spec, x)
     if variant in ("PT", "PT_INF"):
         model = PtModel(
             scenario.target.theta, scenario.target.sigma_alpha_sq,

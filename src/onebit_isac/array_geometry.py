@@ -1,5 +1,6 @@
-"""ULA steering vectors, their angle derivatives, and target-response
-construction for point-like and extended targets."""
+"""ULA steering vectors, their angle derivatives, the receive basis of the
+point-target chain, and target-response construction for point-like and
+extended targets."""
 
 from dataclasses import dataclass, field
 
@@ -36,79 +37,50 @@ def steering_derivative(n, theta):
     return steering(n, theta) * (-1j * np.pi * m * np.cos(theta))
 
 
-class BlockRankOneOperator:
-    """I_L kron B applied without materialization, B = sum_i u_i v_i^T.
+def receive_basis(n_r, theta):
+    """Orthonormal n_r x k basis Q (k = min(n_r, 2)) of span{a_r, da_r/dtheta}.
 
-    Acting on x = vec(X) this returns vec(B @ X); the rank-one kernels keep
-    every apply at O(n L) instead of O(n^2 L^2).
+    Q = [a_r, a_r o (m - mean(m)) / norm] with m = 0..n_r-1. Since
+    da_r = a_r o (-j pi cos(theta) m), Q holds it at every angle, endfire
+    included; n_r = 1 gives Q = [a_r].
+    """
+    a_r = steering(n_r, theta)
+    if n_r == 1:
+        return a_r[:, None]
+    tilt = a_r * (np.arange(n_r) - (n_r - 1) / 2.0)
+    return np.column_stack((a_r, tilt / np.linalg.norm(tilt)))
+
+
+class BlockRankOneOperator:
+    """I_L kron (u v^T) applied without materialization.
+
+    Acting on x = vec(X) this returns vec(u (v^T X)) at O(n L) cost instead
+    of O(n^2 L^2).
     """
 
-    def __init__(self, factors, n_t, n_r, block_len):
-        self.factors = [(np.asarray(u), np.asarray(v)) for u, v in factors]
-        self.n_t = int(n_t)
-        self.n_r = int(n_r)
+    def __init__(self, u, v, block_len):
+        self.u = np.asarray(u)
+        self.v = np.asarray(v)
         self.block_len = int(block_len)
-
-    @property
-    def shape(self):
-        return (self.n_r * self.block_len, self.n_t * self.block_len)
-
-    def kernel(self):
-        b = np.zeros((self.n_r, self.n_t), dtype=complex)
-        for u, v in self.factors:
-            b += np.outer(u, v)
-        return b
 
     def apply(self, x):
         x = np.asarray(x)
-        if x.size != self.n_t * self.block_len:
-            raise ValueError(
-                f"expected length {self.n_t * self.block_len}, got {x.size}"
-            )
-        xm = unvec(x, self.n_t, self.block_len)
-        out = np.zeros((self.n_r, self.block_len), dtype=complex)
-        for u, v in self.factors:
-            out += np.outer(u, v @ xm)
-        return vec(out)
-
-    def adjoint(self, y):
-        y = np.asarray(y)
-        if y.size != self.n_r * self.block_len:
-            raise ValueError(
-                f"expected length {self.n_r * self.block_len}, got {y.size}"
-            )
-        ym = unvec(y, self.n_r, self.block_len)
-        out = np.zeros((self.n_t, self.block_len), dtype=complex)
-        for u, v in self.factors:
-            out += np.outer(v.conj(), u.conj() @ ym)
-        return vec(out)
+        if x.size != self.v.size * self.block_len:
+            raise ValueError(f"expected length {self.v.size * self.block_len}, got {x.size}")
+        return vec(np.outer(self.u, self.v @ unvec(x, self.v.size, self.block_len)))
 
     def dense(self, max_entries=65536):
-        total = self.shape[0] * self.shape[1]
+        total = self.u.size * self.v.size * self.block_len**2
         if total > max_entries:
             raise ValueError(f"refusing to materialize {total} entries")
-        return np.kron(np.eye(self.block_len), self.kernel())
+        return np.kron(np.eye(self.block_len), np.outer(self.u, self.v))
 
 
 def pt_response_operator(theta, block_len, n_t, n_r):
     """Structured operator for I_L kron (a_r a_t^T)."""
     if block_len < 1:
         raise ValueError("block length must be positive")
-    a_r = steering(n_r, theta)
-    a_t = steering(n_t, theta)
-    return BlockRankOneOperator([(a_r, a_t)], n_t, n_r, block_len)
-
-
-def pt_response_derivative_operator(theta, block_len, n_t, n_r):
-    """Structured operator for the angle derivative of the response,
-    I_L kron (da_r a_t^T + a_r da_t^T)."""
-    if block_len < 1:
-        raise ValueError("block length must be positive")
-    a_r = steering(n_r, theta)
-    a_t = steering(n_t, theta)
-    da_r = steering_derivative(n_r, theta)
-    da_t = steering_derivative(n_t, theta)
-    return BlockRankOneOperator([(da_r, a_t), (a_r, da_t)], n_t, n_r, block_len)
+    return BlockRankOneOperator(steering(n_r, theta), steering(n_t, theta), block_len)
 
 
 def exponential_correlation(n, coeff=0.5):

@@ -205,16 +205,11 @@ def _pt_point(cfg, snr_db, seed):
     x, _ = solve_x_pt(model, x0, rho=0.0, power=sc.power, tol=1e-9,
                       max_iter=cfg.solver_max_iter)
     point = f"snr={snr_db:g}"
+    ws = model.workspace(x)
     rows = [
-        ResultRow("pt_sweep", point, "crb_onebit",
-                  crb_metrics.crb_pt(x, model.theta, model.sigma_alpha_sq,
-                                     model.sigma_v_sq, sc.n_r, sc.block_len),
-                  seed=seed),
+        ResultRow("pt_sweep", point, "crb_onebit", crb_metrics.pt_bound(ws), seed=seed),
         ResultRow("pt_sweep", point, "crb_infinite",
-                  crb_metrics.crb_pt_infinite_resolution(
-                      x, model.theta, model.sigma_alpha_sq, model.sigma_v_sq,
-                      sc.n_r, sc.block_len),
-                  seed=seed),
+                  crb_metrics.pt_bound(ws, quantized=False), seed=seed),
     ]
     if cfg.trials > 0:
         summary = run_trials(sc, x, cfg.trials, base_seed=seed + 10_000)

@@ -155,12 +155,8 @@ class TrialsSummary:
         return 10.0 * math.log10(self.mse)
 
 
-def _pt_trial(scenario, x, grid, seed, normalize_alpha):
+def _pt_trial(scenario, g, grid, seed, normalize_alpha):
     rng = np.random.default_rng(seed)
-    op = pt_response_operator(
-        scenario.target.theta, scenario.block_len, scenario.n_t, scenario.n_r
-    )
-    g = op.apply(x)
     alpha = complex_normal(rng, ())
     if normalize_alpha:
         alpha = alpha / np.abs(alpha)
@@ -248,8 +244,11 @@ def _build_runner(scenario, waveform, cfg, unquantized, normalize_alpha):
             x, scenario.target.sigma_alpha_sq, scenario.sigma_v_sq,
             scenario.block_len, scenario.n_r, cfg,
         )
+        g = pt_response_operator(
+            scenario.target.theta, scenario.block_len, scenario.n_t, scenario.n_r
+        ).apply(x)
         normalizer = 1.0
-        runner = lambda seed: _pt_trial(scenario, x, grid, seed, normalize_alpha)
+        runner = lambda seed: _pt_trial(scenario, g, grid, seed, normalize_alpha)
         return runner, normalizer
     else:
         x_matrix = np.asarray(waveform)

@@ -1,7 +1,6 @@
 """Shared complex linear algebra: column-stacked vectorization, guarded
-Hermitian solves, PSD square roots, power iteration, the diagonal-plus-low-
-rank matrix type, and the structured operators (X^T kron I, I kron H) used
-throughout the library."""
+Hermitian solves, PSD square roots, power iteration, and the structured
+operators (X^T kron I, I kron H) used throughout the library."""
 
 import math
 
@@ -102,111 +101,6 @@ def power_iteration(matvec, n, tol=1e-8, max_iter=10000, seed=0, v0=None):
             return lam_new, v, True
         lam = lam_new
     return lam, v, False
-
-
-class DiagLowRank:
-    """Matrix diag(d) + U V^H held by its factors (n x k U and V, k << n).
-
-    Products, sums, inverses (Woodbury) and traces stay in this form at
-    O(n k^2) cost; ``dense()`` materializes the matrix for checks only.
-    """
-
-    __slots__ = ("d", "u", "v")
-
-    def __init__(self, d, u, v):
-        self.d = np.asarray(d)
-        self.u = np.asarray(u)
-        self.v = np.asarray(v)
-
-    @property
-    def rank(self):
-        return self.u.shape[1]
-
-    def _lr_diag(self):
-        return np.einsum("ik,ik->i", self.u, self.v.conj())
-
-    def diag(self):
-        return self.d + self._lr_diag()
-
-    def matvec(self, x):
-        """M @ x for a vector or an n x m matrix x."""
-        x = np.asarray(x)
-        dx = self.d * x if x.ndim == 1 else self.d[:, None] * x
-        return dx + self.u @ (self.v.conj().T @ x)
-
-    def scaled(self, left=None, right=None):
-        """diag(left) M diag(right) for real or complex scaling vectors."""
-        d, u, v = self.d, self.u, self.v
-        if left is not None:
-            d, u = left * d, left[:, None] * u
-        if right is not None:
-            d, v = d * right, np.conj(right)[:, None] * v
-        return DiagLowRank(d, u, v)
-
-    def with_diagonal(self, target):
-        """Same off-diagonal part with the diagonal pinned to ``target``
-        (to the last bit where ``target`` is zero)."""
-        return DiagLowRank(target - self._lr_diag(), self.u, self.v)
-
-    def __add__(self, other):
-        return DiagLowRank(self.d + other.d, np.concatenate((self.u, other.u), axis=1),
-                           np.concatenate((self.v, other.v), axis=1))
-
-    def __matmul__(self, other):
-        if not isinstance(other, DiagLowRank):
-            return self.matvec(other)
-        # (Da + Ua Va^H)(Db + Ub Vb^H)
-        #   = Da Db + (Da Ub + Ua Va^H Ub) Vb^H + Ua (Db^H Va)^H
-        core = self.v.conj().T @ other.u
-        u = np.concatenate((self.d[:, None] * other.u + self.u @ core, self.u), axis=1)
-        v = np.concatenate((other.v, np.conj(other.d)[:, None] * self.v), axis=1)
-        return DiagLowRank(self.d * other.d, u, v)
-
-    def inv(self):
-        """Woodbury inverse; needs a diagonal with no zero entry."""
-        dinv = 1.0 / self.d
-        if self.rank == 0:
-            return DiagLowRank(dinv, self.u, self.v)
-        ud = dinv[:, None] * self.u
-        k = np.eye(self.rank) + self.v.conj().T @ ud
-        # D^-1 - D^-1 U K^-1 V^H D^-1
-        return DiagLowRank(dinv, -np.linalg.solve(k.T, ud.T).T,
-                           np.conj(dinv)[:, None] * self.v)
-
-    def solve(self, b):
-        """M^{-1} b for a vector, matrix or DiagLowRank right-hand side."""
-        return self.inv() @ b
-
-    def hermitian(self):
-        """(M + M^H)/2 as diag + W S W^H with W of minimal numerical rank.
-
-        Low-rank directions whose weight is below 1e-14 times the largest one
-        are dropped; that moves the matrix by at most that relative amount.
-        """
-        d = self.d.real
-        if self.rank == 0:
-            return DiagLowRank(d, self.u, self.v)
-        k = self.rank
-        basis = np.concatenate((self.u, self.v), axis=1)
-        # unit columns keep the QR accurate when U and V differ in scale
-        norms = np.linalg.norm(basis, axis=0)
-        norms[norms == 0.0] = 1.0
-        q, r = np.linalg.qr(basis / norms)
-        r = r * norms
-        core = r[:, :k] @ r[:, k:].conj().T
-        lam, vecs = np.linalg.eigh((core + core.conj().T) / 2.0)
-        keep = np.abs(lam) > 1e-14 * np.max(np.abs(lam))
-        w = q @ vecs[:, keep]
-        return DiagLowRank(d, w * lam[keep], w)
-
-    def trace_prod(self, other):
-        """tr(M @ other) for another DiagLowRank of the same size."""
-        cross = np.einsum("ij,ji->", self.v.conj().T @ other.u, other.v.conj().T @ self.u)
-        return (self.d @ other.d + self.d @ other._lr_diag() + other.d @ self._lr_diag()
-                + cross)
-
-    def dense(self):
-        return np.diag(self.d).astype(complex) + self.u @ self.v.conj().T
 
 
 def complex_normal(rng, shape, scale=1.0):

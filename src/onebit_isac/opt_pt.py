@@ -1,7 +1,7 @@
 """Waveform subproblem solver for point-like targets: concave-Taylor
 surrogate of the trace objective, its analytic conjugate gradient (built
-from rank-one response applies and diagonal-plus-low-rank covariances, never
-from materialized Kronecker products or n x n matrices), one-step normalized
+from the receive-subspace blocks of the covariance chain, never from
+materialized Kronecker products or n x n matrices), one-step normalized
 projected gradient descent with backtracking, and the outer
 majorize-minimize loop."""
 
@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crb_metrics import PtModel, SQRT_TWO_OVER_PI, _chain, _trace_form
-from .linalg import DiagLowRank, h_tilde_adjoint, h_tilde_apply, project_power_ball
+from .crb_metrics import PtModel, ReceiveBlock, SQRT_TWO_OVER_PI, _chain, _trace_form
+from .linalg import h_tilde_adjoint, h_tilde_apply, project_power_ball, vec
 
 
 @dataclass
@@ -29,19 +29,19 @@ class SurrogateAnchor:
 
     p_big is unvec(Q_t^{-1} p_t) = C^{-1} dC C^{-1} evaluated at the anchor
     (quantized or infinite-resolution covariance chain as configured), held
-    as a Hermitian :class:`DiagLowRank`.
+    as a Hermitian :class:`ReceiveBlock`.
     """
 
     model: PtModel
     x_t: np.ndarray
-    p_big: DiagLowRank
+    p_big: ReceiveBlock
     quantized: bool
 
 
 def build_anchor(model, x_t, quantized=True):
     base, dbase = _chain(model.workspace(x_t), quantized)
-    base_inv = base.inv()
-    p_big = (base_inv @ dbase @ base_inv).hermitian()
+    # C^{-1} (C^{-1} dC)^H = C^{-1} dC C^{-1}, as dC is Hermitian
+    p_big = base.solve(base.solve(dbase).adjoint()).hermitian()
     return SurrogateAnchor(model=model, x_t=np.asarray(x_t, dtype=complex),
                            p_big=p_big, quantized=quantized)
 
@@ -81,20 +81,19 @@ def surrogate_value(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None):
     model = anchor.model
     base, dbase = _chain(model.workspace(x), anchor.quantized)
     p = anchor.p_big
-    lin = -2.0 * float(p.trace_prod(dbase).real)
+    lin = -2.0 * float((p @ dbase).trace().real)
     pc = p @ base
-    quad = float(pc.trace_prod(pc).real)
+    quad = float((pc @ pc).trace().real)
     return lin + quad + penalty_value(model, x, rho, u_i, lambda_i, channel)
 
 
-def _diag_of_triple(a, dvec, b):
-    """diag(A diag(dvec) B) as a vector, for DiagLowRank A and B."""
-    return (a.scaled(right=dvec) @ b).diag()
-
-
-def _row(coef, w, op):
-    """Row coef * w^H Op returned entrywise."""
-    return coef * np.conj(op.adjoint(w))
+def _row(model, alpha, gamma=None):
+    """Row conj(b) of an adjoint image b = vec(conj(a_t) alpha^T +
+    conj(da_t) gamma^T), the form every A^H y and dA^H y takes."""
+    row = np.outer(model.a_t, np.conj(alpha))
+    if gamma is not None:
+        row += np.outer(model.da_t, np.conj(gamma))
+    return vec(row)
 
 
 def gradient_rows(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None):
@@ -105,42 +104,54 @@ def gradient_rows(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None):
     to keys m1 and m3. P, C and dC are Hermitian and F, dF real diagonal,
     so diag(P dF C) and diag(dC F P) are the conjugates of diag(C dF P) and
     diag(P F dC); only real parts of those diagonals enter.
+
+    In receive-subspace coordinates y ((L, k) arrays), A^H y keeps only
+    y[:, 0] along conj(a_t), and dA^H y has y conj(beta) along conj(a_t) and
+    y[:, 0] along conj(da_t). A^H (v o g) for a diagonal v needs only its
+    receive partial trace ptr(v): it is s o ptr(v) / n_r along conj(a_t).
+    The two m15 paths dA^H (v o g) + A^H (v o g') sum to s_d o ptr(v) / n_r
+    and s o ptr(v) / n_r, their cos(theta)-weighted parts cancelling.
     """
     model = anchor.model
     ws = model.workspace(x)
     p = anchor.p_big
     sa = model.sigma_alpha_sq
-    g, gp = ws.g, ws.g_prime
-    op_a = model.response
-    op_ad = model.response_derivative
+    g, gp, s = ws.g, ws.g_prime, ws.s
+    beta_h = model.beta.conj()
     rows = {}
     if anchor.quantized:
         c, dc = ws.c_rr, ws.d_crr_dtheta
         f, df = ws.f, ws.d_f_dtheta
-        j1 = 1.0 / ws.diag_crr
-        j2 = 1.0 / np.sqrt(ws.diag_crr)
-        diag_dc = dc.diag().real
-        pfg = p @ (f * g)
-        rows["m11"] = _row(-sa, f * (p @ (df * g)) + df * pfg, op_a)
-        rows["m12"] = _row(-sa, f * pfg, op_ad) + _row(-sa, f * (p @ (f * gp)), op_a)
-        diag_k1 = 2.0 * (_diag_of_triple(c, df, p) + _diag_of_triple(p, f, dc)).real
+        fc, dfc = f[:, None], df[:, None]
+        # j1 j2 / n_r with j1 = 1 / diag(C), j2 = diag(C)^{-1/2}
+        j12 = ws.diag_crr**-1.5 / model.n_r
+        pfg = p.matvec(fc * g)
+        y11 = fc * p.matvec(dfc * g) + dfc * pfg
+        rows["m11"] = _row(model, -sa * y11[:, 0])
+        y_ad = fc * pfg
+        y_a = fc * p.matvec(fc * gp)
+        rows["m12"] = _row(model, -sa * (y_ad @ beta_h + y_a[:, 0]), -sa * y_ad[:, 0])
+        ptr_k1 = 2.0 * ((c.scaled(df) @ p).receive_trace()
+                        + (p.scaled(f) @ dc).receive_trace()).real
         coef = 0.5 * sa * SQRT_TWO_OVER_PI
-        rows["m13"] = _row(coef, j1 * j2 * diag_k1 * g, op_a)
-        diag_k2 = 2.0 * _diag_of_triple(c, f, p).real
-        v46 = j1 * j1 * j2 * diag_dc * diag_k2
-        rows["m14"] = _row(-coef, v46 * g, op_a)
-        v15 = j1 * j2 * diag_k2
-        rows["m15"] = _row(coef, v15 * g, op_ad) + _row(coef, v15 * gp, op_a)
-        rows["m16"] = _row(-0.5 * coef, v46 * g, op_a)
+        rows["m13"] = _row(model, coef * j12 * ptr_k1 * s)
+        ptr_k2 = 2.0 * (c.scaled(f) @ p).receive_trace().real
+        v15 = j12 * ptr_k2
+        v46 = v15 * ws.diag_dcrr / ws.diag_crr
+        rows["m14"] = _row(model, -coef * v46 * s)
+        rows["m15"] = _row(model, coef * v15 * ws.s_d, coef * v15 * s)
+        rows["m16"] = _row(model, -0.5 * coef * v46 * s)
         w_mat = p @ ws.c_zz_hat @ p
-        diag_cfw = 2.0 * _diag_of_triple(c, f, w_mat).real
-        rows["m3"] = _row(2.0 * sa, f * (w_mat @ (f * g)), op_a) + _row(
-            -2.0 * coef, j1 * j2 * diag_cfw * g, op_a
-        )
+        ptr_cfw = 2.0 * (c.scaled(f) @ w_mat).receive_trace().real
+        y3 = fc * w_mat.matvec(fc * g)
+        rows["m3"] = _row(model, 2.0 * sa * y3[:, 0] - 2.0 * coef * j12 * ptr_cfw * s)
         linear_keys = ("m11", "m12", "m13", "m14", "m15", "m16")
     else:
-        rows["m1"] = _row(-sa, p @ g, op_ad) + _row(-sa, p @ gp, op_a)
-        rows["m3"] = _row(2.0 * sa, p @ (ws.c_rr @ (p @ g)), op_a)
+        y_ad = p.matvec(g)
+        y_a = p.matvec(gp)
+        rows["m1"] = _row(model, -sa * (y_ad @ beta_h + y_a[:, 0]), -sa * y_ad[:, 0])
+        y3 = p.matvec(ws.c_rr.matvec(y_ad))
+        rows["m3"] = _row(model, 2.0 * sa * y3[:, 0])
         linear_keys = ("m1",)
     if rho != 0.0 and channel is not None and channel.size:
         w = _penalty_residual(model, x, u_i, lambda_i, channel)

@@ -1,7 +1,9 @@
 """Shared test oracles: Wirtinger finite differences, slot functions that
-isolate each derivative path of the point-target surrogate, the dense n x n
-point-target covariance chain (workspace, trace form, anchor, surrogate value
-and gradient rows) that the library holds as diagonal plus low rank, the
+isolate each derivative path of the point-target surrogate, the dense
+derivative of the point-target response, the lift of receive blocks to
+n x n matrices, the dense n x n point-target covariance chain (workspace,
+trace form, anchor, surrogate value and gradient rows) that the library
+holds in the receive subspace, the
 extended-target chain as the library computed it before the shared anchor
 and the dense Mbar (explicit Kronecker bound, matrix-free Mbar apply,
 uncached MM loop), the information form of the extended-target bound, the
@@ -14,7 +16,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from onebit_isac.crb_metrics import PtModel, crb_et
+from onebit_isac.array_geometry import pt_response_operator, steering, steering_derivative
+from onebit_isac.crb_metrics import PtModel, ReceiveBlock, crb_et
 from onebit_isac.linalg import (
     XtildeOperator,
     complex_normal,
@@ -23,6 +26,7 @@ from onebit_isac.linalg import (
     hermitian_solve,
     project_power_ball,
     unvec,
+    vec,
 )
 from onebit_isac.opt_et import build_lt, lam_max_channel
 from onebit_isac.opt_pt import penalty_value
@@ -33,9 +37,32 @@ TWO_OVER_PI = 2.0 / np.pi
 SQRT_TWO_OVER_PI = np.sqrt(TWO_OVER_PI)
 
 
-def as_dense(m):
-    """Dense array of a DiagLowRank (or of an array already dense)."""
-    return m.dense() if hasattr(m, "dense") else np.asarray(m)
+def pt_response_derivative_operator(theta, block_len, n_t, n_r):
+    """Dense angle derivative of the point-target response,
+    I_L kron (da_r a_t^T + a_r da_t^T)."""
+    kernel = (np.outer(steering_derivative(n_r, theta), steering(n_t, theta))
+              + np.outer(steering(n_r, theta), steering_derivative(n_t, theta)))
+    return np.kron(np.eye(block_len), kernel)
+
+
+def lift(model: PtModel, block):
+    """Dense n x n matrix of a receive block,
+    (I_L kron Q) w (I_L kron Q)^H + diag(c) kron (I - Q Q^H); a dense array
+    passes through."""
+    if not isinstance(block, ReceiveBlock):
+        return np.asarray(block)
+    basis = np.kron(np.eye(model.block_len), model.q)
+    perp = np.eye(model.n_r) - model.q @ model.q.conj().T
+    return basis @ block.w @ basis.conj().T + np.kron(np.diag(block.c), perp)
+
+
+def lift_vector(model: PtModel, v):
+    """Length-n vector of an (L, k) array of receive-subspace coordinates,
+    or of a per-sample diagonal (an L-vector)."""
+    v = np.asarray(v)
+    if v.ndim == 2:
+        return vec(model.q @ v.T)
+    return np.repeat(v, model.n_r)
 
 
 def linearized_czz(c_rr):
@@ -48,12 +75,22 @@ def linearized_czz(c_rr):
     return czz
 
 
+def _response(model: PtModel):
+    return pt_response_operator(model.theta, model.block_len, model.n_t,
+                                model.n_r).dense(max_entries=1 << 22)
+
+
+def _response_derivative(model: PtModel):
+    return pt_response_derivative_operator(model.theta, model.block_len, model.n_t,
+                                           model.n_r)
+
+
 def dense_pt_workspace(model: PtModel, x):
     """The point-target covariance chain with every matrix dense n x n."""
     x = np.asarray(x, dtype=complex)
-    n = model.dim
-    g = model.response.apply(x)
-    gp = model.response_derivative.apply(x)
+    n = model.n_r * model.block_len
+    g = _response(model) @ x
+    gp = _response_derivative(model) @ x
     sa = model.sigma_alpha_sq
     c_rr = sa * np.outer(g, g.conj()) + model.sigma_v_sq * np.eye(n)
     d_crr = sa * (np.outer(gp, g.conj()) + np.outer(g, gp.conj()))
@@ -93,7 +130,7 @@ def dense_anchor_p(model: PtModel, x_t, quantized=True):
 def dense_surrogate_value(model: PtModel, p_big, x, quantized=True, rho=0.0,
                           u_i=None, lambda_i=None, channel=None):
     """-2 Re tr(P dC(x)) + tr(P C(x) P C(x)) + penalty, all dense."""
-    p = as_dense(p_big)
+    p = lift(model, p_big)
     base, dbase = _dense_chain(dense_pt_workspace(model, x), quantized)
     lin = -2.0 * float(np.einsum("ij,ji->", p, dbase).real)
     pc = p @ base
@@ -107,7 +144,7 @@ def _diag_of_triple(a, dvec, b):
 
 def _row(coef, v, mat_vec, op):
     w = mat_vec * v if mat_vec.ndim == 1 else mat_vec @ v
-    return coef * np.conj(op.adjoint(w))
+    return coef * np.conj(op.conj().T @ w)
 
 
 def dense_chain_gradient_rows(model: PtModel, p_big, x, quantized=True, rho=0.0,
@@ -115,10 +152,10 @@ def dense_chain_gradient_rows(model: PtModel, p_big, x, quantized=True, rho=0.0,
     """Every surrogate gradient row (m11..m16/m1, m3, m4, total) from dense
     n x n matrices, term by term as the library's gradient_rows keys them."""
     ws = dense_pt_workspace(model, x)
-    p = as_dense(p_big)
+    p = lift(model, p_big)
     sa = model.sigma_alpha_sq
     g, gp = ws.g, ws.g_prime
-    op_a, op_ad = model.response, model.response_derivative
+    op_a, op_ad = _response(model), _response_derivative(model)
     rows = {}
     if quantized:
         c, dc = ws.c_rr, ws.d_crr_dtheta
@@ -196,7 +233,7 @@ class PtSlotOracle:
 
     def __init__(self, model: PtModel, anchor_p, x0):
         self.model = model
-        self.p = as_dense(anchor_p)
+        self.p = lift(model, anchor_p)
         ws0 = dense_pt_workspace(model, x0)
         self.c0 = ws0.c_rr
         self.dc0 = ws0.d_crr_dtheta
@@ -250,12 +287,12 @@ class PtSlotOracle:
 def dense_gradient_rows(model: PtModel, anchor_p, x):
     """Verbatim dense evaluation of every surrogate gradient term using
     explicit Kronecker products and the commutation matrix (small sizes)."""
-    n = model.dim
+    n = model.n_r * model.block_len
     sa = model.sigma_alpha_sq
     ws = dense_pt_workspace(model, x)
-    anchor_p = as_dense(anchor_p)
-    a_dense = model.response.dense()
-    ad_dense = model.response_derivative.dense()
+    anchor_p = lift(model, anchor_p)
+    a_dense = _response(model)
+    ad_dense = _response_derivative(model)
     g = ws.g
     c, dc = ws.c_rr, ws.d_crr_dtheta
     f_m = np.diag(ws.f)

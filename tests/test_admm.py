@@ -141,3 +141,27 @@ def test_residual_tracks_constraint_gap():
     hx = h_tilde_apply(sc.channel, res.x, sc.block_len)
     gap = float(np.vdot(hx - res.u, hx - res.u).real)
     assert gap == pytest.approx(res.trace.residuals[-1], rel=1e-9, abs=1e-15)
+
+
+def test_x_init_sets_the_initial_auxiliary_block():
+    # with no outer iteration the result carries the initial u: the clamp of
+    # H~ x_init, not of the seed's random waveform
+    from onebit_isac.sep_projection import _clamp_u
+
+    sc = small_pt()
+    x0, u0, _, _ = initialize(sc, seed=0)
+    x_init, _, _, _ = initialize(sc, seed=5)
+    config = AdmmConfig.pt_defaults()
+    config.max_outer = 0
+    res = admm_run(sc, "PT", config=config, x_init=x_init, seed=0)
+    spec = sc.sep_spec()
+    chi = h_tilde_apply(sc.channel, x_init, sc.block_len).reshape(
+        (sc.n_users, sc.block_len), order="F")
+    want = (_clamp_u(chi.real, spec.s_real, spec.a_r, spec.b_r, spec.gamma)
+            + 1j * _clamp_u(chi.imag, spec.s_imag, spec.a_i, spec.b_i, spec.gamma))
+    assert not np.allclose(x_init, x0)
+    assert not np.allclose(res.u, u0)
+    assert np.array_equal(res.u, want.reshape(-1, order="F"))
+    # x_init equal to the seed's waveform keeps the seed's u
+    res0 = admm_run(sc, "PT", config=config, x_init=x0, seed=0)
+    assert np.array_equal(res0.u, u0)

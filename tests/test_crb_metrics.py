@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers_oracles import crb_et_forms_equal, crb_et_information_form, et_crb_inputs
+from helpers_oracles import crb_et_forms_equal, crb_et_information_form, et_crb_inputs, lift
 
 from onebit_isac.array_geometry import (
     et_prior_covariance,
@@ -39,12 +39,11 @@ def test_pt_workspace_derivatives_match_finite_differences():
     theta, sa, sv, h = 0.35, 1.2, 0.08, 1e-6
     model = PtModel(theta, sa, sv, 3, 3, 2)
     ws = model.workspace(x)
-    wp = PtModel(theta + h, sa, sv, 3, 3, 2).workspace(x)
-    wm = PtModel(theta - h, sa, sv, 3, 3, 2).workspace(x)
-    for name, got, hi, lo in [
-        ("c_rr", ws.d_crr_dtheta.dense(), wp.c_rr.dense(), wm.c_rr.dense()),
-        ("c_zz_hat", ws.d_czz_dtheta.dense(), wp.c_zz_hat.dense(), wm.c_zz_hat.dense()),
-    ]:
+    mp, mm = PtModel(theta + h, sa, sv, 3, 3, 2), PtModel(theta - h, sa, sv, 3, 3, 2)
+    wp, wm = mp.workspace(x), mm.workspace(x)
+    for name, d_name in (("c_rr", "d_crr_dtheta"), ("c_zz_hat", "d_czz_dtheta")):
+        got = lift(model, getattr(ws, d_name))
+        hi, lo = lift(mp, getattr(wp, name)), lift(mm, getattr(wm, name))
         fd = (hi - lo) / (2 * h)
         rel = np.linalg.norm(got - fd) / np.linalg.norm(fd)
         assert rel < 1e-6, name
@@ -55,13 +54,14 @@ def test_pt_workspace_derivatives_match_finite_differences():
 def test_pt_workspace_hermitian_structure():
     rng = np.random.default_rng(2)
     x = complex_normal(rng, 8)
-    ws = PtModel(0.5, 1.0, 0.2, 4, 4, 2).workspace(x)
+    model = PtModel(0.5, 1.0, 0.2, 4, 4, 2)
+    ws = model.workspace(x)
     for mat in (ws.c_rr, ws.d_crr_dtheta, ws.c_zz_hat, ws.d_czz_dtheta):
-        mat = mat.dense()
+        mat = lift(model, mat)
         assert np.linalg.norm(mat - mat.conj().T) < 1e-12
     assert np.all(np.isreal(ws.d_f_dtheta))
-    assert np.allclose(np.diag(ws.c_zz_hat.dense()), 1.0)
-    assert np.allclose(np.diag(ws.d_czz_dtheta.dense()), 0.0)
+    assert np.allclose(np.diag(lift(model, ws.c_zz_hat)), 1.0)
+    assert np.allclose(np.diag(lift(model, ws.d_czz_dtheta)), 0.0)
 
 
 def test_crb_pt_scale_invariance():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from onebit_isac.linalg import (
-    DiagLowRank,
     XtildeOperator,
     chol_logdet,
     complex_normal,
@@ -134,55 +133,3 @@ def test_project_power_ball():
     assert np.vdot(p, p).real == pytest.approx(4.0)
     inside = np.array([0.1 + 0.1j])
     assert project_power_ball(inside, 4.0) is inside
-
-
-def random_dlr(rng, n, k, hermitian=False, d_floor=0.5):
-    d = d_floor + rng.uniform(0.0, 1.0, n)
-    u = complex_normal(rng, (n, k))
-    if hermitian:
-        return DiagLowRank(d, u * rng.uniform(0.1, 2.0, k), u)
-    return DiagLowRank(d + 0.3j * rng.standard_normal(n), u, complex_normal(rng, (n, k)))
-
-
-def test_diag_low_rank_matches_dense_algebra():
-    rng = np.random.default_rng(21)
-    for n, ka, kb in ((1, 1, 2), (5, 2, 3), (12, 3, 1), (40, 4, 0)):
-        a, b = random_dlr(rng, n, ka), random_dlr(rng, n, kb)
-        ad, bd = a.dense(), b.dense()
-        x = complex_normal(rng, n)
-        xm = complex_normal(rng, (n, 3))
-        left, right = rng.uniform(0.5, 2.0, n), complex_normal(rng, n)
-        close = lambda got, want: np.linalg.norm(got - want) <= 1e-12 * max(
-            np.linalg.norm(want), 1.0)
-        assert close(a.matvec(x), ad @ x)
-        assert close(a @ xm, ad @ xm)
-        assert close(a.diag(), np.diag(ad))
-        assert close(a.scaled(left, right).dense(), np.diag(left) @ ad @ np.diag(right))
-        assert close(a.scaled(right=right).dense(), ad @ np.diag(right))
-        assert close((a + b).dense(), ad + bd)
-        assert close((a @ b).dense(), ad @ bd)
-        assert close(a.inv().dense(), np.linalg.inv(ad))
-        assert close(a.solve(xm), np.linalg.solve(ad, xm))
-        assert close(a.solve(b).dense(), np.linalg.solve(ad, bd))
-        assert abs(a.trace_prod(b) - np.trace(ad @ bd)) <= 1e-12 * np.linalg.norm(ad @ bd)
-        assert close(a.hermitian().dense(), (ad + ad.conj().T) / 2.0)
-        pinned = a.with_diagonal(0.0)
-        assert np.array_equal(pinned.diag(), np.zeros(n))
-        assert close(pinned.dense() - np.diag(np.diag(pinned.dense())),
-                     ad - np.diag(np.diag(ad)))
-
-
-def test_diag_low_rank_hermitian_part_has_minimal_rank():
-    rng = np.random.default_rng(22)
-    h = random_dlr(rng, 30, 2, hermitian=True)
-    # h @ h carries 4 + 4 factor columns; its Hermitian part only needs the
-    # four directions W and D W
-    hh = h.dense() @ h.dense()
-    sq = (h @ h).hermitian()
-    assert sq.rank == 4
-    assert np.linalg.norm(sq.dense() - hh) < 1e-12 * np.linalg.norm(hh)
-    herm = sq.dense()
-    assert np.linalg.norm(herm - herm.conj().T) < 1e-14 * np.linalg.norm(herm)
-    zero = DiagLowRank(np.ones(4), np.zeros((4, 2)), np.zeros((4, 2))).hermitian()
-    assert zero.rank == 0
-    assert np.array_equal(zero.dense(), np.eye(4))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers_oracles import dense_pt_workspace, linearized_czz
+from helpers_oracles import dense_pt_workspace, lift, lift_vector, linearized_czz
 
 from onebit_isac.array_geometry import pt_response_operator
 from onebit_isac.crb_metrics import PtModel, et_anchor
@@ -116,24 +116,28 @@ def test_czz_approx_cubic_error_decay():
 
 
 def pt_c_rr(x, theta, sa, sv, block_len, n_r):
-    """Point-target echo covariance sigma_alpha^2 (A x)(A x)^H + sigma_v^2 I."""
-    return PtModel(theta, sa, sv, x.size // block_len, n_r, block_len).workspace(x).c_rr
+    """Point-target echo covariance sigma_alpha^2 (A x)(A x)^H + sigma_v^2 I,
+    lifted from the workspace's receive block."""
+    model = PtModel(theta, sa, sv, x.size // block_len, n_r, block_len)
+    return lift(model, model.workspace(x).c_rr)
 
 
 def test_crr_pt_zero_waveform():
     cov = pt_c_rr(np.zeros(6, dtype=complex), 0.3, 1.0, 0.2, block_len=2, n_r=3)
-    assert np.allclose(cov.dense(), 0.2 * np.eye(6))
+    assert np.allclose(cov, 0.2 * np.eye(6))
 
 
 def test_crr_pt_trace_identity():
     rng = np.random.default_rng(5)
     x = complex_normal(rng, 6)
     theta, sa, sv = 0.4, 1.5, 0.3
-    cov = pt_c_rr(x, theta, sa, sv, block_len=2, n_r=3)
+    model = PtModel(theta, sa, sv, 3, 3, 2)
+    ws = model.workspace(x)
     g = pt_response_operator(theta, 2, 3, 3).apply(x)
     expected = sa * np.linalg.norm(g) ** 2 + sv * 6
-    assert np.trace(cov.dense()).real == pytest.approx(expected, rel=1e-12)
-    assert np.allclose(cov.diag().real, np.diag(cov.dense()).real, atol=1e-14)
+    assert ws.c_rr.trace().real == pytest.approx(expected, rel=1e-12)
+    assert np.allclose(lift_vector(model, ws.diag_crr), np.diag(lift(model, ws.c_rr)).real,
+                       atol=1e-14)
 
 
 def test_crr_pt_dense_oracle():
@@ -144,7 +148,7 @@ def test_crr_pt_dense_oracle():
     a_dense = pt_response_operator(theta, 2, 3, 3).dense()
     g = a_dense @ x
     oracle = sa * np.outer(g, g.conj()) + sv * np.eye(6)
-    assert np.linalg.norm(cov.dense() - oracle) < 1e-12
+    assert np.linalg.norm(cov - oracle) < 1e-12
 
 
 def test_crr_pt_rejects_bad_noise():
@@ -206,7 +210,8 @@ def test_bussgang_pair_consistency():
     model = PtModel(0.3, 1.2, 0.4, 2, 2, 2)
     x = complex_normal(rng, 4)
     ws = model.workspace(x)
-    c = ws.c_rr.dense()
-    assert np.allclose(ws.c_zz_hat.dense(), linearized_czz(c))
-    assert np.allclose(ws.f, bussgang_gain(c))
-    assert np.allclose(ws.c_zz_hat.dense(), dense_pt_workspace(model, x).c_zz_hat)
+    c = lift(model, ws.c_rr)
+    c_zz_hat = lift(model, ws.c_zz_hat)
+    assert np.allclose(c_zz_hat, linearized_czz(c))
+    assert np.allclose(lift_vector(model, ws.f), bussgang_gain(c))
+    assert np.allclose(c_zz_hat, dense_pt_workspace(model, x).c_zz_hat)
