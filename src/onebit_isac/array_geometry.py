@@ -12,20 +12,21 @@ HALF_PI = np.pi / 2.0
 
 
 def _check_angle(theta):
-    if not (-HALF_PI - 1e-12 <= theta <= HALF_PI + 1e-12):
+    if not np.all((-HALF_PI - 1e-12 <= theta) & (theta <= HALF_PI + 1e-12)):
         raise ValueError(f"angle {theta} outside [-pi/2, pi/2]")
 
 
 def steering(n, theta):
     """Unit-norm steering vector of an n-element half-wavelength ULA.
 
-    Entry m is exp(-j pi m sin(theta)) / sqrt(n).
+    Entry m is exp(-j pi m sin(theta)) / sqrt(n). An array of angles gives
+    one vector per angle along a new last axis.
     """
     if n < 1:
         raise ValueError("array needs at least one element")
     _check_angle(theta)
     m = np.arange(n)
-    return np.exp(-1j * np.pi * m * np.sin(theta)) / np.sqrt(n)
+    return np.exp(-1j * np.pi * m * np.sin(theta)[..., None]) / np.sqrt(n)
 
 
 def steering_derivative(n, theta):

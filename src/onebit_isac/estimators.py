@@ -3,24 +3,22 @@ point targets, the Bussgang-linearized LMMSE response estimator for extended
 targets, and the seeded Monte-Carlo MSE harness."""
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
-from .array_geometry import pt_response_operator
+from .array_geometry import pt_response_operator, steering
 from .crb_metrics import et_anchor, et_l_and_m
-from .linalg import (
-    XtildeOperator,
-    chol_logdet,
-    complex_normal,
-    hermitian_factor,
-    hermitian_solve,
-    vec,
-)
-from .quantization import covariance_czz_exact, bussgang_gain, quantize_one_bit
+from .linalg import XtildeOperator, complex_normal, hermitian_factor, hermitian_solve, unvec, vec
+from .quantization import TWO_OVER_PI, covariance_czz_exact, bussgang_gain, quantize_one_bit
 
 HALF_PI = np.pi / 2.0
+# refinement grid of each level: the estimate plus -10..10 fine steps
+REFINE_OFFSETS = np.arange(-10, 11)
+# complex entries per stack of covariances (and per stack of their factors)
+_STACK_ENTRIES = 1 << 18
 
 
 @dataclass
@@ -32,74 +30,208 @@ class MleConfig:
     refine_shrink: float = 0.1
 
     def __post_init__(self):
-        if self.coarse_grid_step <= 0.0:
-            raise ValueError("coarse grid step must be positive")
+        if not 0.0 < self.coarse_grid_step <= np.pi:
+            raise ValueError("coarse grid step must lie in (0, pi]")
+        if (isinstance(self.refine_levels, bool)
+                or not isinstance(self.refine_levels, numbers.Integral)
+                or self.refine_levels < 0):
+            raise ValueError("refine levels must be a non-negative integer")
         if not 0.0 < self.refine_shrink < 1.0:
             raise ValueError("refine shrink must lie in (0, 1)")
 
 
+def pt_covariance_czz(x_matrix, thetas, sigma_alpha_sq, sigma_v_sq, n_r):
+    """Exact arcsine C_zz of the point-target echo at each angle in thetas,
+    shape (len(thetas), n_r L, n_r L).
+
+    The echo covariance is sigma_alpha_sq g g^H + sigma_v_sq I with
+    g = vec(a_r s^T) and s = X^T a_t(theta). Its normalized correlation is
+    (beta beta^H) kron T, with beta_l = sqrt(sigma_alpha_sq / n_r) s_l /
+    sqrt(sigma_alpha_sq |s_l|^2 / n_r + sigma_v_sq) and the Toeplitz
+    T_rr' = exp(-j pi (r - r') sin(theta)), so each angle takes L^2 (2 n_r - 1)
+    arcsines instead of (n_r L)^2. Equals covariance_czz_exact of that echo
+    covariance up to rounding.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    block_len = x_matrix.shape[1]
+    s = steering(x_matrix.shape[0], thetas) @ x_matrix
+    d = sigma_alpha_sq * (s.real**2 + s.imag**2) / n_r + sigma_v_sq
+    if np.any(d <= 0.0):
+        raise ValueError("covariance diagonal must be strictly positive")
+    beta = s * np.sqrt(sigma_alpha_sq / n_r / d)
+    t = steering(n_r, thetas) * math.sqrt(n_r)  # T_{r0} for r = 0..n_r-1
+    lag = np.concatenate((t[:, :0:-1].conj(), t), axis=1)  # lags 1-n_r..n_r-1
+    rho = (beta[:, :, None] * beta.conj()[:, None, :])[..., None] * lag[:, None, None, :]
+    diag = (slice(None), np.arange(block_len), np.arange(block_len), n_r - 1)
+    mod = np.abs(rho)
+    mod[diag] = 0.0
+    if mod.max(initial=0.0) > 1.0 + 1e-9:
+        raise ValueError(f"normalized correlation modulus {mod.max():.6g} exceeds 1")
+    vals = TWO_OVER_PI * (np.arcsin(np.clip(rho.real, -1.0, 1.0))
+                          + 1j * np.arcsin(np.clip(rho.imag, -1.0, 1.0)))
+    vals[diag] = 1.0
+    # vec index r + n_r l: entry (i, i') reads (l, l', r - r')
+    l_idx = np.repeat(np.arange(block_len), n_r)
+    r_idx = np.tile(np.arange(n_r), block_len)
+    return vals[:, l_idx[:, None], l_idx[None, :], r_idx[:, None] - r_idx[None, :] + n_r - 1]
+
+
+def _factor_stack(czz):
+    """Lower Cholesky factors and log-determinants of a stack of covariances,
+    and {index: LinAlgError} for those that cannot be factored (their factor
+    is None). A covariance that the plain factorization rejects is retried
+    with hermitian_factor's jitter, so one bad angle fails alone.
+
+    Each factor is one LAPACK call from scipy, the library that also makes
+    the triangular solves: numpy's stacked Cholesky runs on numpy's own BLAS,
+    whose threads then contend with scipy's for the cores.
+    """
+    factors, logdets, errors = [], np.zeros(len(czz)), {}
+    for k, c in enumerate(czz):
+        factor, info = lapack.zpotrf(c, lower=1, clean=0)
+        if info:
+            try:
+                factor = hermitian_factor(c)[0]
+            except np.linalg.LinAlgError as err:
+                errors[k] = err
+                factor = None
+        factors.append(factor)
+        if factor is not None:
+            logdets[k] = 2.0 * np.log(factor.diagonal().real).sum()
+    return factors, logdets, errors
+
+
+def _quadratic_forms(factor, z):
+    """z_t^H C^{-1} z_t for every column z_t of z, from the lower Cholesky
+    factor of C."""
+    n_cols = z.shape[1]
+    # a one-column solve takes another BLAS path that rounds differently;
+    # solving at least two columns keeps each trial's value independent of
+    # which other trials share the solve
+    w, _ = lapack.ztrtrs(factor, z if n_cols > 1 else np.repeat(z, 2, axis=1), lower=1)
+    return (w.real**2 + w.imag**2).sum(axis=0)[:n_cols]
+
+
 class MleGrid:
-    """Precomputed coarse-grid likelihood factors for one (waveform, noise)
-    configuration, reusable across Monte-Carlo trials."""
+    """One-bit DOA maximum likelihood for one (waveform, noise)
+    configuration: minimizes z^H C_zz^{-1} z + log det C_zz over angles,
+    with C_zz the exact arcsine covariance of the echo (pt_covariance_czz).
+
+    The coarse grid's factors are built once here and reused by every
+    estimate call. Every trial of a block goes through the coarse pass and
+    each refinement level together: a level factors the distinct angles its
+    trials visit, in memory-bounded stacks, and makes one triangular solve
+    per angle against the trials that visit it.
+    """
 
     def __init__(self, x, sigma_alpha_sq, sigma_v_sq, block_len, n_r, cfg=None):
-        self.x = np.asarray(x, dtype=complex)
+        self.x = vec(np.asarray(x, dtype=complex))
         self.sigma_alpha_sq = float(sigma_alpha_sq)
         self.sigma_v_sq = float(sigma_v_sq)
         self.block_len = int(block_len)
-        self.n_t = self.x.size // self.block_len
         self.n_r = int(n_r)
+        if self.block_len < 1 or self.n_r < 1:
+            raise ValueError("block length and n_r must be positive")
+        if self.x.size == 0 or self.x.size % self.block_len:
+            raise ValueError(
+                f"waveform length {self.x.size} is not a positive multiple of "
+                f"block length {self.block_len}"
+            )
+        self.n_t = self.x.size // self.block_len
         self.cfg = cfg or MleConfig()
         n_pts = int(round(np.pi / self.cfg.coarse_grid_step)) + 1
         self.thetas = np.linspace(-HALF_PI, HALF_PI, n_pts)
-        self._factors = [self._factorize(t) for t in self.thetas]
+        self._factors, logdets = [], []
+        for _, factors, chunk_logdets, errors in self._factor_chunks(self.thetas):
+            if errors:  # a coarse angle that cannot be factored fails the setup
+                raise errors[min(errors)]
+            self._factors += factors
+            logdets.append(chunk_logdets)
+        self._logdets = np.concatenate(logdets)
 
-    def _covariance(self, theta):
-        op = pt_response_operator(theta, self.block_len, self.n_t, self.n_r)
-        g = op.apply(self.x)
-        c_rr = self.sigma_alpha_sq * np.outer(g, g.conj())
-        c_rr += self.sigma_v_sq * np.eye(g.size)
-        return covariance_czz_exact(c_rr)
+    def _factor_chunks(self, thetas):
+        """(start, factors, logdets, errors) of thetas in stacks of at most
+        _STACK_ENTRIES covariance entries."""
+        n = self.n_r * self.block_len
+        size = max(1, _STACK_ENTRIES // (n * n))
+        x_matrix = unvec(self.x, self.n_t, self.block_len)
+        for lo in range(0, len(thetas), size):
+            czz = pt_covariance_czz(x_matrix, thetas[lo:lo + size], self.sigma_alpha_sq,
+                                    self.sigma_v_sq, self.n_r)
+            yield (lo, *_factor_stack(czz))
 
-    def _factorize(self, theta):
-        factor = hermitian_factor(self._covariance(theta))
-        return factor, chol_logdet(factor)
-
-    @staticmethod
-    def _objective_from_factor(factor, logdet, z):
-        y = sla.cho_solve(factor, z)
-        return float(np.vdot(z, y).real) + logdet
-
-    def objective(self, z, theta):
-        factor, logdet = self._factorize(theta)
-        return self._objective_from_factor(factor, logdet, z)
-
-    def coarse_objectives(self, z):
-        return np.array(
-            [self._objective_from_factor(f, ld, z) for f, ld in self._factors]
-        )
+    def _observations(self, z):
+        z = np.asarray(z)
+        n = self.n_r * self.block_len
+        if z.ndim not in (1, 2) or z.shape[0] != n:
+            raise ValueError(f"z has shape {z.shape}; expected ({n},) or ({n}, T) "
+                             f"with n_r * block_len = {n} rows")
+        if not np.all(np.isfinite(z)):
+            raise ValueError("z has non-finite entries")
+        return z.astype(complex).reshape(n, -1)
 
     def estimate(self, z):
-        vals = self.coarse_objectives(z)
-        best = int(np.argmin(vals))  # argmin takes the first, smaller angle
-        theta_hat = float(self.thetas[best])
+        """DOA estimate of one observation z of shape (n_r L,), or of every
+        column of a block of shape (n_r L, T).
+
+        One z gives a float and raises the LinAlgError of a refinement angle
+        that cannot be factored. A block gives (theta_hat, failed): the T
+        estimates, NaN for a failed trial, and {trial: LinAlgError} naming
+        the first angle each failed trial could not factor.
+        """
+        block = self._observations(z)
+        n_trials = block.shape[1]
+        coarse = np.empty((n_trials, self.thetas.size))
+        for k, (factor, logdet) in enumerate(zip(self._factors, self._logdets)):
+            coarse[:, k] = _quadratic_forms(factor, block) + logdet
+        theta_hat = self.thetas[np.argmin(coarse, axis=1)]  # first, smaller angle on ties
+        failed = {}
         step = self.cfg.coarse_grid_step
         for _ in range(self.cfg.refine_levels):
             fine = step * self.cfg.refine_shrink
-            offsets = np.arange(-10, 11) * fine
-            grid = np.clip(theta_hat + offsets, -HALF_PI, HALF_PI)
-            fvals = np.array([self.objective(z, t) for t in grid])
-            theta_hat = float(grid[int(np.argmin(fvals))])
+            live = np.flatnonzero(~np.isnan(theta_hat))
+            grid = np.clip(theta_hat[live, None] + REFINE_OFFSETS * fine, -HALF_PI, HALF_PI)
+            fvals = self._level_objectives(block[:, live], grid, live, failed)
+            theta_hat[list(failed)] = np.nan
+            ok = ~np.isnan(theta_hat[live])
+            theta_hat[live[ok]] = grid[ok, np.argmin(fvals[ok], axis=1)]
             step = fine
-        return theta_hat
+        if np.ndim(z) == 2:
+            return theta_hat, failed
+        if failed:
+            raise failed[0]
+        return float(theta_hat[0])
+
+    def _level_objectives(self, block, grid, live, failed):
+        """Objectives of each row's grid angles against the matching column of
+        block. A trial that visits an angle that cannot be factored is added
+        to failed (keyed by live[row]) and its row is left unfinished."""
+        angles, inverse = np.unique(grid, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        order = np.argsort(inverse, kind="stable")
+        starts = np.searchsorted(inverse[order], np.arange(angles.size + 1))
+        row_of = np.repeat(np.arange(grid.shape[0]), grid.shape[1])
+        fvals = np.empty(grid.size)
+        for lo, factors, logdets, errors in self._factor_chunks(angles):
+            for k in range(len(factors)):
+                pos = order[starts[lo + k]:starts[lo + k + 1]]
+                rows = np.unique(row_of[pos])
+                if k in errors:
+                    for t in live[rows]:
+                        failed.setdefault(int(t), errors[k])
+                    continue
+                vals = _quadratic_forms(factors[k], block[:, rows]) + logdets[k]
+                fvals[pos] = vals[np.searchsorted(rows, row_of[pos])]
+        return fvals.reshape(grid.shape)
 
 
 def mle_pt(z, x, sigma_alpha_sq, sigma_v_sq, block_len, cfg=None, grid=None):
     """One-bit DOA estimate minimizing z^H C_zz^{-1} z + log det C_zz over
-    the angle grid; C_zz is the exact arcsine-law covariance."""
+    the angle grid; C_zz is the exact arcsine-law covariance. z is one
+    observation or a block of them, as in MleGrid.estimate."""
     z = np.asarray(z)
     if grid is None:
-        n_r = z.size // block_len
+        n_r = z.shape[0] // block_len
         grid = MleGrid(x, sigma_alpha_sq, sigma_v_sq, block_len, n_r, cfg)
     return grid.estimate(z)
 
@@ -155,17 +287,26 @@ class TrialsSummary:
         return 10.0 * math.log10(self.mse)
 
 
-def _pt_trial(scenario, g, grid, seed, normalize_alpha):
+def _pt_observation(scenario, g, seed, normalize_alpha):
+    """One-bit point-target echo of trial ``seed``: alpha, then noise."""
     rng = np.random.default_rng(seed)
     alpha = complex_normal(rng, ())
     if normalize_alpha:
         alpha = alpha / np.abs(alpha)
     alpha = alpha * math.sqrt(scenario.target.sigma_alpha_sq)
     noise = complex_normal(rng, g.size, scale=math.sqrt(scenario.sigma_v_sq))
-    z = quantize_one_bit(alpha * g + noise)
-    theta_hat = grid.estimate(z)
-    err = (theta_hat - scenario.target.theta) ** 2
-    return TrialResult(theta_hat, scenario.target.theta, float(err), seed)
+    return quantize_one_bit(alpha * g + noise)
+
+
+def _pt_trials(scenario, g, grid, seeds, normalize_alpha):
+    """Every trial's observation first, then one block estimate."""
+    z = np.column_stack([_pt_observation(scenario, g, seed, normalize_alpha)
+                         for seed in seeds])
+    theta_hat, failed = grid.estimate(z)
+    theta = scenario.target.theta
+    return [failed[t] if t in failed
+            else TrialResult(float(est), theta, float((est - theta) ** 2), seed)
+            for t, (est, seed) in enumerate(zip(theta_hat, seeds))]
 
 
 def _et_trial(scenario, x_matrix, estimator, op, seed, unquantized):
@@ -186,18 +327,20 @@ def run_trials(scenario, waveform, n_trials, base_seed, cfg=None, unquantized=Fa
     """Seeded Monte-Carlo MSE of the matching one-bit estimator.
 
     Trial t draws everything from seed base_seed + t, so results do not
-    depend on execution order and repeat bit-exactly. Trials that fail
-    numerically (NUMERICAL_ERRORS, a non-finite waveform or a non-finite
-    error) are counted per reason and skipped instead of aborting the batch;
-    any other exception, ValueError included, propagates. Point-target trials draw the reflection coefficient as a
-    normalized complex Gaussian (unit modulus, uniform phase); pass
-    normalize_alpha=False for a raw CN(0,1) draw.
+    depend on execution order or batch size and repeat bit-exactly.
+
+    Trials that fail numerically (NUMERICAL_ERRORS, a non-finite waveform or
+    a non-finite error) are counted per reason and skipped instead of
+    aborting the batch; any other exception, ValueError included, propagates.
+
+    Point-target trials draw the reflection coefficient as a normalized
+    complex Gaussian (unit modulus, uniform phase); pass
+    normalize_alpha=False for a raw CN(0,1) draw. They are estimated
+    together, as one block.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    records = []
-    errors = []
-    failures = {}
+    seeds = range(base_seed, base_seed + n_trials)
     try:
         runner, normalizer = _build_runner(scenario, waveform, cfg, unquantized,
                                            normalize_alpha)
@@ -208,21 +351,19 @@ def run_trials(scenario, waveform, n_trials, base_seed, cfg=None, unquantized=Fa
             normalizer = float(np.trace(scenario.target.c_aa).real)
         return TrialsSummary(math.nan, math.nan, n_trials, n_trials, normalizer, [],
                              {_reason(err): n_trials})
-    for t in range(n_trials):
-        seed = base_seed + t
-        try:
-            rec = runner(seed)
-        except NUMERICAL_ERRORS as err:
-            reason = _reason(err)
+    records = []
+    failures = {}
+    for rec in runner(seeds):
+        if not isinstance(rec, TrialResult):
+            reason = _reason(rec)
+        elif math.isfinite(rec.squared_error):
+            records.append(rec)
+            continue
         else:
-            if math.isfinite(rec.squared_error):
-                records.append(rec)
-                errors.append(rec.squared_error)
-                continue
             reason = "non-finite squared error"
         failures[reason] = failures.get(reason, 0) + 1
     n_failed = n_trials - len(records)
-    errors = np.asarray(errors)
+    errors = np.array([rec.squared_error for rec in records])
     if errors.size == 0:
         return TrialsSummary(math.nan, math.nan, n_trials, n_failed, normalizer, records,
                              failures)
@@ -235,7 +376,19 @@ def _reason(err):
     return f"{type(err).__name__}: {err}"
 
 
+def _et_trials(scenario, x_matrix, estimator, op, seeds, unquantized):
+    out = []
+    for seed in seeds:
+        try:
+            out.append(_et_trial(scenario, x_matrix, estimator, op, seed, unquantized))
+        except NUMERICAL_ERRORS as err:
+            out.append(err)
+    return out
+
+
 def _build_runner(scenario, waveform, cfg, unquantized, normalize_alpha):
+    """The shared estimator setup, and a runner that maps trial seeds to
+    their TrialResult or the numerical error that failed them."""
     if not np.all(np.isfinite(waveform)):
         raise FloatingPointError("waveform has non-finite entries")
     if scenario.kind == "pt":
@@ -248,7 +401,7 @@ def _build_runner(scenario, waveform, cfg, unquantized, normalize_alpha):
             scenario.target.theta, scenario.block_len, scenario.n_t, scenario.n_r
         ).apply(x)
         normalizer = 1.0
-        runner = lambda seed: _pt_trial(scenario, g, grid, seed, normalize_alpha)
+        runner = lambda seeds: _pt_trials(scenario, g, grid, seeds, normalize_alpha)
         return runner, normalizer
     else:
         x_matrix = np.asarray(waveform)
@@ -266,7 +419,7 @@ def _build_runner(scenario, waveform, cfg, unquantized, normalize_alpha):
                 x_matrix, scenario.target.c_aa, scenario.sigma_v_sq
             )
         normalizer = float(np.trace(scenario.target.c_aa).real)
-        runner = lambda seed: _et_trial(
-            scenario, x_matrix, estimator, op, seed, unquantized
+        runner = lambda seeds: _et_trials(
+            scenario, x_matrix, estimator, op, seeds, unquantized
         )
         return runner, normalizer

@@ -47,12 +47,6 @@ def hermitian_solve(a, b, jitter_scale=1e-12):
     return sla.cho_solve(hermitian_factor(a, jitter_scale), np.asarray(b))
 
 
-def chol_logdet(factor):
-    """log det from a ``cho_factor`` result."""
-    c, _ = factor
-    return 2.0 * np.sum(np.log(np.abs(np.diag(c))))
-
-
 def psd_sqrt(a, tol=1e-10):
     """Hermitian PSD square root via eigendecomposition.
 

@@ -8,13 +8,15 @@ extended-target chain as the library computed it before the shared anchor
 and the dense Mbar (explicit Kronecker bound, matrix-free Mbar apply,
 uncached MM loop), the information form of the extended-target bound, the
 explicit-Kronecker BLMMSE estimator, dense Kronecker/commutation builders
-for small instances, and the SEP projection solver that scores every
+for small instances, the per-trial, per-angle one-bit MLE on dense arcsine
+covariances, and the SEP projection solver that scores every
 interval."""
 
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.linalg as sla
 
 from onebit_isac.array_geometry import pt_response_operator, steering, steering_derivative
 from onebit_isac.crb_metrics import PtModel, ReceiveBlock, crb_et
@@ -23,6 +25,7 @@ from onebit_isac.linalg import (
     complex_normal,
     h_tilde_adjoint,
     h_tilde_apply,
+    hermitian_factor,
     hermitian_solve,
     project_power_ball,
     unvec,
@@ -541,6 +544,46 @@ def dense_blmmse_matrix(x_matrix, c_aa, sigma_v_sq):
     c_rr = xd @ c_aa @ xd.conj().T + sigma_v_sq * np.eye(xd.shape[0])
     f = bussgang_gain(c_rr)
     return c_aa @ xd.conj().T @ np.diag(f) @ np.linalg.inv(covariance_czz_exact(c_rr))
+
+
+def chol_logdet(factor):
+    """log det from a ``cho_factor`` result."""
+    c, _ = factor
+    return 2.0 * np.sum(np.log(np.abs(np.diag(c))))
+
+
+def dense_pt_czz(grid, theta):
+    """Exact arcsine C_zz of the point-target echo of an MleGrid at one angle,
+    from the dense echo covariance sigma_alpha_sq g g^H + sigma_v_sq I."""
+    g = pt_response_operator(theta, grid.block_len, grid.n_t, grid.n_r).apply(grid.x)
+    c_rr = grid.sigma_alpha_sq * np.outer(g, g.conj()) + grid.sigma_v_sq * np.eye(g.size)
+    return covariance_czz_exact(c_rr)
+
+
+def dense_mle_objective(grid, z, theta):
+    """z^H C_zz^{-1} z + log det C_zz of one observation at one angle, with its
+    own jittered Cholesky factor and cho_solve."""
+    factor = hermitian_factor(dense_pt_czz(grid, theta))
+    return float(np.vdot(z, sla.cho_solve(factor, z)).real) + chol_logdet(factor)
+
+
+def dense_mle_estimate(grid, z, visited=None):
+    """One observation's hierarchical search over grid.thetas and the
+    refinement levels of grid.cfg, one dense_mle_objective per angle. Each
+    level's refinement grid is appended to ``visited`` when it is a list."""
+    vals = [dense_mle_objective(grid, z, t) for t in grid.thetas]
+    theta_hat = float(grid.thetas[int(np.argmin(vals))])
+    step = grid.cfg.coarse_grid_step
+    for _ in range(grid.cfg.refine_levels):
+        fine = step * grid.cfg.refine_shrink
+        offsets = np.arange(-10, 11) * fine
+        angles = np.clip(theta_hat + offsets, -np.pi / 2, np.pi / 2)
+        if visited is not None:
+            visited.append(angles)
+        fvals = [dense_mle_objective(grid, z, t) for t in angles]
+        theta_hat = float(angles[int(np.argmin(fvals))])
+        step = fine
+    return theta_hat
 
 
 def enumerate_user_qp(inst):

@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from helpers_oracles import dense_blmmse_matrix
+from helpers_oracles import (
+    dense_blmmse_matrix,
+    dense_mle_estimate,
+    dense_mle_objective,
+    dense_pt_czz,
+)
 
 from onebit_isac import estimators
-from onebit_isac.array_geometry import et_prior_covariance, exponential_correlation
+from onebit_isac.array_geometry import (
+    et_prior_covariance,
+    exponential_correlation,
+    pt_response_operator,
+)
 from onebit_isac.crb_metrics import crb_et
 from onebit_isac.estimators import (
     MleConfig,
@@ -13,9 +22,10 @@ from onebit_isac.estimators import (
     blmmse_et,
     blmmse_matrix,
     mle_pt,
+    pt_covariance_czz,
     run_trials,
 )
-from onebit_isac.linalg import complex_normal
+from onebit_isac.linalg import complex_normal, unvec
 from onebit_isac.quantization import quantize_one_bit
 from onebit_isac.scenario import et_scenario, pt_scenario
 
@@ -30,10 +40,168 @@ def small_grid():
 
 
 def test_mle_config_validation():
-    with pytest.raises(ValueError):
-        MleConfig(coarse_grid_step=0.0)
+    for step in (0.0, -1.0, math.nan, math.inf, 3.2):
+        with pytest.raises(ValueError, match="coarse grid step"):
+            MleConfig(coarse_grid_step=step)
+    for levels in (-1, 1.5, True, "2"):
+        with pytest.raises(ValueError, match="refine levels"):
+            MleConfig(refine_levels=levels)
     with pytest.raises(ValueError):
         MleConfig(refine_shrink=1.0)
+    assert MleConfig(coarse_grid_step=math.pi, refine_levels=np.int64(0)).refine_levels == 0
+
+
+def test_mle_grid_rejects_bad_sizes(small_grid):
+    with pytest.raises(ValueError, match="not a positive multiple of block length 3"):
+        MleGrid(np.ones(8), 1.0, 0.05, block_len=3, n_r=4)
+    for z in (np.ones(5), np.ones((5, 3)), np.ones((8, 2, 2))):
+        with pytest.raises(ValueError, match="n_r \\* block_len = 8 rows"):
+            small_grid.estimate(z)
+    for bad in (np.nan, np.inf):
+        z = np.ones((8, 3), dtype=complex)
+        z[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            small_grid.estimate(z)
+
+
+STRUCTURED_CASES = [  # (n_t, n_r, block_len, snr_db)
+    (3, 1, 4, 10.0), (1, 4, 3, 10.0), (4, 3, 1, 10.0), (8, 8, 10, 30.0),
+    (8, 8, 10, 60.0), (2, 5, 4, 60.0),
+]
+
+
+@pytest.mark.parametrize("n_t,n_r,block_len,snr_db", STRUCTURED_CASES)
+def test_structured_czz_matches_dense(n_t, n_r, block_len, snr_db):
+    rng = np.random.default_rng(n_t + 10 * n_r + 100 * block_len)
+    x = complex_normal(rng, n_t * block_len)
+    x /= np.linalg.norm(x)
+    sv = 10.0 ** (-snr_db / 10.0)
+    thetas = np.concatenate(([0.0, np.pi / 2, -np.pi / 2], rng.uniform(-1.5, 1.5, 8)))
+    grid = MleGrid(x, 1.3, sv, block_len, n_r, MleConfig(coarse_grid_step=math.pi))
+    got = pt_covariance_czz(unvec(x, n_t, block_len), thetas, 1.3, sv, n_r)
+    for czz, theta in zip(got, thetas):
+        assert np.max(np.abs(czz - dense_pt_czz(grid, theta))) <= 1e-12
+
+
+def _pt_block(scenario, x, n_trials, base_seed):
+    g = pt_response_operator(scenario.target.theta, scenario.block_len, scenario.n_t,
+                             scenario.n_r).apply(x)
+    return np.column_stack([estimators._pt_observation(scenario, g, base_seed + t, True)
+                            for t in range(n_trials)])
+
+
+@pytest.fixture(scope="module")
+def pt_case():
+    # 10 dB on a small array: trials spread over several coarse cells
+    sc = pt_scenario(n_t=3, n_r=4, n_users=1, block_len=3, snr_sensing_db=10.0, seed=1)
+    x = complex_normal(np.random.default_rng(14), sc.n_t * sc.block_len)
+    x /= np.linalg.norm(x)
+    cfg = MleConfig(coarse_grid_step=math.radians(3.0), refine_levels=2)
+    grid = MleGrid(x, sc.target.sigma_alpha_sq, sc.sigma_v_sq, sc.block_len, sc.n_r, cfg)
+    z = _pt_block(sc, x, 12, base_seed=40)
+    visited = [[] for _ in range(z.shape[1])]
+    oracle = [dense_mle_estimate(grid, z[:, t], visited[t]) for t in range(z.shape[1])]
+    return sc, x, cfg, grid, z, oracle, visited
+
+
+def test_batched_estimates_match_dense_oracle(pt_case):
+    _, _, _, grid, z, oracle, _ = pt_case
+    theta_hat, failed = grid.estimate(z)
+    assert failed == {}
+    assert theta_hat.tolist() == oracle
+    assert len(set(oracle)) > 3
+    assert [grid.estimate(z[:, t]) for t in range(z.shape[1])] == oracle
+
+
+def test_run_trials_does_not_depend_on_batch_size(pt_case):
+    sc, x, cfg, *_ = pt_case
+    batch = run_trials(sc, x, 7, base_seed=40, cfg=cfg)
+    singles = [run_trials(sc, x, 1, base_seed=40 + t, cfg=cfg).records[0] for t in range(7)]
+    assert batch.records == singles
+
+
+REFINE_FAILURE = "LinAlgError: matrix not positive definite even after jitter"
+
+
+def _fail_at(monkeypatch, target):
+    """Make the covariance at angle ``target`` indefinite, so neither the
+    stacked factorization nor the jittered per-angle retry can factor it."""
+    real = estimators.pt_covariance_czz
+
+    def broken(x_matrix, thetas, *args):
+        czz = real(x_matrix, thetas, *args)
+        czz[np.asarray(thetas) == target] = -np.eye(czz.shape[1])
+        return czz
+
+    monkeypatch.setattr(estimators, "pt_covariance_czz", broken)
+
+
+def test_refinement_failure_fails_only_its_visitors(pt_case, monkeypatch):
+    sc, x, cfg, grid, z, oracle, visited = pt_case
+    target = visited[0][0][13]  # trial 0's first refinement grid, offset +3
+    visitors = {t for t, levels in enumerate(visited) if any(target in g for g in levels)}
+    assert 0 in visitors and len(visitors) < z.shape[1]
+    _fail_at(monkeypatch, target)
+    theta_hat, failed = grid.estimate(z)
+    assert set(failed) == visitors
+    assert all(isinstance(e, np.linalg.LinAlgError) for e in failed.values())
+    for t in range(z.shape[1]):
+        assert np.isnan(theta_hat[t]) if t in visitors else theta_hat[t] == oracle[t]
+    with pytest.raises(np.linalg.LinAlgError):
+        grid.estimate(z[:, 0])
+    summary = run_trials(sc, x, z.shape[1], base_seed=40, cfg=cfg)
+    assert summary.failures == {REFINE_FAILURE: len(visitors)}
+    assert [r.seed - 40 for r in summary.records] == sorted(set(range(12)) - visitors)
+
+
+def test_coarse_failure_fails_every_trial(pt_case, monkeypatch):
+    sc, x, cfg, grid, *_ = pt_case
+    _fail_at(monkeypatch, grid.thetas[5])
+    with pytest.raises(np.linalg.LinAlgError, match="even after jitter"):
+        MleGrid(x, sc.target.sigma_alpha_sq, sc.sigma_v_sq, sc.block_len, sc.n_r, cfg)
+    summary = run_trials(sc, x, 4, base_seed=40, cfg=cfg)
+    assert summary.n_failed == 4 and summary.records == []
+    assert summary.failures == {REFINE_FAILURE: 4}
+
+
+def test_jittered_retry_fails_no_trial(pt_case, monkeypatch):
+    # an all-ones covariance is PSD but singular: the plain factorization
+    # rejects it and hermitian_factor's jitter accepts it
+    _, _, _, grid, z, oracle, visited = pt_case
+    target = visited[0][0][13]
+    real = estimators.pt_covariance_czz
+
+    def singular(x_matrix, thetas, *args):
+        czz = real(x_matrix, thetas, *args)
+        czz[np.asarray(thetas) == target] = 1.0
+        return czz
+
+    monkeypatch.setattr(estimators, "pt_covariance_czz", singular)
+    theta_hat, failed = grid.estimate(z)
+    assert failed == {} and np.all(np.isfinite(theta_hat))
+
+
+def test_trial_objective_does_not_depend_on_its_solve_partners():
+    rng = np.random.default_rng(15)
+    n = 12
+    a = complex_normal(rng, (n, n))
+    factor = np.linalg.cholesky(a @ a.conj().T + np.eye(n))
+    z = complex_normal(rng, (n, 9))
+    together = estimators._quadratic_forms(factor, z)
+    for t in range(9):
+        assert estimators._quadratic_forms(factor, z[:, [t]])[0] == together[t]
+        assert estimators._quadratic_forms(factor, z[:, [t, (t + 4) % 9]])[0] == together[t]
+
+
+def test_pt_value_error_propagates(pt_case, monkeypatch):
+    sc, x, cfg, *_ = pt_case
+
+    def broken(*args):
+        raise ValueError("normalized correlation modulus 1.5 exceeds 1")
+
+    monkeypatch.setattr(estimators, "pt_covariance_czz", broken)
+    with pytest.raises(ValueError, match="exceeds 1"):
+        run_trials(sc, x, 2, base_seed=0, cfg=cfg)
 
 
 def test_mle_estimate_stays_in_range(small_grid):
@@ -48,9 +216,9 @@ def test_mle_beats_every_coarse_grid_point(small_grid):
     rng = np.random.default_rng(2)
     z = quantize_one_bit(complex_normal(rng, 8))
     t_hat = small_grid.estimate(z)
-    best = small_grid.objective(z, t_hat)
-    coarse = small_grid.coarse_objectives(z)
-    assert best <= coarse.min() + 1e-12
+    best = dense_mle_objective(small_grid, z, t_hat)
+    coarse = [dense_mle_objective(small_grid, z, t) for t in small_grid.thetas]
+    assert best <= min(coarse) + 1e-12
 
 
 def test_mle_localizes_target_at_high_snr():

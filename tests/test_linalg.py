@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from helpers_oracles import chol_logdet
 
 from onebit_isac.linalg import (
     XtildeOperator,
-    chol_logdet,
     complex_normal,
     h_tilde_adjoint,
     h_tilde_apply,
