@@ -6,7 +6,6 @@ from .array_geometry import (
     EtTarget,
     PtTarget,
     et_prior_covariance,
-    et_sample,
     exponential_correlation,
     pt_response_operator,
     steering,
@@ -26,7 +25,7 @@ from .crb_metrics import (
     et_anchor,
     mse_et_quantization_unaware,
 )
-from .estimators import MleConfig, MleGrid, TrialResult, TrialsSummary, blmmse_et, mle_pt, run_trials
+from .estimators import MleConfig, MleGrid, TrialResult, TrialsSummary, run_trials
 from .comm_sep import (
     SepSpec,
     build_sep_spec,
@@ -36,7 +35,7 @@ from .comm_sep import (
     sep_constraints_satisfied,
 )
 from .sep_projection import UserQpInstance, boundary_points, solve_block, solve_user_qp
-from .opt_pt import SearchConfig, SurrogateAnchor, build_anchor, pgd_step, solve_x_pt, surrogate_gradient, surrogate_value
+from .opt_pt import SurrogateAnchor, build_anchor, pgd_step, solve_x_pt, surrogate_gradient, surrogate_value
 from .opt_et import (
     EtProblem,
     EtSurrogate,

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import psd_sqrt, unvec, vec, complex_normal
+from .linalg import complex_normal, psd_sqrt, unvec, vec
 
 HALF_PI = np.pi / 2.0
 
@@ -92,20 +92,7 @@ def exponential_correlation(n, coeff=0.5):
 
 def et_prior_covariance(phi_r, phi_t):
     """Prior covariance of the vectorized response, transpose(Phi_T) kron Phi_R."""
-    phi_r = np.asarray(phi_r)
-    phi_t = np.asarray(phi_t)
-    psd_sqrt(phi_r)  # validates PSD
-    psd_sqrt(phi_t)
-    c = np.kron(phi_t.T, phi_r)
-    return (c + c.conj().T) / 2.0
-
-
-def et_sample(phi_r, phi_t, rng):
-    """Draw a response matrix Phi_R^{1/2} A_iid Phi_T^{1/2}, A_iid iid CN(0,1)."""
-    sr = psd_sqrt(phi_r)
-    st = psd_sqrt(phi_t)
-    a_iid = complex_normal(rng, (sr.shape[0], st.shape[0]))
-    return sr @ a_iid @ st
+    return EtTarget(np.asarray(phi_r), np.asarray(phi_t)).c_aa
 
 
 @dataclass(frozen=True)
@@ -123,19 +110,23 @@ class PtTarget:
 
 @dataclass(frozen=True)
 class EtTarget:
-    """Extended target: Kronecker-correlated Gaussian response prior."""
+    """Extended target: Kronecker-correlated Gaussian response prior.
+
+    Both correlations are checked PSD once, here; their square roots serve
+    every draw of :meth:`sample`.
+    """
 
     phi_r: np.ndarray
     phi_t: np.ndarray
-    c_aa: np.ndarray = field(default=None)
+    c_aa: np.ndarray = field(init=False, repr=False)
+    roots: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.c_aa is None:
-            object.__setattr__(self, "c_aa", et_prior_covariance(self.phi_r, self.phi_t))
-
-    @classmethod
-    def from_kronecker(cls, phi_r, phi_t):
-        return cls(np.asarray(phi_r), np.asarray(phi_t))
+        object.__setattr__(self, "roots", (psd_sqrt(self.phi_r), psd_sqrt(self.phi_t)))
+        c = np.kron(np.asarray(self.phi_t).T, self.phi_r)
+        object.__setattr__(self, "c_aa", (c + c.conj().T) / 2.0)
 
     def sample(self, rng):
-        return et_sample(self.phi_r, self.phi_t, rng)
+        """A response matrix Phi_R^{1/2} A_iid Phi_T^{1/2}, A_iid iid CN(0, 1)."""
+        sr, st = self.roots
+        return sr @ complex_normal(rng, (sr.shape[0], st.shape[0])) @ st

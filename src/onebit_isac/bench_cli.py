@@ -83,6 +83,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.target not in ("pt", "et"):
             raise ConfigError("target must be 'pt' or 'et'")
+        sweep_target = {"pt_sweep": "pt", "et_sweep": "et"}.get(self.experiment, self.target)
+        if self.target != sweep_target:
+            raise ConfigError(f"experiment {self.experiment!r} needs target "
+                              f"{sweep_target!r}, got target {self.target!r}")
         for name in ("n_t", "n_r", "block_len", "qam_order"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")

@@ -11,7 +11,7 @@ from scipy.linalg import lapack
 
 from .array_geometry import pt_response_operator, steering
 from .crb_metrics import et_anchor, et_l_and_m
-from .linalg import XtildeOperator, complex_normal, hermitian_factor, hermitian_solve, unvec, vec
+from .linalg import complex_normal, hermitian_factor, hermitian_solve, unvec, vec
 from .quantization import TWO_OVER_PI, covariance_czz_exact, bussgang_gain, quantize_one_bit
 
 HALF_PI = np.pi / 2.0
@@ -225,17 +225,6 @@ class MleGrid:
         return fvals.reshape(grid.shape)
 
 
-def mle_pt(z, x, sigma_alpha_sq, sigma_v_sq, block_len, cfg=None, grid=None):
-    """One-bit DOA estimate minimizing z^H C_zz^{-1} z + log det C_zz over
-    the angle grid; C_zz is the exact arcsine-law covariance. z is one
-    observation or a block of them, as in MleGrid.estimate."""
-    z = np.asarray(z)
-    if grid is None:
-        n_r = z.shape[0] // block_len
-        grid = MleGrid(x, sigma_alpha_sq, sigma_v_sq, block_len, n_r, cfg)
-    return grid.estimate(z)
-
-
 def blmmse_matrix(x_matrix, c_aa, sigma_v_sq):
     """Linear estimator matrix C_aa X~^H F C_zz^{-1} (exact arcsine C_zz)."""
     l_mat, c_rr = et_l_and_m(x_matrix, c_aa, sigma_v_sq, quantization_aware=False)
@@ -243,13 +232,6 @@ def blmmse_matrix(x_matrix, c_aa, sigma_v_sq):
     czz = covariance_czz_exact(c_rr)
     # estimator = (F X~ C_aa)^H C_zz^{-1}, via one Hermitian solve
     return hermitian_solve(czz, f[:, None] * l_mat).conj().T
-
-
-def blmmse_et(z, x_matrix, c_aa, sigma_v_sq, estimator=None):
-    """Bussgang-linearized LMMSE estimate of the vectorized target response."""
-    if estimator is None:
-        estimator = blmmse_matrix(x_matrix, c_aa, sigma_v_sq)
-    return estimator @ np.asarray(z)
 
 
 @dataclass
@@ -287,86 +269,110 @@ class TrialsSummary:
         return 10.0 * math.log10(self.mse)
 
 
-def _pt_observation(scenario, g, seed, normalize_alpha):
-    """One-bit point-target echo of trial ``seed``: alpha, then noise."""
-    rng = np.random.default_rng(seed)
-    alpha = complex_normal(rng, ())
-    if normalize_alpha:
-        alpha = alpha / np.abs(alpha)
-    alpha = alpha * math.sqrt(scenario.target.sigma_alpha_sq)
-    noise = complex_normal(rng, g.size, scale=math.sqrt(scenario.sigma_v_sq))
-    return quantize_one_bit(alpha * g + noise)
+def _pt_block(scenario, waveform, seeds, cfg):
+    """Build the one-bit MLE, draw every trial's echo (alpha of unit modulus
+    and uniform phase, then noise) and estimate them as one block: the (T,)
+    estimates and truths, and {trial: LinAlgError} of failed refinements."""
+    target = scenario.target
+    x = vec(waveform)
+    grid = MleGrid(x, target.sigma_alpha_sq, scenario.sigma_v_sq, scenario.block_len,
+                   scenario.n_r, cfg)
+    g = pt_response_operator(target.theta, scenario.block_len, scenario.n_t,
+                             scenario.n_r).apply(x)
+    r = np.empty((g.size, len(seeds)), dtype=complex)
+    for t, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        alpha = complex_normal(rng, ())
+        alpha = alpha / np.abs(alpha) * math.sqrt(target.sigma_alpha_sq)
+        r[:, t] = alpha * g + complex_normal(rng, g.size, scale=math.sqrt(scenario.sigma_v_sq))
+    theta_hat, failed = grid.estimate(quantize_one_bit(r))
+    return theta_hat, np.full(len(seeds), target.theta), failed
 
 
-def _pt_trials(scenario, g, grid, seeds, normalize_alpha):
-    """Every trial's observation first, then one block estimate."""
-    z = np.column_stack([_pt_observation(scenario, g, seed, normalize_alpha)
-                         for seed in seeds])
-    theta_hat, failed = grid.estimate(z)
-    theta = scenario.target.theta
-    return [failed[t] if t in failed
-            else TrialResult(float(est), theta, float((est - theta) ** 2), seed)
-            for t, (est, seed) in enumerate(zip(theta_hat, seeds))]
-
-
-def _et_trial(scenario, x_matrix, estimator, op, seed, unquantized):
-    rng = np.random.default_rng(seed)
-    a = vec(scenario.target.sample(rng))
-    noise = complex_normal(
-        rng, scenario.n_r * scenario.block_len, scale=math.sqrt(scenario.sigma_v_sq)
-    )
-    r = op.apply(a) + noise
+def _et_block(scenario, waveform, seeds, unquantized):
+    """Build the BLMMSE matrix (unquantized: the LMMSE matrix), draw every
+    trial's response and then noise, and estimate them with one product:
+    the (T, n_r n_t) estimates and truths, one row per trial, and no failed
+    trial."""
+    target = scenario.target
+    x_matrix = scenario.unvec_waveform(waveform)
+    if unquantized:
+        # unquantized LMMSE: C_aa X~^H C_rr^{-1} = (C_rr^{-1} L)^H
+        estimator = et_anchor(x_matrix, target.c_aa, scenario.sigma_v_sq,
+                              quantization_aware=False).m_inv_l.conj().T
+    else:
+        estimator = blmmse_matrix(x_matrix, target.c_aa, scenario.sigma_v_sq)
+    n_trials, n = len(seeds), scenario.n_r * scenario.block_len
+    a = np.empty((n_trials, scenario.n_r * scenario.n_t), dtype=complex)
+    r = np.empty((n_trials, n), dtype=complex)
+    for t, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        response = target.sample(rng)
+        a[t] = vec(response)
+        r[t] = vec(response @ x_matrix) + complex_normal(
+            rng, n, scale=math.sqrt(scenario.sigma_v_sq))
     obs = r if unquantized else quantize_one_bit(r)
-    a_hat = estimator @ obs
-    err = float(np.vdot(a_hat - a, a_hat - a).real)
-    return TrialResult(a_hat, a, err, seed)
+    # one stacked product of per-trial gemv calls: each trial gets the bits of
+    # estimator @ z_t whatever the block size (in a 2-D product they depend
+    # on it), and no call is big enough to wake the BLAS threads, after which
+    # the point-target calls measured slower
+    a_hat = (estimator @ obs[:, :, None])[:, :, 0]
+    return a_hat, a, {}
 
 
-def run_trials(scenario, waveform, n_trials, base_seed, cfg=None, unquantized=False,
-               normalize_alpha=True):
+def run_trials(scenario, waveform, n_trials, base_seed, cfg=None, unquantized=False):
     """Seeded Monte-Carlo MSE of the matching one-bit estimator.
 
-    Trial t draws everything from seed base_seed + t, so results do not
-    depend on execution order or batch size and repeat bit-exactly.
+    The estimator is built once: the MLE grid for a point target, the
+    BLMMSE matrix for an extended target (unquantized=True: the LMMSE matrix
+    on unquantized echoes; point targets have no such estimator). Trial t
+    draws its observation from seed base_seed + t: a point target's
+    reflection coefficient (unit modulus, uniform phase) and then its noise,
+    an extended target's response and then its noise. The whole block of
+    observations is estimated at once, and it holds O(n_trials n_r L)
+    entries. Results do not depend on batch size and repeat bit-exactly.
 
-    Trials that fail numerically (NUMERICAL_ERRORS, a non-finite waveform or
-    a non-finite error) are counted per reason and skipped instead of
+    A numerical failure of the setup (NUMERICAL_ERRORS, or a non-finite
+    waveform) fails every trial; a point-target refinement angle that cannot
+    be factored fails the trials that visit it, and a non-finite squared
+    error fails its trial. Failed trials are counted per reason instead of
     aborting the batch; any other exception, ValueError included, propagates.
-
-    Point-target trials draw the reflection coefficient as a normalized
-    complex Gaussian (unit modulus, uniform phase); pass
-    normalize_alpha=False for a raw CN(0,1) draw. They are estimated
-    together, as one block.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
+    pt = scenario.kind == "pt"
+    if pt and unquantized:
+        raise ValueError("unquantized trials need an extended target")
+    normalizer = 1.0 if pt else float(np.trace(scenario.target.c_aa).real)
     seeds = range(base_seed, base_seed + n_trials)
     try:
-        runner, normalizer = _build_runner(scenario, waveform, cfg, unquantized,
-                                           normalize_alpha)
+        if not np.all(np.isfinite(waveform)):
+            raise FloatingPointError("waveform has non-finite entries")
+        if pt:
+            estimates, truths, failed = _pt_block(scenario, waveform, seeds, cfg)
+        else:
+            estimates, truths, failed = _et_block(scenario, waveform, seeds, unquantized)
     except NUMERICAL_ERRORS as err:
-        # shared estimator setup failed: every trial is reported as failed
-        normalizer = 1.0
-        if scenario.kind == "et":
-            normalizer = float(np.trace(scenario.target.c_aa).real)
         return TrialsSummary(math.nan, math.nan, n_trials, n_trials, normalizer, [],
                              {_reason(err): n_trials})
-    records = []
-    failures = {}
-    for rec in runner(seeds):
-        if not isinstance(rec, TrialResult):
-            reason = _reason(rec)
-        elif math.isfinite(rec.squared_error):
-            records.append(rec)
+    diff = (estimates - truths).reshape(n_trials, -1)
+    # stacked dot products: each error gets the bits of vdot(diff_t, diff_t)
+    errors = (diff.conj()[:, None, :] @ diff[:, :, None]).real.ravel()
+    records, failures = [], {}
+    for t, seed in enumerate(seeds):
+        if t in failed:
+            reason = _reason(failed[t])
+        elif math.isfinite(errors[t]):
+            records.append(TrialResult(estimates[t], truths[t], float(errors[t]), seed))
             continue
         else:
             reason = "non-finite squared error"
         failures[reason] = failures.get(reason, 0) + 1
     n_failed = n_trials - len(records)
-    errors = np.array([rec.squared_error for rec in records])
-    if errors.size == 0:
+    if not records:
         return TrialsSummary(math.nan, math.nan, n_trials, n_failed, normalizer, records,
                              failures)
+    errors = np.array([rec.squared_error for rec in records])
     mse = float(errors.mean())
     se = float(errors.std(ddof=1) / math.sqrt(errors.size)) if errors.size > 1 else 0.0
     return TrialsSummary(mse, se, n_trials, n_failed, normalizer, records, failures)
@@ -374,52 +380,3 @@ def run_trials(scenario, waveform, n_trials, base_seed, cfg=None, unquantized=Fa
 
 def _reason(err):
     return f"{type(err).__name__}: {err}"
-
-
-def _et_trials(scenario, x_matrix, estimator, op, seeds, unquantized):
-    out = []
-    for seed in seeds:
-        try:
-            out.append(_et_trial(scenario, x_matrix, estimator, op, seed, unquantized))
-        except NUMERICAL_ERRORS as err:
-            out.append(err)
-    return out
-
-
-def _build_runner(scenario, waveform, cfg, unquantized, normalize_alpha):
-    """The shared estimator setup, and a runner that maps trial seeds to
-    their TrialResult or the numerical error that failed them."""
-    if not np.all(np.isfinite(waveform)):
-        raise FloatingPointError("waveform has non-finite entries")
-    if scenario.kind == "pt":
-        x = vec(waveform) if np.asarray(waveform).ndim == 2 else np.asarray(waveform)
-        grid = MleGrid(
-            x, scenario.target.sigma_alpha_sq, scenario.sigma_v_sq,
-            scenario.block_len, scenario.n_r, cfg,
-        )
-        g = pt_response_operator(
-            scenario.target.theta, scenario.block_len, scenario.n_t, scenario.n_r
-        ).apply(x)
-        normalizer = 1.0
-        runner = lambda seeds: _pt_trials(scenario, g, grid, seeds, normalize_alpha)
-        return runner, normalizer
-    else:
-        x_matrix = np.asarray(waveform)
-        if x_matrix.ndim == 1:
-            x_matrix = x_matrix.reshape((scenario.n_t, scenario.block_len), order="F")
-        op = XtildeOperator(x_matrix, scenario.n_r)
-        if unquantized:
-            # unquantized LMMSE: C_aa X~^H C_rr^{-1} = (C_rr^{-1} L)^H
-            estimator = et_anchor(
-                x_matrix, scenario.target.c_aa, scenario.sigma_v_sq,
-                quantization_aware=False,
-            ).m_inv_l.conj().T
-        else:
-            estimator = blmmse_matrix(
-                x_matrix, scenario.target.c_aa, scenario.sigma_v_sq
-            )
-        normalizer = float(np.trace(scenario.target.c_aa).real)
-        runner = lambda seeds: _et_trials(
-            scenario, x_matrix, estimator, op, seeds, unquantized
-        )
-        return runner, normalizer

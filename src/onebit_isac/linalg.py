@@ -8,6 +8,10 @@ import numpy as np
 import scipy.linalg as sla
 
 _TINY = np.finfo(float).tiny
+# first diagonal lift of hermitian_factor, relative to trace(a)/n
+JITTER_SCALE = 1e-12
+# psd_sqrt clamps eigenvalues down to -PSD_TOL times the largest to zero
+PSD_TOL = 1e-10
 
 
 def vec(a):
@@ -23,16 +27,16 @@ def unvec(v, rows, cols):
     return v.reshape((rows, cols), order="F")
 
 
-def hermitian_factor(a, jitter_scale=1e-12):
+def hermitian_factor(a):
     """Cholesky factor of a Hermitian PSD matrix with jitter fallback.
 
     Returns (factor, lower_flag) in the scipy ``cho_factor`` convention.
     When the plain factorization fails, the diagonal is lifted by
-    jitter_scale * trace(a)/n, escalating twice by 10x before giving up.
+    JITTER_SCALE * trace(a)/n, escalating twice by 10x before giving up.
     """
     a = np.asarray(a)
     n = a.shape[0]
-    base = jitter_scale * max(np.trace(a).real / max(n, 1), np.finfo(float).tiny)
+    base = JITTER_SCALE * max(np.trace(a).real / max(n, 1), np.finfo(float).tiny)
     for k in range(4):
         jitter = 0.0 if k == 0 else base * 10.0 ** (k - 1)
         try:
@@ -42,21 +46,21 @@ def hermitian_factor(a, jitter_scale=1e-12):
     raise np.linalg.LinAlgError("matrix not positive definite even after jitter")
 
 
-def hermitian_solve(a, b, jitter_scale=1e-12):
+def hermitian_solve(a, b):
     """Solve a @ x = b for Hermitian positive definite a (jittered Cholesky)."""
-    return sla.cho_solve(hermitian_factor(a, jitter_scale), np.asarray(b))
+    return sla.cho_solve(hermitian_factor(a), np.asarray(b))
 
 
-def psd_sqrt(a, tol=1e-10):
+def psd_sqrt(a):
     """Hermitian PSD square root via eigendecomposition.
 
-    Eigenvalues in [-tol * scale, 0) are clamped to zero; anything more
+    Eigenvalues in [-PSD_TOL * scale, 0) are clamped to zero; anything more
     negative raises, since the input is then not a correlation/covariance.
     """
     a = np.asarray(a)
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     scale = max(abs(w[-1]), 1.0)
-    if w[0] < -tol * scale:
+    if w[0] < -PSD_TOL * scale:
         raise ValueError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
@@ -107,17 +111,14 @@ def complex_normal(rng, shape, scale=1.0):
 class XtildeOperator:
     """Action of X^T kron I_{n_r} without forming the Kronecker product.
 
-    Maps a vectorized n_r x n_t response matrix A to vec(A @ X), the stacked
-    length-(n_r * L) echo block.
+    Maps each vectorized n_r x n_t response matrix A to vec(A @ X), the
+    stacked length-(n_r * L) echo block.
     """
 
     def __init__(self, x_matrix, n_r):
         self.x = np.asarray(x_matrix)
         self.n_t, self.block_len = self.x.shape
         self.n_r = int(n_r)
-
-    def apply(self, a):
-        return vec(unvec(a, self.n_r, self.n_t) @ self.x)
 
     def right_multiply(self, c):
         """X~ @ C for a matrix C with n_r * n_t rows."""

@@ -13,14 +13,10 @@ import numpy as np
 from .crb_metrics import PtModel, ReceiveBlock, SQRT_TWO_OVER_PI, _chain, _trace_form
 from .linalg import h_tilde_adjoint, h_tilde_apply, project_power_ball, vec
 
-
-@dataclass
-class SearchConfig:
-    """Backtracking schedule: start at 0.1 sqrt(P), halve until accepted."""
-
-    mu0: float = None
-    mu_min: float = 1e-12
-    relative_slack: float = 1e-12
+# backtracking schedule: start at 0.1 sqrt(P), halve until accepted or below
+# STEP_FLOOR; a candidate may exceed the anchor value by RELATIVE_SLACK * (|m0| + 1)
+STEP_FLOOR = 1e-12
+RELATIVE_SLACK = 1e-12
 
 
 @dataclass
@@ -176,13 +172,12 @@ def surrogate_gradient(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None
 
 
 def pgd_step(anchor, x_t, rho=0.0, u_i=None, lambda_i=None, channel=None,
-             power=1.0, search=None):
+             power=1.0):
     """One normalized projected-gradient step with backtracking.
 
     Returns (x_next, mu, stalled). A zero gradient or an exhausted line
     search returns the anchor point unchanged (stalled flags the latter).
     """
-    search = search or SearchConfig()
     grad = surrogate_gradient(anchor, x_t, rho, u_i, lambda_i, channel)
     gn = float(np.linalg.norm(grad))
     m0 = surrogate_value(anchor, x_t, rho, u_i, lambda_i, channel)
@@ -190,9 +185,9 @@ def pgd_step(anchor, x_t, rho=0.0, u_i=None, lambda_i=None, channel=None,
         # normalized steps along a numerically-zero gradient only add noise
         return np.asarray(x_t, dtype=complex), 0.0, False
     ghat = grad / gn
-    slack = search.relative_slack * (abs(m0) + 1.0)
-    mu = search.mu0 if search.mu0 is not None else 0.1 * math.sqrt(power)
-    while mu >= search.mu_min:
+    slack = RELATIVE_SLACK * (abs(m0) + 1.0)
+    mu = 0.1 * math.sqrt(power)
+    while mu >= STEP_FLOOR:
         x_new = project_power_ball(x_t - mu * ghat, power)
         m1 = surrogate_value(anchor, x_new, rho, u_i, lambda_i, channel)
         rhs = (2.0 * mu / gn) * float(np.vdot(grad, x_new - x_t).real)
@@ -203,7 +198,7 @@ def pgd_step(anchor, x_t, rho=0.0, u_i=None, lambda_i=None, channel=None,
 
 
 def solve_x_pt(model, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,
-               power=1.0, tol=1e-6, max_iter=20, quantized=True, search=None):
+               power=1.0, tol=1e-6, max_iter=20, quantized=True):
     """Majorize-minimize loop: re-anchor, take one PGD step, repeat.
 
     The true augmented objective is non-increasing across anchors; iteration
@@ -218,9 +213,7 @@ def solve_x_pt(model, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,
     stalled = False
     for _ in range(max_iter):
         anchor = build_anchor(model, x, quantized)
-        x, _, stalled = pgd_step(
-            anchor, x, rho, u_i, lambda_i, channel, power, search
-        )
+        x, _, stalled = pgd_step(anchor, x, rho, u_i, lambda_i, channel, power)
         f_new = augmented_objective(model, x, rho, u_i, lambda_i, channel, quantized)
         history.append(f_new)
         if stalled:

@@ -90,7 +90,7 @@ def et_scenario(n_t=4, n_r=4, n_users=2, block_len=8, qam_order=16,
         n_t, n_r, n_users, block_len, qam_order,
         snr_sensing_db, snr_comm_db, epsilon, power, seed,
     )
-    target = EtTarget.from_kronecker(
+    target = EtTarget(
         exponential_correlation(n_r, correlation),
         exponential_correlation(n_t, correlation),
     )

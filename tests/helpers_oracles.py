@@ -9,8 +9,8 @@ and the dense Mbar (explicit Kronecker bound, matrix-free Mbar apply,
 uncached MM loop), the information form of the extended-target bound, the
 explicit-Kronecker BLMMSE estimator, dense Kronecker/commutation builders
 for small instances, the per-trial, per-angle one-bit MLE on dense arcsine
-covariances, and the SEP projection solver that scores every
-interval."""
+covariances, the Monte-Carlo trials drawn and scored one at a time, and the
+SEP projection solver that scores every interval."""
 
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -19,7 +19,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from onebit_isac.array_geometry import pt_response_operator, steering, steering_derivative
-from onebit_isac.crb_metrics import PtModel, ReceiveBlock, crb_et
+from onebit_isac.crb_metrics import PtModel, ReceiveBlock, crb_et, et_anchor
+from onebit_isac.estimators import blmmse_matrix
 from onebit_isac.linalg import (
     XtildeOperator,
     complex_normal,
@@ -33,7 +34,7 @@ from onebit_isac.linalg import (
 )
 from onebit_isac.opt_et import build_lt, lam_max_channel
 from onebit_isac.opt_pt import penalty_value
-from onebit_isac.quantization import bussgang_gain, covariance_czz_exact
+from onebit_isac.quantization import bussgang_gain, covariance_czz_exact, quantize_one_bit
 from onebit_isac.sep_projection import _objective_at, boundary_points
 
 TWO_OVER_PI = 2.0 / np.pi
@@ -584,6 +585,46 @@ def dense_mle_estimate(grid, z, visited=None):
         theta_hat = float(angles[int(np.argmin(fvals))])
         step = fine
     return theta_hat
+
+
+def pt_trial_observations(scenario, x, n_trials, base_seed):
+    """One-bit point-target echoes, one column per trial. Trial t draws from
+    seed base_seed + t a reflection coefficient of unit modulus and uniform
+    phase, scaled to sigma_alpha, and then the noise."""
+    target = scenario.target
+    g = pt_response_operator(target.theta, scenario.block_len, scenario.n_t,
+                             scenario.n_r).apply(x)
+    cols = []
+    for seed in range(base_seed, base_seed + n_trials):
+        rng = np.random.default_rng(seed)
+        alpha = complex_normal(rng, ())
+        alpha = alpha / np.abs(alpha) * np.sqrt(target.sigma_alpha_sq)
+        noise = complex_normal(rng, g.size, scale=np.sqrt(scenario.sigma_v_sq))
+        cols.append(quantize_one_bit(alpha * g + noise))
+    return np.column_stack(cols)
+
+
+def per_trial_et_errors(scenario, x_matrix, n_trials, base_seed, unquantized=False):
+    """Squared errors of extended-target trials run one at a time: trial t
+    draws from seed base_seed + t the response A and then the noise, forms
+    vec(A X) + noise, quantizes it unless unquantized, and applies the
+    BLMMSE (unquantized: LMMSE) matrix to that one vector."""
+    target = scenario.target
+    if unquantized:
+        estimator = et_anchor(x_matrix, target.c_aa, scenario.sigma_v_sq,
+                              quantization_aware=False).m_inv_l.conj().T
+    else:
+        estimator = blmmse_matrix(x_matrix, target.c_aa, scenario.sigma_v_sq)
+    errors = []
+    for seed in range(base_seed, base_seed + n_trials):
+        rng = np.random.default_rng(seed)
+        a = target.sample(rng)
+        noise = complex_normal(rng, scenario.n_r * scenario.block_len,
+                               scale=np.sqrt(scenario.sigma_v_sq))
+        r = vec(a @ x_matrix) + noise
+        err = estimator @ (r if unquantized else quantize_one_bit(r)) - vec(a)
+        errors.append(float(np.vdot(err, err).real))
+    return np.array(errors)
 
 
 def enumerate_user_qp(inst):

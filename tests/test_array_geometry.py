@@ -6,7 +6,6 @@ from onebit_isac.array_geometry import (
     EtTarget,
     PtTarget,
     et_prior_covariance,
-    et_sample,
     exponential_correlation,
     pt_response_operator,
     receive_basis,
@@ -178,7 +177,8 @@ def test_et_prior_covariance_rejects_non_psd():
 
 def test_et_sample_identity_correlation_unit_variance():
     rng = np.random.default_rng(7)
-    draws = np.array([et_sample(np.eye(2), np.eye(2), rng) for _ in range(10000)])
+    target = EtTarget(np.eye(2), np.eye(2))
+    draws = np.array([target.sample(rng) for _ in range(10000)])
     var = np.mean(np.abs(draws) ** 2, axis=0)
     assert np.all(np.abs(var - 1.0) < 0.05)
 
@@ -189,7 +189,8 @@ def test_et_sample_covariance_matches_prior():
     phi_t = exponential_correlation(2, 0.5)
     c_true = et_prior_covariance(phi_r, phi_t)
     n = 100000
-    samples = np.stack([vec(et_sample(phi_r, phi_t, rng)) for _ in range(n)])
+    target = EtTarget(phi_r, phi_t)
+    samples = np.stack([vec(target.sample(rng)) for _ in range(n)])
     c_emp = samples.conj().T @ samples / n
     c_emp = c_emp.T  # E[a a^H]
     se = np.sqrt(np.outer(np.diag(c_true).real, np.diag(c_true).real) / n)
@@ -197,13 +198,14 @@ def test_et_sample_covariance_matches_prior():
 
 
 def test_et_sample_deterministic_given_seed():
-    a = et_sample(np.eye(2), np.eye(2), np.random.default_rng(42))
-    b = et_sample(np.eye(2), np.eye(2), np.random.default_rng(42))
+    target = EtTarget(np.eye(2), np.eye(2))
+    a = target.sample(np.random.default_rng(42))
+    b = target.sample(np.random.default_rng(42))
     assert np.array_equal(a, b)
 
 
 def test_targets_validation():
     with pytest.raises(ValueError):
         PtTarget(0.1, sigma_alpha_sq=0.0)
-    t = EtTarget.from_kronecker(np.eye(2), np.eye(3))
+    t = EtTarget(np.eye(2), np.eye(3))
     assert np.allclose(t.c_aa, np.eye(6))

@@ -38,6 +38,20 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict({"n_t": 0})
 
 
+def test_config_rejects_sweep_target_mismatch(tmp_path, capsys):
+    for experiment, target in (("et_sweep", "pt"), ("pt_sweep", "et")):
+        with pytest.raises(ConfigError, match=f"experiment '{experiment}' needs target"):
+            ExperimentConfig.from_dict({"experiment": experiment, "target": target})
+    et_cfg = tmp_path / "et.json"
+    et_cfg.write_text(json.dumps({"target": "et"}))
+    out = str(tmp_path / "res.csv")
+    assert main(["--experiment", "et_sweep", "--out", out]) == 2
+    assert main(["--config", str(et_cfg), "--experiment", "pt_sweep", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "experiment 'et_sweep' needs target 'et', got target 'pt'" in err
+    assert "experiment 'pt_sweep' needs target 'pt', got target 'et'" in err
+
+
 @pytest.mark.parametrize("field, value", [
     ("n_t", "8"), ("n_t", True), ("n_t", 8.0), ("seed", None), ("trials", 1.5),
     ("snr_db_list", "0,10"), ("snr_db_list", [0.0, "10"]), ("snr_db_list", [True]),

@@ -7,21 +7,17 @@ from helpers_oracles import (
     dense_mle_estimate,
     dense_mle_objective,
     dense_pt_czz,
+    per_trial_et_errors,
+    pt_trial_observations,
 )
 
 from onebit_isac import estimators
-from onebit_isac.array_geometry import (
-    et_prior_covariance,
-    exponential_correlation,
-    pt_response_operator,
-)
+from onebit_isac.array_geometry import et_prior_covariance, exponential_correlation
 from onebit_isac.crb_metrics import crb_et
 from onebit_isac.estimators import (
     MleConfig,
     MleGrid,
-    blmmse_et,
     blmmse_matrix,
-    mle_pt,
     pt_covariance_czz,
     run_trials,
 )
@@ -83,13 +79,6 @@ def test_structured_czz_matches_dense(n_t, n_r, block_len, snr_db):
         assert np.max(np.abs(czz - dense_pt_czz(grid, theta))) <= 1e-12
 
 
-def _pt_block(scenario, x, n_trials, base_seed):
-    g = pt_response_operator(scenario.target.theta, scenario.block_len, scenario.n_t,
-                             scenario.n_r).apply(x)
-    return np.column_stack([estimators._pt_observation(scenario, g, base_seed + t, True)
-                            for t in range(n_trials)])
-
-
 @pytest.fixture(scope="module")
 def pt_case():
     # 10 dB on a small array: trials spread over several coarse cells
@@ -98,7 +87,7 @@ def pt_case():
     x /= np.linalg.norm(x)
     cfg = MleConfig(coarse_grid_step=math.radians(3.0), refine_levels=2)
     grid = MleGrid(x, sc.target.sigma_alpha_sq, sc.sigma_v_sq, sc.block_len, sc.n_r, cfg)
-    z = _pt_block(sc, x, 12, base_seed=40)
+    z = pt_trial_observations(sc, x, 12, base_seed=40)
     visited = [[] for _ in range(z.shape[1])]
     oracle = [dense_mle_estimate(grid, z[:, t], visited[t]) for t in range(z.shape[1])]
     return sc, x, cfg, grid, z, oracle, visited
@@ -118,6 +107,52 @@ def test_run_trials_does_not_depend_on_batch_size(pt_case):
     batch = run_trials(sc, x, 7, base_seed=40, cfg=cfg)
     singles = [run_trials(sc, x, 1, base_seed=40 + t, cfg=cfg).records[0] for t in range(7)]
     assert batch.records == singles
+
+
+def test_run_trials_estimates_each_seeds_own_echo(pt_case):
+    # the oracle draws each trial's echo alone (unit-modulus alpha, then noise)
+    sc, x, cfg, _, _, oracle, _ = pt_case
+    summary = run_trials(sc, x, 12, base_seed=40, cfg=cfg)
+    assert [r.estimate for r in summary.records] == oracle
+    assert [r.squared_error for r in summary.records] == [
+        (t - sc.target.theta) ** 2 for t in oracle]
+    assert [r.seed for r in summary.records] == list(range(40, 52))
+
+
+def test_run_trials_rejects_unquantized_point_target(pt_case):
+    sc, x, cfg, *_ = pt_case
+    with pytest.raises(ValueError, match="unquantized trials need an extended target"):
+        run_trials(sc, x, 2, base_seed=0, cfg=cfg, unquantized=True)
+
+
+@pytest.fixture(scope="module")
+def et_case():
+    sc = et_scenario(n_t=3, n_r=2, block_len=5, snr_sensing_db=15.0, seed=2)
+    x = complex_normal(np.random.default_rng(16), (sc.n_t, sc.block_len))
+    return sc, x / np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("unquantized", [False, True])
+def test_et_run_trials_does_not_depend_on_batch_size(et_case, unquantized):
+    sc, x = et_case
+    batch = run_trials(sc, x, 7, base_seed=60, unquantized=unquantized)
+    singles = [run_trials(sc, x, 1, base_seed=60 + t, unquantized=unquantized).records[0]
+               for t in range(7)]
+    assert [r.seed for r in batch.records] == [r.seed for r in singles]
+    for got, want in zip(batch.records, singles):
+        assert got.squared_error == want.squared_error
+        assert np.array_equal(got.estimate, want.estimate)
+        assert np.array_equal(got.truth, want.truth)
+
+
+@pytest.mark.parametrize("unquantized", [False, True])
+def test_et_block_errors_match_per_trial_oracle(et_case, unquantized):
+    sc, x = et_case
+    summary = run_trials(sc, x, 40, base_seed=70, unquantized=unquantized)
+    want = per_trial_et_errors(sc, x, 40, base_seed=70, unquantized=unquantized)
+    got = np.array([r.squared_error for r in summary.records])
+    assert summary.n_failed == 0
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 REFINE_FAILURE = "LinAlgError: matrix not positive definite even after jitter"
@@ -233,19 +268,10 @@ def test_mle_localizes_target_at_high_snr():
     assert summary.n_failed == 0
 
 
-def test_mle_pt_wrapper_matches_grid():
-    rng = np.random.default_rng(4)
-    x = complex_normal(rng, 8)
-    cfg = MleConfig(coarse_grid_step=math.radians(5.0), refine_levels=1)
-    grid = MleGrid(x, 1.0, 0.1, 2, 4, cfg)
-    z = quantize_one_bit(complex_normal(rng, 8))
-    assert mle_pt(z, x, 1.0, 0.1, 2, cfg) == grid.estimate(z)
-
-
 def test_blmmse_zero_observation():
     rng = np.random.default_rng(5)
     x = complex_normal(rng, (2, 3))
-    a_hat = blmmse_et(np.zeros(6), x, np.eye(4), 0.1)
+    a_hat = blmmse_matrix(x, np.eye(4), 0.1) @ np.zeros(6)
     assert np.allclose(a_hat, 0.0)
 
 
@@ -255,11 +281,7 @@ def test_blmmse_linearity():
     g = blmmse_matrix(x, np.eye(4), 0.1)
     z1 = complex_normal(rng, 6)
     z2 = complex_normal(rng, 6)
-    lhs = blmmse_et(z1 + z2, x, np.eye(4), 0.1, estimator=g)
-    rhs = blmmse_et(z1, x, np.eye(4), 0.1, estimator=g) + blmmse_et(
-        z2, x, np.eye(4), 0.1, estimator=g
-    )
-    assert np.linalg.norm(lhs - rhs) < 1e-10
+    assert np.linalg.norm(g @ (z1 + z2) - (g @ z1 + g @ z2)) < 1e-10
 
 
 @pytest.mark.parametrize("n_t,n_r,block_len", [(2, 2, 3), (3, 2, 4), (4, 4, 8)])
@@ -336,20 +358,28 @@ def test_run_trials_counts_numerical_failures_by_reason(monkeypatch):
     sc = et_scenario(seed=0)
     rng = np.random.default_rng(12)
     x = complex_normal(rng, sc.n_t * sc.block_len)
-    real_trial = estimators._et_trial
 
-    def flaky(scenario, x_matrix, estimator, op, seed, unquantized):
-        if seed % 3 == 0:
-            raise np.linalg.LinAlgError("singular")
-        rec = real_trial(scenario, x_matrix, estimator, op, seed, unquantized)
-        if seed % 3 == 1:
-            rec.squared_error = math.inf
-        return rec
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular")
 
-    monkeypatch.setattr(estimators, "_et_trial", flaky)
+    monkeypatch.setattr(estimators, "blmmse_matrix", singular)
     summary = run_trials(sc, x, 9, base_seed=0)
-    assert summary.n_failed == 6 and len(summary.records) == 3
-    assert summary.failures == {"LinAlgError: singular": 3, "non-finite squared error": 3}
+    assert summary.n_failed == 9 and summary.records == []
+    assert summary.failures == {"LinAlgError: singular": 9}
+    monkeypatch.undo()
+
+    real_quantize = estimators.quantize_one_bit
+
+    def corrupted(r):  # every third trial's observation turns non-finite
+        z = real_quantize(r)
+        z[::3] = np.nan
+        return z
+
+    monkeypatch.setattr(estimators, "quantize_one_bit", corrupted)
+    summary = run_trials(sc, x, 9, base_seed=0)
+    assert summary.n_failed == 3
+    assert [r.seed for r in summary.records] == [1, 2, 4, 5, 7, 8]
+    assert summary.failures == {"non-finite squared error": 3}
     assert math.isfinite(summary.mse)
 
 
@@ -361,13 +391,11 @@ def test_run_trials_propagates_non_numerical_errors(monkeypatch):
         def broken(*args):
             raise error("not a numerical failure")
 
-        monkeypatch.setattr(estimators, "_et_trial", broken)
-        with pytest.raises(error):
-            run_trials(sc, x, 2, base_seed=0)
-        monkeypatch.setattr(estimators, "blmmse_matrix", broken)
-        with pytest.raises(error):
-            run_trials(sc, x, 2, base_seed=0)
-        monkeypatch.undo()
+        for stage in ("blmmse_matrix", "quantize_one_bit"):  # setup, then trials
+            monkeypatch.setattr(estimators, stage, broken)
+            with pytest.raises(error):
+                run_trials(sc, x, 2, base_seed=0)
+            monkeypatch.undo()
 
 
 def test_run_trials_normalizer():

@@ -94,15 +94,6 @@ def test_power_iteration_norm_is_numpy_norm_bit_for_bit():
             assert _norm(v) == np.linalg.norm(v)
 
 
-def test_xtilde_apply_matches_dense_kron():
-    rng = np.random.default_rng(4)
-    x = complex_normal(rng, (3, 4))
-    op = XtildeOperator(x, n_r=2)
-    dense = np.kron(x.T, np.eye(2))
-    a = complex_normal(rng, 6)
-    assert np.allclose(op.apply(a), dense @ a, atol=1e-12)
-
-
 def test_xtilde_gram_and_right_multiply():
     rng = np.random.default_rng(5)
     x = complex_normal(rng, (3, 4))

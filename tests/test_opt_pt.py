@@ -12,10 +12,10 @@ from helpers_oracles import (
     wirtinger_dx,
 )
 
+from onebit_isac import opt_pt
 from onebit_isac.crb_metrics import PtModel, crb_pt
 from onebit_isac.linalg import complex_normal, h_tilde_adjoint, h_tilde_apply
 from onebit_isac.opt_pt import (
-    SearchConfig,
     augmented_objective,
     build_anchor,
     gradient_rows,
@@ -214,10 +214,10 @@ def test_desk_scale_optimization_gain():
     assert 10.0 * math.log10(c0 / c1) >= 3.0
 
 
-def test_search_config_stall_reporting():
+def test_search_config_stall_reporting(monkeypatch):
     model, x, rho, u, lam, h = make_instance(12)
     anchor = build_anchor(model, x)
-    cfg = SearchConfig(mu0=1e-13, mu_min=1e-12)  # schedule exhausted at once
-    x_new, mu, stalled = pgd_step(anchor, x, rho, u, lam, h, power=1.0, search=cfg)
+    monkeypatch.setattr(opt_pt, "STEP_FLOOR", 1.0)  # first step 0.1: schedule exhausted at once
+    x_new, mu, stalled = pgd_step(anchor, x, rho, u, lam, h, power=1.0)
     assert stalled
     assert np.array_equal(x_new, x)

@@ -177,26 +177,20 @@ def test_crr_et_identity_prior_trace():
 
 
 def test_crr_et_monte_carlo():
-    from onebit_isac.array_geometry import (
-        et_prior_covariance,
-        et_sample,
-        exponential_correlation,
-    )
-    from onebit_isac.linalg import XtildeOperator, vec
+    from onebit_isac.array_geometry import EtTarget, exponential_correlation
+    from onebit_isac.linalg import vec
 
     rng = np.random.default_rng(8)
     phi_r = exponential_correlation(2, 0.5)
     phi_t = exponential_correlation(2, 0.5)
-    c_aa = et_prior_covariance(phi_r, phi_t)
+    target = EtTarget(phi_r, phi_t)
     x = complex_normal(rng, (2, 2))
     sv = 0.3
-    cov = crr_et(x, c_aa, sv)
-    op = XtildeOperator(x, 2)
+    cov = crr_et(x, target.c_aa, sv)
     n = 100000
     r = np.zeros((n, 4), dtype=complex)
     for i in range(n):
-        a = vec(et_sample(phi_r, phi_t, rng))
-        r[i] = op.apply(a) + complex_normal(rng, 4, scale=np.sqrt(sv))
+        r[i] = vec(target.sample(rng) @ x) + complex_normal(rng, 4, scale=np.sqrt(sv))
     c_emp = r.T @ r.conj() / n
     d = np.diag(cov).real
     se = np.sqrt(np.outer(d, d) / n)
