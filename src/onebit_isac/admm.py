@@ -50,16 +50,24 @@ class AdmmConfig:
 
 @dataclass
 class AdmmTrace:
+    """Per-outer-iteration record: residual, objective, penalty, wall time
+    since the start, the waveform solver's inner iterations and whether its
+    line search stalled (never for the extended target)."""
+
     residuals: list = field(default_factory=list)
     objectives: list = field(default_factory=list)
     rhos: list = field(default_factory=list)
     wall_times: list = field(default_factory=list)
+    inner_iters: list = field(default_factory=list)
+    stalled: list = field(default_factory=list)
 
-    def append(self, residual, objective, rho, wall_time):
+    def append(self, residual, objective, rho, wall_time, inner_iters, stalled):
         self.residuals.append(float(residual))
         self.objectives.append(float(objective))
         self.rhos.append(float(rho))
         self.wall_times.append(float(wall_time))
+        self.inner_iters.append(int(inner_iters))
+        self.stalled.append(bool(stalled))
 
     def __len__(self):
         return len(self.residuals)
@@ -149,13 +157,13 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
     t0 = time.perf_counter()
     for it in range(config.max_outer):
         if variant in ("PT", "PT_INF"):
-            x, _ = opt_pt.solve_x_pt(
+            x, info = opt_pt.solve_x_pt(
                 model, x, rho=rho, u_i=u, lambda_i=lam, channel=channel,
                 power=scenario.power, tol=config.inner_tol,
                 max_iter=config.max_inner, quantized=(variant == "PT"),
             )
         else:
-            x, _ = opt_et.solve_x_et(
+            x, info = opt_et.solve_x_et(
                 model, x, rho=rho, u_i=u, lambda_i=lam, channel=channel,
                 power=scenario.power, tol=config.inner_tol,
                 max_iter=config.max_inner, lam_hth=lam_hth,
@@ -176,7 +184,8 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
             )
             err.trace = trace
             raise err
-        trace.append(residual, objective, rho, time.perf_counter() - t0)
+        trace.append(residual, objective, rho, time.perf_counter() - t0, info["n_iter"],
+                     info.get("stalled", False))
         if obj_prev is not None:
             rel = abs(objective - obj_prev) / (abs(obj_prev) + 1e-30)
             if residual < config.tol_residual and rel < config.tol_objective:

@@ -5,6 +5,7 @@ the point-target workspace and extended-target anchor the optimizers reuse."""
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,7 +97,7 @@ class PtCrbWorkspace:
 
 
 def _outer(u, v):
-    return np.outer(u.reshape(-1), v.reshape(-1).conj())
+    return u.reshape(-1, 1) * v.reshape(1, -1).conj()
 
 
 @dataclass
@@ -128,12 +129,31 @@ class PtModel:
         self.q = receive_basis(self.n_r, self.theta)
         self.beta = self.q.conj().T @ steering_derivative(self.n_r, self.theta)
 
-    def workspace(self, x):
-        """Build the full covariance/derivative chain at waveform x.
+    def chain_factors(self, s, s_d):
+        """Per-sample pieces of the covariance chain at s = X^T a_t and
+        s_d = X^T da_t: L-vectors, or (K, L) stacks for K waveforms, every
+        result carrying the same leading axes.
 
         The diagonals are per sample because the ULA has |a_r,i|^2 = 1/n_r
         and conj(a_r) o da_r purely imaginary.
         """
+        sa, sv = self.sigma_alpha_sq, self.sigma_v_sq
+        gp = s[..., None] * self.beta
+        gp[..., 0] += s_d
+        diag_crr = sa * np.abs(s) ** 2 / self.n_r + sv
+        diag_dcrr = 2.0 * sa * (s_d * s.conj()).real / self.n_r
+        f = SQRT_TWO_OVER_PI / np.sqrt(diag_crr)
+        d_f = -0.5 * SQRT_TWO_OVER_PI * diag_dcrr / diag_crr**1.5
+        # F C_rr F + (1 - 2/pi) I has the unit quantizer diagonal; pin it
+        c_pin = 1.0 - sa * np.abs(f * s) ** 2 / self.n_r
+        # the diagonal of dF C F + F dC F + F C dF is analytically zero; pin it
+        d_pin = -2.0 * sa * ((d_f * s + f * s_d) * (f * s).conj()).real / self.n_r
+        q = f[..., None] * gp
+        q[..., 0] += d_f * s
+        return ChainFactors(gp, diag_crr, diag_dcrr, f, d_f, c_pin, d_pin, q)
+
+    def workspace(self, x):
+        """Build the full covariance/derivative chain at waveform x."""
         x = np.asarray(x, dtype=complex)
         last = self._last
         if last is not None and np.array_equal(last[0], x):
@@ -141,49 +161,70 @@ class PtModel:
         xm = unvec(x, self.n_t, self.block_len)
         s = xm.T @ self.a_t
         s_d = xm.T @ self.da_t
-        k = self.q.shape[1]
-        n_perp = self.n_r - k
-        sa, sv = self.sigma_alpha_sq, self.sigma_v_sq
-        g = np.zeros((self.block_len, k), dtype=complex)
+        fac = self.chain_factors(s, s_d)
+        n_perp = self.n_r - self.q.shape[1]
+        g = np.zeros_like(fac.g_prime)
         g[:, 0] = s
-        gp = np.outer(s, self.beta)
-        gp[:, 0] += s_d
-        c_rr = ReceiveBlock(sv * np.eye(g.size) + sa * _outer(g, g),
-                            np.full(self.block_len, sv), n_perp)
-        d_crr = ReceiveBlock(sa * (_outer(gp, g) + _outer(g, gp)),
-                             np.zeros(self.block_len), n_perp)
-        diag_crr = sa * np.abs(s) ** 2 / self.n_r + sv
-        diag_dcrr = 2.0 * sa * (s_d * s.conj()).real / self.n_r
-        f = SQRT_TWO_OVER_PI / np.sqrt(diag_crr)
-        d_f = -0.5 * SQRT_TWO_OVER_PI * diag_dcrr / diag_crr**1.5
-        # F C_rr F + (1 - 2/pi) I has the unit quantizer diagonal; pin it:
-        # diag(c) + sa h h^H with h = F g
-        h = f[:, None] * g
-        c_pin = 1.0 - sa * np.abs(f * s) ** 2 / self.n_r
-        c_zz_hat = ReceiveBlock(np.diag(np.repeat(c_pin, k)) + sa * _outer(h, h),
-                                c_pin, n_perp)
-        # dF C F + F dC F + F C dF = diag + sa (q h^H + h q^H) with
-        # q = dF g + F g'; the diagonal is analytically zero, so pin it
-        q = d_f[:, None] * g + f[:, None] * gp
-        d_pin = -2.0 * sa * ((d_f * s + f * s_d) * (f * s).conj()).real / self.n_r
-        d_czz = ReceiveBlock(np.diag(np.repeat(d_pin, k)) + sa * (_outer(q, h) + _outer(h, q)),
-                             d_pin, n_perp)
+        sa = self.sigma_alpha_sq
+        c_rr, d_crr = _chain_blocks(sa, n_perp, *fac.low_rank(s, self.sigma_v_sq, False))
+        c_zz_hat, d_czz = _chain_blocks(sa, n_perp, *fac.low_rank(s, self.sigma_v_sq, True))
         ws = PtCrbWorkspace(
             s=s,
             s_d=s_d,
             g=g,
-            g_prime=gp,
+            g_prime=fac.g_prime,
             c_rr=c_rr,
             d_crr_dtheta=d_crr,
-            diag_crr=diag_crr,
-            diag_dcrr=diag_dcrr,
-            f=f,
-            d_f_dtheta=d_f,
+            diag_crr=fac.diag_crr,
+            diag_dcrr=fac.diag_dcrr,
+            f=fac.f,
+            d_f_dtheta=fac.d_f,
             c_zz_hat=c_zz_hat,
             d_czz_dtheta=d_czz,
         )
         self._last = (x.copy(), ws)
         return ws
+
+
+class ChainFactors(NamedTuple):
+    """Per-sample pieces of the point-target chain (see
+    :meth:`PtModel.chain_factors`): g' in receive-subspace coordinates,
+    diag(C_rr) and its angle derivative, F and dF, the pinned diagonals of
+    the one-bit C_zz_hat and its derivative, and q = dF g + F g'."""
+
+    g_prime: np.ndarray
+    diag_crr: np.ndarray
+    diag_dcrr: np.ndarray
+    f: np.ndarray
+    d_f: np.ndarray
+    c_pin: np.ndarray
+    d_pin: np.ndarray
+    q: np.ndarray
+
+    def low_rank(self, s, sigma_v_sq, quantized):
+        """(d0, d1, h, q) of the one-bit or the unquantized chain.
+
+        In receive-subspace coordinates C = diag(d0) + sa (h e_0)(h e_0)^H
+        and dC = diag(d1) + sa (q (h e_0)^H + (h e_0) q^H), each diagonal
+        repeated over the k coordinates of a sample and continued on the
+        complement; h lives on the first coordinate (g = s e_0). One-bit:
+        h = F g, q = dF g + F g', pinned diagonals. Unquantized: h = g,
+        q = g', d0 = sigma_v^2, d1 = 0.
+        """
+        if quantized:
+            return self.c_pin, self.d_pin, self.f * s, self.q
+        return np.full(s.shape, sigma_v_sq), np.zeros(s.shape), s, self.g_prime
+
+
+def _chain_blocks(sa, n_perp, d0, d1, h, q):
+    """C and dC as receive blocks from the factors of one waveform."""
+    k = q.shape[-1]
+    hv = np.zeros_like(q)
+    hv[:, 0] = h
+    cov = ReceiveBlock(np.diag(np.repeat(d0, k)) + sa * _outer(hv, hv), d0, n_perp)
+    dcov = ReceiveBlock(np.diag(np.repeat(d1, k)) + sa * (_outer(q, hv) + _outer(hv, q)),
+                        d1, n_perp)
+    return cov, dcov
 
 
 def _trace_form(cov, dcov):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crb_metrics import PtModel, ReceiveBlock, SQRT_TWO_OVER_PI, _chain, _trace_form
-from .linalg import h_tilde_adjoint, h_tilde_apply, project_power_ball, vec
+from .linalg import h_tilde_adjoint, h_tilde_apply, vec
 
 # backtracking schedule: start at 0.1 sqrt(P), halve until accepted or below
 # STEP_FLOOR; a candidate may exceed the anchor value by RELATIVE_SLACK * (|m0| + 1)
@@ -68,19 +68,61 @@ def augmented_objective(model, x, rho, u_i=None, lambda_i=None, channel=None,
     )
 
 
-def surrogate_value(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None):
-    """Surrogate -2 Re tr(P dC(x)) + tr(P C(x) P C(x)) + penalty.
+def surrogate_values(anchor, xs, rho=0.0, u_i=None, lambda_i=None, channel=None):
+    """Surrogate -2 Re tr(P dC(x)) + tr(P C(x) P C(x)) + penalty at every row
+    of a (K, n_t L) stack of waveforms, as a length-K array.
 
-    Touches the true augmented objective at the anchor (the Taylor constant
+    Per row the chain is C = diag(d0) + sa h h^H and
+    dC = diag(d1) + sa (q h^H + h q^H) in receive-subspace coordinates
+    (:meth:`ChainFactors.low_rank`), with h on the first coordinate of each
+    sample. For the Hermitian anchor block P that gives
+
+        tr(P dC)   = d1 . diag(P) + 2 sa Re((P h)^H q),
+        tr(P C P C) = d0^T |P|^2 d0 + 2 sa sum(|P h|^2 d0) + sa^2 (h^H P h)^2,
+
+    plus the complement terms n_perp sum(p_c d1) and n_perp sum((p_c d0)^2)
+    of P's per-sample diagonal p_c. The stack costs one product of the
+    K x L matrix of h against L columns of P and O((kL)^2) sums over P, and
+    no per-row workspace, solve or kL x kL product. The surrogate touches
+    the true augmented objective at the anchor (the Taylor constant
     vanishes for this parameterization).
     """
     model = anchor.model
-    base, dbase = _chain(model.workspace(x), anchor.quantized)
+    xs = np.asarray(xs, dtype=complex)
+    n_rows, block_len = xs.shape[0], model.block_len
+    # row k L + l: sample l of waveform k
+    samples = xs.reshape(-1, model.n_t)
+    s = (samples @ model.a_t).reshape(n_rows, block_len)
+    s_d = (samples @ model.da_t).reshape(n_rows, block_len)
+    d0, d1, h, q = model.chain_factors(s, s_d).low_rank(s, model.sigma_v_sq, anchor.quantized)
     p = anchor.p_big
-    lin = -2.0 * float((p @ dbase).trace().real)
-    pc = p @ base
-    quad = float((pc @ pc).trace().real)
-    return lin + quad + penalty_value(model, x, rho, u_i, lambda_i, channel)
+    k = q.shape[-1]
+    p4 = p.w.reshape(block_len, k, block_len, k)
+    # per-sample sums of diag(P) and of |P|^2, the complement folded in
+    diag_p = np.einsum("ljlj->l", p4).real + p.n_perp * p.c
+    abs_p2 = np.einsum("ajbi->ab", (p4 * p4.conj()).real) + np.diag(p.n_perp * p.c**2)
+    ph = (h @ p.w[:, ::k].T).reshape(n_rows, block_len, k)
+    sa = model.sigma_alpha_sq
+    lin = d1 @ diag_p + 2.0 * sa * (q.conj() * ph).real.sum(axis=(1, 2))
+    hph = (h.conj() * ph[:, :, 0]).real.sum(axis=1)
+    quad = (np.sum((d0 @ abs_p2) * d0, axis=1)
+            + 2.0 * sa * np.sum((ph * ph.conj()).real.sum(axis=2) * d0, axis=1)
+            + (sa * hph) ** 2)
+    values = quad - 2.0 * lin
+    if rho != 0.0 and channel is not None and channel.size:
+        w = (samples @ channel.T).reshape(n_rows, -1) - (u_i - lambda_i)
+        values += rho * (w * w.conj()).real.sum(axis=1)
+    return values
+
+
+def surrogate_value(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None):
+    """Surrogate -2 Re tr(P dC(x)) + tr(P C(x) P C(x)) + penalty at one
+    waveform: the one-row case of :func:`surrogate_values`, with
+    tr(P dC) = d1 . diag(P) + 2 sa Re((P h)^H q) and
+    tr(P C P C) = d0^T |P|^2 d0 + 2 sa sum(|P h|^2 d0) + sa^2 (h^H P h)^2
+    plus the complement terms."""
+    return float(surrogate_values(anchor, np.asarray(x)[None, :], rho, u_i, lambda_i,
+                                  channel)[0])
 
 
 def _row(model, alpha, gamma=None):
@@ -175,26 +217,42 @@ def pgd_step(anchor, x_t, rho=0.0, u_i=None, lambda_i=None, channel=None,
              power=1.0):
     """One normalized projected-gradient step with backtracking.
 
+    The schedule mu = 0.1 sqrt(power), halved down to STEP_FLOOR, is built
+    at once: each candidate x_t - mu g/|g| is projected onto the power ball
+    and one :func:`surrogate_values` call scores them all with the anchor
+    value m0. The first candidate with m1 - m0 <= (2 mu / |g|) Re(g^H (x1 -
+    x_t)) and m1 <= m0, both up to the slack, is taken.
+
     Returns (x_next, mu, stalled). A zero gradient or an exhausted line
     search returns the anchor point unchanged (stalled flags the latter).
     """
+    x_t = np.asarray(x_t, dtype=complex)
     grad = surrogate_gradient(anchor, x_t, rho, u_i, lambda_i, channel)
     gn = float(np.linalg.norm(grad))
-    m0 = surrogate_value(anchor, x_t, rho, u_i, lambda_i, channel)
-    if gn <= 1e-12 * (abs(m0) + 1.0):
-        # normalized steps along a numerically-zero gradient only add noise
-        return np.asarray(x_t, dtype=complex), 0.0, False
-    ghat = grad / gn
-    slack = RELATIVE_SLACK * (abs(m0) + 1.0)
+    ghat = grad / gn if gn > 0.0 else grad
+    mus = []
     mu = 0.1 * math.sqrt(power)
     while mu >= STEP_FLOOR:
-        x_new = project_power_ball(x_t - mu * ghat, power)
-        m1 = surrogate_value(anchor, x_new, rho, u_i, lambda_i, channel)
-        rhs = (2.0 * mu / gn) * float(np.vdot(grad, x_new - x_t).real)
-        if m1 - m0 <= rhs + slack and m1 <= m0 + slack:
-            return x_new, mu, False
+        mus.append(mu)
         mu *= 0.5
-    return np.asarray(x_t, dtype=complex), 0.0, True
+    mus = np.array(mus)
+    steps = x_t - mus[:, None] * ghat
+    norm2 = (steps * steps.conj()).real.sum(axis=1)
+    # rows inside the ball keep a unit scale
+    candidates = steps * np.sqrt(power / np.maximum(norm2, power))[:, None]
+    values = surrogate_values(anchor, np.concatenate((x_t[None], candidates)), rho, u_i,
+                              lambda_i, channel)
+    m0, m1 = values[0], values[1:]
+    if gn <= 1e-12 * (abs(m0) + 1.0):
+        # normalized steps along a numerically-zero gradient only add noise
+        return x_t, 0.0, False
+    slack = RELATIVE_SLACK * (abs(m0) + 1.0)
+    rhs = (2.0 * mus / gn) * ((candidates - x_t) @ grad.conj()).real
+    accepted = np.flatnonzero((m1 - m0 <= rhs + slack) & (m1 <= m0 + slack))
+    if accepted.size == 0:
+        return x_t, 0.0, True
+    first = accepted[0]
+    return candidates[first], float(mus[first]), False
 
 
 def solve_x_pt(model, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,

@@ -3,7 +3,8 @@ isolate each derivative path of the point-target surrogate, the dense
 derivative of the point-target response, the lift of receive blocks to
 n x n matrices, the dense n x n point-target covariance chain (workspace,
 trace form, anchor, surrogate value and gradient rows) that the library
-holds in the receive subspace, the
+holds in the receive subspace, the projected-gradient step that scores its
+backtracking candidates one at a time, the
 extended-target chain as the library computed it before the shared anchor
 and the dense Mbar (explicit Kronecker bound, matrix-free Mbar apply,
 uncached MM loop), the information form of the extended-target bound, the
@@ -33,7 +34,8 @@ from onebit_isac.linalg import (
     vec,
 )
 from onebit_isac.opt_et import build_lt, lam_max_channel
-from onebit_isac.opt_pt import penalty_value
+from onebit_isac import opt_pt
+from onebit_isac.opt_pt import penalty_value, surrogate_gradient, surrogate_value
 from onebit_isac.quantization import bussgang_gain, covariance_czz_exact, quantize_one_bit
 from onebit_isac.sep_projection import _objective_at, boundary_points
 
@@ -140,6 +142,29 @@ def dense_surrogate_value(model: PtModel, p_big, x, quantized=True, rho=0.0,
     pc = p @ base
     quad = float(np.einsum("ij,ji->", pc, pc).real)
     return lin + quad + penalty_value(model, x, rho, u_i, lambda_i, channel)
+
+
+def scalar_pgd_step(anchor, x_t, rho=0.0, u_i=None, lambda_i=None, channel=None,
+                    power=1.0):
+    """opt_pt.pgd_step as a loop: score one backtracking candidate at a time,
+    halving mu from 0.1 sqrt(power) until one passes or mu drops below
+    opt_pt.STEP_FLOOR. Returns (x_next, mu, stalled)."""
+    grad = surrogate_gradient(anchor, x_t, rho, u_i, lambda_i, channel)
+    gn = float(np.linalg.norm(grad))
+    m0 = surrogate_value(anchor, x_t, rho, u_i, lambda_i, channel)
+    if gn <= 1e-12 * (abs(m0) + 1.0):
+        return np.asarray(x_t, dtype=complex), 0.0, False
+    ghat = grad / gn
+    slack = opt_pt.RELATIVE_SLACK * (abs(m0) + 1.0)
+    mu = 0.1 * np.sqrt(power)
+    while mu >= opt_pt.STEP_FLOOR:
+        x_new = project_power_ball(x_t - mu * ghat, power)
+        m1 = surrogate_value(anchor, x_new, rho, u_i, lambda_i, channel)
+        rhs = (2.0 * mu / gn) * float(np.vdot(grad, x_new - x_t).real)
+        if m1 - m0 <= rhs + slack and m1 <= m0 + slack:
+            return x_new, mu, False
+        mu *= 0.5
+    return np.asarray(x_t, dtype=complex), 0.0, True
 
 
 def _diag_of_triple(a, dvec, b):

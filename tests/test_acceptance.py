@@ -8,6 +8,7 @@ length 10 for point targets, 4x4 with block length 8 for extended targets,
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 from helpers_oracles import (
@@ -393,7 +394,7 @@ def test_criterion_11_determinism(tmp_path):
             rows, _ = run_experiment(ExperimentConfig.from_dict(cfg_dict))
             path = str(tmp_path / f"{fmt}_{i}.{fmt}")
             emit(rows, fmt, path)
-            pair.append(open(path, "rb").read())
+            pair.append(Path(path).read_bytes())
         blobs.append(pair[0] == pair[1])
     # convergence family too
     conv = {
@@ -406,6 +407,6 @@ def test_criterion_11_determinism(tmp_path):
         rows, _ = run_experiment(ExperimentConfig.from_dict(conv))
         path = str(tmp_path / f"conv_{i}.csv")
         emit(rows, "csv", path)
-        pair.append(open(path, "rb").read())
+        pair.append(Path(path).read_bytes())
     ok = all(blobs) and pair[0] == pair[1]
     check(11, "identical config and seed produce byte-identical outputs", ok)

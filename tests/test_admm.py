@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from onebit_isac import opt_et, opt_pt
 from onebit_isac.admm import AdmmConfig, admm_run, initialize
 from onebit_isac.comm_sep import sep_constraints_satisfied
 from onebit_isac.crb_metrics import crb_pt
@@ -66,6 +67,36 @@ def test_trace_lengths_consistent():
     assert len(t.residuals) == len(t.objectives) == len(t.rhos) == len(t.wall_times)
     assert all(r >= 0.0 for r in t.residuals)
     assert t.rhos[0] == 10.0
+
+
+@pytest.mark.parametrize("variant", ["PT", "PT_INF", "ET"])
+def test_trace_records_each_outer_waveform_solve(monkeypatch, variant):
+    module, name = (opt_pt, "solve_x_pt") if variant.startswith("PT") else (opt_et, "solve_x_et")
+    solve = getattr(module, name)
+    infos = []
+
+    def recording(*args, **kwargs):
+        x, info = solve(*args, **kwargs)
+        infos.append(info)
+        return x, info
+
+    monkeypatch.setattr(module, name, recording)
+    if variant == "ET":
+        sc = et_scenario(snr_sensing_db=20.0, snr_comm_db=30.0, seed=0)
+        cfg = AdmmConfig(rho0=1.0, c_rho=1.1, rho_max=10.0, max_outer=8, max_inner=6)
+    else:
+        sc = small_pt()
+        cfg = AdmmConfig(rho0=10.0, c_rho=3.0, rho_max=1e6, max_outer=6, max_inner=5)
+    res = admm_run(sc, variant, config=cfg, seed=1)
+    t = res.trace
+    per_outer = (t.residuals, t.objectives, t.rhos, t.wall_times, t.inner_iters, t.stalled)
+    assert all(len(values) == res.n_outer for values in per_outer)
+    assert len(infos) == res.n_outer
+    assert t.inner_iters == [info["n_iter"] for info in infos]
+    assert sum(t.inner_iters) == sum(info["n_iter"] for info in infos) > 0
+    assert t.stalled == [info.get("stalled", False) for info in infos]
+    if variant == "ET":
+        assert not any(t.stalled)
 
 
 def test_small_pt_run_converges_and_is_feasible():

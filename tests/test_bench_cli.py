@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -107,14 +108,14 @@ def test_emit_roundtrip_csv_and_json(tmp_path):
         # emitting the parsed records again is byte-identical
         path2 = str(tmp_path / ("again_" + name))
         emit(records, fmt, path2)
-        assert open(path, "rb").read() == open(path2, "rb").read()
+        assert Path(path).read_bytes() == Path(path2).read_bytes()
 
 
 def test_emit_csv_is_rfc4180_quoted(tmp_path):
     rows = [ResultRow("demo", 'x="1,2"', "m", 1.0, None, 0)]
     path = str(tmp_path / "quoted.csv")
     emit(rows, "csv", path)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert b"\r\n" in raw
     assert b'"x=""1,2"""' in raw
 
@@ -157,7 +158,7 @@ def test_deterministic_output_bytes(tmp_path):
         rows, _ = run_experiment(ExperimentConfig.from_dict(cfg_dict))
         emit(rows, "csv", path)
         paths.append(path)
-    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
 
 
 def test_tradeoff_experiment_rows():

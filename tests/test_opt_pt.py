@@ -9,11 +9,12 @@ from helpers_oracles import (
     dense_pt_workspace,
     lift,
     random_ball_point,
+    scalar_pgd_step,
     wirtinger_dx,
 )
 
 from onebit_isac import opt_pt
-from onebit_isac.crb_metrics import PtModel, crb_pt
+from onebit_isac.crb_metrics import PtModel, ReceiveBlock, crb_pt
 from onebit_isac.linalg import complex_normal, h_tilde_adjoint, h_tilde_apply
 from onebit_isac.opt_pt import (
     augmented_objective,
@@ -23,6 +24,7 @@ from onebit_isac.opt_pt import (
     solve_x_pt,
     surrogate_gradient,
     surrogate_value,
+    surrogate_values,
 )
 
 
@@ -147,6 +149,7 @@ def test_pgd_step_zero_gradient_is_identity():
     x_new, mu, stalled = pgd_step(anchor, x, rho=0.0, power=1.0)
     assert np.array_equal(x_new, x)
     assert not stalled
+    assert (mu, stalled) == scalar_pgd_step(anchor, x, rho=0.0, power=1.0)[1:]
 
 
 def test_pgd_step_respects_power_and_descends():
@@ -221,3 +224,79 @@ def test_search_config_stall_reporting(monkeypatch):
     x_new, mu, stalled = pgd_step(anchor, x, rho, u, lam, h, power=1.0)
     assert stalled
     assert np.array_equal(x_new, x)
+
+
+def mm_anchors(n_t, n_r, block_len, quantized, rho, n_steps=6, power=1.0, sv=1e-3):
+    """(anchor, x_t, penalty args) along an MM run, each next iterate from the
+    scalar oracle. The line search backtracks at 30 dB (sv = 1e-3); at
+    -10 dB (sv = 10) the sufficient-decrease test rejects steps that lower
+    the surrogate."""
+    rng = np.random.default_rng(9)
+    model = PtModel(math.radians(30.0), 1.0, sv, n_t, n_r, block_len)
+    x = complex_normal(rng, n_t * block_len)
+    x *= math.sqrt(power) / np.linalg.norm(x)
+    k = 2
+    penalty = (rho, complex_normal(rng, k * block_len), 0.3 * complex_normal(rng, k * block_len),
+               complex_normal(rng, (k, n_t)))
+    out = []
+    for _ in range(n_steps):
+        anchor = build_anchor(model, x, quantized)
+        out.append((anchor, x, penalty))
+        x = scalar_pgd_step(anchor, x, *penalty, power=power)[0]
+    return out
+
+
+# (n_t, n_r, L, quantized, rho, power, sigma_v^2)
+STEP_CASES = [(3, 3, 2, True, 0.0, 1.0, 1e-3), (4, 4, 4, True, 0.0, 1.0, 1e-3),
+              (4, 4, 4, False, 0.0, 1.0, 1e-3), (4, 4, 4, True, 0.5, 2.5, 1e-3),
+              (4, 4, 4, False, 3.0, 1.0, 1e-3), (3, 3, 2, True, 0.0, 1.0, 10.0),
+              (4, 4, 4, False, 0.0, 1.0, 10.0)]
+
+
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_pgd_step_matches_scalar_backtracking(case):
+    *shape, quantized, rho, power, sv = case
+    mus = []
+    for anchor, x, penalty in mm_anchors(*shape, quantized, rho, power=power, sv=sv):
+        x_new, mu, stalled = pgd_step(anchor, x, *penalty, power=power)
+        want_x, want_mu, want_stalled = scalar_pgd_step(anchor, x, *penalty, power=power)
+        assert (mu, stalled) == (want_mu, want_stalled)
+        assert np.linalg.norm(x_new - want_x) <= 1e-12 * np.linalg.norm(want_x)
+        assert np.vdot(x_new, x_new).real <= power * (1.0 + 1e-12)
+        mus.append(mu)
+    assert min(mus) < 0.1 * math.sqrt(power)  # the line search backtracks
+
+
+def test_pgd_step_exhausted_schedule_matches_scalar(monkeypatch):
+    anchors = mm_anchors(4, 4, 4, True, 0.0)
+    backtracked = [(a, x, p, scalar_pgd_step(a, x, *p)[1]) for a, x, p in anchors]
+    backtracked = [case for case in backtracked if case[3] < 0.1]
+    assert backtracked
+    for anchor, x, penalty, mu in backtracked:
+        # the floor just above the accepted step: every candidate left fails
+        monkeypatch.setattr(opt_pt, "STEP_FLOOR", 1.5 * mu)
+        x_new, mu_new, stalled = pgd_step(anchor, x, *penalty)
+        assert (mu_new, stalled) == (0.0, True)
+        assert np.array_equal(x_new, x)
+        assert scalar_pgd_step(anchor, x, *penalty)[1:] == (0.0, True)
+
+
+def test_candidate_scoring_builds_no_block_products(monkeypatch):
+    # the step scores its whole schedule from the anchor block alone: no
+    # workspace, no kL x kL product and no solve per candidate
+    anchor, x, penalty = mm_anchors(4, 4, 4, True, 0.5)[2]
+    want = pgd_step(anchor, x, *penalty)
+    grad = surrogate_gradient(anchor, x, *penalty)
+    stack = np.stack([x, want[0], 0.5 * x])
+    values = surrogate_values(anchor, stack, *penalty)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-candidate chain work while scoring the line search")
+
+    monkeypatch.setattr(opt_pt, "surrogate_gradient", lambda *args, **kwargs: grad)
+    monkeypatch.setattr(ReceiveBlock, "__matmul__", refuse)
+    monkeypatch.setattr(ReceiveBlock, "solve", refuse)
+    monkeypatch.setattr(PtModel, "workspace", refuse)
+    got = pgd_step(anchor, x, *penalty)
+    assert got[1:] == want[1:] and np.array_equal(got[0], want[0])
+    assert np.array_equal(surrogate_values(anchor, stack, *penalty), values)

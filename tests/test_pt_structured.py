@@ -26,8 +26,14 @@ from onebit_isac.crb_metrics import (
     crb_pt,
     crb_pt_infinite_resolution,
 )
-from onebit_isac.linalg import complex_normal
-from onebit_isac.opt_pt import build_anchor, gradient_rows, solve_x_pt, surrogate_value
+from onebit_isac.linalg import complex_normal, project_power_ball
+from onebit_isac.opt_pt import (
+    build_anchor,
+    gradient_rows,
+    solve_x_pt,
+    surrogate_value,
+    surrogate_values,
+)
 
 RTOL = 1e-9
 SHAPES = [(2, 2, 1), (3, 3, 2), (4, 8, 3), (8, 8, 4), (16, 32, 4), (5, 17, 2)]
@@ -117,6 +123,15 @@ def test_anchor_surrogate_and_gradient_rows_match_dense_oracle(case, quantized, 
             scale = 1e-6 * np.linalg.norm(oracle["total"])
             for key, want_row in oracle.items():
                 assert rel_err(rows[key], want_row, scale) < RTOL, key
+        # one stacked call: the anchor point, interior candidates and a
+        # candidate pulled back onto the power ball
+        outside = x + 3.0 * y / np.linalg.norm(y)
+        stack = np.stack([x, y, 0.5 * (x + y), 0.3 * y, project_power_ball(outside, 1.0)])
+        values = surrogate_values(anchor, stack, rho, u, lam, h)
+        assert values.shape == (len(stack),)
+        for point, got in zip(stack, values):
+            want = dense_surrogate_value(model, p_dense, point, quantized, rho, u, lam, h)
+            assert abs(got - want) < RTOL * abs(want)
 
 
 @pytest.mark.parametrize("theta", [math.pi / 2, -math.pi / 2])
