@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import crb_metrics, opt_et, opt_pt
+from . import opt_et, opt_pt
 from .linalg import complex_normal, h_tilde_apply, vec
 from .sep_projection import _clamp_u, solve_block
 from .crb_metrics import PtModel
@@ -110,11 +110,11 @@ def initialize(scenario, seed=0):
 
 
 def _objective(scenario, variant, model, x):
-    # each solver leaves its returned x in the model's cache: the workspace
-    # gives crb_pt (PT) or crb_pt_infinite_resolution (PT_INF), the anchor
-    # crb_et (ET) or mse_et_quantization_unaware (ET_QU)
+    # crb_pt (PT) or crb_pt_infinite_resolution (PT_INF) from the model's
+    # cached factors; crb_et (ET) or mse_et_quantization_unaware (ET_QU) from
+    # the anchor the ET solver left in its cache
     if variant in ("PT", "PT_INF"):
-        return crb_metrics.pt_bound(model.workspace(x), quantized=(variant == "PT"))
+        return model.bound(x, quantized=(variant == "PT"))
     return model.bound_value(x) / float(np.trace(scenario.target.c_aa).real)
 
 
@@ -127,6 +127,8 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    if variant.startswith("PT") != (scenario.kind == "pt"):
+        raise ValueError(f"variant {variant!r} does not fit scenario.kind {scenario.kind!r}")
     config = config or AdmmConfig.for_variant(variant)
     x, u, d, lam = initialize(scenario, seed)
     k = scenario.n_users

@@ -209,11 +209,10 @@ def _pt_point(cfg, snr_db, seed):
     x, _ = solve_x_pt(model, x0, rho=0.0, power=sc.power, tol=1e-9,
                       max_iter=cfg.solver_max_iter)
     point = f"snr={snr_db:g}"
-    ws = model.workspace(x)
     rows = [
-        ResultRow("pt_sweep", point, "crb_onebit", crb_metrics.pt_bound(ws), seed=seed),
-        ResultRow("pt_sweep", point, "crb_infinite",
-                  crb_metrics.pt_bound(ws, quantized=False), seed=seed),
+        ResultRow("pt_sweep", point, "crb_onebit", model.bound(x), seed=seed),
+        ResultRow("pt_sweep", point, "crb_infinite", model.bound(x, quantized=False),
+                  seed=seed),
     ]
     if cfg.trials > 0:
         summary = run_trials(sc, x, cfg.trials, base_seed=seed + 10_000)

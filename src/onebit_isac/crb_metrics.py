@@ -1,7 +1,8 @@
 """Estimation-accuracy metrics: the one-bit DOA bound for point-like targets
 with its full derivative chain, the Bayesian trace bound for extended
 targets, their infinite-resolution / quantization-unaware counterparts, and
-the point-target workspace and extended-target anchor the optimizers reuse."""
+the point-target chain factors, the point-target P = C^{-1} dC C^{-1} and
+the extended-target anchor the optimizers reuse."""
 
 import math
 from dataclasses import dataclass, field
@@ -15,85 +16,6 @@ from .quantization import TWO_OVER_PI
 
 INFINITE_CRB_FLOOR = 1e-18
 SQRT_TWO_OVER_PI = math.sqrt(TWO_OVER_PI)
-
-
-class ReceiveBlock:
-    """An n x n matrix of the point-target chain, n = n_r L, held in the
-    receive subspace.
-
-    With Q the model's receive basis (k columns) the matrix is
-    (I_L kron Q) w (I_L kron Q)^H + diag(c) kron (I - Q Q^H): w is kL x kL
-    with index j + k l, c an L-vector on the n_perp = n_r - k dimensional
-    complement. Products, solves and scalings by diag(v) kron I_{n_r} keep
-    this form.
-    """
-
-    __slots__ = ("w", "c", "n_perp")
-
-    def __init__(self, w, c, n_perp):
-        self.w = w
-        self.c = c
-        self.n_perp = n_perp
-
-    def __matmul__(self, other):
-        return ReceiveBlock(self.w @ other.w, self.c * other.c, self.n_perp)
-
-    def solve(self, other):
-        """self^{-1} other."""
-        return ReceiveBlock(np.linalg.solve(self.w, other.w), other.c / self.c, self.n_perp)
-
-    def adjoint(self):
-        return ReceiveBlock(self.w.conj().T, self.c, self.n_perp)
-
-    def hermitian(self):
-        return ReceiveBlock((self.w + self.w.conj().T) / 2.0, self.c, self.n_perp)
-
-    def scaled(self, right):
-        """self (diag(right) kron I_{n_r}) for a real L-vector right."""
-        k = self.w.shape[0] // right.size
-        return ReceiveBlock(self.w * np.repeat(right, k), self.c * right, self.n_perp)
-
-    def matvec(self, v):
-        """self applied to an (L, k) array of receive-subspace coordinates."""
-        return (self.w @ v.reshape(-1)).reshape(v.shape)
-
-    def trace(self):
-        return np.trace(self.w) + self.n_perp * np.sum(self.c)
-
-    def receive_trace(self):
-        """Per-sample receive partial trace: the L-vector of sums of the
-        diagonal over the n_r receive elements."""
-        block_len = self.c.size
-        k = self.w.shape[0] // block_len
-        w4 = self.w.reshape(block_len, k, block_len, k)
-        return np.einsum("ljlj->l", w4) + self.n_perp * self.c
-
-
-@dataclass
-class PtCrbWorkspace:
-    """Covariance chain of the point-target bound at one waveform.
-
-    With s = X^T a_t and s_d = X^T da_t, the echo is g = s kron a_r and its
-    angle derivative g' = s kron da_r + s_d kron a_r; g and g_prime hold them
-    as (L, k) receive-subspace coordinates. Every matrix is a
-    :class:`ReceiveBlock`: c_rr = sigma_v^2 I + sigma_alpha^2 g g^H, the
-    linearized one-bit c_zz_hat, and their angle derivatives. Their
-    diagonals (diag_crr, f, d_f_dtheta) depend only on the sample index and
-    are L-vectors.
-    """
-
-    s: np.ndarray
-    s_d: np.ndarray
-    g: np.ndarray
-    g_prime: np.ndarray
-    c_rr: ReceiveBlock
-    d_crr_dtheta: ReceiveBlock
-    diag_crr: np.ndarray
-    diag_dcrr: np.ndarray
-    f: np.ndarray
-    d_f_dtheta: np.ndarray
-    c_zz_hat: ReceiveBlock
-    d_czz_dtheta: ReceiveBlock
 
 
 def _outer(u, v):
@@ -115,11 +37,13 @@ class PtModel:
     da_t: np.ndarray = field(init=False, repr=False, compare=False)
     q: np.ndarray = field(init=False, repr=False, compare=False)
     beta: np.ndarray = field(init=False, repr=False, compare=False)
-    # (waveform, workspace) of the last call: the MM loop asks for the
-    # workspace at the anchor and at the accepted step more than once
+    # (waveform, factors) of the last call: the MM loop asks for the factors
+    # at the anchor and at the accepted step more than once
     _last: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.sigma_alpha_sq) and self.sigma_alpha_sq >= 0.0):
+            raise ValueError("target power must be finite and non-negative")
         if self.sigma_v_sq <= 0.0:
             raise ValueError("noise power must be positive")
         if self.block_len < 1:
@@ -150,48 +74,63 @@ class PtModel:
         d_pin = -2.0 * sa * ((d_f * s + f * s_d) * (f * s).conj()).real / self.n_r
         q = f[..., None] * gp
         q[..., 0] += d_f * s
-        return ChainFactors(gp, diag_crr, diag_dcrr, f, d_f, c_pin, d_pin, q)
+        return ChainFactors(s, s_d, gp, diag_crr, diag_dcrr, f, d_f, c_pin, d_pin, q)
 
     def workspace(self, x):
-        """Build the full covariance/derivative chain at waveform x."""
+        """The chain factors at waveform x."""
         x = np.asarray(x, dtype=complex)
         last = self._last
         if last is not None and np.array_equal(last[0], x):
             return last[1]
         xm = unvec(x, self.n_t, self.block_len)
-        s = xm.T @ self.a_t
-        s_d = xm.T @ self.da_t
-        fac = self.chain_factors(s, s_d)
-        n_perp = self.n_r - self.q.shape[1]
-        g = np.zeros_like(fac.g_prime)
-        g[:, 0] = s
+        fac = self.chain_factors(xm.T @ self.a_t, xm.T @ self.da_t)
+        self._last = (x.copy(), fac)
+        return fac
+
+    def chain_p(self, x, quantized=True):
+        """P = C^{-1} dC C^{-1} of the one-bit (or, quantized=False, the
+        unquantized) chain at waveform x, with tr(P dC).
+
+        By Sherman-Morrison C^{-1} = diag(1/d0) - c b b^H with b = h e_0 / d0
+        and c = sa / (1 + sa h^H b), and sa C^{-1} h = c b, so
+        P = diag(d1 / d0^2) + v b^H + b v^H in closed form.
+        """
         sa = self.sigma_alpha_sq
-        c_rr, d_crr = _chain_blocks(sa, n_perp, *fac.low_rank(s, self.sigma_v_sq, False))
-        c_zz_hat, d_czz = _chain_blocks(sa, n_perp, *fac.low_rank(s, self.sigma_v_sq, True))
-        ws = PtCrbWorkspace(
-            s=s,
-            s_d=s_d,
-            g=g,
-            g_prime=fac.g_prime,
-            c_rr=c_rr,
-            d_crr_dtheta=d_crr,
-            diag_crr=fac.diag_crr,
-            diag_dcrr=fac.diag_dcrr,
-            f=fac.f,
-            d_f_dtheta=fac.d_f,
-            c_zz_hat=c_zz_hat,
-            d_czz_dtheta=d_czz,
-        )
-        self._last = (x.copy(), ws)
-        return ws
+        d0, d1, h, q = self.workspace(x).low_rank(self.sigma_v_sq, quantized)
+        block_len, k = q.shape
+        b = np.zeros_like(q)
+        b[:, 0] = h / d0
+        c = sa / (1.0 + sa * np.vdot(h, b[:, 0]).real)
+        c_inv_q = q / d0[:, None] - c * np.vdot(b, q) * b
+        # C^{-1} diag(d1) C^{-1} = diag(d1 / d0^2) - c (u b^H + b u^H)
+        # + c^2 (b^H diag(d1) b) b b^H with u = diag(d1 / d0) b
+        v = c * (c_inv_q - (d1 / d0)[:, None] * b) + 0.5 * c**2 * (d1 @ np.abs(b[:, 0]) ** 2) * b
+        p_perp = d1 / d0**2
+        vb = _outer(v, b)
+        p = np.diag(np.repeat(p_perp, k)) + vb + vb.conj().T
+        n_perp = self.n_r - k
+        p4 = p.reshape(block_len, k, block_len, k)
+        diag_p = np.einsum("ljlj->l", p4).real + n_perp * p_perp
+        abs_p2 = np.einsum("ajbi->ab", (p4 * p4.conj()).real) + np.diag(n_perp * p_perp**2)
+        return ChainP(p, diag_p, abs_p2, float(trace_p_dc(sa, p, diag_p, d1, h, q)[0]))
+
+    def bound(self, x, quantized=True):
+        """1 / tr(C^{-1} dC C^{-1} dC) at waveform x: the one-bit bound, or
+        the infinite-resolution one when quantized is False; math.inf when
+        the trace falls below INFINITE_CRB_FLOOR (unidentifiable direction)."""
+        t = self.chain_p(x, quantized).trace
+        return math.inf if t < INFINITE_CRB_FLOOR else 1.0 / t
 
 
 class ChainFactors(NamedTuple):
     """Per-sample pieces of the point-target chain (see
-    :meth:`PtModel.chain_factors`): g' in receive-subspace coordinates,
-    diag(C_rr) and its angle derivative, F and dF, the pinned diagonals of
-    the one-bit C_zz_hat and its derivative, and q = dF g + F g'."""
+    :meth:`PtModel.chain_factors`): s = X^T a_t, s_d = X^T da_t, g' in
+    receive-subspace coordinates, diag(C_rr) and its angle derivative, F
+    and dF, the pinned diagonals of the one-bit C_zz_hat and its
+    derivative, and q = dF g + F g'."""
 
+    s: np.ndarray
+    s_d: np.ndarray
     g_prime: np.ndarray
     diag_crr: np.ndarray
     diag_dcrr: np.ndarray
@@ -201,7 +140,7 @@ class ChainFactors(NamedTuple):
     d_pin: np.ndarray
     q: np.ndarray
 
-    def low_rank(self, s, sigma_v_sq, quantized):
+    def low_rank(self, sigma_v_sq, quantized):
         """(d0, d1, h, q) of the one-bit or the unquantized chain.
 
         In receive-subspace coordinates C = diag(d0) + sa (h e_0)(h e_0)^H
@@ -212,42 +151,31 @@ class ChainFactors(NamedTuple):
         q = g', d0 = sigma_v^2, d1 = 0.
         """
         if quantized:
-            return self.c_pin, self.d_pin, self.f * s, self.q
-        return np.full(s.shape, sigma_v_sq), np.zeros(s.shape), s, self.g_prime
+            return self.c_pin, self.d_pin, self.f * self.s, self.q
+        return np.full(self.s.shape, sigma_v_sq), np.zeros(self.s.shape), self.s, self.g_prime
 
 
-def _chain_blocks(sa, n_perp, d0, d1, h, q):
-    """C and dC as receive blocks from the factors of one waveform."""
+class ChainP(NamedTuple):
+    """P = C^{-1} dC C^{-1} of one chain at one waveform
+    (:meth:`PtModel.chain_p`): mat is P on the receive subspace (kL x kL,
+    index j + k l), diag and abs2 are the per-sample sums of P's diagonal
+    (L) and of |P|^2 (L x L), the complement included, and
+    trace = tr(P dC) = tr(C^{-1} dC C^{-1} dC)."""
+
+    mat: np.ndarray
+    diag: np.ndarray
+    abs2: np.ndarray
+    trace: float
+
+
+def trace_p_dc(sa, p, diag_p, d1, h, q):
+    """tr(P dC) = d1 . diag(P) + 2 sa Re((P h)^H q) for a Hermitian P (kL x
+    kL, with per-sample diagonal sums diag_p) and dC = diag(d1) +
+    sa (q h^H + h q^H) (:meth:`ChainFactors.low_rank`), for one waveform or
+    a (K, ...) stack; returned with P h as (..., L, k)."""
     k = q.shape[-1]
-    hv = np.zeros_like(q)
-    hv[:, 0] = h
-    cov = ReceiveBlock(np.diag(np.repeat(d0, k)) + sa * _outer(hv, hv), d0, n_perp)
-    dcov = ReceiveBlock(np.diag(np.repeat(d1, k)) + sa * (_outer(q, hv) + _outer(hv, q)),
-                        d1, n_perp)
-    return cov, dcov
-
-
-def _trace_form(cov, dcov):
-    """tr(C^{-1} dC C^{-1} dC) for receive blocks C and dC."""
-    s = cov.solve(dcov)
-    return float((s @ s).trace().real)
-
-
-def _chain(ws, quantized):
-    """(C, dC/dtheta) of the one-bit or the unquantized covariance chain."""
-    if quantized:
-        return ws.c_zz_hat, ws.d_czz_dtheta
-    return ws.c_rr, ws.d_crr_dtheta
-
-
-def pt_bound(ws, quantized=True):
-    """1 / tr(C^{-1} dC C^{-1} dC) of a workspace: the one-bit bound, or the
-    infinite-resolution one when quantized is False; math.inf when the trace
-    falls below INFINITE_CRB_FLOOR (unidentifiable direction)."""
-    t = _trace_form(*_chain(ws, quantized))
-    if t < INFINITE_CRB_FLOOR:
-        return math.inf
-    return 1.0 / t
+    ph = (h @ p[:, ::k].T).reshape(q.shape)
+    return d1 @ diag_p + 2.0 * sa * (q.conj() * ph).real.sum(axis=(-2, -1)), ph
 
 
 def crb_pt(x, theta, sigma_alpha_sq, sigma_v_sq, n_r, block_len):
@@ -257,15 +185,15 @@ def crb_pt(x, theta, sigma_alpha_sq, sigma_v_sq, n_r, block_len):
     configured floor), e.g. at theta = +/- pi/2.
     """
     x = np.asarray(x)
-    model = PtModel(theta, sigma_alpha_sq, sigma_v_sq, x.size // block_len, n_r, block_len)
-    return pt_bound(model.workspace(x))
+    return PtModel(theta, sigma_alpha_sq, sigma_v_sq, x.size // block_len, n_r,
+                   block_len).bound(x)
 
 
 def crb_pt_infinite_resolution(x, theta, sigma_alpha_sq, sigma_v_sq, n_r, block_len):
     """Same trace bound with the unquantized echo covariance."""
     x = np.asarray(x)
-    model = PtModel(theta, sigma_alpha_sq, sigma_v_sq, x.size // block_len, n_r, block_len)
-    return pt_bound(model.workspace(x), quantized=False)
+    return PtModel(theta, sigma_alpha_sq, sigma_v_sq, x.size // block_len, n_r,
+                   block_len).bound(x, quantized=False)
 
 
 @dataclass(frozen=True)

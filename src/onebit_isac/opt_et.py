@@ -41,6 +41,9 @@ class EtProblem:
         if self.sigma_v_sq <= 0.0:
             raise ValueError("noise power must be positive")
         self.c_aa = np.asarray(self.c_aa)
+        dim = self.n_r * self.n_t
+        if self.c_aa.shape != (dim, dim):
+            raise ValueError(f"c_aa must be {dim} x {dim} (n_r n_t), got {self.c_aa.shape}")
 
     def anchor(self, x):
         """The :class:`~onebit_isac.crb_metrics.EtAnchor` at waveform x."""

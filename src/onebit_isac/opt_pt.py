@@ -1,16 +1,16 @@
 """Waveform subproblem solver for point-like targets: concave-Taylor
 surrogate of the trace objective, its analytic conjugate gradient (built
-from the receive-subspace blocks of the covariance chain, never from
-materialized Kronecker products or n x n matrices), one-step normalized
-projected gradient descent with backtracking, and the outer
-majorize-minimize loop."""
+from the diagonal-plus-rank-one covariance chain and matrix-vector products
+with the anchor's P, never from materialized Kronecker products or n x n
+matrices), one-step normalized projected gradient descent with
+backtracking, and the outer majorize-minimize loop."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .crb_metrics import PtModel, ReceiveBlock, SQRT_TWO_OVER_PI, _chain, _trace_form
+from .crb_metrics import ChainP, PtModel, SQRT_TWO_OVER_PI, trace_p_dc
 from .linalg import h_tilde_adjoint, h_tilde_apply, vec
 
 # backtracking schedule: start at 0.1 sqrt(P), halve until accepted or below
@@ -23,23 +23,21 @@ RELATIVE_SLACK = 1e-12
 class SurrogateAnchor:
     """Taylor anchor of the trace surrogate at one iterate.
 
-    p_big is unvec(Q_t^{-1} p_t) = C^{-1} dC C^{-1} evaluated at the anchor
-    (quantized or infinite-resolution covariance chain as configured), held
-    as a Hermitian :class:`ReceiveBlock`.
+    p is unvec(Q_t^{-1} p_t) = C^{-1} dC C^{-1} evaluated at the anchor
+    (quantized or infinite-resolution covariance chain as configured), with
+    its per-sample sums and the true objective's trace tr(P dC)
+    (:meth:`PtModel.chain_p`).
     """
 
     model: PtModel
     x_t: np.ndarray
-    p_big: ReceiveBlock
+    p: ChainP
     quantized: bool
 
 
 def build_anchor(model, x_t, quantized=True):
-    base, dbase = _chain(model.workspace(x_t), quantized)
-    # C^{-1} (C^{-1} dC)^H = C^{-1} dC C^{-1}, as dC is Hermitian
-    p_big = base.solve(base.solve(dbase).adjoint()).hermitian()
     return SurrogateAnchor(model=model, x_t=np.asarray(x_t, dtype=complex),
-                           p_big=p_big, quantized=quantized)
+                           p=model.chain_p(x_t, quantized), quantized=quantized)
 
 
 def _penalty_residual(model, x, u_i, lambda_i, channel):
@@ -55,15 +53,10 @@ def penalty_value(model, x, rho, u_i, lambda_i, channel):
     return rho * float(np.vdot(w, w).real)
 
 
-def objective_value(model, x, quantized=True, workspace=None):
-    """True objective f(x) = -tr(C^{-1} dC C^{-1} dC) at waveform x."""
-    ws = workspace or model.workspace(x)
-    return -_trace_form(*_chain(ws, quantized))
-
-
 def augmented_objective(model, x, rho, u_i=None, lambda_i=None, channel=None,
                         quantized=True):
-    return objective_value(model, x, quantized) + penalty_value(
+    """True objective -tr(C^{-1} dC C^{-1} dC) plus the penalty at x."""
+    return -model.chain_p(x, quantized).trace + penalty_value(
         model, x, rho, u_i, lambda_i, channel
     )
 
@@ -75,17 +68,16 @@ def surrogate_values(anchor, xs, rho=0.0, u_i=None, lambda_i=None, channel=None)
     Per row the chain is C = diag(d0) + sa h h^H and
     dC = diag(d1) + sa (q h^H + h q^H) in receive-subspace coordinates
     (:meth:`ChainFactors.low_rank`), with h on the first coordinate of each
-    sample. For the Hermitian anchor block P that gives
+    sample. For the Hermitian anchor P that gives
 
-        tr(P dC)   = d1 . diag(P) + 2 sa Re((P h)^H q),
+        tr(P dC)   = d1 . diag(P) + 2 sa Re((P h)^H q)   (:func:`trace_p_dc`),
         tr(P C P C) = d0^T |P|^2 d0 + 2 sa sum(|P h|^2 d0) + sa^2 (h^H P h)^2,
 
-    plus the complement terms n_perp sum(p_c d1) and n_perp sum((p_c d0)^2)
-    of P's per-sample diagonal p_c. The stack costs one product of the
-    K x L matrix of h against L columns of P and O((kL)^2) sums over P, and
-    no per-row workspace, solve or kL x kL product. The surrogate touches
-    the true augmented objective at the anchor (the Taylor constant
-    vanishes for this parameterization).
+    with diag(P) and |P|^2 summed per sample, the complement included. The
+    stack costs one product of the K x L matrix of h against L columns of P
+    and no per-row solve or kL x kL product. The surrogate touches the true
+    augmented objective at the anchor (the Taylor constant vanishes for this
+    parameterization).
     """
     model = anchor.model
     xs = np.asarray(xs, dtype=complex)
@@ -94,18 +86,12 @@ def surrogate_values(anchor, xs, rho=0.0, u_i=None, lambda_i=None, channel=None)
     samples = xs.reshape(-1, model.n_t)
     s = (samples @ model.a_t).reshape(n_rows, block_len)
     s_d = (samples @ model.da_t).reshape(n_rows, block_len)
-    d0, d1, h, q = model.chain_factors(s, s_d).low_rank(s, model.sigma_v_sq, anchor.quantized)
-    p = anchor.p_big
-    k = q.shape[-1]
-    p4 = p.w.reshape(block_len, k, block_len, k)
-    # per-sample sums of diag(P) and of |P|^2, the complement folded in
-    diag_p = np.einsum("ljlj->l", p4).real + p.n_perp * p.c
-    abs_p2 = np.einsum("ajbi->ab", (p4 * p4.conj()).real) + np.diag(p.n_perp * p.c**2)
-    ph = (h @ p.w[:, ::k].T).reshape(n_rows, block_len, k)
+    d0, d1, h, q = model.chain_factors(s, s_d).low_rank(model.sigma_v_sq, anchor.quantized)
+    p = anchor.p
     sa = model.sigma_alpha_sq
-    lin = d1 @ diag_p + 2.0 * sa * (q.conj() * ph).real.sum(axis=(1, 2))
+    lin, ph = trace_p_dc(sa, p.mat, p.diag, d1, h, q)
     hph = (h.conj() * ph[:, :, 0]).real.sum(axis=1)
-    quad = (np.sum((d0 @ abs_p2) * d0, axis=1)
+    quad = (np.sum((d0 @ p.abs2) * d0, axis=1)
             + 2.0 * sa * np.sum((ph * ph.conj()).real.sum(axis=2) * d0, axis=1)
             + (sa * hph) ** 2)
     values = quad - 2.0 * lin
@@ -117,10 +103,7 @@ def surrogate_values(anchor, xs, rho=0.0, u_i=None, lambda_i=None, channel=None)
 
 def surrogate_value(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None):
     """Surrogate -2 Re tr(P dC(x)) + tr(P C(x) P C(x)) + penalty at one
-    waveform: the one-row case of :func:`surrogate_values`, with
-    tr(P dC) = d1 . diag(P) + 2 sa Re((P h)^H q) and
-    tr(P C P C) = d0^T |P|^2 d0 + 2 sa sum(|P h|^2 d0) + sa^2 (h^H P h)^2
-    plus the complement terms."""
+    waveform: the one-row case of :func:`surrogate_values`."""
     return float(surrogate_values(anchor, np.asarray(x)[None, :], rho, u_i, lambda_i,
                                   channel)[0])
 
@@ -132,6 +115,25 @@ def _row(model, alpha, gamma=None):
     if gamma is not None:
         row += np.outer(model.da_t, np.conj(gamma))
     return vec(row)
+
+
+def _matvec(mat, v):
+    """mat applied to an (L, k) array of receive-subspace coordinates."""
+    return (mat @ v.reshape(-1)).reshape(v.shape)
+
+
+def _apply_c(sa, d0, h, v):
+    """C v for C = diag(d0) + sa (h e_0)(h e_0)^H and (L, k) coordinates v."""
+    out = d0[:, None] * v
+    out[:, 0] += sa * np.vdot(h, v[:, 0]) * h
+    return out
+
+
+def _ptr_crr(model, s, v, ptr_x, x_vg):
+    """Per-sample receive trace of C_rr diag(v) X for a Hermitian X with
+    receive traces ptr_x, C_rr = sigma_v^2 I + sa g g^H and g = s e_0:
+    sigma_v^2 v ptr_x + sa s conj(x_vg) with x_vg = (X (v o g))[:, 0]."""
+    return model.sigma_v_sq * v * ptr_x + model.sigma_alpha_sq * s * x_vg.conj()
 
 
 def gradient_rows(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None):
@@ -149,46 +151,53 @@ def gradient_rows(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None):
     receive partial trace ptr(v): it is s o ptr(v) / n_r along conj(a_t).
     The two m15 paths dA^H (v o g) + A^H (v o g') sum to s_d o ptr(v) / n_r
     and s o ptr(v) / n_r, their cos(theta)-weighted parts cancelling.
+    Every receive trace follows from the diagonal-plus-rank-one chain,
+    P's per-sample sums and matrix-vector products with P, e.g.
+    ptr(P C_zz P) = |P|^2 d0 + sa |P h|^2.
     """
     model = anchor.model
-    ws = model.workspace(x)
-    p = anchor.p_big
+    fac = model.workspace(x)
+    p = anchor.p
     sa = model.sigma_alpha_sq
-    g, gp, s = ws.g, ws.g_prime, ws.s
+    s, gp = fac.s, fac.g_prime
+    g = np.zeros_like(gp)
+    g[:, 0] = s
     beta_h = model.beta.conj()
     rows = {}
     if anchor.quantized:
-        c, dc = ws.c_rr, ws.d_crr_dtheta
-        f, df = ws.f, ws.d_f_dtheta
+        f, df = fac.f, fac.d_f
         fc, dfc = f[:, None], df[:, None]
         # j1 j2 / n_r with j1 = 1 / diag(C), j2 = diag(C)^{-1/2}
-        j12 = ws.diag_crr**-1.5 / model.n_r
-        pfg = p.matvec(fc * g)
-        y11 = fc * p.matvec(dfc * g) + dfc * pfg
+        j12 = fac.diag_crr**-1.5 / model.n_r
+        pdfg, pfg, pfgp = (_matvec(p.mat, v) for v in (dfc * g, fc * g, fc * gp))
+        y11 = fc * pdfg + dfc * pfg
         rows["m11"] = _row(model, -sa * y11[:, 0])
         y_ad = fc * pfg
-        y_a = fc * p.matvec(fc * gp)
+        y_a = fc * pfgp
         rows["m12"] = _row(model, -sa * (y_ad @ beta_h + y_a[:, 0]), -sa * y_ad[:, 0])
-        ptr_k1 = 2.0 * ((c.scaled(df) @ p).receive_trace()
-                        + (p.scaled(f) @ dc).receive_trace()).real
+        # ptr(P F dC_rr) with dC_rr = sa (g' g^H + g g'^H)
+        ptr_pfdc = sa * (pfgp[:, 0] * s.conj() + (pfg * gp.conj()).sum(axis=1))
+        ptr_k1 = 2.0 * (_ptr_crr(model, s, df, p.diag, pdfg[:, 0]) + ptr_pfdc).real
         coef = 0.5 * sa * SQRT_TWO_OVER_PI
         rows["m13"] = _row(model, coef * j12 * ptr_k1 * s)
-        ptr_k2 = 2.0 * (c.scaled(f) @ p).receive_trace().real
+        ptr_k2 = 2.0 * _ptr_crr(model, s, f, p.diag, pfg[:, 0]).real
         v15 = j12 * ptr_k2
-        v46 = v15 * ws.diag_dcrr / ws.diag_crr
+        v46 = v15 * fac.diag_dcrr / fac.diag_crr
         rows["m14"] = _row(model, -coef * v46 * s)
-        rows["m15"] = _row(model, coef * v15 * ws.s_d, coef * v15 * s)
+        rows["m15"] = _row(model, coef * v15 * fac.s_d, coef * v15 * s)
         rows["m16"] = _row(model, -0.5 * coef * v46 * s)
-        w_mat = p @ ws.c_zz_hat @ p
-        ptr_cfw = 2.0 * (c.scaled(f) @ w_mat).receive_trace().real
-        y3 = fc * w_mat.matvec(fc * g)
-        rows["m3"] = _row(model, 2.0 * sa * y3[:, 0] - 2.0 * coef * j12 * ptr_cfw * s)
+        # W = P C_zz P with C_zz = diag(c_pin) + sa (F g)(F g)^H and P F g = pfg
+        d0, _, h, _ = fac.low_rank(model.sigma_v_sq, True)
+        w_fg = _matvec(p.mat, _apply_c(sa, d0, h, pfg))
+        ptr_w = p.abs2 @ d0 + sa * (pfg * pfg.conj()).real.sum(axis=1)
+        ptr_cfw = 2.0 * _ptr_crr(model, s, f, ptr_w, w_fg[:, 0]).real
+        rows["m3"] = _row(model, 2.0 * sa * f * w_fg[:, 0] - 2.0 * coef * j12 * ptr_cfw * s)
         linear_keys = ("m11", "m12", "m13", "m14", "m15", "m16")
     else:
-        y_ad = p.matvec(g)
-        y_a = p.matvec(gp)
+        y_ad, y_a = _matvec(p.mat, g), _matvec(p.mat, gp)
         rows["m1"] = _row(model, -sa * (y_ad @ beta_h + y_a[:, 0]), -sa * y_ad[:, 0])
-        y3 = p.matvec(ws.c_rr.matvec(y_ad))
+        d0, _, h, _ = fac.low_rank(model.sigma_v_sq, False)
+        y3 = _matvec(p.mat, _apply_c(sa, d0, h, y_ad))
         rows["m3"] = _row(model, 2.0 * sa * y3[:, 0])
         linear_keys = ("m1",)
     if rho != 0.0 and channel is not None and channel.size:
@@ -266,13 +275,15 @@ def solve_x_pt(model, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,
     x = np.asarray(x_init, dtype=complex)
     if float(np.vdot(x, x).real) > power * (1.0 + 1e-9):
         raise ValueError("initial waveform violates the power constraint")
-    f_prev = augmented_objective(model, x, rho, u_i, lambda_i, channel, quantized)
+    anchor = build_anchor(model, x, quantized)
+    f_prev = -anchor.p.trace + penalty_value(model, x, rho, u_i, lambda_i, channel)
     history = [f_prev]
     stalled = False
     for _ in range(max_iter):
-        anchor = build_anchor(model, x, quantized)
         x, _, stalled = pgd_step(anchor, x, rho, u_i, lambda_i, channel, power)
-        f_new = augmented_objective(model, x, rho, u_i, lambda_i, channel, quantized)
+        # the next anchor carries the true objective at the new iterate
+        anchor = build_anchor(model, x, quantized)
+        f_new = -anchor.p.trace + penalty_value(model, x, rho, u_i, lambda_i, channel)
         history.append(f_new)
         if stalled:
             break

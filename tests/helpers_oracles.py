@@ -1,17 +1,18 @@
 """Shared test oracles: Wirtinger finite differences, slot functions that
 isolate each derivative path of the point-target surrogate, the dense
-derivative of the point-target response, the lift of receive blocks to
-n x n matrices, the dense n x n point-target covariance chain (workspace,
-trace form, anchor, surrogate value and gradient rows) that the library
-holds in the receive subspace, the projected-gradient step that scores its
-backtracking candidates one at a time, the
-extended-target chain as the library computed it before the shared anchor
-and the dense Mbar (explicit Kronecker bound, matrix-free Mbar apply,
-uncached MM loop), the information form of the extended-target bound, the
-explicit-Kronecker BLMMSE estimator, dense Kronecker/commutation builders
-for small instances, the per-trial, per-angle one-bit MLE on dense arcsine
-covariances, the Monte-Carlo trials drawn and scored one at a time, and the
-SEP projection solver that scores every interval."""
+derivative of the point-target response, the lift of the library's
+receive-subspace chain factors and anchor P to n x n matrices, the dense
+n x n point-target covariance chain (workspace, trace form, anchor,
+surrogate value and gradient rows) that the library holds as diagonal plus
+rank one, the projected-gradient step that scores its backtracking
+candidates one at a time, the extended-target chain as the library
+computed it before the shared anchor and the dense Mbar (explicit Kronecker
+bound, matrix-free Mbar apply, uncached MM loop), the information form of
+the extended-target bound, the explicit-Kronecker BLMMSE estimator, dense
+Kronecker/commutation builders for small instances, the per-trial,
+per-angle one-bit MLE on dense arcsine covariances, the Monte-Carlo trials
+drawn and scored one at a time, and the SEP projection solver that scores
+every interval."""
 
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -20,7 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from onebit_isac.array_geometry import pt_response_operator, steering, steering_derivative
-from onebit_isac.crb_metrics import PtModel, ReceiveBlock, crb_et, et_anchor
+from onebit_isac.crb_metrics import ChainFactors, PtModel, crb_et, et_anchor
 from onebit_isac.estimators import blmmse_matrix
 from onebit_isac.linalg import (
     XtildeOperator,
@@ -35,7 +36,12 @@ from onebit_isac.linalg import (
 )
 from onebit_isac.opt_et import build_lt, lam_max_channel
 from onebit_isac import opt_pt
-from onebit_isac.opt_pt import penalty_value, surrogate_gradient, surrogate_value
+from onebit_isac.opt_pt import (
+    SurrogateAnchor,
+    penalty_value,
+    surrogate_gradient,
+    surrogate_value,
+)
 from onebit_isac.quantization import bussgang_gain, covariance_czz_exact, quantize_one_bit
 from onebit_isac.sep_projection import _objective_at, boundary_points
 
@@ -51,15 +57,34 @@ def pt_response_derivative_operator(theta, block_len, n_t, n_r):
     return np.kron(np.eye(block_len), kernel)
 
 
-def lift(model: PtModel, block):
-    """Dense n x n matrix of a receive block,
-    (I_L kron Q) w (I_L kron Q)^H + diag(c) kron (I - Q Q^H); a dense array
-    passes through."""
-    if not isinstance(block, ReceiveBlock):
-        return np.asarray(block)
+def _lift_block(model: PtModel, w, c):
+    """(I_L kron Q) w (I_L kron Q)^H + diag(c) kron (I - Q Q^H)."""
     basis = np.kron(np.eye(model.block_len), model.q)
     perp = np.eye(model.n_r) - model.q @ model.q.conj().T
-    return basis @ block.w @ basis.conj().T + np.kron(np.diag(block.c), perp)
+    return basis @ w @ basis.conj().T + np.kron(np.diag(c), perp)
+
+
+def lift(model: PtModel, obj, quantized=True):
+    """Dense n x n form of the library's receive-subspace chain.
+
+    ChainFactors give the pair (C, dC) of the one-bit chain, or of the
+    unquantized one when quantized is False; a SurrogateAnchor gives its P,
+    which is diag(d1 / d0^2) on the complement of the receive subspace. A
+    dense array passes through."""
+    if isinstance(obj, SurrogateAnchor):
+        d0, d1, _, _ = model.workspace(obj.x_t).low_rank(model.sigma_v_sq, obj.quantized)
+        return _lift_block(model, obj.p.mat, d1 / d0**2)
+    if not isinstance(obj, ChainFactors):
+        return np.asarray(obj)
+    d0, d1, h, q = obj.low_rank(model.sigma_v_sq, quantized)
+    k = q.shape[1]
+    hv = np.zeros_like(q)
+    hv[:, 0] = h
+    hv, qv = hv.reshape(-1), q.reshape(-1)
+    sa = model.sigma_alpha_sq
+    cov = np.diag(np.repeat(d0, k)) + sa * np.outer(hv, hv.conj())
+    dcov = np.diag(np.repeat(d1, k)) + sa * (np.outer(qv, hv.conj()) + np.outer(hv, qv.conj()))
+    return _lift_block(model, cov, d0), _lift_block(model, dcov, d1)
 
 
 def lift_vector(model: PtModel, v):

@@ -85,7 +85,7 @@ def test_criterion_01_gradient_ledger():
         rng_t = np.random.default_rng(500 + trial)
         x = random_ball_point(rng_t, 6)
         anchor = build_anchor(model, x)
-        oracle = PtSlotOracle(model, anchor.p_big, x)
+        oracle = PtSlotOracle(model, anchor, x)
         rows = gradient_rows(anchor, x)
         for key, slot in slot_of.items():
             fd = wirtinger_dx(lambda y, s=slot: oracle.linear_term(y, s), x, h=1e-5)

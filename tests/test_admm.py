@@ -59,6 +59,14 @@ def test_unknown_variant_and_infeasible_start():
         admm_run(sc, "PT", x_init=np.full(sc.n_t * sc.block_len, 2.0 + 0j))
 
 
+@pytest.mark.parametrize("variant,scenario", [("ET", small_pt), ("ET_QU", small_pt),
+                                              ("PT", et_scenario), ("PT_INF", et_scenario)])
+def test_variant_must_fit_the_scenario_kind(variant, scenario):
+    sc = scenario()
+    with pytest.raises(ValueError, match=f"{variant!r}.*scenario.kind {sc.kind!r}"):
+        admm_run(sc, variant)
+
+
 def test_trace_lengths_consistent():
     sc = small_pt()
     cfg = AdmmConfig(rho0=10.0, c_rho=3.0, rho_max=1e6, max_outer=6, max_inner=5)

@@ -33,6 +33,12 @@ def test_crb_pt_infinite_at_endfire():
     assert math.isinf(crb_pt(x, -np.pi / 2, 1.0, 0.1, 3, 2))
 
 
+@pytest.mark.parametrize("sigma_alpha_sq", [-1.0, math.nan, math.inf])
+def test_pt_model_rejects_bad_target_power(sigma_alpha_sq):
+    with pytest.raises(ValueError):
+        crb_pt(np.ones(16) / 4, 0.3, sigma_alpha_sq, 0.1, 4, 2)
+
+
 def test_pt_workspace_derivatives_match_finite_differences():
     rng = np.random.default_rng(1)
     x = complex_normal(rng, 6)
@@ -41,14 +47,14 @@ def test_pt_workspace_derivatives_match_finite_differences():
     ws = model.workspace(x)
     mp, mm = PtModel(theta + h, sa, sv, 3, 3, 2), PtModel(theta - h, sa, sv, 3, 3, 2)
     wp, wm = mp.workspace(x), mm.workspace(x)
-    for name, d_name in (("c_rr", "d_crr_dtheta"), ("c_zz_hat", "d_czz_dtheta")):
-        got = lift(model, getattr(ws, d_name))
-        hi, lo = lift(mp, getattr(wp, name)), lift(mm, getattr(wm, name))
+    for quantized in (False, True):
+        got = lift(model, ws, quantized)[1]
+        hi, lo = lift(mp, wp, quantized)[0], lift(mm, wm, quantized)[0]
         fd = (hi - lo) / (2 * h)
         rel = np.linalg.norm(got - fd) / np.linalg.norm(fd)
-        assert rel < 1e-6, name
+        assert rel < 1e-6, quantized
     fd_f = (wp.f - wm.f) / (2 * h)
-    assert np.linalg.norm(ws.d_f_dtheta - fd_f) / np.linalg.norm(fd_f) < 1e-6
+    assert np.linalg.norm(ws.d_f - fd_f) / np.linalg.norm(fd_f) < 1e-6
 
 
 def test_pt_workspace_hermitian_structure():
@@ -56,12 +62,12 @@ def test_pt_workspace_hermitian_structure():
     x = complex_normal(rng, 8)
     model = PtModel(0.5, 1.0, 0.2, 4, 4, 2)
     ws = model.workspace(x)
-    for mat in (ws.c_rr, ws.d_crr_dtheta, ws.c_zz_hat, ws.d_czz_dtheta):
-        mat = lift(model, mat)
+    for mat in lift(model, ws, quantized=False) + lift(model, ws):
         assert np.linalg.norm(mat - mat.conj().T) < 1e-12
-    assert np.all(np.isreal(ws.d_f_dtheta))
-    assert np.allclose(np.diag(lift(model, ws.c_zz_hat)), 1.0)
-    assert np.allclose(np.diag(lift(model, ws.d_czz_dtheta)), 0.0)
+    assert np.all(np.isreal(ws.d_f))
+    c_zz_hat, d_czz = lift(model, ws)
+    assert np.allclose(np.diag(c_zz_hat), 1.0)
+    assert np.allclose(np.diag(d_czz), 0.0)
 
 
 def test_crb_pt_scale_invariance():

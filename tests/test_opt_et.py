@@ -168,6 +168,13 @@ def test_mm_update_decreases_surrogate_and_objective():
         assert np.vdot(x, x).real <= 1.0 + 1e-12
 
 
+def test_problem_rejects_a_prior_of_the_wrong_size():
+    # an 8 x 8 prior fits n_r n_t = 8, not the 2 x 2 arrays declared
+    with pytest.raises(ValueError, match="4 x 4"):
+        EtProblem(np.eye(8), 0.1, 2, 2, 4)
+    EtProblem(np.eye(8), 0.1, 2, 4, 4)
+
+
 def test_solve_fixed_point_at_symmetric_optimum():
     # identity prior, no penalty: equal-power orthogonal columns are optimal,
     # so the objective must move below tolerance within two iterations

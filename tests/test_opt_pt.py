@@ -14,7 +14,7 @@ from helpers_oracles import (
 )
 
 from onebit_isac import opt_pt
-from onebit_isac.crb_metrics import PtModel, ReceiveBlock, crb_pt
+from onebit_isac.crb_metrics import PtModel, crb_pt
 from onebit_isac.linalg import complex_normal, h_tilde_adjoint, h_tilde_apply
 from onebit_isac.opt_pt import (
     augmented_objective,
@@ -56,7 +56,7 @@ def test_gradient_each_term_against_slot_oracle():
     for seed in range(5):
         model, x, rho, u, lam, h = make_instance(seed + 100)
         anchor = build_anchor(model, x)
-        oracle = PtSlotOracle(model, anchor.p_big, x)
+        oracle = PtSlotOracle(model, anchor, x)
         rows = gradient_rows(anchor, x, rho, u, lam, h)
         for key, slot in slot_of.items():
             # the slot functions carry a large frozen baseline, so roundoff
@@ -79,7 +79,7 @@ def test_gradient_terms_match_dense_kronecker_oracle():
         model, x, rho, u, lam, h = make_instance(seed, n_t=2, n_r=2, block_len=2)
         anchor = build_anchor(model, x)
         rows = gradient_rows(anchor, x, rho, u, lam, h)
-        dense = dense_gradient_rows(model, anchor.p_big, x)
+        dense = dense_gradient_rows(model, anchor, x)
         for key, val in dense.items():
             rel = np.linalg.norm(rows[key] - val) / max(np.linalg.norm(val), 1e-30)
             assert rel < 1e-10, f"{key}: {rel}"
@@ -130,14 +130,14 @@ def test_majorization_touches_and_dominates():
 
 
 def test_anchor_p_matches_dense_kronecker():
-    # p_big = unvec(Q^{-1} vec(dC)) with Q = C^T kron C built densely
+    # P = unvec(Q^{-1} vec(dC)) with Q = C^T kron C built densely
     model, x, *_ = make_instance(14, n_t=2, n_r=2, block_len=2)
     anchor = build_anchor(model, x)
     ws = dense_pt_workspace(model, x)
     chat = ws.c_zz_hat
     q_inv = np.kron(np.linalg.inv(chat).T, np.linalg.inv(chat))
     want = (q_inv @ ws.d_czz_dtheta.reshape(-1, order="F")).reshape((4, 4), order="F")
-    assert np.linalg.norm(lift(model, anchor.p_big) - want) < 1e-10
+    assert np.linalg.norm(lift(model, anchor) - want) < 1e-10
 
 
 def test_pgd_step_zero_gradient_is_identity():
@@ -279,24 +279,3 @@ def test_pgd_step_exhausted_schedule_matches_scalar(monkeypatch):
         assert (mu_new, stalled) == (0.0, True)
         assert np.array_equal(x_new, x)
         assert scalar_pgd_step(anchor, x, *penalty)[1:] == (0.0, True)
-
-
-def test_candidate_scoring_builds_no_block_products(monkeypatch):
-    # the step scores its whole schedule from the anchor block alone: no
-    # workspace, no kL x kL product and no solve per candidate
-    anchor, x, penalty = mm_anchors(4, 4, 4, True, 0.5)[2]
-    want = pgd_step(anchor, x, *penalty)
-    grad = surrogate_gradient(anchor, x, *penalty)
-    stack = np.stack([x, want[0], 0.5 * x])
-    values = surrogate_values(anchor, stack, *penalty)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("per-candidate chain work while scoring the line search")
-
-    monkeypatch.setattr(opt_pt, "surrogate_gradient", lambda *args, **kwargs: grad)
-    monkeypatch.setattr(ReceiveBlock, "__matmul__", refuse)
-    monkeypatch.setattr(ReceiveBlock, "solve", refuse)
-    monkeypatch.setattr(PtModel, "workspace", refuse)
-    got = pgd_step(anchor, x, *penalty)
-    assert got[1:] == want[1:] and np.array_equal(got[0], want[0])
-    assert np.array_equal(surrogate_values(anchor, stack, *penalty), values)

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from helpers_oracles import (
     dense_anchor_p,
     dense_chain_gradient_rows,
@@ -22,7 +23,6 @@ import onebit_isac.linalg as linalg
 from onebit_isac.crb_metrics import (
     INFINITE_CRB_FLOOR,
     PtModel,
-    _trace_form,
     crb_pt,
     crb_pt_infinite_resolution,
 )
@@ -69,14 +69,17 @@ def test_workspace_matches_dense_oracle(case):
         model, x, _, _ = instance(seed, *case)
         ws = model.workspace(x)
         oracle = dense_pt_workspace(model, x)
-        for name in ("c_rr", "d_crr_dtheta", "c_zz_hat", "d_czz_dtheta"):
-            assert rel_err(lift(model, getattr(ws, name)), getattr(oracle, name)) < RTOL, name
-        assert np.max(np.abs(np.diag(lift(model, ws.c_zz_hat)) - 1.0)) < 1e-14
-        d_czz = lift(model, ws.d_czz_dtheta)
+        lifted = lift(model, ws, quantized=False) + lift(model, ws)
+        for name, got in zip(("c_rr", "d_crr_dtheta", "c_zz_hat", "d_czz_dtheta"), lifted):
+            assert rel_err(got, getattr(oracle, name)) < RTOL, name
+        c_zz_hat, d_czz = lifted[2:]
+        assert np.max(np.abs(np.diag(c_zz_hat) - 1.0)) < 1e-14
         assert np.max(np.abs(np.diag(d_czz))) <= 1e-14 * np.max(np.abs(d_czz))
-        for name in ("g", "g_prime", "diag_crr", "f", "d_f_dtheta"):
-            assert rel_err(lift_vector(model, getattr(ws, name)),
-                           getattr(oracle, name)) < RTOL, name
+        g = np.zeros_like(ws.g_prime)
+        g[:, 0] = ws.s
+        for got, name in ((g, "g"), (ws.g_prime, "g_prime"), (ws.diag_crr, "diag_crr"),
+                          (ws.f, "f"), (ws.d_f, "d_f_dtheta")):
+            assert rel_err(lift_vector(model, got), getattr(oracle, name)) < RTOL, name
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -84,14 +87,13 @@ def test_workspace_matches_dense_oracle(case):
 def test_trace_form_and_bounds_match_dense_oracle(case, quantized):
     for seed in range(3):
         model, x, _, _ = instance(seed, *case)
-        ws, oracle = model.workspace(x), dense_pt_workspace(model, x)
+        oracle = dense_pt_workspace(model, x)
+        got = model.chain_p(x, quantized).trace
         if quantized:
-            got = _trace_form(ws.c_zz_hat, ws.d_czz_dtheta)
             want = dense_trace_form(oracle.c_zz_hat, oracle.d_czz_dtheta)
             bound = crb_pt(x, model.theta, model.sigma_alpha_sq, model.sigma_v_sq,
                            model.n_r, model.block_len)
         else:
-            got = _trace_form(ws.c_rr, ws.d_crr_dtheta)
             want = dense_trace_form(oracle.c_rr, oracle.d_crr_dtheta)
             bound = crb_pt_infinite_resolution(x, model.theta, model.sigma_alpha_sq,
                                                model.sigma_v_sq, model.n_r, model.block_len)
@@ -110,7 +112,7 @@ def test_anchor_surrogate_and_gradient_rows_match_dense_oracle(case, quantized, 
         model, x, y, (u, lam, h) = instance(seed + 10, *case)
         anchor = build_anchor(model, x, quantized)
         p_dense = dense_anchor_p(model, x, quantized)
-        assert rel_err(lift(model, anchor.p_big), p_dense) < RTOL
+        assert rel_err(lift(model, anchor), p_dense) < RTOL
         for point in (x, y):
             got = surrogate_value(anchor, point, rho, u, lam, h)
             want = dense_surrogate_value(model, p_dense, point, quantized, rho, u, lam, h)
@@ -143,16 +145,49 @@ def test_endfire_bound_stays_infinite(theta):
         assert math.isinf(crb_pt_infinite_resolution(*args))
 
 
-def test_pt_chain_uses_no_dense_solve(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense Hermitian solve on the point-target path")
+class _SquareProductRefused(np.ndarray):
+    """A kL x kL array whose matrix products may not yield a kL x kL matrix."""
 
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        out = getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+        if ufunc is np.matmul and np.ndim(out) >= 2 and min(np.shape(out)[-2:]) >= max(self.shape):
+            raise AssertionError("kL x kL matrix product on the point-target path")
+        return out
+
+
+def test_pt_path_runs_no_solve_or_square_product(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve or factorization on the point-target path")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for name in ("cho_factor", "cho_solve"):
+        monkeypatch.setattr(scipy.linalg, name, refuse)
     monkeypatch.setattr(linalg, "hermitian_factor", refuse)
     monkeypatch.setattr(linalg, "hermitian_solve", refuse)
     monkeypatch.setattr(crb_metrics, "hermitian_solve", refuse)
+    chain_p, chain_factors = PtModel.chain_p, PtModel.chain_factors
+    builds = []
+
+    def guarded_chain_p(self, x, quantized=True):
+        # P is the only kL x kL array on the path: every product with it is
+        # a matrix-vector product or a product against a few columns
+        cp = chain_p(self, x, quantized)
+        return cp._replace(mat=cp.mat.view(_SquareProductRefused))
+
+    def counted_chain_factors(self, s, s_d):
+        builds.append(np.shape(s))
+        return chain_factors(self, s, s_d)
+
+    monkeypatch.setattr(PtModel, "chain_p", guarded_chain_p)
+    monkeypatch.setattr(PtModel, "chain_factors", counted_chain_factors)
     for quantized in (True, False):
-        model, x, _, (u, lam, h) = instance(3, 4, 8, 3)
-        solve_x_pt(model, x, 2.0, u, lam, h, power=1.0, max_iter=3, quantized=quantized)
+        # kL = 64 exceeds the 38 line-search candidates a step scores at once
+        model, x, _, (u, lam, h) = instance(3, 4, 8, 32)
+        builds.clear()
+        _, info = solve_x_pt(model, x, 2.0, u, lam, h, power=1.0, max_iter=3,
+                             quantized=quantized)
+        # one build per iterate and one per scored stack, none per candidate
+        assert len(builds) <= 1 + 2 * info["n_iter"]
         crb_pt(x, model.theta, 1.0, 0.1, model.n_r, model.block_len)
         crb_pt_infinite_resolution(x, model.theta, 1.0, 0.1, model.n_r, model.block_len)
 

@@ -117,9 +117,9 @@ def test_czz_approx_cubic_error_decay():
 
 def pt_c_rr(x, theta, sa, sv, block_len, n_r):
     """Point-target echo covariance sigma_alpha^2 (A x)(A x)^H + sigma_v^2 I,
-    lifted from the workspace's receive block."""
+    lifted from the unquantized chain factors."""
     model = PtModel(theta, sa, sv, x.size // block_len, n_r, block_len)
-    return lift(model, model.workspace(x).c_rr)
+    return lift(model, model.workspace(x), quantized=False)[0]
 
 
 def test_crr_pt_zero_waveform():
@@ -133,11 +133,11 @@ def test_crr_pt_trace_identity():
     theta, sa, sv = 0.4, 1.5, 0.3
     model = PtModel(theta, sa, sv, 3, 3, 2)
     ws = model.workspace(x)
+    c_rr = lift(model, ws, quantized=False)[0]
     g = pt_response_operator(theta, 2, 3, 3).apply(x)
     expected = sa * np.linalg.norm(g) ** 2 + sv * 6
-    assert ws.c_rr.trace().real == pytest.approx(expected, rel=1e-12)
-    assert np.allclose(lift_vector(model, ws.diag_crr), np.diag(lift(model, ws.c_rr)).real,
-                       atol=1e-14)
+    assert np.trace(c_rr).real == pytest.approx(expected, rel=1e-12)
+    assert np.allclose(lift_vector(model, ws.diag_crr), np.diag(c_rr).real, atol=1e-14)
 
 
 def test_crr_pt_dense_oracle():
@@ -204,8 +204,8 @@ def test_bussgang_pair_consistency():
     model = PtModel(0.3, 1.2, 0.4, 2, 2, 2)
     x = complex_normal(rng, 4)
     ws = model.workspace(x)
-    c = lift(model, ws.c_rr)
-    c_zz_hat = lift(model, ws.c_zz_hat)
+    c = lift(model, ws, quantized=False)[0]
+    c_zz_hat = lift(model, ws)[0]
     assert np.allclose(c_zz_hat, linearized_czz(c))
     assert np.allclose(lift_vector(model, ws.f), bussgang_gain(c))
     assert np.allclose(c_zz_hat, dense_pt_workspace(model, x).c_zz_hat)
