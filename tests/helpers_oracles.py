@@ -4,7 +4,7 @@ derivative of the point-target response, the lift of the library's
 receive-subspace chain factors and anchor P to n x n matrices, the dense
 n x n point-target covariance chain (workspace, trace form, anchor,
 surrogate value and gradient rows) that the library holds as diagonal plus
-rank one, the projected-gradient step that scores its backtracking
+rank one, a P whose kL x kL products raise, the projected-gradient step that scores its backtracking
 candidates one at a time, the extended-target chain as the library
 computed it before the shared anchor and the dense Mbar (explicit Kronecker
 bound, matrix-free Mbar apply, uncached MM loop), the information form of
@@ -407,6 +407,16 @@ def dense_gradient_rows(model: PtModel, anchor_p, x):
 
 def ws_vec(m):
     return np.asarray(m).reshape(-1, order="F")
+
+
+class SquareProductRefused(np.ndarray):
+    """A kL x kL array whose matrix products may not yield a kL x kL matrix."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        out = getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+        if ufunc is np.matmul and np.ndim(out) >= 2 and min(np.shape(out)[-2:]) >= max(self.shape):
+            raise AssertionError("kL x kL matrix product on the point-target path")
+        return out
 
 
 def random_ball_point(rng, dim, power=1.0):

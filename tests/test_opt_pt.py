@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from helpers_oracles import (
     PtSlotOracle,
+    SquareProductRefused,
     conjugate_gradient_fd,
     dense_gradient_rows,
     dense_pt_workspace,
@@ -279,3 +280,40 @@ def test_pgd_step_exhausted_schedule_matches_scalar(monkeypatch):
         assert (mu_new, stalled) == (0.0, True)
         assert np.array_equal(x_new, x)
         assert scalar_pgd_step(anchor, x, *penalty)[1:] == (0.0, True)
+
+
+def test_candidate_scoring_builds_no_block_products(monkeypatch):
+    # the step scores its whole schedule from the anchor's P alone: no
+    # workspace, no kL x kL product and no chain build per candidate. kL = 64
+    # exceeds the 38 candidates a step scores at once
+    chain_factors = PtModel.chain_factors
+    builds = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-candidate chain work while scoring the line search")
+
+    def counted_chain_factors(self, s, s_d):
+        builds.append(np.shape(s))
+        return chain_factors(self, s, s_d)
+
+    for quantized in (True, False):
+        model, x, rho, u, lam, h = make_instance(3, n_t=4, n_r=8, block_len=32)
+        anchor = build_anchor(model, x, quantized)
+        want = pgd_step(anchor, x, rho, u, lam, h)
+        grad = surrogate_gradient(anchor, x, rho, u, lam, h)
+        stack = np.stack([x, want[0], 0.5 * x])
+        values = surrogate_values(anchor, stack, rho, u, lam, h)
+        anchor.p = anchor.p._replace(mat=anchor.p.mat.view(SquareProductRefused))
+        builds.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(opt_pt, "surrogate_gradient", lambda *args, **kwargs: grad)
+            patch.setattr(PtModel, "chain_p", refuse)
+            patch.setattr(PtModel, "workspace", refuse)
+            patch.setattr(PtModel, "chain_factors", counted_chain_factors)
+            got = pgd_step(anchor, x, rho, u, lam, h)
+            got_values = surrogate_values(anchor, stack, rho, u, lam, h)
+        assert got[1:] == want[1:] and np.array_equal(got[0], want[0])
+        assert np.array_equal(got_values, values)
+        # one stacked (K, L) build for the step's whole schedule, one for the stack
+        assert len(builds) == 2 and builds[1] == (len(stack), model.block_len)
+        assert builds[0][0] > len(stack) and builds[0][1:] == (model.block_len,)
