@@ -109,12 +109,12 @@ def initialize(scenario, seed=0):
     return x, u, d, lam
 
 
-def _objective(scenario, variant, model, x):
-    # crb_pt (PT) or crb_pt_infinite_resolution (PT_INF) from the model's
-    # cached factors; crb_et (ET) or mse_et_quantization_unaware (ET_QU) from
-    # the anchor the ET solver left in its cache
-    if variant in ("PT", "PT_INF"):
-        return model.bound(x, quantized=(variant == "PT"))
+def _objective(scenario, model, x, info):
+    # crb_pt (PT) or crb_pt_infinite_resolution (PT_INF) as solve_x_pt read it
+    # from its last anchor, at x; crb_et (ET) or mse_et_quantization_unaware
+    # (ET_QU) from the anchor the ET solver left in its cache
+    if scenario.kind == "pt":
+        return info["bound"]
     return model.bound_value(x) / float(np.trace(scenario.target.c_aa).real)
 
 
@@ -179,7 +179,7 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
             residual = float(np.vdot(hx - u, hx - u).real)
         else:
             residual = 0.0
-        objective = _objective(scenario, variant, model, x)
+        objective = _objective(scenario, model, x, info)
         if not math.isfinite(objective):
             err = RuntimeError(
                 f"non-finite objective at outer iteration {it}"

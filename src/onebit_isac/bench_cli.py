@@ -9,12 +9,14 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import crb_metrics
 from .admm import AdmmConfig, admm_run
+from .array_geometry import EtTarget, PtTarget, exponential_correlation
+from .comm_sep import check_epsilon, qam_levels
 from .crb_metrics import PtModel
 from .estimators import run_trials
 from .linalg import complex_normal
@@ -98,6 +100,22 @@ class ExperimentConfig:
             raise ConfigError("epsilon_list must be non-empty")
         if self.trials < 0:
             raise ConfigError("trials must be >= 0")
+        # build what the run builds from each value, so that the library's own
+        # checks reject a bad one before any run starts
+        targets = ("pt", "et") if self.experiment == "timing" else (self.target,)
+        try:
+            qam_levels(self.qam_order)
+            for epsilon in (self.epsilon, *self.epsilon_list):
+                check_epsilon(epsilon)
+            for target in targets:
+                _admm_config(self, target.upper())
+            if "pt" in targets:
+                PtTarget(math.radians(self.theta_deg))
+            if "et" in targets:
+                EtTarget(exponential_correlation(self.n_r, self.correlation),
+                         exponential_correlation(self.n_t, self.correlation))
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
 
 
 def _is_real(value):
@@ -188,12 +206,7 @@ def _scenario_for(cfg, snr_db, epsilon, seed):
 
 
 def _admm_config(cfg, variant):
-    base = AdmmConfig.for_variant(variant)
-    for key, value in cfg.admm_overrides.items():
-        if not hasattr(base, key):
-            raise ConfigError(f"unknown admm override {key!r}")
-        setattr(base, key, value)
-    return base
+    return replace(AdmmConfig.for_variant(variant), **cfg.admm_overrides)
 
 
 def _initial_waveform(dim, seed):
@@ -206,11 +219,11 @@ def _pt_point(cfg, snr_db, seed):
     model = PtModel(sc.target.theta, sc.target.sigma_alpha_sq, sc.sigma_v_sq,
                     sc.n_t, sc.n_r, sc.block_len)
     x0 = _initial_waveform(sc.n_t * sc.block_len, seed + 1)
-    x, _ = solve_x_pt(model, x0, rho=0.0, power=sc.power, tol=1e-9,
-                      max_iter=cfg.solver_max_iter)
+    x, info = solve_x_pt(model, x0, rho=0.0, power=sc.power, tol=1e-9,
+                         max_iter=cfg.solver_max_iter)
     point = f"snr={snr_db:g}"
     rows = [
-        ResultRow("pt_sweep", point, "crb_onebit", model.bound(x), seed=seed),
+        ResultRow("pt_sweep", point, "crb_onebit", info["bound"], seed=seed),
         ResultRow("pt_sweep", point, "crb_infinite", model.bound(x, quantized=False),
                   seed=seed),
     ]

@@ -89,10 +89,14 @@ def _threshold_pair(part, order, epsilon, sigma_w):
     return a, b, gamma
 
 
-def build_sep_spec(s, epsilon, sigma_w, order):
-    """Threshold vectors realizing the per-symbol SEP target epsilon."""
+def check_epsilon(epsilon):
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
+
+
+def build_sep_spec(s, epsilon, sigma_w, order):
+    """Threshold vectors realizing the per-symbol SEP target epsilon."""
+    check_epsilon(epsilon)
     s = np.asarray(s)
     validate_qam(s, order)
     a_r, b_r, gamma = _threshold_pair(s.real, order, epsilon, sigma_w)

@@ -118,8 +118,12 @@ class PtModel:
         """1 / tr(C^{-1} dC C^{-1} dC) at waveform x: the one-bit bound, or
         the infinite-resolution one when quantized is False; math.inf when
         the trace falls below INFINITE_CRB_FLOOR (unidentifiable direction)."""
-        t = self.chain_p(x, quantized).trace
-        return math.inf if t < INFINITE_CRB_FLOOR else 1.0 / t
+        return bound_from_trace(self.chain_p(x, quantized).trace)
+
+
+def bound_from_trace(t):
+    """1 / t for the trace t = tr(P dC), or math.inf below INFINITE_CRB_FLOOR."""
+    return math.inf if t < INFINITE_CRB_FLOOR else 1.0 / t
 
 
 class ChainFactors(NamedTuple):

@@ -117,11 +117,13 @@ class MleGrid:
     configuration: minimizes z^H C_zz^{-1} z + log det C_zz over angles,
     with C_zz the exact arcsine covariance of the echo (pt_covariance_czz).
 
-    The coarse grid's factors are built once here and reused by every
-    estimate call. Every trial of a block goes through the coarse pass and
-    each refinement level together: a level factors the distinct angles its
-    trials visit, in memory-bounded stacks, and makes one triangular solve
-    per angle against the trials that visit it.
+    Construction checks the sizes and sets the coarse grid thetas; nothing
+    is factored or kept between estimate calls. The search is one loop of
+    levels: level 0 scores every trial of a block against thetas, each
+    refinement level against the 21 angles around its current estimate.
+    Every level factors the distinct angles its trials visit, in
+    memory-bounded stacks that it drops as it goes, and makes one triangular
+    solve per angle against the trials that visit it.
     """
 
     def __init__(self, x, sigma_alpha_sq, sigma_v_sq, block_len, n_r, cfg=None):
@@ -141,24 +143,6 @@ class MleGrid:
         self.cfg = cfg or MleConfig()
         n_pts = int(round(np.pi / self.cfg.coarse_grid_step)) + 1
         self.thetas = np.linspace(-HALF_PI, HALF_PI, n_pts)
-        self._factors, logdets = [], []
-        for _, factors, chunk_logdets, errors in self._factor_chunks(self.thetas):
-            if errors:  # a coarse angle that cannot be factored fails the setup
-                raise errors[min(errors)]
-            self._factors += factors
-            logdets.append(chunk_logdets)
-        self._logdets = np.concatenate(logdets)
-
-    def _factor_chunks(self, thetas):
-        """(start, factors, logdets, errors) of thetas in stacks of at most
-        _STACK_ENTRIES covariance entries."""
-        n = self.n_r * self.block_len
-        size = max(1, _STACK_ENTRIES // (n * n))
-        x_matrix = unvec(self.x, self.n_t, self.block_len)
-        for lo in range(0, len(thetas), size):
-            czz = pt_covariance_czz(x_matrix, thetas[lo:lo + size], self.sigma_alpha_sq,
-                                    self.sigma_v_sq, self.n_r)
-            yield (lo, *_factor_stack(czz))
 
     def _observations(self, z):
         z = np.asarray(z)
@@ -174,28 +158,27 @@ class MleGrid:
         """DOA estimate of one observation z of shape (n_r L,), or of every
         column of a block of shape (n_r L, T).
 
-        One z gives a float and raises the LinAlgError of a refinement angle
-        that cannot be factored. A block gives (theta_hat, failed): the T
+        One z gives a float and raises the LinAlgError of an angle that
+        cannot be factored. A block gives (theta_hat, failed): the T
         estimates, NaN for a failed trial, and {trial: LinAlgError} naming
         the first angle each failed trial could not factor.
         """
         block = self._observations(z)
-        n_trials = block.shape[1]
-        coarse = np.empty((n_trials, self.thetas.size))
-        for k, (factor, logdet) in enumerate(zip(self._factors, self._logdets)):
-            coarse[:, k] = _quadratic_forms(factor, block) + logdet
-        theta_hat = self.thetas[np.argmin(coarse, axis=1)]  # first, smaller angle on ties
+        theta_hat = np.zeros(block.shape[1])
         failed = {}
         step = self.cfg.coarse_grid_step
-        for _ in range(self.cfg.refine_levels):
-            fine = step * self.cfg.refine_shrink
+        for level in range(self.cfg.refine_levels + 1):
             live = np.flatnonzero(~np.isnan(theta_hat))
-            grid = np.clip(theta_hat[live, None] + REFINE_OFFSETS * fine, -HALF_PI, HALF_PI)
+            if level:
+                step *= self.cfg.refine_shrink
+                grid = np.clip(theta_hat[live, None] + REFINE_OFFSETS * step, -HALF_PI, HALF_PI)
+            else:
+                grid = np.broadcast_to(self.thetas, (live.size, self.thetas.size))
             fvals = self._level_objectives(block[:, live], grid, live, failed)
             theta_hat[list(failed)] = np.nan
             ok = ~np.isnan(theta_hat[live])
+            # first, smaller angle on ties
             theta_hat[live[ok]] = grid[ok, np.argmin(fvals[ok], axis=1)]
-            step = fine
         if np.ndim(z) == 2:
             return theta_hat, failed
         if failed:
@@ -204,23 +187,30 @@ class MleGrid:
 
     def _level_objectives(self, block, grid, live, failed):
         """Objectives of each row's grid angles against the matching column of
-        block. A trial that visits an angle that cannot be factored is added
-        to failed (keyed by live[row]) and its row is left unfinished."""
+        block, from stacks of at most _STACK_ENTRIES covariance entries. A
+        trial that visits an angle that cannot be factored is added to failed
+        (keyed by live[row]) and its row is left unfinished."""
         angles, inverse = np.unique(grid, return_inverse=True)
         inverse = inverse.reshape(-1)
         order = np.argsort(inverse, kind="stable")
         starts = np.searchsorted(inverse[order], np.arange(angles.size + 1))
         row_of = np.repeat(np.arange(grid.shape[0]), grid.shape[1])
         fvals = np.empty(grid.size)
-        for lo, factors, logdets, errors in self._factor_chunks(angles):
-            for k in range(len(factors)):
+        n = self.n_r * self.block_len
+        size = max(1, _STACK_ENTRIES // (n * n))
+        x_matrix = unvec(self.x, self.n_t, self.block_len)
+        for lo in range(0, angles.size, size):
+            czz = pt_covariance_czz(x_matrix, angles[lo:lo + size], self.sigma_alpha_sq,
+                                    self.sigma_v_sq, self.n_r)
+            factors, logdets, errors = _factor_stack(czz)
+            for k, factor in enumerate(factors):
                 pos = order[starts[lo + k]:starts[lo + k + 1]]
                 rows = np.unique(row_of[pos])
-                if k in errors:
+                if factor is None:
                     for t in live[rows]:
                         failed.setdefault(int(t), errors[k])
                     continue
-                vals = _quadratic_forms(factors[k], block[:, rows]) + logdets[k]
+                vals = _quadratic_forms(factor, block[:, rows]) + logdets[k]
                 fvals[pos] = vals[np.searchsorted(rows, row_of[pos])]
         return fvals.reshape(grid.shape)
 
@@ -272,7 +262,7 @@ class TrialsSummary:
 def _pt_block(scenario, waveform, seeds, cfg):
     """Build the one-bit MLE, draw every trial's echo (alpha of unit modulus
     and uniform phase, then noise) and estimate them as one block: the (T,)
-    estimates and truths, and {trial: LinAlgError} of failed refinements."""
+    estimates and truths, and {trial: LinAlgError} of the failed trials."""
     target = scenario.target
     x = vec(waveform)
     grid = MleGrid(x, target.sigma_alpha_sq, scenario.sigma_v_sq, scenario.block_len,
@@ -333,10 +323,11 @@ def run_trials(scenario, waveform, n_trials, base_seed, cfg=None, unquantized=Fa
     entries. Results do not depend on batch size and repeat bit-exactly.
 
     A numerical failure of the setup (NUMERICAL_ERRORS, or a non-finite
-    waveform) fails every trial; a point-target refinement angle that cannot
-    be factored fails the trials that visit it, and a non-finite squared
-    error fails its trial. Failed trials are counted per reason instead of
-    aborting the batch; any other exception, ValueError included, propagates.
+    waveform) fails every trial; a point-target grid angle, coarse or fine,
+    that cannot be factored fails the trials that visit it, and a non-finite
+    squared error fails its trial. Failed trials are counted per reason
+    instead of aborting the batch; any other exception, ValueError included,
+    propagates.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crb_metrics import ChainP, PtModel, SQRT_TWO_OVER_PI, trace_p_dc
+from .crb_metrics import ChainP, PtModel, SQRT_TWO_OVER_PI, bound_from_trace, trace_p_dc
 from .linalg import h_tilde_adjoint, h_tilde_apply, vec
 
 # backtracking schedule: start at 0.1 sqrt(P), halve until accepted or below
@@ -270,7 +270,8 @@ def solve_x_pt(model, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,
 
     The true augmented objective is non-increasing across anchors; iteration
     stops on a relative change below tol, a stalled line search, or the
-    iteration cap. Returns (x, info).
+    iteration cap. Returns (x, info); info["bound"] is PtModel.bound at x,
+    read from the last anchor's trace.
     """
     x = np.asarray(x_init, dtype=complex)
     if float(np.vdot(x, x).real) > power * (1.0 + 1e-9):
@@ -295,4 +296,5 @@ def solve_x_pt(model, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,
         "objective_history": history,
         "n_iter": len(history) - 1,
         "stalled": stalled,
+        "bound": bound_from_trace(anchor.p.trace),
     }

@@ -4,7 +4,7 @@ import pytest
 from onebit_isac import opt_et, opt_pt
 from onebit_isac.admm import AdmmConfig, admm_run, initialize
 from onebit_isac.comm_sep import sep_constraints_satisfied
-from onebit_isac.crb_metrics import crb_pt
+from onebit_isac.crb_metrics import PtModel, crb_pt, crb_pt_infinite_resolution
 from onebit_isac.linalg import h_tilde_apply
 from onebit_isac.scenario import et_scenario, pt_scenario
 
@@ -105,6 +105,29 @@ def test_trace_records_each_outer_waveform_solve(monkeypatch, variant):
     assert t.stalled == [info.get("stalled", False) for info in infos]
     if variant == "ET":
         assert not any(t.stalled)
+
+
+@pytest.mark.parametrize("variant,bound", [("PT", crb_pt),
+                                           ("PT_INF", crb_pt_infinite_resolution)])
+def test_pt_objective_is_read_from_the_last_anchor(monkeypatch, variant, bound):
+    calls = {"chain_p": 0, "build_anchor": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(PtModel, "chain_p", counted("chain_p", PtModel.chain_p))
+    monkeypatch.setattr(opt_pt, "build_anchor", counted("build_anchor", opt_pt.build_anchor))
+    sc = small_pt()
+    cfg = AdmmConfig(rho0=10.0, c_rho=3.0, rho_max=1e6, max_outer=6, max_inner=5)
+    res = admm_run(sc, variant, config=cfg, seed=1)
+    monkeypatch.undo()
+    assert calls["chain_p"] == calls["build_anchor"] > res.n_outer
+    want = bound(res.x, sc.target.theta, sc.target.sigma_alpha_sq, sc.sigma_v_sq, sc.n_r,
+                 sc.block_len)
+    assert res.trace.objectives[-1] == want
 
 
 def test_small_pt_run_converges_and_is_feasible():

@@ -67,6 +67,31 @@ def test_config_rejects_wrong_types(field, value):
         ExperimentConfig.from_dict({"scenario": {field: value}})
 
 
+SMALL = {"n_t": 4, "n_r": 4, "n_users": 2, "block_len": 4, "snr_db_list": [20.0],
+         "admm_overrides": {"max_outer": 2, "max_inner": 2}}
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"admm_overrides": {"c_rho": 0.5, "max_outer": 3}}, "c_rho > 1"),
+    ({"admm_overrides": {"rho0": -1.0, "max_outer": 2}}, "rho0 > 0"),
+    ({"epsilon": 2.0}, "epsilon must lie in"),
+    ({"experiment": "tradeoff", "epsilon_list": [0.5, 1.5]}, "epsilon must lie in"),
+    ({"qam_order": 8}, "QAM order"),
+    ({"theta_deg": 120.0}, "outside"),
+    ({"target": "et", "correlation": 1.5}, "not PSD"),
+    ({"experiment": "timing", "correlation": 1.5}, "not PSD"),
+], ids=["c_rho", "rho0", "epsilon", "epsilon_list", "qam_order", "theta_deg", "correlation",
+        "timing_correlation"])
+def test_config_rejects_out_of_range_values(tmp_path, capsys, bad, message):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({**SMALL, **bad}))
+    out = tmp_path / "res.csv"
+    assert main(["--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+
+
 def test_config_accepts_ints_for_floats():
     cfg = ExperimentConfig.from_dict({"theta_deg": 30, "snr_db_list": [0, 10.5]})
     assert cfg.theta_deg == 30 and cfg.snr_db_list == [0, 10.5]

@@ -190,13 +190,30 @@ def test_refinement_failure_fails_only_its_visitors(pt_case, monkeypatch):
 
 
 def test_coarse_failure_fails_every_trial(pt_case, monkeypatch):
-    sc, x, cfg, grid, *_ = pt_case
+    sc, x, cfg, grid, z, *_ = pt_case
     _fail_at(monkeypatch, grid.thetas[5])
+    theta_hat, failed = grid.estimate(z)
+    assert np.all(np.isnan(theta_hat))
+    assert set(failed) == set(range(z.shape[1]))
+    assert all(isinstance(e, np.linalg.LinAlgError) for e in failed.values())
     with pytest.raises(np.linalg.LinAlgError, match="even after jitter"):
-        MleGrid(x, sc.target.sigma_alpha_sq, sc.sigma_v_sq, sc.block_len, sc.n_r, cfg)
+        grid.estimate(z[:, 0])
     summary = run_trials(sc, x, 4, base_seed=40, cfg=cfg)
     assert summary.n_failed == 4 and summary.records == []
     assert summary.failures == {REFINE_FAILURE: 4}
+
+
+def test_grid_construction_builds_no_covariance(pt_case, monkeypatch):
+    sc, x, cfg, *_ = pt_case
+
+    def refused(*args):
+        raise AssertionError("MleGrid built a covariance before estimate")
+
+    monkeypatch.setattr(estimators, "pt_covariance_czz", refused)
+    grid = MleGrid(x, sc.target.sigma_alpha_sq, sc.sigma_v_sq, sc.block_len, sc.n_r, cfg)
+    # nothing but the waveform and the coarse angles is kept between estimates
+    kept = {k for k, v in vars(grid).items() if isinstance(v, (list, tuple, dict, np.ndarray))}
+    assert kept == {"x", "thetas"}
 
 
 def test_jittered_retry_fails_no_trial(pt_case, monkeypatch):

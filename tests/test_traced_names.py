@@ -1,7 +1,8 @@
 """Every function the benchmark's tracer instruments (``TRACED`` in
-perfbench/layers.py, plus its counter-only targets) must still exist: the
-tracer looks each one up by name, so a library deletion would otherwise only
-show when a traced benchmark run fails."""
+perfbench/layers.py, plus its counter-only targets) must still exist where
+the tracer looks for it: a module function by name, a method in its class's
+own ``__dict__``. A library deletion, or a method left to be inherited, would
+otherwise only show when a traced benchmark run fails."""
 
 import importlib
 import importlib.util
@@ -23,7 +24,12 @@ def _targets():
 
 @pytest.mark.parametrize("module,qualname", _targets())
 def test_traced_name_resolves(module, qualname):
-    obj = importlib.import_module(f"onebit_isac.{module}")
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
+    defining = importlib.import_module(f"onebit_isac.{module}")
+    owner_name, _, attr = qualname.rpartition(".")
+    if owner_name:  # the tracer patches the class's own attribute
+        owner = getattr(defining, owner_name)
+        assert attr in vars(owner), f"{qualname} is not defined on {owner_name} itself"
+        obj = vars(owner)[attr]
+    else:
+        obj = getattr(defining, attr)
     assert callable(obj)
