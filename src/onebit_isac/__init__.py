@@ -5,7 +5,6 @@ reproducible benchmark CLI."""
 from .array_geometry import (
     EtTarget,
     PtTarget,
-    et_prior_covariance,
     exponential_correlation,
     pt_response_operator,
     steering,

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import opt_et, opt_pt
-from .linalg import complex_normal, h_tilde_apply, vec
+from .linalg import check_power, complex_normal, h_tilde_apply, vec
 from .sep_projection import _clamp_u, solve_block
 from .crb_metrics import PtModel
 from .opt_et import EtProblem
@@ -109,21 +109,15 @@ def initialize(scenario, seed=0):
     return x, u, d, lam
 
 
-def _objective(scenario, model, x, info):
-    # crb_pt (PT) or crb_pt_infinite_resolution (PT_INF) as solve_x_pt read it
-    # from its last anchor, at x; crb_et (ET) or mse_et_quantization_unaware
-    # (ET_QU) from the anchor the ET solver left in its cache
-    if scenario.kind == "pt":
-        return info["bound"]
-    return model.bound_value(x) / float(np.trace(scenario.target.c_aa).real)
-
-
 def admm_run(scenario, variant, config=None, x_init=None, seed=0):
     """Alternating updates of waveform, feasible block, and scaled dual.
 
     The penalty grows geometrically with the dual rescaled by the same
     factor until rho_max; iteration stops once the residual and the relative
-    objective change both clear their tolerances, or at max_outer.
+    objective change both clear their tolerances, or at max_outer. The
+    objective is the waveform solver's info["bound"] at its x: crb_pt (PT),
+    crb_pt_infinite_resolution (PT_INF), or crb_et (ET) and
+    mse_et_quantization_unaware (ET_QU) over tr(C_aa).
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -135,9 +129,7 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
     channel = scenario.channel if k else None
     spec = scenario.sep_spec() if k else None
     if x_init is not None:
-        x = np.asarray(x_init, dtype=complex)
-        if float(np.vdot(x, x).real) > scenario.power * (1.0 + 1e-9):
-            raise ValueError("initial waveform violates the power constraint")
+        x = check_power(x_init, scenario.power)
         if k:
             u = _feasible_u(scenario, spec, x)
     if variant in ("PT", "PT_INF"):
@@ -145,12 +137,14 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
             scenario.target.theta, scenario.target.sigma_alpha_sq,
             scenario.sigma_v_sq, scenario.n_t, scenario.n_r, scenario.block_len,
         )
+        normalizer = 1.0
     else:
         model = EtProblem(
             c_aa=scenario.target.c_aa, sigma_v_sq=scenario.sigma_v_sq,
             n_t=scenario.n_t, n_r=scenario.n_r, block_len=scenario.block_len,
             quantization_aware=(variant == "ET"),
         )
+        normalizer = float(np.trace(scenario.target.c_aa).real)
     lam_hth = opt_et.lam_max_channel(channel)
     rho = config.rho0
     trace = AdmmTrace()
@@ -179,7 +173,7 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
             residual = float(np.vdot(hx - u, hx - u).real)
         else:
             residual = 0.0
-        objective = _objective(scenario, model, x, info)
+        objective = info["bound"] / normalizer
         if not math.isfinite(objective):
             err = RuntimeError(
                 f"non-finite objective at outer iteration {it}"

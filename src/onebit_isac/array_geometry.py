@@ -70,12 +70,6 @@ class BlockRankOneOperator:
             raise ValueError(f"expected length {self.v.size * self.block_len}, got {x.size}")
         return vec(np.outer(self.u, self.v @ unvec(x, self.v.size, self.block_len)))
 
-    def dense(self, max_entries=65536):
-        total = self.u.size * self.v.size * self.block_len**2
-        if total > max_entries:
-            raise ValueError(f"refusing to materialize {total} entries")
-        return np.kron(np.eye(self.block_len), np.outer(self.u, self.v))
-
 
 def pt_response_operator(theta, block_len, n_t, n_r):
     """Structured operator for I_L kron (a_r a_t^T)."""
@@ -88,11 +82,6 @@ def exponential_correlation(n, coeff=0.5):
     """Correlation matrix [Phi]_{m,n} = coeff**|m - n| with real coeff."""
     idx = np.arange(n)
     return coeff ** np.abs(idx[:, None] - idx[None, :]).astype(float)
-
-
-def et_prior_covariance(phi_r, phi_t):
-    """Prior covariance of the vectorized response, transpose(Phi_T) kron Phi_R."""
-    return EtTarget(np.asarray(phi_r), np.asarray(phi_t)).c_aa
 
 
 @dataclass(frozen=True)
@@ -112,8 +101,9 @@ class PtTarget:
 class EtTarget:
     """Extended target: Kronecker-correlated Gaussian response prior.
 
-    Both correlations are checked PSD once, here; their square roots serve
-    every draw of :meth:`sample`.
+    c_aa is the prior covariance of the vectorized response,
+    transpose(Phi_T) kron Phi_R. Both correlations are checked PSD once,
+    here; their square roots serve every draw of :meth:`sample`.
     """
 
     phi_r: np.ndarray

@@ -207,13 +207,16 @@ class EtAnchor:
     l_mat = X~ C_aa, m = M(x) and m_inv_l = M^{-1} L, where M is
     X~ C X~^H + (pi/2 - 1) diag(X~ C X~^H) + (pi/2) sigma_v^2 I for the
     one-bit bound and X~ C X~^H + sigma_v^2 I for the unquantized LMMSE
-    (both Hermitian-symmetrized); gain = tr(L^H M^{-1} L).
+    (both Hermitian-symmetrized); gain = tr(L^H M^{-1} L) and
+    bound = tr(C_aa) - gain, the one-bit bound (crb_et) or the unquantized
+    LMMSE MSE (mse_et_quantization_unaware).
     """
 
     l_mat: np.ndarray
     m: np.ndarray
     m_inv_l: np.ndarray
     gain: float
+    bound: float
 
 
 def et_l_and_m(x_matrix, c_aa, sigma_v_sq, quantization_aware=True):
@@ -238,11 +241,12 @@ def et_l_and_m(x_matrix, c_aa, sigma_v_sq, quantization_aware=True):
 
 
 def et_anchor(x_matrix, c_aa, sigma_v_sq, quantization_aware=True):
-    """L, M, M^{-1} L and the gain of the extended-target bound at X."""
+    """L, M, M^{-1} L, the gain and the bound of the extended target at X."""
     l_mat, m = et_l_and_m(x_matrix, c_aa, sigma_v_sq, quantization_aware)
     m_inv_l = hermitian_solve(m, l_mat)
     gain = float(np.einsum("ij,ij->", l_mat.conj(), m_inv_l).real)
-    return EtAnchor(l_mat=l_mat, m=m, m_inv_l=m_inv_l, gain=gain)
+    return EtAnchor(l_mat=l_mat, m=m, m_inv_l=m_inv_l, gain=gain,
+                    bound=float(np.trace(np.asarray(c_aa)).real - gain))
 
 
 def crb_et(x_matrix, c_aa, sigma_v_sq):
@@ -251,11 +255,9 @@ def crb_et(x_matrix, c_aa, sigma_v_sq):
     Uses the expanded form tr(C_aa) - tr(L^H M^{-1} L), which stays valid for
     merely PSD priors.
     """
-    gain = et_anchor(x_matrix, c_aa, sigma_v_sq).gain
-    return float(np.trace(np.asarray(c_aa)).real - gain)
+    return et_anchor(x_matrix, c_aa, sigma_v_sq).bound
 
 
 def mse_et_quantization_unaware(x_matrix, c_aa, sigma_v_sq):
     """Unquantized LMMSE MSE, tr(C_aa) - tr(C_aa X~^H (X~ C X~^H + s^2 I)^{-1} X~ C_aa)."""
-    gain = et_anchor(x_matrix, c_aa, sigma_v_sq, quantization_aware=False).gain
-    return float(np.trace(np.asarray(c_aa)).real - gain)
+    return et_anchor(x_matrix, c_aa, sigma_v_sq, quantization_aware=False).bound

@@ -12,7 +12,8 @@ from scipy.linalg import lapack
 from .array_geometry import pt_response_operator, steering
 from .crb_metrics import et_anchor, et_l_and_m
 from .linalg import complex_normal, hermitian_factor, hermitian_solve, unvec, vec
-from .quantization import TWO_OVER_PI, covariance_czz_exact, bussgang_gain, quantize_one_bit
+from .quantization import (arcsine_law, bussgang_gain, covariance_czz_exact, positive_diagonal,
+                           quantize_one_bit)
 
 HALF_PI = np.pi / 2.0
 # refinement grid of each level: the estimate plus -10..10 fine steps
@@ -55,21 +56,13 @@ def pt_covariance_czz(x_matrix, thetas, sigma_alpha_sq, sigma_v_sq, n_r):
     thetas = np.asarray(thetas, dtype=float)
     block_len = x_matrix.shape[1]
     s = steering(x_matrix.shape[0], thetas) @ x_matrix
-    d = sigma_alpha_sq * (s.real**2 + s.imag**2) / n_r + sigma_v_sq
-    if np.any(d <= 0.0):
-        raise ValueError("covariance diagonal must be strictly positive")
+    d = positive_diagonal(sigma_alpha_sq * (s.real**2 + s.imag**2) / n_r + sigma_v_sq)
     beta = s * np.sqrt(sigma_alpha_sq / n_r / d)
     t = steering(n_r, thetas) * math.sqrt(n_r)  # T_{r0} for r = 0..n_r-1
     lag = np.concatenate((t[:, :0:-1].conj(), t), axis=1)  # lags 1-n_r..n_r-1
     rho = (beta[:, :, None] * beta.conj()[:, None, :])[..., None] * lag[:, None, None, :]
     diag = (slice(None), np.arange(block_len), np.arange(block_len), n_r - 1)
-    mod = np.abs(rho)
-    mod[diag] = 0.0
-    if mod.max(initial=0.0) > 1.0 + 1e-9:
-        raise ValueError(f"normalized correlation modulus {mod.max():.6g} exceeds 1")
-    vals = TWO_OVER_PI * (np.arcsin(np.clip(rho.real, -1.0, 1.0))
-                          + 1j * np.arcsin(np.clip(rho.imag, -1.0, 1.0)))
-    vals[diag] = 1.0
+    vals = arcsine_law(rho, diag)
     # vec index r + n_r l: entry (i, i') reads (l, l', r - r')
     l_idx = np.repeat(np.arange(block_len), n_r)
     r_idx = np.tile(np.arange(n_r), block_len)
@@ -147,21 +140,19 @@ class MleGrid:
     def _observations(self, z):
         z = np.asarray(z)
         n = self.n_r * self.block_len
-        if z.ndim not in (1, 2) or z.shape[0] != n:
-            raise ValueError(f"z has shape {z.shape}; expected ({n},) or ({n}, T) "
-                             f"with n_r * block_len = {n} rows")
+        if z.ndim != 2 or z.shape[0] != n:
+            raise ValueError(f"z has shape {z.shape}; expected (n, T) with "
+                             f"n_r * block_len = {n} rows")
         if not np.all(np.isfinite(z)):
             raise ValueError("z has non-finite entries")
-        return z.astype(complex).reshape(n, -1)
+        return z.astype(complex)
 
     def estimate(self, z):
-        """DOA estimate of one observation z of shape (n_r L,), or of every
-        column of a block of shape (n_r L, T).
+        """DOA estimates of every column of a block z of shape (n_r L, T).
 
-        One z gives a float and raises the LinAlgError of an angle that
-        cannot be factored. A block gives (theta_hat, failed): the T
-        estimates, NaN for a failed trial, and {trial: LinAlgError} naming
-        the first angle each failed trial could not factor.
+        Returns (theta_hat, failed): the T estimates, NaN for a failed trial,
+        and {trial: LinAlgError} naming the first angle each failed trial
+        could not factor.
         """
         block = self._observations(z)
         theta_hat = np.zeros(block.shape[1])
@@ -179,11 +170,7 @@ class MleGrid:
             ok = ~np.isnan(theta_hat[live])
             # first, smaller angle on ties
             theta_hat[live[ok]] = grid[ok, np.argmin(fvals[ok], axis=1)]
-        if np.ndim(z) == 2:
-            return theta_hat, failed
-        if failed:
-            raise failed[0]
-        return float(theta_hat[0])
+        return theta_hat, failed
 
     def _level_objectives(self, block, grid, live, failed):
         """Objectives of each row's grid angles against the matching column of
@@ -191,11 +178,14 @@ class MleGrid:
         trial that visits an angle that cannot be factored is added to failed
         (keyed by live[row]) and its row is left unfinished."""
         angles, inverse = np.unique(grid, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        order = np.argsort(inverse, kind="stable")
-        starts = np.searchsorted(inverse[order], np.arange(angles.size + 1))
-        row_of = np.repeat(np.arange(grid.shape[0]), grid.shape[1])
-        fvals = np.empty(grid.size)
+        n_rows = grid.shape[0]
+        # one entry per (angle, row) pair, sorted by angle and then by row
+        pairs, pair_of = np.unique(inverse.reshape(-1) * n_rows
+                                   + np.repeat(np.arange(n_rows), grid.shape[1]),
+                                   return_inverse=True)
+        pair_rows = pairs % n_rows
+        starts = np.searchsorted(pairs // n_rows, np.arange(angles.size + 1))
+        pair_vals = np.empty(pairs.size)
         n = self.n_r * self.block_len
         size = max(1, _STACK_ENTRIES // (n * n))
         x_matrix = unvec(self.x, self.n_t, self.block_len)
@@ -204,15 +194,14 @@ class MleGrid:
                                     self.sigma_v_sq, self.n_r)
             factors, logdets, errors = _factor_stack(czz)
             for k, factor in enumerate(factors):
-                pos = order[starts[lo + k]:starts[lo + k + 1]]
-                rows = np.unique(row_of[pos])
+                span = slice(starts[lo + k], starts[lo + k + 1])
+                rows = pair_rows[span]
                 if factor is None:
                     for t in live[rows]:
                         failed.setdefault(int(t), errors[k])
                     continue
-                vals = _quadratic_forms(factor, block[:, rows]) + logdets[k]
-                fvals[pos] = vals[np.searchsorted(rows, row_of[pos])]
-        return fvals.reshape(grid.shape)
+                pair_vals[span] = _quadratic_forms(factor, block[:, rows]) + logdets[k]
+        return pair_vals[pair_of].reshape(grid.shape)
 
 
 def blmmse_matrix(x_matrix, c_aa, sigma_v_sq):

@@ -1,6 +1,7 @@
 """Shared complex linear algebra: column-stacked vectorization, guarded
-Hermitian solves, PSD square roots, power iteration, and the structured
-operators (X^T kron I, I kron H) used throughout the library."""
+Hermitian solves, PSD square roots, power iteration, the structured
+operators (X^T kron I, I kron H) used throughout the library, and the ADMM
+penalty and power check that both waveform solvers share."""
 
 import math
 
@@ -140,6 +141,24 @@ def h_tilde_adjoint(h, y, block_len):
     """(I_L kron H)^H @ y."""
     h = np.asarray(h)
     return vec(h.conj().T @ unvec(y, h.shape[0], block_len))
+
+
+def penalty_value(x, block_len, rho, u_i, lambda_i, channel):
+    """ADMM penalty rho ||H~ x - u + lambda||^2 of either waveform
+    subproblem; 0 without a penalty or without users."""
+    if rho == 0.0 or channel is None or channel.size == 0:
+        return 0.0
+    w = h_tilde_apply(channel, x, block_len) - u_i + lambda_i
+    return rho * float(np.vdot(w, w).real)
+
+
+def check_power(x, power):
+    """x as a complex array, checked to satisfy ||x||^2 <= power up to a
+    relative 1e-9."""
+    x = np.asarray(x, dtype=complex)
+    if float(np.vdot(x, x).real) > power * (1.0 + 1e-9):
+        raise ValueError("initial waveform violates the power constraint")
+    return x
 
 
 def project_power_ball(x, power):

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crb_metrics import et_anchor
-from .linalg import h_tilde_adjoint, h_tilde_apply, project_power_ball, unvec
+from .linalg import (check_power, h_tilde_adjoint, h_tilde_apply, penalty_value,
+                     project_power_ball, unvec)
 
 
 def _partial_trace_to_x(w, n_r, n_t, block_len):
@@ -57,11 +58,8 @@ class EtProblem:
         return anchor
 
     def objective(self, x):
-        """h(x) = -tr(L(x)^H M(x)^{-1} L(x)); bound value = tr(C_aa) + h."""
+        """h(x) = -tr(L(x)^H M(x)^{-1} L(x)); the bound is tr(C_aa) + h."""
         return -self.anchor(x).gain
-
-    def bound_value(self, x):
-        return float(np.trace(self.c_aa).real) + self.objective(x)
 
 
 def build_lt(x_t, c_aa, m_inv_l, n_r):
@@ -176,11 +174,8 @@ def mm_update_et(x_t, surrogate, power=1.0):
 
 def augmented_objective_et(problem, x, rho=0.0, u_i=None, lambda_i=None,
                            channel=None):
-    val = problem.objective(x)
-    if rho != 0.0 and channel is not None and channel.size:
-        w = h_tilde_apply(channel, x, problem.block_len) - u_i + lambda_i
-        val += rho * float(np.vdot(w, w).real)
-    return val
+    return problem.objective(x) + penalty_value(x, problem.block_len, rho, u_i, lambda_i,
+                                                channel)
 
 
 def solve_x_et(problem, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,
@@ -188,12 +183,11 @@ def solve_x_et(problem, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,
     """Closed-form MM loop for the extended-target subproblem.
 
     Returns (x, info); the true augmented objective is tracked and is
-    non-increasing across iterations. Pass an EtProblem with
-    quantization_aware=False for the quantization-unaware variant.
+    non-increasing across iterations. info["bound"] is tr(C_aa) - gain at x
+    (crb_et, or mse_et_quantization_unaware for an EtProblem with
+    quantization_aware=False, the quantization-unaware variant).
     """
-    x = np.asarray(x_init, dtype=complex)
-    if float(np.vdot(x, x).real) > power * (1.0 + 1e-9):
-        raise ValueError("initial waveform violates the power constraint")
+    x = check_power(x_init, power)
     if lam_hth is None:
         lam_hth = lam_max_channel(channel)
     f_prev = augmented_objective_et(problem, x, rho, u_i, lambda_i, channel)
@@ -207,4 +201,5 @@ def solve_x_et(problem, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,
             f_prev = f_new
             break
         f_prev = f_new
-    return x, {"objective_history": history, "n_iter": len(history) - 1}
+    return x, {"objective_history": history, "n_iter": len(history) - 1,
+               "bound": problem.anchor(x).bound}

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crb_metrics import ChainP, PtModel, SQRT_TWO_OVER_PI, bound_from_trace, trace_p_dc
-from .linalg import h_tilde_adjoint, h_tilde_apply, vec
+from .linalg import check_power, h_tilde_adjoint, h_tilde_apply, penalty_value, vec
 
 # backtracking schedule: start at 0.1 sqrt(P), halve until accepted or below
 # STEP_FLOOR; a candidate may exceed the anchor value by RELATIVE_SLACK * (|m0| + 1)
@@ -40,24 +40,11 @@ def build_anchor(model, x_t, quantized=True):
                            p=model.chain_p(x_t, quantized), quantized=quantized)
 
 
-def _penalty_residual(model, x, u_i, lambda_i, channel):
-    if channel is None or channel.size == 0:
-        return None
-    return h_tilde_apply(channel, x, model.block_len) - u_i + lambda_i
-
-
-def penalty_value(model, x, rho, u_i, lambda_i, channel):
-    if rho == 0.0 or channel is None or channel.size == 0:
-        return 0.0
-    w = _penalty_residual(model, x, u_i, lambda_i, channel)
-    return rho * float(np.vdot(w, w).real)
-
-
 def augmented_objective(model, x, rho, u_i=None, lambda_i=None, channel=None,
                         quantized=True):
     """True objective -tr(C^{-1} dC C^{-1} dC) plus the penalty at x."""
     return -model.chain_p(x, quantized).trace + penalty_value(
-        model, x, rho, u_i, lambda_i, channel
+        x, model.block_len, rho, u_i, lambda_i, channel
     )
 
 
@@ -201,7 +188,7 @@ def gradient_rows(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None):
         rows["m3"] = _row(model, 2.0 * sa * y3[:, 0])
         linear_keys = ("m1",)
     if rho != 0.0 and channel is not None and channel.size:
-        w = _penalty_residual(model, x, u_i, lambda_i, channel)
+        w = h_tilde_apply(channel, x, model.block_len) - u_i + lambda_i
         rows["m4"] = rho * np.conj(h_tilde_adjoint(channel, w, model.block_len))
     else:
         rows["m4"] = np.zeros(model.n_t * model.block_len, dtype=complex)
@@ -212,14 +199,9 @@ def gradient_rows(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None):
     return rows
 
 
-def surrogate_gradient(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None,
-                       return_terms=False):
+def surrogate_gradient(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None):
     """Conjugate (Wirtinger) gradient of the surrogate, the descent direction."""
-    rows = gradient_rows(anchor, x, rho, u_i, lambda_i, channel)
-    grad = np.conj(rows["total"])
-    if return_terms:
-        return grad, rows
-    return grad
+    return np.conj(gradient_rows(anchor, x, rho, u_i, lambda_i, channel)["total"])
 
 
 def pgd_step(anchor, x_t, rho=0.0, u_i=None, lambda_i=None, channel=None,
@@ -273,18 +255,16 @@ def solve_x_pt(model, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,
     iteration cap. Returns (x, info); info["bound"] is PtModel.bound at x,
     read from the last anchor's trace.
     """
-    x = np.asarray(x_init, dtype=complex)
-    if float(np.vdot(x, x).real) > power * (1.0 + 1e-9):
-        raise ValueError("initial waveform violates the power constraint")
+    x = check_power(x_init, power)
     anchor = build_anchor(model, x, quantized)
-    f_prev = -anchor.p.trace + penalty_value(model, x, rho, u_i, lambda_i, channel)
+    f_prev = -anchor.p.trace + penalty_value(x, model.block_len, rho, u_i, lambda_i, channel)
     history = [f_prev]
     stalled = False
     for _ in range(max_iter):
         x, _, stalled = pgd_step(anchor, x, rho, u_i, lambda_i, channel, power)
         # the next anchor carries the true objective at the new iterate
         anchor = build_anchor(model, x, quantized)
-        f_new = -anchor.p.trace + penalty_value(model, x, rho, u_i, lambda_i, channel)
+        f_new = -anchor.p.trace + penalty_value(x, model.block_len, rho, u_i, lambda_i, channel)
         history.append(f_new)
         if stalled:
             break

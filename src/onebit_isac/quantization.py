@@ -19,22 +19,33 @@ def quantize_one_bit(r):
     return (re + 1j * im) / np.sqrt(2.0)
 
 
+def positive_diagonal(d):
+    """The real covariance diagonal d, checked strictly positive."""
+    if np.any(d <= 0.0):
+        raise ValueError("covariance diagonal must be strictly positive")
+    return d
+
+
 def bussgang_gain(c_rr):
     """Diagonal Bussgang gain sqrt(2/pi) diag(C_rr)^{-1/2}, stored as a vector."""
-    c_rr = np.asarray(c_rr)
-    d = np.diag(c_rr).real if c_rr.ndim == 2 else c_rr.real
-    if np.any(d <= 0.0):
-        raise ValueError("covariance diagonal must be strictly positive")
-    return np.sqrt(TWO_OVER_PI / d)
+    return np.sqrt(TWO_OVER_PI / positive_diagonal(np.diag(c_rr).real))
 
 
-def _normalized_correlation(c_rr):
-    c_rr = np.asarray(c_rr)
-    d = np.diag(c_rr).real
-    if np.any(d <= 0.0):
-        raise ValueError("covariance diagonal must be strictly positive")
-    scale = 1.0 / np.sqrt(d)
-    return c_rr * np.outer(scale, scale)
+def arcsine_law(rho, unit):
+    """(2/pi) (arcsin Re rho + j arcsin Im rho) of a normalized correlation
+    rho, with the entries at index unit (its diagonal) set to exactly one.
+
+    Raises if an entry off the diagonal has modulus above 1 + 1e-9; smaller
+    excesses from rounding are clipped.
+    """
+    mod = np.abs(rho)
+    mod[unit] = 0.0
+    if mod.max(initial=0.0) > 1.0 + 1e-9:
+        raise ValueError(f"normalized correlation modulus {mod.max():.6g} exceeds 1")
+    arcsin = np.arcsin(np.clip([rho.real, rho.imag], -1.0, 1.0))
+    vals = TWO_OVER_PI * (arcsin[0] + 1j * arcsin[1])
+    vals[unit] = 1.0
+    return vals
 
 
 def covariance_czz_exact(c_rr):
@@ -43,16 +54,7 @@ def covariance_czz_exact(c_rr):
     (2/pi) arcsin applied separately to the real and imaginary parts of the
     normalized input correlation; the diagonal is exactly one.
     """
-    s = _normalized_correlation(c_rr)
-    mod = np.abs(s)
-    np.fill_diagonal(mod, 0.0)
-    if mod.max(initial=0.0) > 1.0 + 1e-9:
-        raise ValueError(
-            f"normalized correlation modulus {mod.max():.6g} exceeds 1"
-        )
-    re = np.clip(s.real, -1.0, 1.0)
-    im = np.clip(s.imag, -1.0, 1.0)
-    czz = TWO_OVER_PI * (np.arcsin(re) + 1j * np.arcsin(im))
-    czz = (czz + czz.conj().T) / 2.0
-    np.fill_diagonal(czz, 1.0)
-    return czz
+    c_rr = np.asarray(c_rr)
+    scale = 1.0 / np.sqrt(positive_diagonal(np.diag(c_rr).real))
+    czz = arcsine_law(c_rr * np.outer(scale, scale), np.diag_indices(c_rr.shape[0]))
+    return (czz + czz.conj().T) / 2.0

@@ -1,15 +1,16 @@
-"""Shared test oracles: Wirtinger finite differences, slot functions that
-isolate each derivative path of the point-target surrogate, the dense
-derivative of the point-target response, the lift of the library's
-receive-subspace chain factors and anchor P to n x n matrices, the dense
-n x n point-target covariance chain (workspace, trace form, anchor,
-surrogate value and gradient rows) that the library holds as diagonal plus
-rank one, a P whose kL x kL products raise, the projected-gradient step that scores its backtracking
-candidates one at a time, the extended-target chain as the library
-computed it before the shared anchor and the dense Mbar (explicit Kronecker
-bound, matrix-free Mbar apply, uncached MM loop), the information form of
-the extended-target bound, the explicit-Kronecker BLMMSE estimator, dense
-Kronecker/commutation builders for small instances, the per-trial,
+"""Shared test oracles: the dense form of a block rank-one operator,
+Wirtinger finite differences, slot functions that isolate each derivative
+path of the point-target surrogate, the dense derivative of the
+point-target response, the lift of the library's receive-subspace chain
+factors and anchor P to n x n matrices, the dense n x n point-target
+covariance chain (workspace, trace form, anchor, surrogate value and
+gradient rows) that the library holds as diagonal plus rank one, a P whose
+kL x kL products raise, the projected-gradient step that scores its
+backtracking candidates one at a time, the extended-target chain as the
+library computed it before the shared anchor and the dense Mbar (explicit
+Kronecker bound, matrix-free Mbar apply, uncached MM loop), the information
+form of the extended-target bound, the explicit-Kronecker BLMMSE estimator,
+dense Kronecker/commutation builders for small instances, the per-trial,
 per-angle one-bit MLE on dense arcsine covariances, the Monte-Carlo trials
 drawn and scored one at a time, and the SEP projection solver that scores
 every interval."""
@@ -30,6 +31,7 @@ from onebit_isac.linalg import (
     h_tilde_apply,
     hermitian_factor,
     hermitian_solve,
+    penalty_value,
     project_power_ball,
     unvec,
     vec,
@@ -38,7 +40,6 @@ from onebit_isac.opt_et import build_lt, lam_max_channel
 from onebit_isac import opt_pt
 from onebit_isac.opt_pt import (
     SurrogateAnchor,
-    penalty_value,
     surrogate_gradient,
     surrogate_value,
 )
@@ -47,6 +48,15 @@ from onebit_isac.sep_projection import _objective_at, boundary_points
 
 TWO_OVER_PI = 2.0 / np.pi
 SQRT_TWO_OVER_PI = np.sqrt(TWO_OVER_PI)
+
+
+def dense_operator(op, max_entries=65536):
+    """I_L kron (u v^T) of a BlockRankOneOperator formed explicitly, guarded
+    to test-scale sizes."""
+    total = op.u.size * op.v.size * op.block_len**2
+    if total > max_entries:
+        raise ValueError(f"refusing to materialize {total} entries")
+    return np.kron(np.eye(op.block_len), np.outer(op.u, op.v))
 
 
 def pt_response_derivative_operator(theta, block_len, n_t, n_r):
@@ -107,8 +117,8 @@ def linearized_czz(c_rr):
 
 
 def _response(model: PtModel):
-    return pt_response_operator(model.theta, model.block_len, model.n_t,
-                                model.n_r).dense(max_entries=1 << 22)
+    return dense_operator(pt_response_operator(model.theta, model.block_len, model.n_t,
+                                               model.n_r), max_entries=1 << 22)
 
 
 def _response_derivative(model: PtModel):
@@ -166,7 +176,7 @@ def dense_surrogate_value(model: PtModel, p_big, x, quantized=True, rho=0.0,
     lin = -2.0 * float(np.einsum("ij,ji->", p, dbase).real)
     pc = p @ base
     quad = float(np.einsum("ij,ji->", pc, pc).real)
-    return lin + quad + penalty_value(model, x, rho, u_i, lambda_i, channel)
+    return lin + quad + penalty_value(x, model.block_len, rho, u_i, lambda_i, channel)
 
 
 def scalar_pgd_step(anchor, x_t, rho=0.0, u_i=None, lambda_i=None, channel=None,

@@ -4,7 +4,8 @@ import pytest
 from onebit_isac import opt_et, opt_pt
 from onebit_isac.admm import AdmmConfig, admm_run, initialize
 from onebit_isac.comm_sep import sep_constraints_satisfied
-from onebit_isac.crb_metrics import PtModel, crb_pt, crb_pt_infinite_resolution
+from onebit_isac.crb_metrics import (PtModel, crb_et, crb_pt, crb_pt_infinite_resolution,
+                                     mse_et_quantization_unaware)
 from onebit_isac.linalg import h_tilde_apply
 from onebit_isac.scenario import et_scenario, pt_scenario
 
@@ -108,9 +109,13 @@ def test_trace_records_each_outer_waveform_solve(monkeypatch, variant):
 
 
 @pytest.mark.parametrize("variant,bound", [("PT", crb_pt),
-                                           ("PT_INF", crb_pt_infinite_resolution)])
+                                           ("PT_INF", crb_pt_infinite_resolution),
+                                           ("ET", crb_et),
+                                           ("ET_QU", mse_et_quantization_unaware)])
 def test_pt_objective_is_read_from_the_last_anchor(monkeypatch, variant, bound):
-    calls = {"chain_p": 0, "build_anchor": 0}
+    # the objective is the solver's info["bound"] at its x; no outer
+    # iteration builds a chain or an anchor that the solver did not
+    calls = {"chain_p": 0, "build_anchor": 0, "et_anchor": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -120,13 +125,24 @@ def test_pt_objective_is_read_from_the_last_anchor(monkeypatch, variant, bound):
 
     monkeypatch.setattr(PtModel, "chain_p", counted("chain_p", PtModel.chain_p))
     monkeypatch.setattr(opt_pt, "build_anchor", counted("build_anchor", opt_pt.build_anchor))
-    sc = small_pt()
-    cfg = AdmmConfig(rho0=10.0, c_rho=3.0, rho_max=1e6, max_outer=6, max_inner=5)
+    monkeypatch.setattr(opt_et, "et_anchor", counted("et_anchor", opt_et.et_anchor))
+    if variant.startswith("PT"):
+        sc = small_pt()
+        cfg = AdmmConfig(rho0=10.0, c_rho=3.0, rho_max=1e6, max_outer=6, max_inner=5)
+    else:
+        sc = et_scenario(snr_sensing_db=20.0, snr_comm_db=30.0, seed=0)
+        cfg = AdmmConfig(rho0=1.0, c_rho=1.1, rho_max=10.0, max_outer=8, max_inner=6)
     res = admm_run(sc, variant, config=cfg, seed=1)
     monkeypatch.undo()
-    assert calls["chain_p"] == calls["build_anchor"] > res.n_outer
-    want = bound(res.x, sc.target.theta, sc.target.sigma_alpha_sq, sc.sigma_v_sq, sc.n_r,
-                 sc.block_len)
+    if variant.startswith("PT"):
+        assert calls["chain_p"] == calls["build_anchor"] > res.n_outer
+        want = bound(res.x, sc.target.theta, sc.target.sigma_alpha_sq, sc.sigma_v_sq,
+                     sc.n_r, sc.block_len)
+    else:
+        # one anchor at the start and one at each inner iterate
+        assert calls["et_anchor"] == 1 + sum(res.trace.inner_iters) > res.n_outer
+        want = (bound(sc.unvec_waveform(res.x), sc.target.c_aa, sc.sigma_v_sq)
+                / float(np.trace(sc.target.c_aa).real))
     assert res.trace.objectives[-1] == want
 
 

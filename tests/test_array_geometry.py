@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from helpers_oracles import pt_response_derivative_operator
+from helpers_oracles import dense_operator, pt_response_derivative_operator
 
 from onebit_isac.array_geometry import (
     EtTarget,
     PtTarget,
-    et_prior_covariance,
     exponential_correlation,
     pt_response_operator,
     receive_basis,
@@ -85,7 +84,7 @@ def test_pt_operator_zero_maps_to_zero():
 def test_pt_operator_dense_equivalence():
     rng = np.random.default_rng(2)
     op = pt_response_operator(0.5, 2, 3, 3)
-    dense = op.dense()
+    dense = dense_operator(op)
     for _ in range(10):
         x = complex_normal(rng, 6)
         assert np.linalg.norm(op.apply(x) - dense @ x) < 1e-12
@@ -100,7 +99,7 @@ def test_pt_operator_rejects_dimension_mismatch():
 def test_pt_operator_dense_guard():
     op = pt_response_operator(0.1, 64, 16, 16)
     with pytest.raises(ValueError):
-        op.dense(max_entries=4096)
+        dense_operator(op, max_entries=4096)
 
 
 def test_pt_derivative_operator_endfire_is_zero():
@@ -121,7 +120,7 @@ def test_pt_derivative_operator_finite_difference():
 
 def test_pt_derivative_dense_equivalence():
     dense = pt_response_derivative_operator(0.7, 2, 3, 3)
-    fd = _central_diff(lambda t: pt_response_operator(t, 2, 3, 3).dense(), 0.7)
+    fd = _central_diff(lambda t: dense_operator(pt_response_operator(t, 2, 3, 3)), 0.7)
     assert np.linalg.norm(dense - fd) / np.linalg.norm(fd) < 1e-6
 
 
@@ -129,7 +128,7 @@ def test_operator_dense_agreement_up_to_64():
     rng = np.random.default_rng(6)
     for n_t, n_r, block in [(4, 4, 4), (8, 8, 8), (2, 16, 4)]:
         op = pt_response_operator(0.25, block, n_t, n_r)
-        dense = op.dense()
+        dense = dense_operator(op)
         x = complex_normal(rng, n_t * block)
         assert np.linalg.norm(op.apply(x) - dense @ x) < 1e-12
         fd = _central_diff(
@@ -159,20 +158,18 @@ def test_exponential_correlation_entries():
 
 
 def test_et_prior_covariance_identity():
-    assert np.allclose(et_prior_covariance(np.eye(3), np.eye(2)), np.eye(6))
+    assert np.allclose(EtTarget(np.eye(3), np.eye(2)).c_aa, np.eye(6))
 
 
 def test_et_prior_covariance_hermitian_psd():
-    c = et_prior_covariance(
-        exponential_correlation(3, 0.5), exponential_correlation(4, 0.5)
-    )
+    c = EtTarget(exponential_correlation(3, 0.5), exponential_correlation(4, 0.5)).c_aa
     assert np.linalg.norm(c - c.conj().T) < 1e-12
     assert np.linalg.eigvalsh(c).min() > -1e-10
 
 
 def test_et_prior_covariance_rejects_non_psd():
     with pytest.raises(ValueError):
-        et_prior_covariance(np.diag([1.0, -1.0]), np.eye(2))
+        EtTarget(np.diag([1.0, -1.0]), np.eye(2))
 
 
 def test_et_sample_identity_correlation_unit_variance():
@@ -187,9 +184,9 @@ def test_et_sample_covariance_matches_prior():
     rng = np.random.default_rng(8)
     phi_r = exponential_correlation(2, 0.5)
     phi_t = exponential_correlation(2, 0.5)
-    c_true = et_prior_covariance(phi_r, phi_t)
-    n = 100000
     target = EtTarget(phi_r, phi_t)
+    c_true = target.c_aa
+    n = 100000
     samples = np.stack([vec(target.sample(rng)) for _ in range(n)])
     c_emp = samples.conj().T @ samples / n
     c_emp = c_emp.T  # E[a a^H]

@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 from helpers_oracles import crb_et_forms_equal, crb_et_information_form, et_crb_inputs, lift
 
-from onebit_isac.array_geometry import (
-    et_prior_covariance,
-    exponential_correlation,
-)
+from onebit_isac.array_geometry import EtTarget, exponential_correlation
 from onebit_isac.crb_metrics import (
     PtModel,
     crb_et,
@@ -19,9 +16,7 @@ from onebit_isac.linalg import complex_normal, unvec
 
 
 def random_et_instance(rng, n_t=2, n_r=2, block_len=2, corr=0.5):
-    c_aa = et_prior_covariance(
-        exponential_correlation(n_r, corr), exponential_correlation(n_t, corr)
-    )
+    c_aa = EtTarget(exponential_correlation(n_r, corr), exponential_correlation(n_t, corr)).c_aa
     x = unvec(complex_normal(rng, n_t * block_len), n_t, block_len)
     return x, c_aa
 

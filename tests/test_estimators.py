@@ -12,7 +12,7 @@ from helpers_oracles import (
 )
 
 from onebit_isac import estimators
-from onebit_isac.array_geometry import et_prior_covariance, exponential_correlation
+from onebit_isac.array_geometry import EtTarget, exponential_correlation
 from onebit_isac.crb_metrics import crb_et
 from onebit_isac.estimators import (
     MleConfig,
@@ -50,7 +50,8 @@ def test_mle_config_validation():
 def test_mle_grid_rejects_bad_sizes(small_grid):
     with pytest.raises(ValueError, match="not a positive multiple of block length 3"):
         MleGrid(np.ones(8), 1.0, 0.05, block_len=3, n_r=4)
-    for z in (np.ones(5), np.ones((5, 3)), np.ones((8, 2, 2))):
+    # one observation is a one-column block, never a vector
+    for z in (np.ones(8), np.ones(5), np.ones((5, 3)), np.ones((8, 2, 2))):
         with pytest.raises(ValueError, match="n_r \\* block_len = 8 rows"):
             small_grid.estimate(z)
     for bad in (np.nan, np.inf):
@@ -99,7 +100,7 @@ def test_batched_estimates_match_dense_oracle(pt_case):
     assert failed == {}
     assert theta_hat.tolist() == oracle
     assert len(set(oracle)) > 3
-    assert [grid.estimate(z[:, t]) for t in range(z.shape[1])] == oracle
+    assert [grid.estimate(z[:, [t]])[0][0] for t in range(z.shape[1])] == oracle
 
 
 def test_run_trials_does_not_depend_on_batch_size(pt_case):
@@ -182,8 +183,8 @@ def test_refinement_failure_fails_only_its_visitors(pt_case, monkeypatch):
     assert all(isinstance(e, np.linalg.LinAlgError) for e in failed.values())
     for t in range(z.shape[1]):
         assert np.isnan(theta_hat[t]) if t in visitors else theta_hat[t] == oracle[t]
-    with pytest.raises(np.linalg.LinAlgError):
-        grid.estimate(z[:, 0])
+    one_hat, one_failed = grid.estimate(z[:, [0]])
+    assert np.isnan(one_hat[0]) and isinstance(one_failed[0], np.linalg.LinAlgError)
     summary = run_trials(sc, x, z.shape[1], base_seed=40, cfg=cfg)
     assert summary.failures == {REFINE_FAILURE: len(visitors)}
     assert [r.seed - 40 for r in summary.records] == sorted(set(range(12)) - visitors)
@@ -196,8 +197,8 @@ def test_coarse_failure_fails_every_trial(pt_case, monkeypatch):
     assert np.all(np.isnan(theta_hat))
     assert set(failed) == set(range(z.shape[1]))
     assert all(isinstance(e, np.linalg.LinAlgError) for e in failed.values())
-    with pytest.raises(np.linalg.LinAlgError, match="even after jitter"):
-        grid.estimate(z[:, 0])
+    one_hat, one_failed = grid.estimate(z[:, [0]])
+    assert np.isnan(one_hat[0]) and "even after jitter" in str(one_failed[0])
     summary = run_trials(sc, x, 4, base_seed=40, cfg=cfg)
     assert summary.n_failed == 4 and summary.records == []
     assert summary.failures == {REFINE_FAILURE: 4}
@@ -259,15 +260,15 @@ def test_pt_value_error_propagates(pt_case, monkeypatch):
 def test_mle_estimate_stays_in_range(small_grid):
     rng = np.random.default_rng(1)
     for _ in range(10):
-        z = quantize_one_bit(complex_normal(rng, 8))
-        t = small_grid.estimate(z)
-        assert -np.pi / 2 <= t <= np.pi / 2
+        z = quantize_one_bit(complex_normal(rng, (8, 1)))
+        (t,), failed = small_grid.estimate(z)
+        assert failed == {} and -np.pi / 2 <= t <= np.pi / 2
 
 
 def test_mle_beats_every_coarse_grid_point(small_grid):
     rng = np.random.default_rng(2)
     z = quantize_one_bit(complex_normal(rng, 8))
-    t_hat = small_grid.estimate(z)
+    (t_hat,), _ = small_grid.estimate(z[:, None])
     best = dense_mle_objective(small_grid, z, t_hat)
     coarse = [dense_mle_objective(small_grid, z, t) for t in small_grid.thetas]
     assert best <= min(coarse) + 1e-12
@@ -305,8 +306,7 @@ def test_blmmse_linearity():
 def test_blmmse_matrix_matches_dense_kronecker(n_t, n_r, block_len):
     rng = np.random.default_rng(n_t + 10 * block_len)
     x = complex_normal(rng, (n_t, block_len))
-    c_aa = et_prior_covariance(exponential_correlation(n_r, 0.6),
-                               exponential_correlation(n_t, 0.3))
+    c_aa = EtTarget(exponential_correlation(n_r, 0.6), exponential_correlation(n_t, 0.3)).c_aa
     for sv in (1e-3, 0.1, 2.0):
         want = dense_blmmse_matrix(x, c_aa, sv)
         got = blmmse_matrix(x, c_aa, sv)

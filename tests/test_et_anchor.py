@@ -14,7 +14,7 @@ from helpers_oracles import (
     uncached_solve_x_et,
 )
 
-from onebit_isac.array_geometry import et_prior_covariance, exponential_correlation
+from onebit_isac.array_geometry import EtTarget, exponential_correlation
 from onebit_isac.crb_metrics import crb_et, mse_et_quantization_unaware
 from onebit_isac.linalg import complex_normal, unvec
 from onebit_isac.opt_et import EtProblem, build_mbar, m_tilde_matrix, solve_x_et
@@ -24,9 +24,7 @@ SHAPES = [(2, 2, 2), (3, 2, 3), (4, 4, 8), (8, 8, 32)]
 
 
 def make_problem(n_t, n_r, block_len, aware, sv=0.05, corr=0.5):
-    c_aa = et_prior_covariance(
-        exponential_correlation(n_r, corr), exponential_correlation(n_t, corr)
-    )
+    c_aa = EtTarget(exponential_correlation(n_r, corr), exponential_correlation(n_t, corr)).c_aa
     return EtProblem(c_aa=c_aa, sigma_v_sq=sv, n_t=n_t, n_r=n_r,
                      block_len=block_len, quantization_aware=aware)
 
@@ -80,7 +78,7 @@ def test_anchor_matches_dense_kronecker_chain(shape, aware):
     assert anchor.gain == pytest.approx(gain, rel=RTOL)
     x_mat = unvec(x, n_t, block_len)
     bound = (crb_et if aware else mse_et_quantization_unaware)(x_mat, prob.c_aa, prob.sigma_v_sq)
-    assert prob.bound_value(x) == pytest.approx(bound, rel=RTOL)
+    assert solve_x_et(prob, x, max_iter=0)[1]["bound"] == pytest.approx(bound, rel=RTOL)
     assert bound == pytest.approx(np.trace(prob.c_aa).real - gain, rel=RTOL)
 
 
@@ -89,7 +87,7 @@ def test_anchor_bound_matches_information_form_at_scale():
     prob = make_problem(8, 8, 32, aware=True)
     x = random_ball_point(rng, 256)
     info = crb_et_information_form(unvec(x, 8, 32), prob.c_aa, prob.sigma_v_sq)
-    assert prob.bound_value(x) == pytest.approx(info, rel=1e-9)
+    assert crb_et(unvec(x, 8, 32), prob.c_aa, prob.sigma_v_sq) == pytest.approx(info, rel=1e-9)
 
 
 @pytest.mark.parametrize("aware", [True, False])
@@ -126,5 +124,5 @@ def test_anchor_cache_recomputes_after_in_place_change():
     assert second is not first
     fresh = make_problem(3, 2, 3, aware=True)
     assert prob.objective(x) == fresh.objective(x)
-    assert prob.bound_value(x) == pytest.approx(
+    assert solve_x_et(prob, x, max_iter=0)[1]["bound"] == pytest.approx(
         crb_et(unvec(x, 3, 3), prob.c_aa, prob.sigma_v_sq), rel=RTOL)

@@ -8,7 +8,7 @@ from helpers_oracles import (
     xtilde_dense,
 )
 
-from onebit_isac.array_geometry import et_prior_covariance, exponential_correlation
+from onebit_isac.array_geometry import EtTarget, exponential_correlation
 from onebit_isac.crb_metrics import crb_et, mse_et_quantization_unaware
 from onebit_isac.linalg import XtildeOperator, complex_normal, hermitian_solve, unvec
 from onebit_isac.opt_et import (
@@ -25,9 +25,7 @@ from onebit_isac.opt_et import (
 
 
 def make_problem(n_t=2, n_r=2, block_len=2, sv=0.05, corr=0.5, aware=True):
-    c_aa = et_prior_covariance(
-        exponential_correlation(n_r, corr), exponential_correlation(n_t, corr)
-    )
+    c_aa = EtTarget(exponential_correlation(n_r, corr), exponential_correlation(n_t, corr)).c_aa
     return EtProblem(c_aa=c_aa, sigma_v_sq=sv, n_t=n_t, n_r=n_r,
                      block_len=block_len, quantization_aware=aware)
 
@@ -223,13 +221,27 @@ def test_qu_variant_structural_degeneration():
     xd = xtilde_dense(unvec(x, 2, 2), 2)
     gram = xd @ prob_qu.c_aa @ xd.conj().T
     assert np.allclose(m_qu, gram + prob_qu.sigma_v_sq * np.eye(4), atol=1e-12)
-    assert prob_qu.bound_value(x) == pytest.approx(
+    assert solve_x_et(prob_qu, x, max_iter=0)[1]["bound"] == pytest.approx(
         mse_et_quantization_unaware(unvec(x, 2, 2), prob_qu.c_aa, prob_qu.sigma_v_sq),
         rel=1e-12,
     )
-    assert prob_aware.bound_value(x) == pytest.approx(
+    assert solve_x_et(prob_aware, x, max_iter=0)[1]["bound"] == pytest.approx(
         crb_et(unvec(x, 2, 2), prob_aware.c_aa, prob_aware.sigma_v_sq), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("aware,bound", [(True, crb_et), (False, mse_et_quantization_unaware)])
+def test_solver_reports_the_bound_at_its_iterate(aware, bound):
+    rng = np.random.default_rng(14)
+    prob = make_problem(n_t=3, n_r=2, block_len=4, aware=aware)
+    k = 2
+    h = complex_normal(rng, (k, 3))
+    u = complex_normal(rng, k * 4)
+    lam = 0.1 * complex_normal(rng, k * 4)
+    x, info = solve_x_et(prob, random_ball_point(rng, 12), rho=0.7, u_i=u, lambda_i=lam,
+                         channel=h, power=1.0, max_iter=5)
+    assert info["n_iter"] == 5
+    assert info["bound"] == bound(unvec(x, 3, 4), prob.c_aa, prob.sigma_v_sq)
 
 
 def test_qu_solver_monotone():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers_oracles import dense_pt_workspace, lift, lift_vector, linearized_czz
+from helpers_oracles import dense_operator, dense_pt_workspace, lift, lift_vector, linearized_czz
 
 from onebit_isac.array_geometry import pt_response_operator
 from onebit_isac.crb_metrics import PtModel, et_anchor
@@ -71,6 +71,13 @@ def test_czz_exact_rejects_invalid_correlation():
     bad = np.array([[1.0, 1.5], [1.5, 1.0]])
     with pytest.raises(ValueError):
         covariance_czz_exact(bad)
+    # each part lies inside [-1, 1], so only the modulus check can catch it
+    bad = np.array([[1.0, 0.9 + 0.9j], [0.9 - 0.9j, 1.0]])
+    with pytest.raises(ValueError, match="modulus 1.27279 exceeds 1"):
+        covariance_czz_exact(bad)
+    # an excess inside the 1e-9 tolerance is rounding: clipped, not raised
+    edge = np.array([[1.0, 1.0 + 5e-10], [1.0 + 5e-10, 1.0]])
+    assert np.array_equal(covariance_czz_exact(edge), np.ones((2, 2), dtype=complex))
 
 
 def test_czz_exact_monte_carlo():
@@ -145,7 +152,7 @@ def test_crr_pt_dense_oracle():
     x = complex_normal(rng, 6)
     theta, sa, sv = -0.2, 0.8, 0.1
     cov = pt_c_rr(x, theta, sa, sv, block_len=2, n_r=3)
-    a_dense = pt_response_operator(theta, 2, 3, 3).dense()
+    a_dense = dense_operator(pt_response_operator(theta, 2, 3, 3))
     g = a_dense @ x
     oracle = sa * np.outer(g, g.conj()) + sv * np.eye(6)
     assert np.linalg.norm(cov - oracle) < 1e-12

@@ -30,22 +30,30 @@ def random_instance(rng, n_symbols, order=16, gamma=None, chi_scale=3.0):
     return UserQpInstance(chi, s, a, b, gamma)
 
 
+# grid points scored per pass, so that every symbol's pass stays in cache
+BRUTE_FORCE_CHUNK = 1 << 15
+
+
 def brute_force_objective(inst, step=1e-5, span=20.0):
     """Grid the decision variable; per symbol, accumulate the squared
-    clamping penalty over the whole grid and take the best value."""
+    clamping penalty over the grid and take the best value. The grid is
+    scored chunk by chunk, keeping the smallest chunk minimum."""
     n_total = int(round(span / step)) + 1
-    d = inst.gamma + np.arange(n_total) * step
-    obj = np.zeros(n_total)
-    for l in range(inst.chi.size):
-        if np.isfinite(inst.a_tilde[l]):
-            over = inst.chi[l] - ((inst.s_tilde[l] + 1.0) * d - inst.a_tilde[l])
-            np.maximum(over, 0.0, out=over)
-            obj += over * over
-        if np.isfinite(inst.b_tilde[l]):
-            under = ((inst.s_tilde[l] - 1.0) * d + inst.b_tilde[l]) - inst.chi[l]
-            np.maximum(under, 0.0, out=under)
-            obj += under * under
-    return float(obj.min())
+    best = np.inf
+    for lo in range(0, n_total, BRUTE_FORCE_CHUNK):
+        d = inst.gamma + np.arange(lo, min(lo + BRUTE_FORCE_CHUNK, n_total)) * step
+        obj = np.zeros(d.size)
+        for l in range(inst.chi.size):
+            if np.isfinite(inst.a_tilde[l]):
+                over = inst.chi[l] - ((inst.s_tilde[l] + 1.0) * d - inst.a_tilde[l])
+                np.maximum(over, 0.0, out=over)
+                obj += over * over
+            if np.isfinite(inst.b_tilde[l]):
+                under = ((inst.s_tilde[l] - 1.0) * d + inst.b_tilde[l]) - inst.chi[l]
+                np.maximum(under, 0.0, out=under)
+                obj += under * under
+        best = min(best, obj.min())
+    return float(best)
 
 
 def test_boundary_points_degenerate_empty():
