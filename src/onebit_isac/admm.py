@@ -145,7 +145,7 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
             quantization_aware=(variant == "ET"),
         )
         normalizer = float(np.trace(scenario.target.c_aa).real)
-    lam_hth = opt_et.lam_max_channel(channel)
+        lam_hth = opt_et.lam_max_channel(channel)
     rho = config.rho0
     trace = AdmmTrace()
     obj_prev = None

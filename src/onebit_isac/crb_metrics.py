@@ -18,10 +18,6 @@ INFINITE_CRB_FLOOR = 1e-18
 SQRT_TWO_OVER_PI = math.sqrt(TWO_OVER_PI)
 
 
-def _outer(u, v):
-    return u.reshape(-1, 1) * v.reshape(1, -1).conj()
-
-
 @dataclass
 class PtModel:
     """Point-target problem data with the transmit steering vectors and the
@@ -61,17 +57,18 @@ class PtModel:
         The diagonals are per sample because the ULA has |a_r,i|^2 = 1/n_r
         and conj(a_r) o da_r purely imaginary.
         """
-        sa, sv = self.sigma_alpha_sq, self.sigma_v_sq
+        san = self.sigma_alpha_sq / self.n_r
         gp = s[..., None] * self.beta
         gp[..., 0] += s_d
-        diag_crr = sa * np.abs(s) ** 2 / self.n_r + sv
-        diag_dcrr = 2.0 * sa * (s_d * s.conj()).real / self.n_r
+        diag_crr = san * np.abs(s) ** 2 + self.sigma_v_sq
+        diag_dcrr = 2.0 * san * (s_d * s.conj()).real
         f = SQRT_TWO_OVER_PI / np.sqrt(diag_crr)
-        d_f = -0.5 * SQRT_TWO_OVER_PI * diag_dcrr / diag_crr**1.5
+        d_f = -0.5 * diag_dcrr / diag_crr * f
+        fs = f * s
         # F C_rr F + (1 - 2/pi) I has the unit quantizer diagonal; pin it
-        c_pin = 1.0 - sa * np.abs(f * s) ** 2 / self.n_r
+        c_pin = 1.0 - san * np.abs(fs) ** 2
         # the diagonal of dF C F + F dC F + F C dF is analytically zero; pin it
-        d_pin = -2.0 * sa * ((d_f * s + f * s_d) * (f * s).conj()).real / self.n_r
+        d_pin = -2.0 * san * ((d_f * s + f * s_d) * fs.conj()).real
         q = f[..., None] * gp
         q[..., 0] += d_f * s
         return ChainFactors(s, s_d, gp, diag_crr, diag_dcrr, f, d_f, c_pin, d_pin, q)
@@ -89,30 +86,26 @@ class PtModel:
 
     def chain_p(self, x, quantized=True):
         """P = C^{-1} dC C^{-1} of the one-bit (or, quantized=False, the
-        unquantized) chain at waveform x, with tr(P dC).
+        unquantized) chain at waveform x, as a :class:`ChainP`.
 
-        By Sherman-Morrison C^{-1} = diag(1/d0) - c b b^H with b = h e_0 / d0
+        By Sherman-Morrison C^{-1} = diag(1/d0) - c b b^H with b = (h / d0) e_0
         and c = sa / (1 + sa h^H b), and sa C^{-1} h = c b, so
-        P = diag(d1 / d0^2) + v b^H + b v^H in closed form.
+        P = diag(d1 / d0^2) + v b^H + b v^H in closed form, where
+        v = c C^{-1} q - c diag(d1 / d0) b + (c^2 / 2) (b^H diag(d1) b) b.
         """
         sa = self.sigma_alpha_sq
         d0, d1, h, q = self.workspace(x).low_rank(self.sigma_v_sq, quantized)
-        block_len, k = q.shape
-        b = np.zeros_like(q)
-        b[:, 0] = h / d0
-        c = sa / (1.0 + sa * np.vdot(h, b[:, 0]).real)
-        c_inv_q = q / d0[:, None] - c * np.vdot(b, q) * b
-        # C^{-1} diag(d1) C^{-1} = diag(d1 / d0^2) - c (u b^H + b u^H)
-        # + c^2 (b^H diag(d1) b) b b^H with u = diag(d1 / d0) b
-        v = c * (c_inv_q - (d1 / d0)[:, None] * b) + 0.5 * c**2 * (d1 @ np.abs(b[:, 0]) ** 2) * b
+        b0 = h / d0
+        c = sa / (1.0 + sa * np.vdot(h, b0).real)
+        u = np.zeros((2,) + q.shape, dtype=complex)
+        # C^{-1} q = q / d0 - c (b^H q) b; d0 is a scalar for the unquantized chain
+        u[0] = (c / d0)[..., None] * q
+        u[0, :, 0] += (0.5 * c**2 * np.sum(d1 * np.abs(b0) ** 2) - c**2 * np.vdot(b0, q[:, 0])
+                       - c * d1 / d0) * b0
+        u[1, :, 0] = b0
         p_perp = d1 / d0**2
-        vb = _outer(v, b)
-        p = np.diag(np.repeat(p_perp, k)) + vb + vb.conj().T
-        n_perp = self.n_r - k
-        p4 = p.reshape(block_len, k, block_len, k)
-        diag_p = np.einsum("ljlj->l", p4).real + n_perp * p_perp
-        abs_p2 = np.einsum("ajbi->ab", (p4 * p4.conj()).real) + np.diag(n_perp * p_perp**2)
-        return ChainP(p, diag_p, abs_p2, float(trace_p_dc(sa, p, diag_p, d1, h, q)[0]))
+        p = ChainP(p_perp, u, self.n_r * p_perp + 2.0 * (u[0, :, 0] * b0.conj()).real, 0.0)
+        return p._replace(trace=float(trace_p_dc(sa, p, d1, h, q)[0]))
 
     def bound(self, x, quantized=True):
         """1 / tr(C^{-1} dC C^{-1} dC) at waveform x: the one-bit bound, or
@@ -152,34 +145,56 @@ class ChainFactors(NamedTuple):
         repeated over the k coordinates of a sample and continued on the
         complement; h lives on the first coordinate (g = s e_0). One-bit:
         h = F g, q = dF g + F g', pinned diagonals. Unquantized: h = g,
-        q = g', d0 = sigma_v^2, d1 = 0.
+        q = g' and the scalars d0 = sigma_v^2, d1 = 0.
         """
         if quantized:
             return self.c_pin, self.d_pin, self.f * self.s, self.q
-        return np.full(self.s.shape, sigma_v_sq), np.zeros(self.s.shape), self.s, self.g_prime
+        return sigma_v_sq, 0.0, self.s, self.g_prime
 
 
 class ChainP(NamedTuple):
     """P = C^{-1} dC C^{-1} of one chain at one waveform
-    (:meth:`PtModel.chain_p`): mat is P on the receive subspace (kL x kL,
-    index j + k l), diag and abs2 are the per-sample sums of P's diagonal
-    (L) and of |P|^2 (L x L), the complement included, and
-    trace = tr(P dC) = tr(C^{-1} dC C^{-1} dC)."""
+    (:meth:`PtModel.chain_p`) as diagonal plus rank two: P = diag(p_perp) +
+    v b^H + b v^H on the receive subspace, u = (v, b) of shape (2, L, k),
+    and p_perp on each sample's complement; p_perp is an L-vector (the
+    scalar 0 unquantized). diag holds the per-sample sums of P's diagonal,
+    the complement included, and trace = tr(P dC)."""
 
-    mat: np.ndarray
+    p_perp: np.ndarray
+    u: np.ndarray
     diag: np.ndarray
-    abs2: np.ndarray
     trace: float
 
+    def apply(self, y):
+        """P y for receive-subspace coordinates y of shape (..., L, k)."""
+        u = self.u.reshape(2, -1)
+        yu = y.reshape(y.shape[:-2] + (-1,)) @ u.conj().T  # (v^H y, b^H y)
+        return (yu[..., ::-1] @ u).reshape(y.shape) + np.reshape(self.p_perp, (-1, 1)) * y
 
-def trace_p_dc(sa, p, diag_p, d1, h, q):
-    """tr(P dC) = d1 . diag(P) + 2 sa Re((P h)^H q) for a Hermitian P (kL x
-    kL, with per-sample diagonal sums diag_p) and dC = diag(d1) +
-    sa (q h^H + h q^H) (:meth:`ChainFactors.low_rank`), for one waveform or
-    a (K, ...) stack; returned with P h as (..., L, k)."""
-    k = q.shape[-1]
-    ph = (h @ p[:, ::k].T).reshape(q.shape)
-    return d1 @ diag_p + 2.0 * sa * (q.conj() * ph).real.sum(axis=(-2, -1)), ph
+    def abs2_apply(self, d):
+        """A d for d of shape (..., L), or a scalar d constant over L, where
+        A[l, m] sums |P|^2 over the coordinates of samples l and m, the
+        complement included: with the per-sample norms n_v, n_b of v, b and
+        w = b^H v, A = n_v n_b^T + n_b n_v^T + 2 Re(w w^T) +
+        diag(n_r p_perp^2 + 4 p_perp Re w), and n_r p_perp + 2 Re w = diag."""
+        u = self.u
+        n = (u * u.conj()).real.sum(axis=-1)
+        w = (u[0] * u[1].conj()).sum(axis=-1)
+        z = np.concatenate((n, w[None]))
+        dz = d * z.sum(axis=-1) if np.ndim(d) == 0 else d @ z.T
+        return ((dz @ np.concatenate((n[::-1], 2.0 * w[None]))).real
+                + self.p_perp * (self.diag + 2.0 * w.real) * d)
+
+
+def trace_p_dc(sa, p, d1, h, q):
+    """tr(P dC) = d1 . diag(P) + 2 sa Re((P h)^H q) for the anchor's P (a
+    :class:`ChainP`) and dC = diag(d1) + sa (q h^H + h q^H)
+    (:meth:`ChainFactors.low_rank`), for one waveform or a (K, ...) stack;
+    returned with P h as (..., L, k)."""
+    he0 = np.zeros_like(q)
+    he0[..., 0] = h
+    ph = p.apply(he0)
+    return (d1 * p.diag).sum(axis=-1) + 2.0 * sa * (q.conj() * ph).real.sum(axis=(-2, -1)), ph
 
 
 def crb_pt(x, theta, sigma_alpha_sq, sigma_v_sq, n_r, block_len):

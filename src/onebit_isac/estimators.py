@@ -243,10 +243,6 @@ class TrialsSummary:
     def normalized_mse(self):
         return self.mse / self.normalizer
 
-    @property
-    def mse_db(self):
-        return 10.0 * math.log10(self.mse)
-
 
 def _pt_block(scenario, waveform, seeds, cfg):
     """Build the one-bit MLE, draw every trial's echo (alpha of unit modulus

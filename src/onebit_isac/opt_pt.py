@@ -1,8 +1,8 @@
 """Waveform subproblem solver for point-like targets: concave-Taylor
 surrogate of the trace objective, its analytic conjugate gradient (built
-from the diagonal-plus-rank-one covariance chain and matrix-vector products
-with the anchor's P, never from materialized Kronecker products or n x n
-matrices), one-step normalized projected gradient descent with
+from the diagonal-plus-rank-one covariance chain and the anchor's P held as
+diagonal plus rank two, never from materialized Kronecker products or
+kL x kL matrices), one-step normalized projected gradient descent with
 backtracking, and the outer majorize-minimize loop."""
 
 import math
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crb_metrics import ChainP, PtModel, SQRT_TWO_OVER_PI, bound_from_trace, trace_p_dc
-from .linalg import check_power, h_tilde_adjoint, h_tilde_apply, penalty_value, vec
+from .linalg import check_power, h_tilde_adjoint, h_tilde_apply, penalty_value
 
 # backtracking schedule: start at 0.1 sqrt(P), halve until accepted or below
 # STEP_FLOOR; a candidate may exceed the anchor value by RELATIVE_SLACK * (|m0| + 1)
@@ -23,9 +23,9 @@ RELATIVE_SLACK = 1e-12
 class SurrogateAnchor:
     """Taylor anchor of the trace surrogate at one iterate.
 
-    p is unvec(Q_t^{-1} p_t) = C^{-1} dC C^{-1} evaluated at the anchor
-    (quantized or infinite-resolution covariance chain as configured), with
-    its per-sample sums and the true objective's trace tr(P dC)
+    p is P = C^{-1} dC C^{-1} evaluated at the anchor (quantized or
+    infinite-resolution covariance chain as configured), held as diagonal
+    plus rank two with the true objective's trace tr(P dC)
     (:meth:`PtModel.chain_p`).
     """
 
@@ -40,14 +40,6 @@ def build_anchor(model, x_t, quantized=True):
                            p=model.chain_p(x_t, quantized), quantized=quantized)
 
 
-def augmented_objective(model, x, rho, u_i=None, lambda_i=None, channel=None,
-                        quantized=True):
-    """True objective -tr(C^{-1} dC C^{-1} dC) plus the penalty at x."""
-    return -model.chain_p(x, quantized).trace + penalty_value(
-        x, model.block_len, rho, u_i, lambda_i, channel
-    )
-
-
 def surrogate_values(anchor, xs, rho=0.0, u_i=None, lambda_i=None, channel=None):
     """Surrogate -2 Re tr(P dC(x)) + tr(P C(x) P C(x)) + penalty at every row
     of a (K, n_t L) stack of waveforms, as a length-K array.
@@ -60,9 +52,9 @@ def surrogate_values(anchor, xs, rho=0.0, u_i=None, lambda_i=None, channel=None)
         tr(P dC)   = d1 . diag(P) + 2 sa Re((P h)^H q)   (:func:`trace_p_dc`),
         tr(P C P C) = d0^T |P|^2 d0 + 2 sa sum(|P h|^2 d0) + sa^2 (h^H P h)^2,
 
-    with diag(P) and |P|^2 summed per sample, the complement included. The
-    stack costs one product of the K x L matrix of h against L columns of P
-    and no per-row solve or kL x kL product. The surrogate touches the true
+    with diag(P) and |P|^2 summed per sample, the complement included. From
+    P's factors (:class:`ChainP`) the stack costs O(K k L), with no per-row
+    solve and no kL x kL array. The surrogate touches the true
     augmented objective at the anchor (the Taylor constant vanishes for this
     parameterization).
     """
@@ -76,9 +68,9 @@ def surrogate_values(anchor, xs, rho=0.0, u_i=None, lambda_i=None, channel=None)
     d0, d1, h, q = model.chain_factors(s, s_d).low_rank(model.sigma_v_sq, anchor.quantized)
     p = anchor.p
     sa = model.sigma_alpha_sq
-    lin, ph = trace_p_dc(sa, p.mat, p.diag, d1, h, q)
+    lin, ph = trace_p_dc(sa, p, d1, h, q)
     hph = (h.conj() * ph[:, :, 0]).real.sum(axis=1)
-    quad = (np.sum((d0 @ p.abs2) * d0, axis=1)
+    quad = (np.sum(d0 * p.abs2_apply(d0), axis=-1)
             + 2.0 * sa * np.sum((ph * ph.conj()).real.sum(axis=2) * d0, axis=1)
             + (sa * hph) ** 2)
     values = quad - 2.0 * lin
@@ -98,20 +90,17 @@ def surrogate_value(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None):
 def _row(model, alpha, gamma=None):
     """Row conj(b) of an adjoint image b = vec(conj(a_t) alpha^T +
     conj(da_t) gamma^T), the form every A^H y and dA^H y takes."""
-    row = np.outer(model.a_t, np.conj(alpha))
+    # built as the L x n_t transpose, whose rows in order are vec's columns
+    row = np.conj(alpha)[:, None] * model.a_t
     if gamma is not None:
-        row += np.outer(model.da_t, np.conj(gamma))
-    return vec(row)
-
-
-def _matvec(mat, v):
-    """mat applied to an (L, k) array of receive-subspace coordinates."""
-    return (mat @ v.reshape(-1)).reshape(v.shape)
+        row += np.conj(gamma)[:, None] * model.da_t
+    return row.reshape(-1)
 
 
 def _apply_c(sa, d0, h, v):
-    """C v for C = diag(d0) + sa (h e_0)(h e_0)^H and (L, k) coordinates v."""
-    out = d0[:, None] * v
+    """C v for C = diag(d0) + sa (h e_0)(h e_0)^H and (L, k) coordinates v;
+    d0 is an L-vector or a scalar."""
+    out = np.reshape(d0, (-1, 1)) * v
     out[:, 0] += sa * np.vdot(h, v[:, 0]) * h
     return out
 
@@ -139,7 +128,7 @@ def gradient_rows(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None):
     The two m15 paths dA^H (v o g) + A^H (v o g') sum to s_d o ptr(v) / n_r
     and s o ptr(v) / n_r, their cos(theta)-weighted parts cancelling.
     Every receive trace follows from the diagonal-plus-rank-one chain,
-    P's per-sample sums and matrix-vector products with P, e.g.
+    P's per-sample sums and products of P with (L, k) arrays, e.g.
     ptr(P C_zz P) = |P|^2 d0 + sa |P h|^2.
     """
     model = anchor.model
@@ -156,7 +145,7 @@ def gradient_rows(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None):
         fc, dfc = f[:, None], df[:, None]
         # j1 j2 / n_r with j1 = 1 / diag(C), j2 = diag(C)^{-1/2}
         j12 = fac.diag_crr**-1.5 / model.n_r
-        pdfg, pfg, pfgp = (_matvec(p.mat, v) for v in (dfc * g, fc * g, fc * gp))
+        pdfg, pfg, pfgp = p.apply(np.array((dfc * g, fc * g, fc * gp)))
         y11 = fc * pdfg + dfc * pfg
         rows["m11"] = _row(model, -sa * y11[:, 0])
         y_ad = fc * pfg
@@ -175,16 +164,16 @@ def gradient_rows(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None):
         rows["m16"] = _row(model, -0.5 * coef * v46 * s)
         # W = P C_zz P with C_zz = diag(c_pin) + sa (F g)(F g)^H and P F g = pfg
         d0, _, h, _ = fac.low_rank(model.sigma_v_sq, True)
-        w_fg = _matvec(p.mat, _apply_c(sa, d0, h, pfg))
-        ptr_w = p.abs2 @ d0 + sa * (pfg * pfg.conj()).real.sum(axis=1)
+        w_fg = p.apply(_apply_c(sa, d0, h, pfg))
+        ptr_w = p.abs2_apply(d0) + sa * (pfg * pfg.conj()).real.sum(axis=1)
         ptr_cfw = 2.0 * _ptr_crr(model, s, f, ptr_w, w_fg[:, 0]).real
         rows["m3"] = _row(model, 2.0 * sa * f * w_fg[:, 0] - 2.0 * coef * j12 * ptr_cfw * s)
         linear_keys = ("m11", "m12", "m13", "m14", "m15", "m16")
     else:
-        y_ad, y_a = _matvec(p.mat, g), _matvec(p.mat, gp)
+        y_ad, y_a = p.apply(np.array((g, gp)))
         rows["m1"] = _row(model, -sa * (y_ad @ beta_h + y_a[:, 0]), -sa * y_ad[:, 0])
         d0, _, h, _ = fac.low_rank(model.sigma_v_sq, False)
-        y3 = _matvec(p.mat, _apply_c(sa, d0, h, y_ad))
+        y3 = p.apply(_apply_c(sa, d0, h, y_ad))
         rows["m3"] = _row(model, 2.0 * sa * y3[:, 0])
         linear_keys = ("m1",)
     if rho != 0.0 and channel is not None and channel.size:

@@ -2,18 +2,18 @@
 Wirtinger finite differences, slot functions that isolate each derivative
 path of the point-target surrogate, the dense derivative of the
 point-target response, the lift of the library's receive-subspace chain
-factors and anchor P to n x n matrices, the dense n x n point-target
-covariance chain (workspace, trace form, anchor, surrogate value and
-gradient rows) that the library holds as diagonal plus rank one, a P whose
-kL x kL products raise, the projected-gradient step that scores its
-backtracking candidates one at a time, the extended-target chain as the
-library computed it before the shared anchor and the dense Mbar (explicit
-Kronecker bound, matrix-free Mbar apply, uncached MM loop), the information
-form of the extended-target bound, the explicit-Kronecker BLMMSE estimator,
-dense Kronecker/commutation builders for small instances, the per-trial,
-per-angle one-bit MLE on dense arcsine covariances, the Monte-Carlo trials
-drawn and scored one at a time, and the SEP projection solver that scores
-every interval."""
+factors to n x n matrices (an anchor's P solved densely from them), the
+dense n x n point-target covariance chain (workspace, trace form, anchor,
+true augmented objective, surrogate value and gradient rows) that the
+library holds as diagonal plus rank one, the projected-gradient step that
+scores its backtracking candidates one at a time, the extended-target chain
+as the library computed it before the shared anchor and the dense Mbar
+(explicit Kronecker bound, matrix-free Mbar apply, uncached MM loop), the
+information form of the extended-target bound, the explicit-Kronecker
+BLMMSE estimator, dense Kronecker/commutation builders for small
+instances, the per-trial, per-angle one-bit MLE on dense arcsine
+covariances, the Monte-Carlo trials drawn and scored one at a time, and the
+SEP projection solver that scores every interval."""
 
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -78,15 +78,17 @@ def lift(model: PtModel, obj, quantized=True):
     """Dense n x n form of the library's receive-subspace chain.
 
     ChainFactors give the pair (C, dC) of the one-bit chain, or of the
-    unquantized one when quantized is False; a SurrogateAnchor gives its P,
-    which is diag(d1 / d0^2) on the complement of the receive subspace. A
-    dense array passes through."""
+    unquantized one when quantized is False; a SurrogateAnchor gives
+    P = C^{-1} dC C^{-1} from the lifted (C, dC) at its anchor point, by
+    dense solves, independent of the library's P. A dense array passes
+    through."""
     if isinstance(obj, SurrogateAnchor):
-        d0, d1, _, _ = model.workspace(obj.x_t).low_rank(model.sigma_v_sq, obj.quantized)
-        return _lift_block(model, obj.p.mat, d1 / d0**2)
+        return _dense_p(*lift(model, model.workspace(obj.x_t), obj.quantized))
     if not isinstance(obj, ChainFactors):
         return np.asarray(obj)
     d0, d1, h, q = obj.low_rank(model.sigma_v_sq, quantized)
+    # the unquantized diagonals come as scalars
+    d0, d1 = (np.broadcast_to(d, h.shape) for d in (d0, d1))
     k = q.shape[1]
     hv = np.zeros_like(q)
     hv[:, 0] = h
@@ -160,12 +162,24 @@ def dense_trace_form(cov, dcov):
     return float(np.einsum("ij,ji->", s, s).real)
 
 
-def dense_anchor_p(model: PtModel, x_t, quantized=True):
-    """Anchor P = C^{-1} dC C^{-1} by two dense solves, symmetrized."""
-    base, dbase = _dense_chain(dense_pt_workspace(model, x_t), quantized)
-    s1 = hermitian_solve(base, dbase)
-    p_big = hermitian_solve(base, s1.conj().T).conj().T
+def _dense_p(cov, dcov):
+    """P = C^{-1} dC C^{-1} by two dense solves, symmetrized."""
+    s1 = hermitian_solve(cov, dcov)
+    p_big = hermitian_solve(cov, s1.conj().T).conj().T
     return (p_big + p_big.conj().T) / 2.0
+
+
+def dense_anchor_p(model: PtModel, x_t, quantized=True):
+    """Anchor P = C^{-1} dC C^{-1} from the dense workspace."""
+    return _dense_p(*_dense_chain(dense_pt_workspace(model, x_t), quantized))
+
+
+def augmented_objective(model, x, rho, u_i=None, lambda_i=None, channel=None,
+                        quantized=True):
+    """True objective -tr(C^{-1} dC C^{-1} dC) plus the penalty at x."""
+    return -model.chain_p(x, quantized).trace + penalty_value(
+        x, model.block_len, rho, u_i, lambda_i, channel
+    )
 
 
 def dense_surrogate_value(model: PtModel, p_big, x, quantized=True, rho=0.0,
@@ -417,16 +431,6 @@ def dense_gradient_rows(model: PtModel, anchor_p, x):
 
 def ws_vec(m):
     return np.asarray(m).reshape(-1, order="F")
-
-
-class SquareProductRefused(np.ndarray):
-    """A kL x kL array whose matrix products may not yield a kL x kL matrix."""
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        out = getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
-        if ufunc is np.matmul and np.ndim(out) >= 2 and min(np.shape(out)[-2:]) >= max(self.shape):
-            raise AssertionError("kL x kL matrix product on the point-target path")
-        return out
 
 
 def random_ball_point(rng, dim, power=1.0):

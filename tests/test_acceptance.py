@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 from helpers_oracles import (
     PtSlotOracle,
+    augmented_objective,
     conjugate_gradient_fd,
     crb_et_forms_equal,
     random_ball_point,
@@ -40,7 +41,6 @@ from onebit_isac.opt_et import (
     solve_x_et,
 )
 from onebit_isac.opt_pt import (
-    augmented_objective,
     build_anchor,
     gradient_rows,
     solve_x_pt,

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from helpers_oracles import (
     PtSlotOracle,
-    SquareProductRefused,
+    augmented_objective,
     conjugate_gradient_fd,
     dense_gradient_rows,
     dense_pt_workspace,
@@ -18,7 +19,6 @@ from onebit_isac import opt_pt
 from onebit_isac.crb_metrics import PtModel, crb_pt
 from onebit_isac.linalg import complex_normal, h_tilde_adjoint, h_tilde_apply
 from onebit_isac.opt_pt import (
-    augmented_objective,
     build_anchor,
     gradient_rows,
     pgd_step,
@@ -284,8 +284,7 @@ def test_pgd_step_exhausted_schedule_matches_scalar(monkeypatch):
 
 def test_candidate_scoring_builds_no_block_products(monkeypatch):
     # the step scores its whole schedule from the anchor's P alone: no
-    # workspace, no kL x kL product and no chain build per candidate. kL = 64
-    # exceeds the 38 candidates a step scores at once
+    # workspace and no chain build per candidate
     chain_factors = PtModel.chain_factors
     builds = []
 
@@ -303,7 +302,6 @@ def test_candidate_scoring_builds_no_block_products(monkeypatch):
         grad = surrogate_gradient(anchor, x, rho, u, lam, h)
         stack = np.stack([x, want[0], 0.5 * x])
         values = surrogate_values(anchor, stack, rho, u, lam, h)
-        anchor.p = anchor.p._replace(mat=anchor.p.mat.view(SquareProductRefused))
         builds.clear()
         with monkeypatch.context() as patch:
             patch.setattr(opt_pt, "surrogate_gradient", lambda *args, **kwargs: grad)
@@ -317,3 +315,16 @@ def test_candidate_scoring_builds_no_block_products(monkeypatch):
         # one stacked (K, L) build for the step's whole schedule, one for the stack
         assert len(builds) == 2 and builds[1] == (len(stack), model.block_len)
         assert builds[0][0] > len(stack) and builds[0][1:] == (model.block_len,)
+    # kL = 2048: one kL x kL complex array alone is 67 MB; an anchor and one
+    # step take a quarter of that at most
+    model, x, rho, u, lam, h = make_instance(3, n_t=2, n_r=8, block_len=1024)
+    kl = model.q.shape[1] * model.block_len
+    assert kl == 2048
+    for quantized in (True, False):
+        tracemalloc.start()
+        try:
+            pgd_step(build_anchor(model, x, quantized), x, rho, u, lam, h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * kl * kl / 4

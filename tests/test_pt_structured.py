@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 from helpers_oracles import (
-    SquareProductRefused,
     dense_anchor_p,
     dense_chain_gradient_rows,
     dense_pt_workspace,
@@ -137,6 +136,29 @@ def test_anchor_surrogate_and_gradient_rows_match_dense_oracle(case, quantized, 
             assert abs(got - want) < RTOL * abs(want)
 
 
+@pytest.mark.parametrize("shape", [(8, 8, 10), (3, 3, 2), (4, 8, 32), (2, 1, 5), (16, 32, 4)])
+@pytest.mark.parametrize("quantized", [True, False])
+def test_chain_p_operations_match_dense_p(shape, quantized):
+    # the dense P is solved from the lifted (C, dC), not read from the factors
+    model, x, _, _ = instance(20, *shape)
+    anchor = build_anchor(model, x, quantized)
+    p, p_dense = anchor.p, lift(model, anchor)
+    block_len, n_r = model.block_len, model.n_r
+    k = model.q.shape[1]
+    rng = np.random.default_rng(21)
+    # three general arrays and three on the first coordinate (P h e_0)
+    ys = complex_normal(rng, (6, block_len, k))
+    ys[3:, :, 1:] = 0.0
+    for y_j, got_j in zip(ys, p.apply(ys)):
+        assert rel_err(lift_vector(model, got_j), p_dense @ lift_vector(model, y_j)) < RTOL
+    diag = np.diag(p_dense).real.reshape(block_len, n_r).sum(axis=1)
+    assert rel_err(p.diag, diag) < RTOL
+    abs2 = (np.abs(p_dense) ** 2).reshape(block_len, n_r, block_len, n_r).sum(axis=(1, 3))
+    ds = rng.uniform(0.1, 2.0, (3, block_len))
+    assert rel_err(p.abs2_apply(ds), ds @ abs2) < RTOL
+    assert rel_err(p.abs2_apply(ds[0]), abs2 @ ds[0]) < RTOL
+
+
 @pytest.mark.parametrize("theta", [math.pi / 2, -math.pi / 2])
 def test_endfire_bound_stays_infinite(theta):
     for shape in ((3, 3, 2), (16, 32, 4)):
@@ -156,21 +178,22 @@ def test_pt_chain_uses_no_dense_solve(monkeypatch):
     monkeypatch.setattr(linalg, "hermitian_factor", refuse)
     monkeypatch.setattr(linalg, "hermitian_solve", refuse)
     monkeypatch.setattr(crb_metrics, "hermitian_solve", refuse)
-    chain_p = PtModel.chain_p
-
-    def guarded_chain_p(self, x, quantized=True):
-        # P is the only kL x kL array on the path: every product with it is
-        # a matrix-vector product or a product against a few columns
-        cp = chain_p(self, x, quantized)
-        return cp._replace(mat=cp.mat.view(SquareProductRefused))
-
-    monkeypatch.setattr(PtModel, "chain_p", guarded_chain_p)
+    # kL = 2048: one kL x kL complex array alone is 67 MB
+    model, x, _, (u, lam, h) = instance(3, 2, 8, 1024)
+    kl = model.q.shape[1] * model.block_len
+    assert kl == 2048
     for quantized in (True, False):
-        # kL = 64 exceeds the 38 line-search candidates a step scores at once
-        model, x, _, (u, lam, h) = instance(3, 4, 8, 32)
-        solve_x_pt(model, x, 2.0, u, lam, h, power=1.0, max_iter=3, quantized=quantized)
-        crb_pt(x, model.theta, 1.0, 0.1, model.n_r, model.block_len)
-        crb_pt_infinite_resolution(x, model.theta, 1.0, 0.1, model.n_r, model.block_len)
+        tracemalloc.start()
+        try:
+            solve_x_pt(model, x, 2.0, u, lam, h, power=1.0, max_iter=1, quantized=quantized)
+            crb_pt(x, model.theta, 1.0, 0.1, model.n_r, model.block_len)
+            crb_pt_infinite_resolution(x, model.theta, 1.0, 0.1, model.n_r, model.block_len)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # P is held by its factors: the line search's stacked (K, L, k)
+        # arrays are the largest on the path
+        assert peak < 16 * kl * kl / 4
 
 
 def test_bound_and_mm_iteration_beyond_dense_reach():
