@@ -75,13 +75,20 @@ class AdmmTrace:
 
 @dataclass
 class AdmmResult:
+    """The last iterates, the trace, and why the run stopped: reason is
+    "converged" (both tolerances cleared) or "max_outer"."""
+
     x: np.ndarray
     d: np.ndarray
     trace: AdmmTrace
     u: np.ndarray = None
     lam: np.ndarray = None
-    converged: bool = False
+    reason: str = "max_outer"
     n_outer: int = 0
+
+    @property
+    def converged(self):
+        return self.reason == "converged"
 
 
 def _feasible_u(scenario, spec, x):
@@ -114,7 +121,8 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
 
     The penalty grows geometrically with the dual rescaled by the same
     factor until rho_max; iteration stops once the residual and the relative
-    objective change both clear their tolerances, or at max_outer. The
+    objective change both clear their tolerances (reason "converged"), or at
+    max_outer (reason "max_outer"); a non-finite objective raises. The
     objective is the waveform solver's info["bound"] at its x: crb_pt (PT),
     crb_pt_infinite_resolution (PT_INF), or crb_et (ET) and
     mse_et_quantization_unaware (ET_QU) over tr(C_aa).
@@ -149,7 +157,7 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
     rho = config.rho0
     trace = AdmmTrace()
     obj_prev = None
-    converged = False
+    reason = "max_outer"
     t0 = time.perf_counter()
     for it in range(config.max_outer):
         if variant in ("PT", "PT_INF"):
@@ -185,7 +193,7 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
         if obj_prev is not None:
             rel = abs(objective - obj_prev) / (abs(obj_prev) + 1e-30)
             if residual < config.tol_residual and rel < config.tol_objective:
-                converged = True
+                reason = "converged"
                 obj_prev = objective
                 break
         obj_prev = objective
@@ -194,6 +202,6 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
             rho *= factor
             lam = lam / factor
     return AdmmResult(
-        x=x, d=d, trace=trace, u=u, lam=lam, converged=converged,
+        x=x, d=d, trace=trace, u=u, lam=lam, reason=reason,
         n_outer=len(trace),
     )

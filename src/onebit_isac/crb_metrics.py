@@ -2,7 +2,8 @@
 with its full derivative chain, the Bayesian trace bound for extended
 targets, their infinite-resolution / quantization-unaware counterparts, and
 the point-target chain factors, the point-target P = C^{-1} dC C^{-1} and
-the extended-target anchor the optimizers reuse."""
+the extended-target anchors the optimizers reuse: in the L x L eigenbasis of
+a Kronecker prior (:class:`KronPrior`), dense for any other prior."""
 
 import math
 from dataclasses import dataclass, field
@@ -10,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import XtildeOperator, hermitian_solve, unvec
+from .linalg import XtildeOperator, hermitian_solve, unvec, vec
 from .array_geometry import receive_basis, steering, steering_derivative
 from .quantization import TWO_OVER_PI
 
@@ -217,7 +218,8 @@ def crb_pt_infinite_resolution(x, theta, sigma_alpha_sq, sigma_v_sq, n_r, block_
 
 @dataclass(frozen=True)
 class EtAnchor:
-    """The extended-target bound's pieces at one waveform.
+    """The extended-target bound's pieces at one waveform on the dense path
+    (any prior; :class:`KronAnchor` holds them on a Kronecker prior).
 
     l_mat = X~ C_aa, m = M(x) and m_inv_l = M^{-1} L, where M is
     X~ C X~^H + (pi/2 - 1) diag(X~ C X~^H) + (pi/2) sigma_v^2 I for the
@@ -264,15 +266,131 @@ def et_anchor(x_matrix, c_aa, sigma_v_sq, quantization_aware=True):
                     bound=float(np.trace(np.asarray(c_aa)).real - gain))
 
 
+# relative tolerance of the Kronecker-structure test of an extended-target prior
+KRON_RTOL = 1e-12
+
+
+class KronPrior(NamedTuple):
+    """An extended-target prior C_aa = Phi_T^T kron Phi_R whose Phi_R has a
+    constant diagonal c (every correlation matrix has c = 1), held as the
+    pieces the bound's chain needs: Phi_T, the eigenvalues of Phi_R, c,
+    lambda_max(Phi_T) and tr(C_aa). Build it with :func:`kronecker_prior`."""
+
+    phi_t: np.ndarray
+    sigma_r: np.ndarray
+    c: float
+    lam_max_t: float
+    trace: float
+
+    def anchor(self, x_matrix, sigma_v_sq, quantization_aware):
+        """The :class:`KronAnchor` of the bound at waveform X.
+
+        With P = X^T Phi_T^T and A = P conj(X) (L x L), M = A kron Phi_R +
+        B kron I for the diagonal B = (pi/2 - 1) c diag(A) + (pi/2) sigma_v^2
+        (aware) or sigma_v^2 I (unaware). B^{-1/2} A B^{-1/2} = V diag(l) V^H
+        and Phi_R = U diag(s) U^H diagonalize M, so with Bv = B^{-1/2} V and
+        Q = Bv^H P the gain is sum_ij ||Q[i, :]||^2 s_j^2 / (l_i s_j + 1);
+        no n_r L matrix is formed.
+        """
+        if sigma_v_sq <= 0.0:
+            raise ValueError("noise power must be positive")
+        x = np.asarray(x_matrix)
+        p = x.T @ self.phi_t.T
+        a = p @ x.conj()
+        if quantization_aware:
+            b = (np.pi / 2.0 - 1.0) * self.c * np.diag(a).real + (np.pi / 2.0) * sigma_v_sq
+        else:
+            b = np.full(a.shape[0], float(sigma_v_sq))
+        r = 1.0 / np.sqrt(b)
+        lam, v = np.linalg.eigh(r[:, None] * a * r)
+        bv = r[:, None] * v
+        q = bv.conj().T @ p
+        e = 1.0 / (1.0 + lam[:, None] * self.sigma_r)
+        gain = float((e @ self.sigma_r**2) @ (q.real**2 + q.imag**2).sum(axis=1))
+        return KronAnchor(self, bv, q, e, gain, self.trace - gain)
+
+
+class KronAnchor(NamedTuple):
+    """The extended-target bound's pieces at one waveform on a
+    :class:`KronPrior`: Bv, Q = Bv^H X^T Phi_T^T, E[i, j] = 1 / (l_i s_j + 1),
+    gain = tr(L^H M^{-1} L) and bound = tr(C_aa) - gain."""
+
+    prior: KronPrior
+    bv: np.ndarray
+    q: np.ndarray
+    e: np.ndarray
+    gain: float
+    bound: float
+
+    def linear_term(self):
+        """l_t with tr(L_t^H M_t^{-1} L(x)) = l_t^H x:
+        vec(Phi_T Q^T diag(w) Bv^T), w_i = sum_j s_j^2 / (l_i s_j + 1)."""
+        w = self.e @ self.prior.sigma_r**2
+        return vec(self.prior.phi_t @ (self.q.T * w) @ self.bv.T)
+
+    def g_matrix(self, quantization_aware):
+        """G with Mbar = G kron Phi_T: Bv (K3 o S) Bv^H, plus
+        (pi/2 - 1) c diag(Bv (K2 o S) Bv^H) when aware, where S = Q Q^H and
+        Kp[i, i'] = sum_j s_j^p / ((l_i s_j + 1)(l_i' s_j + 1))."""
+        e, s = self.e, self.prior.sigma_r
+        ss = self.q @ self.q.conj().T
+        g = self.bv @ ((e * s**3) @ e.T * ss) @ self.bv.conj().T
+        if quantization_aware:
+            d = np.einsum("li,li->l", self.bv @ ((e * s**2) @ e.T * ss), self.bv.conj()).real
+            g[np.diag_indices_from(g)] += (np.pi / 2.0 - 1.0) * self.prior.c * d
+        return (g + g.conj().T) / 2.0
+
+
+def kronecker_prior(c_aa, n_r):
+    """The :class:`KronPrior` of c_aa, or None when c_aa is not one
+    Kronecker product Phi_T^T kron Phi_R (to KRON_RTOL) with a constant
+    diag(Phi_R).
+
+    The factors are read from c_aa itself, Phi_R' = c_aa[:n_r, :n_r] and
+    Phi_T'^T = c_aa[::n_r, ::n_r] / c_aa[0, 0]; they equal Phi_R and Phi_T
+    up to reciprocal scalars, which leaves their Kronecker product unchanged.
+    """
+    c_aa = np.asarray(c_aa)
+    c = float(c_aa[0, 0].real)
+    if not c > 0.0:
+        return None
+    phi_r = c_aa[:n_r, :n_r]
+    phi_t_t = c_aa[::n_r, ::n_r] / c
+    d = np.diag(phi_r).real
+    # written so that a NaN in c_aa fails the test
+    if not (np.linalg.norm(np.kron(phi_t_t, phi_r) - c_aa) <= KRON_RTOL * np.linalg.norm(c_aa)
+            and np.ptp(d) <= KRON_RTOL * c):
+        return None
+    return KronPrior(phi_t=np.ascontiguousarray(phi_t_t.T), sigma_r=np.linalg.eigvalsh(phi_r),
+                     c=c, lam_max_t=float(np.linalg.eigvalsh(phi_t_t)[-1]),
+                     trace=float(np.trace(c_aa).real))
+
+
+def bound_anchor(x_matrix, c_aa, sigma_v_sq, quantization_aware, kron):
+    """The extended-target anchor at X: on the Kronecker path when kron is
+    the :class:`KronPrior` of c_aa, on the dense :func:`et_anchor` when it
+    is None (a prior that is not one Kronecker product)."""
+    if kron is None:
+        return et_anchor(x_matrix, c_aa, sigma_v_sq, quantization_aware)
+    return kron.anchor(x_matrix, sigma_v_sq, quantization_aware)
+
+
+def _prior_bound(x_matrix, c_aa, sigma_v_sq, quantization_aware):
+    x_matrix = np.asarray(x_matrix)
+    kron = kronecker_prior(c_aa, np.shape(c_aa)[0] // x_matrix.shape[0])
+    return bound_anchor(x_matrix, c_aa, sigma_v_sq, quantization_aware, kron).bound
+
+
 def crb_et(x_matrix, c_aa, sigma_v_sq):
     """One-bit Bayesian trace bound for the extended-target response.
 
     Uses the expanded form tr(C_aa) - tr(L^H M^{-1} L), which stays valid for
-    merely PSD priors.
+    merely PSD priors; a Kronecker prior takes the L x L eigenbasis
+    (:class:`KronPrior`).
     """
-    return et_anchor(x_matrix, c_aa, sigma_v_sq).bound
+    return _prior_bound(x_matrix, c_aa, sigma_v_sq, True)
 
 
 def mse_et_quantization_unaware(x_matrix, c_aa, sigma_v_sq):
     """Unquantized LMMSE MSE, tr(C_aa) - tr(C_aa X~^H (X~ C X~^H + s^2 I)^{-1} X~ C_aa)."""
-    return et_anchor(x_matrix, c_aa, sigma_v_sq, quantization_aware=False).bound
+    return _prior_bound(x_matrix, c_aa, sigma_v_sq, False)

@@ -1,15 +1,17 @@
 """Waveform subproblem solver for extended targets: the trace-to-inner-
-product reduction of the linear term, the dense quadratic-form matrix with
-its spectral bound, and the closed-form majorize-minimize update (for the
-quantization-unaware variant too, through EtProblem)."""
+product reduction of the linear term, the quadratic-form matrix with its
+spectral bound (G kron Phi_T on a Kronecker prior, dense otherwise), and the
+closed-form majorize-minimize update (for the quantization-unaware variant
+too, through EtProblem)."""
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .crb_metrics import et_anchor
+from .crb_metrics import KronAnchor, bound_anchor, kronecker_prior
 from .linalg import (check_power, h_tilde_adjoint, h_tilde_apply, penalty_value,
-                     project_power_ball, unvec)
+                     project_power_ball, unvec, vec)
 
 
 def _partial_trace_to_x(w, n_r, n_t, block_len):
@@ -26,7 +28,11 @@ def _partial_trace_to_x(w, n_r, n_t, block_len):
 @dataclass
 class EtProblem:
     """Extended-target objective data; quantization_aware=False drops the
-    one-bit correction terms (the quantization-unaware baseline)."""
+    one-bit correction terms (the quantization-unaware baseline). A prior
+    that is one Kronecker product Phi_T^T kron Phi_R with a constant
+    diag(Phi_R), as every EtTarget's is, takes the L x L eigenbasis path
+    (:func:`~onebit_isac.crb_metrics.kronecker_prior`); any other takes the
+    dense chain."""
 
     c_aa: np.ndarray
     sigma_v_sq: float
@@ -37,6 +43,8 @@ class EtProblem:
     # (waveform, anchor) of the last call: the MM loop and the ADMM driver
     # ask for the anchor at an accepted iterate up to three times
     _last: tuple = field(default=None, init=False, repr=False, compare=False)
+    # the KronPrior of c_aa, or None for a prior that takes the dense path
+    _kron: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sigma_v_sq <= 0.0:
@@ -45,15 +53,17 @@ class EtProblem:
         dim = self.n_r * self.n_t
         if self.c_aa.shape != (dim, dim):
             raise ValueError(f"c_aa must be {dim} x {dim} (n_r n_t), got {self.c_aa.shape}")
+        self._kron = kronecker_prior(self.c_aa, self.n_r)
 
     def anchor(self, x):
-        """The :class:`~onebit_isac.crb_metrics.EtAnchor` at waveform x."""
+        """The anchor at waveform x: a :class:`~onebit_isac.crb_metrics.KronAnchor`
+        on a Kronecker prior, else an :class:`~onebit_isac.crb_metrics.EtAnchor`."""
         x = np.asarray(x)
         last = self._last
         if last is not None and np.array_equal(last[0], x):
             return last[1]
-        anchor = et_anchor(unvec(x, self.n_t, self.block_len), self.c_aa,
-                           self.sigma_v_sq, self.quantization_aware)
+        anchor = bound_anchor(unvec(x, self.n_t, self.block_len), self.c_aa,
+                              self.sigma_v_sq, self.quantization_aware, self._kron)
         self._last = (x.copy(), anchor)
         return anchor
 
@@ -85,16 +95,33 @@ def m_tilde_matrix(anchor, quantization_aware=True):
     return (m_tilde + m_tilde.conj().T) / 2.0
 
 
+class KronMbar(NamedTuple):
+    """Mbar = G kron Phi_T, applied as Mbar @ x = vec(Phi_T X G^T)."""
+
+    g: np.ndarray
+    phi_t: np.ndarray
+
+    def __matmul__(self, x):
+        return vec(self.phi_t @ unvec(x, self.phi_t.shape[0], self.g.shape[0]) @ self.g.T)
+
+
 def build_mbar(anchor, c_aa, n_r, quantization_aware=True):
-    """Dense quadratic-form matrix Mbar at an anchor plus a safe spectral
-    upper bound.
+    """Quadratic-form matrix Mbar at an anchor plus a safe spectral upper
+    bound. Returns (m_bar, lam_max); m_bar @ x applies Mbar on both paths.
 
     Mbar realizes x^H Mbar x = tr(Mtilde X~ C_aa X~^H); it is one
     contraction of Mtilde with C_aa over the two receive indices:
     Mbar[(n, l), (b, k)] = sum_{r, s} Mtilde[(r, l), (s, k)] C_aa[(s, b), (r, n)].
-    The bound is its largest eigenvalue (eigvalsh, which raises if it fails)
-    inflated by 1.01. Returns (m_bar, lam_max).
+    On a Kronecker prior (a KronAnchor) this is the :class:`KronMbar`
+    G kron Phi_T (:meth:`~onebit_isac.crb_metrics.KronAnchor.g_matrix`), with
+    lambda_max(Mbar) = lambda_max(G) lambda_max(Phi_T); otherwise it is the
+    dense matrix. The bound is the largest eigenvalue (eigvalsh, which raises
+    if it fails) inflated by 1.01.
     """
+    if isinstance(anchor, KronAnchor):
+        g = anchor.g_matrix(quantization_aware)
+        lam = float(np.linalg.eigvalsh(g)[-1]) * anchor.prior.lam_max_t
+        return KronMbar(g, anchor.prior.phi_t), 1.01 * lam
     c_aa = np.asarray(c_aa)
     n_t = c_aa.shape[0] // n_r
     block_len = anchor.m_inv_l.shape[0] // n_r
@@ -111,9 +138,6 @@ def build_mbar(anchor, c_aa, n_r, quantization_aware=True):
 class EtSurrogate:
     """All anchor-dependent pieces of the closed-form update."""
 
-    x_t: np.ndarray
-    l_t: np.ndarray
-    m_bar: np.ndarray = field(repr=False)
     lam_max_mbar: float
     lam_max_hth: float
     m_t: np.ndarray
@@ -141,11 +165,14 @@ def lam_max_channel(channel):
 def build_et_surrogate(problem, x_t, rho=0.0, u_i=None, lambda_i=None,
                        channel=None, lam_hth=None):
     x_t = np.asarray(x_t, dtype=complex)
-    x_mat = unvec(x_t, problem.n_t, problem.block_len)
     anchor = problem.anchor(x_t)
     m_bar, lam_mbar = build_mbar(anchor, problem.c_aa, problem.n_r,
                                  problem.quantization_aware)
-    l_t = build_lt(x_mat, problem.c_aa, anchor.m_inv_l, problem.n_r)
+    if isinstance(anchor, KronAnchor):
+        l_t = anchor.linear_term()
+    else:
+        l_t = build_lt(unvec(x_t, problem.n_t, problem.block_len), problem.c_aa,
+                       anchor.m_inv_l, problem.n_r)
     m_t = l_t + lam_mbar * x_t - m_bar @ x_t
     if rho != 0.0 and channel is not None and channel.size:
         if lam_hth is None:
@@ -158,10 +185,8 @@ def build_et_surrogate(problem, x_t, rho=0.0, u_i=None, lambda_i=None,
     else:
         lam_hth = 0.0
         rho = float(rho)
-    return EtSurrogate(
-        x_t=x_t, l_t=l_t, m_bar=m_bar, lam_max_mbar=lam_mbar,
-        lam_max_hth=float(lam_hth), m_t=m_t, rho=float(rho),
-    )
+    return EtSurrogate(lam_max_mbar=lam_mbar, lam_max_hth=float(lam_hth), m_t=m_t,
+                       rho=float(rho))
 
 
 def mm_update_et(x_t, surrogate, power=1.0):

@@ -115,7 +115,7 @@ def test_trace_records_each_outer_waveform_solve(monkeypatch, variant):
 def test_pt_objective_is_read_from_the_last_anchor(monkeypatch, variant, bound):
     # the objective is the solver's info["bound"] at its x; no outer
     # iteration builds a chain or an anchor that the solver did not
-    calls = {"chain_p": 0, "build_anchor": 0, "et_anchor": 0}
+    calls = {"chain_p": 0, "build_anchor": 0, "bound_anchor": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -125,7 +125,7 @@ def test_pt_objective_is_read_from_the_last_anchor(monkeypatch, variant, bound):
 
     monkeypatch.setattr(PtModel, "chain_p", counted("chain_p", PtModel.chain_p))
     monkeypatch.setattr(opt_pt, "build_anchor", counted("build_anchor", opt_pt.build_anchor))
-    monkeypatch.setattr(opt_et, "et_anchor", counted("et_anchor", opt_et.et_anchor))
+    monkeypatch.setattr(opt_et, "bound_anchor", counted("bound_anchor", opt_et.bound_anchor))
     if variant.startswith("PT"):
         sc = small_pt()
         cfg = AdmmConfig(rho0=10.0, c_rho=3.0, rho_max=1e6, max_outer=6, max_inner=5)
@@ -140,7 +140,7 @@ def test_pt_objective_is_read_from_the_last_anchor(monkeypatch, variant, bound):
                      sc.n_r, sc.block_len)
     else:
         # one anchor at the start and one at each inner iterate
-        assert calls["et_anchor"] == 1 + sum(res.trace.inner_iters) > res.n_outer
+        assert calls["bound_anchor"] == 1 + sum(res.trace.inner_iters) > res.n_outer
         want = (bound(sc.unvec_waveform(res.x), sc.target.c_aa, sc.sigma_v_sq)
                 / float(np.trace(sc.target.c_aa).real))
     assert res.trace.objectives[-1] == want
@@ -164,6 +164,16 @@ def test_small_et_run_converges():
     res = admm_run(sc, "ET", seed=2)
     assert res.trace.residuals[-1] < 1e-4
     assert res.converged
+
+
+def test_run_reports_why_it_stopped():
+    # the desk ET_QU design of scenario 0 runs to its 300-iteration cap;
+    # the desk ET design of scenario 3 converges
+    res = admm_run(et_scenario(seed=0), "ET_QU", seed=0)
+    assert res.reason == "max_outer" and not res.converged
+    assert res.n_outer == AdmmConfig.et_defaults().max_outer == 300
+    res = admm_run(et_scenario(seed=3), "ET", seed=3)
+    assert res.reason == "converged" and res.converged and res.n_outer == 15
 
 
 def test_min_sep_power_flags_infeasible_configuration():

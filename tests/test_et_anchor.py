@@ -1,7 +1,9 @@
-"""The shared extended-target anchor and the dense Mbar against the chain they
-replace: the explicit-Kronecker bound, the matrix-free Mbar apply, the
-commutation form and the uncached MM loop, quantization-aware and -unaware,
-from desk size up to 8x8 with L = 32."""
+"""The dense extended-target anchor (``et_anchor``) and the dense Mbar against
+the chain they replace: the explicit-Kronecker bound, the matrix-free Mbar
+apply, the commutation form and the uncached MM loop, quantization-aware and
+-unaware, from desk size up to 8x8 with L = 32. The priors here are
+Kronecker products, so ``EtProblem`` and the bounds run the Kronecker path,
+and the MM histories and bounds check it against the dense oracles too."""
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from helpers_oracles import (
 )
 
 from onebit_isac.array_geometry import EtTarget, exponential_correlation
-from onebit_isac.crb_metrics import crb_et, mse_et_quantization_unaware
+from onebit_isac.crb_metrics import crb_et, et_anchor, mse_et_quantization_unaware
 from onebit_isac.linalg import complex_normal, unvec
 from onebit_isac.opt_et import EtProblem, build_mbar, m_tilde_matrix, solve_x_et
 
@@ -40,7 +42,7 @@ def test_dense_mbar_matches_matrix_free_apply(shape, aware):
     rng = np.random.default_rng(sum(shape))
     prob = make_problem(n_t, n_r, block_len, aware)
     x = random_ball_point(rng, n_t * block_len)
-    anchor = prob.anchor(x)
+    anchor = et_anchor(unvec(x, n_t, block_len), prob.c_aa, prob.sigma_v_sq, aware)
     m_bar, lam_max = build_mbar(anchor, prob.c_aa, n_r, aware)
     apply = mbar_apply_matrix_free(m_tilde_matrix(anchor, aware), prob.c_aa, *shape)
     dim = n_t * block_len
@@ -57,7 +59,8 @@ def test_dense_mbar_matches_commutation_form(shape, aware):
     n_t, n_r, block_len = shape
     rng = np.random.default_rng(10 + sum(shape))
     prob = make_problem(n_t, n_r, block_len, aware)
-    anchor = prob.anchor(random_ball_point(rng, n_t * block_len))
+    x_mat = unvec(random_ball_point(rng, n_t * block_len), n_t, block_len)
+    anchor = et_anchor(x_mat, prob.c_aa, prob.sigma_v_sq, aware)
     m_bar = build_mbar(anchor, prob.c_aa, n_r, aware)[0]
     oracle = dense_mbar_commutation(m_tilde_matrix(anchor, aware), prob.c_aa, *shape)
     assert rel_err(m_bar, oracle) <= RTOL
@@ -70,7 +73,7 @@ def test_anchor_matches_dense_kronecker_chain(shape, aware):
     rng = np.random.default_rng(20 + sum(shape))
     prob = make_problem(n_t, n_r, block_len, aware)
     x = random_ball_point(rng, n_t * block_len)
-    anchor = prob.anchor(x)
+    anchor = et_anchor(unvec(x, n_t, block_len), prob.c_aa, prob.sigma_v_sq, aware)
     l_mat, m, y, gain = dense_et_anchor(x, prob.c_aa, prob.sigma_v_sq, *shape, aware)
     assert rel_err(anchor.l_mat, l_mat) <= RTOL
     assert rel_err(anchor.m, m) <= RTOL

@@ -9,7 +9,7 @@ from helpers_oracles import (
 )
 
 from onebit_isac.array_geometry import EtTarget, exponential_correlation
-from onebit_isac.crb_metrics import crb_et, mse_et_quantization_unaware
+from onebit_isac.crb_metrics import crb_et, et_anchor, mse_et_quantization_unaware
 from onebit_isac.linalg import XtildeOperator, complex_normal, hermitian_solve, unvec
 from onebit_isac.opt_et import (
     EtProblem,
@@ -66,7 +66,7 @@ def test_build_lt_trace_identity():
     x_t = random_ball_point(rng, 4)
     x_mat = unvec(x_t, 2, 2)
     op_t = XtildeOperator(x_mat, 2)
-    m_t = prob.anchor(x_t).m
+    m_t = et_anchor(x_mat, prob.c_aa, prob.sigma_v_sq).m
     l_big = op_t.right_multiply(prob.c_aa)
     y_t = hermitian_solve(m_t, l_big)
     l_t = build_lt(x_mat, prob.c_aa, y_t, 2)
@@ -81,7 +81,8 @@ def test_build_lt_zero_cases():
     prob = make_problem()
     zero_x = np.zeros((2, 2), dtype=complex)
     op = XtildeOperator(zero_x, 2)
-    y = hermitian_solve(prob.anchor(np.zeros(4)).m, op.right_multiply(prob.c_aa))
+    y = hermitian_solve(et_anchor(zero_x, prob.c_aa, prob.sigma_v_sq).m,
+                        op.right_multiply(prob.c_aa))
     assert np.allclose(build_lt(zero_x, prob.c_aa, y, 2), 0.0)
     rng = np.random.default_rng(4)
     x_mat = unvec(complex_normal(rng, 4), 2, 2)
@@ -94,7 +95,7 @@ def test_mbar_matches_dense_commutation_form():
     rng = np.random.default_rng(5)
     prob = make_problem()
     x_t = random_ball_point(rng, 4)
-    anchor = prob.anchor(x_t)
+    anchor = et_anchor(unvec(x_t, 2, 2), prob.c_aa, prob.sigma_v_sq)
     m_bar, lam_max = build_mbar(anchor, prob.c_aa, 2)
     dense = dense_mbar_commutation(m_tilde_matrix(anchor), prob.c_aa, 2, 2, 2)
     for _ in range(20):
@@ -217,7 +218,8 @@ def test_qu_variant_structural_degeneration():
     prob_aware = make_problem(aware=True)
     prob_qu = make_problem(aware=False)
     x = random_ball_point(rng, 4)
-    m_qu = prob_qu.anchor(x).m
+    m_qu = et_anchor(unvec(x, 2, 2), prob_qu.c_aa, prob_qu.sigma_v_sq,
+                     quantization_aware=False).m
     xd = xtilde_dense(unvec(x, 2, 2), 2)
     gram = xd @ prob_qu.c_aa @ xd.conj().T
     assert np.allclose(m_qu, gram + prob_qu.sigma_v_sq * np.eye(4), atol=1e-12)
