@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import complex_normal, psd_sqrt, unvec, vec
+from .linalg import complex_from_normals, psd_sqrt, unvec, vec
 
 HALF_PI = np.pi / 2.0
 
@@ -103,7 +103,7 @@ class EtTarget:
 
     c_aa is the prior covariance of the vectorized response,
     transpose(Phi_T) kron Phi_R. Both correlations are checked PSD once,
-    here; their square roots serve every draw of :meth:`sample`.
+    here; their square roots serve every response of :meth:`responses`.
     """
 
     phi_r: np.ndarray
@@ -116,7 +116,17 @@ class EtTarget:
         c = np.kron(np.asarray(self.phi_t).T, self.phi_r)
         object.__setattr__(self, "c_aa", (c + c.conj().T) / 2.0)
 
-    def sample(self, rng):
-        """A response matrix Phi_R^{1/2} A_iid Phi_T^{1/2}, A_iid iid CN(0, 1)."""
+    def responses(self, normals):
+        """Responses Phi_R^{1/2} A Phi_T^{1/2} from standard normals of shape
+        (..., 2 n_r n_t): the real parts of the n_r x n_t matrix A row by row,
+        then its imaginary parts, so A is iid CN(0, 1). A (T, 2 n_r n_t)
+        stack gives T responses, each with the bits of its own 2-D products.
+        """
         sr, st = self.roots
-        return sr @ complex_normal(rng, (sr.shape[0], st.shape[0])) @ st
+        re, im = np.split(np.asarray(normals), 2, axis=-1)
+        shape = re.shape[:-1] + (sr.shape[0], st.shape[0])
+        return sr @ complex_from_normals(re.reshape(shape), im.reshape(shape)) @ st
+
+    def sample(self, rng):
+        """One response, from 2 n_r n_t standard normals of rng."""
+        return self.responses(rng.standard_normal(2 * self.c_aa.shape[0]))

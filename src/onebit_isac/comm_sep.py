@@ -6,9 +6,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sps
 
-from .linalg import complex_normal
+from .linalg import complex_from_normals
 
 NEG_INF = -np.inf
+# standard normals per chunk of empirical_ser's noise draws
+_CHUNK_NORMALS = 1 << 18
 
 
 def q_function(x):
@@ -156,7 +158,9 @@ def empirical_ser(x_matrix, h, s, d, sigma_w, n_noise_draws, seed, order=None):
     Simulates Y = H X + W, equalizes each dimension by its decision
     variable, slices to the nearest constellation level, and counts a symbol
     error whenever either real dimension decides wrongly. ``order`` defaults
-    to the smallest square constellation containing the block.
+    to the smallest square constellation containing the block. The noise of
+    every draw comes from one default_rng(seed), in memory-bounded chunks of
+    draws that are sliced and counted at once.
     """
     if n_noise_draws < 1:
         raise ValueError("need at least one noise draw")
@@ -174,10 +178,12 @@ def empirical_ser(x_matrix, h, s, d, sigma_w, n_noise_draws, seed, order=None):
     noiseless = h @ x_matrix
     rng = np.random.default_rng(seed)
     errors = np.zeros(k, dtype=np.int64)
-    for _ in range(n_noise_draws):
-        w = complex_normal(rng, (k, block_len), scale=sigma_w)
-        y = noiseless + w
+    chunk = max(1, _CHUNK_NORMALS // max(1, 2 * s.size))
+    for lo in range(0, n_noise_draws, chunk):
+        # draw by draw: the real parts of W, then its imaginary parts
+        normals = rng.standard_normal((min(chunk, n_noise_draws - lo), 2, k, block_len))
+        y = noiseless + complex_from_normals(normals[:, 0], normals[:, 1], sigma_w)
         dec_r = _slice_to_level(y.real / d_r, order)
         dec_i = _slice_to_level(y.imag / d_i, order)
-        errors += np.sum((dec_r != s.real) | (dec_i != s.imag), axis=1)
+        errors += np.sum((dec_r != s.real) | (dec_i != s.imag), axis=(0, 2))
     return errors / float(n_noise_draws * block_len)

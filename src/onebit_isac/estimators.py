@@ -11,7 +11,7 @@ from scipy.linalg import lapack
 
 from .array_geometry import pt_response_operator, steering
 from .crb_metrics import et_anchor, et_l_and_m
-from .linalg import complex_normal, hermitian_factor, hermitian_solve, unvec, vec
+from .linalg import complex_from_normals, hermitian_factor, hermitian_solve, unvec, vec, vec_rows
 from .quantization import (arcsine_law, bussgang_gain, covariance_czz_exact, positive_diagonal,
                            quantize_one_bit)
 
@@ -20,6 +20,12 @@ HALF_PI = np.pi / 2.0
 REFINE_OFFSETS = np.arange(-10, 11)
 # complex entries per stack of covariances (and per stack of their factors)
 _STACK_ENTRIES = 1 << 18
+
+
+def _integer_at_least(value, low):
+    """True when value is an integer (bool excluded) of at least low."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Integral)
+            and value >= low)
 
 
 @dataclass
@@ -33,9 +39,7 @@ class MleConfig:
     def __post_init__(self):
         if not 0.0 < self.coarse_grid_step <= np.pi:
             raise ValueError("coarse grid step must lie in (0, pi]")
-        if (isinstance(self.refine_levels, bool)
-                or not isinstance(self.refine_levels, numbers.Integral)
-                or self.refine_levels < 0):
+        if not _integer_at_least(self.refine_levels, 0):
             raise ValueError("refine levels must be a non-negative integer")
         if not 0.0 < self.refine_shrink < 1.0:
             raise ValueError("refine shrink must lie in (0, 1)")
@@ -244,6 +248,16 @@ class TrialsSummary:
         return self.mse / self.normalizer
 
 
+def _trial_normals(seeds, count):
+    """(T, count) standard normals: row t is the first count draws of
+    default_rng(seeds[t]), made in one call. One call draws the same values
+    as consecutive calls that split them."""
+    normals = np.empty((len(seeds), count))
+    for row, seed in zip(normals, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    return normals
+
+
 def _pt_block(scenario, waveform, seeds, cfg):
     """Build the one-bit MLE, draw every trial's echo (alpha of unit modulus
     and uniform phase, then noise) and estimate them as one block: the (T,)
@@ -254,13 +268,12 @@ def _pt_block(scenario, waveform, seeds, cfg):
                    scenario.n_r, cfg)
     g = pt_response_operator(target.theta, scenario.block_len, scenario.n_t,
                              scenario.n_r).apply(x)
-    r = np.empty((g.size, len(seeds)), dtype=complex)
-    for t, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        alpha = complex_normal(rng, ())
-        alpha = alpha / np.abs(alpha) * math.sqrt(target.sigma_alpha_sq)
-        r[:, t] = alpha * g + complex_normal(rng, g.size, scale=math.sqrt(scenario.sigma_v_sq))
-    theta_hat, failed = grid.estimate(quantize_one_bit(r))
+    normals = _trial_normals(seeds, 2 + 2 * g.size)  # alpha (re, im), noise (re, im)
+    alpha = complex_from_normals(normals[:, 0], normals[:, 1])
+    alpha = alpha / np.abs(alpha) * math.sqrt(target.sigma_alpha_sq)
+    re, im = np.split(normals[:, 2:], 2, axis=1)
+    r = alpha[:, None] * g + complex_from_normals(re, im, math.sqrt(scenario.sigma_v_sq))
+    theta_hat, failed = grid.estimate(quantize_one_bit(r.T))
     return theta_hat, np.full(len(seeds), target.theta), failed
 
 
@@ -277,22 +290,20 @@ def _et_block(scenario, waveform, seeds, unquantized):
                               quantization_aware=False).m_inv_l.conj().T
     else:
         estimator = blmmse_matrix(x_matrix, target.c_aa, scenario.sigma_v_sq)
-    n_trials, n = len(seeds), scenario.n_r * scenario.block_len
-    a = np.empty((n_trials, scenario.n_r * scenario.n_t), dtype=complex)
-    r = np.empty((n_trials, n), dtype=complex)
-    for t, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        response = target.sample(rng)
-        a[t] = vec(response)
-        r[t] = vec(response @ x_matrix) + complex_normal(
-            rng, n, scale=math.sqrt(scenario.sigma_v_sq))
+    n_a, n = target.c_aa.shape[0], scenario.n_r * scenario.block_len
+    # response (re, im), noise (re, im)
+    normals = _trial_normals(seeds, 2 * n_a + 2 * n)
+    response = target.responses(normals[:, :2 * n_a])
+    re, im = np.split(normals[:, 2 * n_a:], 2, axis=1)
+    r = vec_rows(response @ x_matrix) + complex_from_normals(re, im,
+                                                             math.sqrt(scenario.sigma_v_sq))
     obs = r if unquantized else quantize_one_bit(r)
     # one stacked product of per-trial gemv calls: each trial gets the bits of
     # estimator @ z_t whatever the block size (in a 2-D product they depend
     # on it), and no call is big enough to wake the BLAS threads, after which
     # the point-target calls measured slower
     a_hat = (estimator @ obs[:, :, None])[:, :, 0]
-    return a_hat, a, {}
+    return a_hat, vec_rows(response), {}
 
 
 def run_trials(scenario, waveform, n_trials, base_seed, cfg=None, unquantized=False):
@@ -301,11 +312,13 @@ def run_trials(scenario, waveform, n_trials, base_seed, cfg=None, unquantized=Fa
     The estimator is built once: the MLE grid for a point target, the
     BLMMSE matrix for an extended target (unquantized=True: the LMMSE matrix
     on unquantized echoes; point targets have no such estimator). Trial t
-    draws its observation from seed base_seed + t: a point target's
-    reflection coefficient (unit modulus, uniform phase) and then its noise,
-    an extended target's response and then its noise. The whole block of
-    observations is estimated at once, and it holds O(n_trials n_r L)
-    entries. Results do not depend on batch size and repeat bit-exactly.
+    makes one standard_normal call of default_rng(base_seed + t): for a
+    point target the real and imaginary parts of its reflection coefficient
+    (scaled to unit modulus, uniform phase) and then of its noise, for an
+    extended target those of its response and then of its noise. The draws
+    and the algebra after them run on the whole block of trials at once, and
+    the block holds O(n_trials n_r L) entries. Results do not depend on
+    batch size and repeat bit-exactly.
 
     A numerical failure of the setup (NUMERICAL_ERRORS, or a non-finite
     waveform) fails every trial; a point-target grid angle, coarse or fine,
@@ -314,8 +327,10 @@ def run_trials(scenario, waveform, n_trials, base_seed, cfg=None, unquantized=Fa
     instead of aborting the batch; any other exception, ValueError included,
     propagates.
     """
-    if n_trials < 1:
-        raise ValueError("need at least one trial")
+    if not _integer_at_least(n_trials, 1):
+        raise ValueError(f"n_trials must be an integer of at least 1, got {n_trials!r}")
+    if not _integer_at_least(base_seed, 0):
+        raise ValueError(f"base_seed must be a non-negative integer, got {base_seed!r}")
     pt = scenario.kind == "pt"
     if pt and unquantized:
         raise ValueError("unquantized trials need an extended target")

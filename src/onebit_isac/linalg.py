@@ -20,6 +20,13 @@ def vec(a):
     return np.asarray(a).reshape(-1, order="F")
 
 
+def vec_rows(stack):
+    """vec of each matrix of a (T, m, n) stack, as the C-contiguous rows of a
+    (T, m n) array."""
+    stack = np.asarray(stack)
+    return np.swapaxes(stack, 1, 2).reshape(stack.shape[0], -1)
+
+
 def unvec(v, rows, cols):
     """Inverse of :func:`vec`."""
     v = np.asarray(v)
@@ -102,11 +109,16 @@ def power_iteration(matvec, n, tol=1e-8, max_iter=10000, seed=0, v0=None):
     return lam, v, False
 
 
+def complex_from_normals(re, im, scale=1.0):
+    """Circularly symmetric complex Gaussian, per-entry variance scale**2,
+    from standard normal real and imaginary parts of the same shape."""
+    return (re + 1j * im) * (scale / np.sqrt(2.0))
+
+
 def complex_normal(rng, shape, scale=1.0):
-    """Circularly symmetric complex Gaussian, per-entry variance scale**2."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (
-        scale / np.sqrt(2.0)
-    )
+    """Circularly symmetric complex Gaussian, per-entry variance scale**2; the
+    real parts are drawn first, then the imaginary parts."""
+    return complex_from_normals(rng.standard_normal(shape), rng.standard_normal(shape), scale)
 
 
 class XtildeOperator:

@@ -12,8 +12,9 @@ as the library computed it before the shared anchor and the dense Mbar
 information form of the extended-target bound, the explicit-Kronecker
 BLMMSE estimator, dense Kronecker/commutation builders for small
 instances, the per-trial, per-angle one-bit MLE on dense arcsine
-covariances, the Monte-Carlo trials drawn and scored one at a time, and the
-SEP projection solver that scores every interval."""
+covariances, the Monte-Carlo trials drawn and scored one at a time, the
+symbol error rate counted one noise draw at a time, and the SEP projection
+solver that scores every interval."""
 
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -22,6 +23,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from onebit_isac.array_geometry import pt_response_operator, steering, steering_derivative
+from onebit_isac.comm_sep import _slice_to_level
 from onebit_isac.crb_metrics import ChainFactors, PtModel, crb_et, et_anchor
 from onebit_isac.estimators import blmmse_matrix
 from onebit_isac.linalg import (
@@ -699,6 +701,23 @@ def per_trial_et_errors(scenario, x_matrix, n_trials, base_seed, unquantized=Fal
         err = estimator @ (r if unquantized else quantize_one_bit(r)) - vec(a)
         errors.append(float(np.vdot(err, err).real))
     return np.array(errors)
+
+
+def per_draw_ser(x_matrix, h, s, d, sigma_w, n_noise_draws, seed, order):
+    """empirical_ser with its noise drawn, sliced and counted one draw at a
+    time: each draw is complex_normal(rng, (K, L), scale=sigma_w) of one
+    default_rng(seed)."""
+    k, block_len = s.shape
+    d_r, d_i = d[:k][:, None], d[k:][:, None]
+    noiseless = h @ x_matrix
+    rng = np.random.default_rng(seed)
+    errors = np.zeros(k, dtype=np.int64)
+    for _ in range(n_noise_draws):
+        y = noiseless + complex_normal(rng, (k, block_len), scale=sigma_w)
+        dec_r = _slice_to_level(y.real / d_r, order)
+        dec_i = _slice_to_level(y.imag / d_i, order)
+        errors += np.sum((dec_r != s.real) | (dec_i != s.imag), axis=1)
+    return errors / float(n_noise_draws * block_len)
 
 
 def enumerate_user_qp(inst):

@@ -201,6 +201,24 @@ def test_et_sample_deterministic_given_seed():
     assert np.array_equal(a, b)
 
 
+def test_et_responses_match_per_draw_sample():
+    # sample draws the real and then the imaginary parts of A, as the
+    # per-trial draws did; a stack of normals gives each row's own response
+    target = EtTarget(exponential_correlation(3, 0.6), exponential_correlation(2, 0.4))
+    sr, st = target.roots
+    normals = np.empty((5, 12))
+    for seed, row in enumerate(normals):
+        rng = np.random.default_rng(seed)
+        re, im = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
+        want = sr @ ((re + 1j * im) * (1.0 / np.sqrt(2.0))) @ st
+        assert np.array_equal(target.sample(np.random.default_rng(seed)), want)
+        row[:] = np.concatenate((re.ravel(), im.ravel()))
+    stacked = target.responses(normals)
+    assert stacked.shape == (5, 3, 2)
+    for seed, response in enumerate(stacked):
+        assert np.array_equal(response, target.sample(np.random.default_rng(seed)))
+
+
 def test_targets_validation():
     with pytest.raises(ValueError):
         PtTarget(0.1, sigma_alpha_sq=0.0)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from helpers_oracles import per_draw_ser
 from scipy.integrate import quad
 
+from onebit_isac import comm_sep
 from onebit_isac.comm_sep import (
     build_sep_spec,
     empirical_ser,
@@ -168,6 +170,29 @@ def test_empirical_ser_deterministic():
     a = empirical_ser(x, h, s, d, 0.5, 200, seed=7, order=16)
     b = empirical_ser(x, h, s, d, 0.5, 200, seed=7, order=16)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("k,block_len,order,sigma_w,chunk_normals", [
+    (2, 3, 16, 0.5, None),  # 21,845 draws per chunk: 21,852 draws cross one boundary
+    (3, 4, 16, 0.8, 60),  # 2 draws per chunk
+    (1, 5, 4, 1.0, 70),  # 7 draws per chunk
+    (2, 2, 64, 0.9, 1),  # a chunk smaller than one draw still holds one draw
+])
+def test_empirical_ser_matches_per_draw_oracle(monkeypatch, k, block_len, order, sigma_w,
+                                               chunk_normals):
+    rng = np.random.default_rng(k + 10 * block_len)
+    s = random_qam_symbols(k, block_len, order, rng)
+    h = complex_normal(rng, (k, 4))
+    d = rng.uniform(0.5, 1.5, 2 * k)
+    x = np.linalg.pinv(h) @ (d[:k, None] * s.real + 1j * d[k:, None] * s.imag)
+    if chunk_normals is None:
+        n_draws = comm_sep._CHUNK_NORMALS // (2 * k * block_len) + 7
+    else:
+        monkeypatch.setattr(comm_sep, "_CHUNK_NORMALS", chunk_normals)
+        n_draws = 23
+    got = empirical_ser(x, h, s, d, sigma_w, n_draws, seed=9, order=order)
+    want = per_draw_ser(x, h, s, d, sigma_w, n_draws, seed=9, order=order)
+    assert np.array_equal(got, want) and np.any(want > 0.0)
 
 
 @pytest.mark.parametrize("d", [

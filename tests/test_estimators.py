@@ -147,6 +147,64 @@ def test_et_run_trials_does_not_depend_on_batch_size(et_case, unquantized):
 
 
 @pytest.mark.parametrize("unquantized", [False, True])
+def test_et_block_of_257_matches_single_trials(et_case, unquantized):
+    sc, x = et_case
+    batch = run_trials(sc, x, 257, base_seed=300, unquantized=unquantized)
+    assert batch.n_failed == 0
+    for t in (0, 128, 256):
+        [single] = run_trials(sc, x, 1, base_seed=300 + t, unquantized=unquantized).records
+        got = batch.records[t]
+        assert got.seed == single.seed == 300 + t
+        assert got.squared_error == single.squared_error
+        assert np.array_equal(got.estimate, single.estimate)
+        assert np.array_equal(got.truth, single.truth)
+
+
+def _split_draws(seed, shapes):
+    """The standard normals of default_rng(seed) drawn one call per shape,
+    flattened and joined."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([np.ravel(rng.standard_normal(shape)) for shape in shapes])
+
+
+def test_trial_normals_match_per_trial_draws(pt_case, et_case):
+    # the calls each trial made before: alpha (re, im) as scalars or the
+    # response (re, im) as n_r x n_t matrices, then the noise (re, im)
+    pt, et = pt_case[0], et_case[0]
+    n_pt, n_et = pt.n_r * pt.block_len, et.n_r * et.block_len
+    for shapes in (((), (), n_pt, n_pt),
+                   ((et.n_r, et.n_t), (et.n_r, et.n_t), n_et, n_et)):
+        count = sum(int(np.prod(shape)) for shape in shapes)
+        seeds = [0, 1, 77, 2**31 + 5]
+        rows = estimators._trial_normals(seeds, count)
+        assert rows.shape == (len(seeds), count)
+        for row, seed in zip(rows, seeds):
+            assert np.array_equal(row, _split_draws(seed, shapes))
+
+
+@pytest.mark.parametrize("bad", [0, -1, True, False, 2.5, np.float64(3.0), "3", None])
+def test_run_trials_rejects_bad_trial_count(et_case, monkeypatch, bad):
+    sc, x = et_case
+    monkeypatch.setattr(estimators, "blmmse_matrix", None)  # nothing may be built
+    with pytest.raises(ValueError, match="n_trials must be an integer of at least 1"):
+        run_trials(sc, x, bad, base_seed=0)
+
+
+@pytest.mark.parametrize("bad", [-1, True, 1.0, "0", None])
+def test_run_trials_rejects_bad_base_seed(et_case, monkeypatch, bad):
+    sc, x = et_case
+    monkeypatch.setattr(estimators, "blmmse_matrix", None)
+    with pytest.raises(ValueError, match="base_seed must be a non-negative integer"):
+        run_trials(sc, x, 2, base_seed=bad)
+
+
+def test_run_trials_accepts_numpy_integers(et_case):
+    sc, x = et_case
+    summary = run_trials(sc, x, np.int64(3), base_seed=np.uint32(5))
+    assert [r.seed for r in summary.records] == [5, 6, 7]
+
+
+@pytest.mark.parametrize("unquantized", [False, True])
 def test_et_block_errors_match_per_trial_oracle(et_case, unquantized):
     sc, x = et_case
     summary = run_trials(sc, x, 40, base_seed=70, unquantized=unquantized)
