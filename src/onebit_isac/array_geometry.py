@@ -123,9 +123,10 @@ class EtTarget:
         stack gives T responses, each with the bits of its own 2-D products.
         """
         sr, st = self.roots
-        re, im = np.split(np.asarray(normals), 2, axis=-1)
-        shape = re.shape[:-1] + (sr.shape[0], st.shape[0])
-        return sr @ complex_from_normals(re.reshape(shape), im.reshape(shape)) @ st
+        k = self.c_aa.shape[0]
+        shape = np.shape(normals)[:-1] + (sr.shape[0], st.shape[0])
+        return sr @ complex_from_normals(normals[..., :k].reshape(shape),
+                                         normals[..., k:].reshape(shape)) @ st
 
     def sample(self, rng):
         """One response, from 2 n_r n_t standard normals of rng."""
