@@ -291,8 +291,7 @@ def _et_block(scenario, waveform, seeds, unquantized):
     else:
         estimator = blmmse_matrix(x_matrix, target.c_aa, scenario.sigma_v_sq)
     n_a, n = target.c_aa.shape[0], scenario.n_r * scenario.block_len
-    # response (re, im), noise (re, im)
-    normals = _trial_normals(seeds, 2 * n_a + 2 * n)
+    normals = _trial_normals(seeds, 2 * n_a + 2 * n)  # response (re, im), noise (re, im)
     response = target.responses(normals[:, :2 * n_a])
     re, im = np.split(normals[:, 2 * n_a:], 2, axis=1)
     r = vec_rows(response @ x_matrix) + complex_from_normals(re, im,
