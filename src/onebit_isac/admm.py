@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import opt_et, opt_pt
+from .comm_sep import complex_block, real_rows
 from .linalg import check_power, complex_normal, h_tilde_apply, vec
 from .sep_projection import _clamp_u, solve_block
 from .crb_metrics import PtModel
@@ -94,11 +95,8 @@ class AdmmResult:
 def _feasible_u(scenario, spec, x):
     """The auxiliary block H~ x projected to feasibility at all-gamma decisions."""
     hx = h_tilde_apply(scenario.channel, x, scenario.block_len)
-    chi = hx.reshape((scenario.n_users, scenario.block_len), order="F")
-    return vec(
-        _clamp_u(chi.real, spec.s_real, spec.a_r, spec.b_r, spec.gamma)
-        + 1j * _clamp_u(chi.imag, spec.s_imag, spec.a_i, spec.b_i, spec.gamma)
-    )
+    chi = real_rows(hx.reshape((scenario.n_users, scenario.block_len), order="F"))
+    return vec(complex_block(_clamp_u(chi, spec.s, spec.a, spec.b, spec.gamma)))
 
 
 def initialize(scenario, seed=0):

@@ -8,7 +8,6 @@ import scipy.special as sps
 
 from .linalg import complex_from_normals
 
-NEG_INF = -np.inf
 # standard normals per chunk of empirical_ser's noise draws
 _CHUNK_NORMALS = 1 << 18
 
@@ -50,44 +49,58 @@ def validate_qam(s, order):
             raise ValueError("symbol entry outside the constellation")
 
 
+def check_thresholds(a, b, gamma):
+    """The solvable SEP thresholds: gamma > 0, and a + b <= 2*gamma on every
+    row with both thresholds finite; its box [(s-1)d + b, (s+1)d - a] is
+    otherwise empty at d = gamma and the projection is not convex."""
+    if not gamma > 0.0:
+        raise ValueError("gamma must be positive")
+    two_sided = np.isfinite(a) & np.isfinite(b)
+    if np.any(a[two_sided] + b[two_sided] > 2.0 * gamma):
+        raise ValueError("a two-sided row needs a + b <= 2*gamma")
+
+
 @dataclass
 class SepSpec:
-    """Per-symbol threshold vectors and minimum decision value for the
-    linear SEP constraints; -inf marks a vacuous (one-sided) threshold."""
+    """Linear SEP constraints as the 2K real rows of a K x L block, real
+    dimensions first, in the order of d: levels s, thresholds a and b (-inf
+    marks a vacuous, one-sided threshold) and the least decision value
+    gamma. Checked once, here."""
 
-    a_r: np.ndarray
-    b_r: np.ndarray
-    a_i: np.ndarray
-    b_i: np.ndarray
+    s: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
     gamma: float
-    epsilon: float
-    sigma_w: float
-    s_real: np.ndarray
-    s_imag: np.ndarray
+
+    def __post_init__(self):
+        check_thresholds(self.a, self.b, self.gamma)
 
     @property
     def n_users(self):
-        return self.a_r.shape[0]
+        return self.s.shape[0] // 2
 
-    @property
-    def block_len(self):
-        return self.a_r.shape[1]
+
+def real_rows(z):
+    """The 2K real rows of a K x L complex block: real parts, then imaginary."""
+    return np.concatenate((np.real(z), np.imag(z)))
+
+
+def complex_block(rows):
+    """Inverse of :func:`real_rows`."""
+    k = rows.shape[0] // 2
+    return rows[:k] + 1j * rows[k:]
 
 
 def _threshold_pair(part, order, epsilon, sigma_w):
-    """(a, b) thresholds for one real dimension of every symbol."""
+    """(a, b) thresholds for the real dimensions in part, and gamma."""
     root = int(round(np.sqrt(order)))
     extreme = float(root - 1)
     p_interior = (1.0 - np.sqrt(1.0 - epsilon)) / 2.0
     p_edge = 1.0 - np.sqrt(1.0 - epsilon)
     gamma = sigma_w / np.sqrt(2.0) * q_inverse(p_interior)
     edge = sigma_w / np.sqrt(2.0) * q_inverse(p_edge)
-    a = np.full(part.shape, gamma)
-    b = np.full(part.shape, gamma)
-    a[part == extreme] = NEG_INF
-    b[part == extreme] = edge
-    a[part == -extreme] = edge
-    b[part == -extreme] = NEG_INF
+    a = np.where(part == extreme, -np.inf, np.where(part == -extreme, edge, gamma))
+    b = np.where(part == -extreme, -np.inf, np.where(part == extreme, edge, gamma))
     return a, b, gamma
 
 
@@ -97,52 +110,28 @@ def check_epsilon(epsilon):
 
 
 def build_sep_spec(s, epsilon, sigma_w, order):
-    """Threshold vectors realizing the per-symbol SEP target epsilon."""
+    """Threshold rows realizing the per-symbol SEP target epsilon."""
     check_epsilon(epsilon)
     s = np.asarray(s)
     validate_qam(s, order)
-    a_r, b_r, gamma = _threshold_pair(s.real, order, epsilon, sigma_w)
-    a_i, b_i, _ = _threshold_pair(s.imag, order, epsilon, sigma_w)
-    return SepSpec(
-        a_r=a_r,
-        b_r=b_r,
-        a_i=a_i,
-        b_i=b_i,
-        gamma=float(gamma),
-        epsilon=float(epsilon),
-        sigma_w=float(sigma_w),
-        s_real=s.real.copy(),
-        s_imag=s.imag.copy(),
-    )
-
-
-def _margins(u_part, d_part, s_part, a, b):
-    """Slacks of  -d + b <= u - d*s <= d - a  per entry; -inf drops a side."""
-    centered = u_part - d_part[:, None] * s_part
-    upper = np.where(
-        np.isfinite(a), (d_part[:, None] - a) - centered, np.inf
-    )
-    lower = np.where(
-        np.isfinite(b), centered - (b - d_part[:, None]), np.inf
-    )
-    return min(upper.min(initial=np.inf), lower.min(initial=np.inf))
+    levels = real_rows(s)
+    a, b, gamma = _threshold_pair(levels, order, epsilon, sigma_w)
+    return SepSpec(s=levels, a=a, b=b, gamma=float(gamma))
 
 
 def sep_constraints_satisfied(u, d, spec, atol=1e-9):
     """Check the linear SEP constraints; returns (ok, worst margin).
 
-    Violations are reported through a negative margin rather than rejected.
+    Per row, -d + b <= u - d*s <= d - a, with -inf dropping a side, and
+    d >= gamma. Violations are reported through a negative margin rather
+    than rejected.
     """
-    u = np.asarray(u)
-    k = spec.n_users
-    d = np.asarray(d, dtype=float)
-    d_r, d_i = d[:k], d[k:]
-    worst = min(
-        _margins(u.real, d_r, spec.s_real, spec.a_r, spec.b_r),
-        _margins(u.imag, d_i, spec.s_imag, spec.a_i, spec.b_i),
-    )
-    if k:
-        worst = min(worst, float((d - spec.gamma).min()))
+    d = np.asarray(d, dtype=float)[:, None]
+    centered = real_rows(u) - d * spec.s
+    upper = np.where(np.isfinite(spec.a), (d - spec.a) - centered, np.inf)
+    lower = np.where(np.isfinite(spec.b), centered - (spec.b - d), np.inf)
+    worst = min(upper.min(initial=np.inf), lower.min(initial=np.inf),
+                (d - spec.gamma).min(initial=np.inf))
     return bool(worst >= -atol), float(worst)
 
 

@@ -296,6 +296,7 @@ def _et_block(scenario, waveform, seeds, unquantized):
     re, im = np.split(normals[:, 2 * n_a:], 2, axis=1)
     r = vec_rows(response @ x_matrix) + complex_from_normals(re, im,
                                                              math.sqrt(scenario.sigma_v_sq))
+    del normals, re, im  # the block's largest array: free it before the quantizer's
     obs = r if unquantized else quantize_one_bit(r)
     # one stacked product of per-trial gemv calls: each trial gets the bits of
     # estimator @ z_t whatever the block size (in a 2-D product they depend

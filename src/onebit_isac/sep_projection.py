@@ -9,19 +9,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .comm_sep import check_thresholds, complex_block, real_rows
+
 DEDUP_TOL = 1e-12
 
 
 @dataclass
 class UserQpInstance:
-    """One real dimension of one user's subproblem.
-
-    chi are the projection targets, s_tilde the constellation levels, and
-    a_tilde/b_tilde the threshold vectors (-inf marks a vacuous side). gamma
-    must be positive, and a row with both thresholds finite needs
-    a + b <= 2*gamma: its box [(s-1)d + b, (s+1)d - a] is otherwise empty at
-    d = gamma and the objective is not convex.
-    """
+    """One real dimension of one user's subproblem, a row of a
+    :class:`~onebit_isac.comm_sep.SepSpec` with projection targets chi:
+    levels s_tilde and thresholds a_tilde/b_tilde (-inf: a vacuous side)."""
 
     chi: np.ndarray
     s_tilde: np.ndarray
@@ -30,40 +27,55 @@ class UserQpInstance:
     gamma: float
 
     def __post_init__(self):
-        self.chi = np.asarray(self.chi, dtype=float)
-        self.s_tilde = np.asarray(self.s_tilde, dtype=float)
-        self.a_tilde = np.asarray(self.a_tilde, dtype=float)
-        self.b_tilde = np.asarray(self.b_tilde, dtype=float)
+        for name in ("chi", "s_tilde", "a_tilde", "b_tilde"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         if not np.all(np.isfinite(self.chi)):
             raise ValueError("projection targets must be finite")
-        if not self.gamma > 0.0:
-            raise ValueError("gamma must be positive")
-        two_sided = np.isfinite(self.a_tilde) & np.isfinite(self.b_tilde)
-        if np.any(self.a_tilde[two_sided] + self.b_tilde[two_sided] > 2.0 * self.gamma):
-            raise ValueError("a two-sided row needs a + b <= 2*gamma")
+        check_thresholds(self.a_tilde, self.b_tilde, self.gamma)
+
+    def rows(self):
+        """(chi, s, a, b) as one-row arrays, and gamma."""
+        return *(v[None] for v in (self.chi, self.s_tilde, self.a_tilde, self.b_tilde)), self.gamma
 
 
-def boundary_points(inst):
-    """Sorted candidate interval endpoints {gamma, ...} with +inf appended.
+def _breakpoints(chi, s, a, b, gamma):
+    """Per row of (R, L) arrays, the sorted interval endpoints {gamma, ...},
+    padded with +inf to 2L + 2 points whatever the row's count: a row's
+    arrays then have one shape alone or in a block, so its sums keep their
+    bits (a BLAS matvec can round an entry by the number of entries).
 
     Collects every finite point (chi + a)/(1 + s) and (b - chi)/(1 - s)
     strictly above gamma; candidates generated from -inf thresholds drop out
-    as non-finite. Duplicates are merged at 1e-12.
+    as non-finite. Each point within 1e-12 of the last point kept, in
+    ascending order, merges into it.
     """
-    pts = [float(inst.gamma)]
     with np.errstate(divide="ignore", invalid="ignore"):
-        cand_a = (inst.chi + inst.a_tilde) / (1.0 + inst.s_tilde)
-        cand_b = (inst.b_tilde - inst.chi) / (1.0 - inst.s_tilde)
-    for cand in (cand_a, cand_b):
-        good = cand[np.isfinite(cand) & (cand > inst.gamma + DEDUP_TOL)]
-        pts.extend(good.tolist())
-    pts.sort()
-    merged = [pts[0]]
-    for p in pts[1:]:
-        if p - merged[-1] > DEDUP_TOL:
-            merged.append(p)
-    merged.append(np.inf)
-    return np.asarray(merged)
+        cand = np.concatenate(((chi + a) / (1.0 + s), (b - chi) / (1.0 - s)), axis=1)
+    cand[~(np.isfinite(cand) & (cand > gamma + DEDUP_TOL))] = np.inf
+    n_rows = cand.shape[0]
+    pts = np.concatenate((np.full((n_rows, 1), float(gamma)), np.sort(cand, axis=1),
+                          np.full((n_rows, 1), np.inf)), axis=1)
+    # only a column holding a point within 1e-12 of its left neighbour, in
+    # some row, can merge; between such columns every point is kept
+    with np.errstate(invalid="ignore"):  # inf - inf past each row's points
+        close = np.flatnonzero((np.diff(pts, axis=1) <= DEDUP_TOL).any(axis=0)) + 1
+        last, prev = pts[:, 0], 0
+        for j in close:
+            if j - 1 != prev:
+                last = pts[:, j - 1]
+            keep = pts[:, j] - last > DEDUP_TOL
+            last = np.where(keep, pts[:, j], last)
+            pts[~keep, j] = np.inf
+            prev = j
+    pts.sort(axis=1)
+    return pts
+
+
+def boundary_points(inst):
+    """Sorted candidate interval endpoints of one instance, +inf appended:
+    the one-row case of :func:`_breakpoints`."""
+    pts = _breakpoints(*inst.rows())[0]
+    return pts[:np.isfinite(pts).sum() + 1]
 
 
 def _clamp_u(chi, s, a, b, d):
@@ -73,61 +85,59 @@ def _clamp_u(chi, s, a, b, d):
     return np.clip(chi, lower, upper)
 
 
-def _objective_at(inst, d):
-    u = _clamp_u(inst.chi, inst.s_tilde, inst.a_tilde, inst.b_tilde, d)
-    return float(np.sum((u - inst.chi) ** 2)), u
+def _solve_rows(chi, s, a, b, gamma):
+    """Smallest global minimizers d* (R,) and u* (R, L) of R independent rows.
+
+    Each interval between consecutive breakpoints has a constant
+    active-set classification (evaluated at the midpoint, or at tau + 1 on
+    the unbounded last interval), so a row's objective is one quadratic
+    there with stationary point num/den. By convexity the first interval
+    whose stationary point is not past its right end, or whose objective is
+    constant (den == 0), holds the smallest minimizer: clamp into it. A
+    row's padded intervals come after its unbounded one, which qualifies.
+    """
+    pts = _breakpoints(chi, s, a, b, gamma)
+    lo, hi = pts[:, :-1], pts[:, 1:]
+    probe = np.where(np.isfinite(hi), 0.5 * (lo + hi), lo + 1.0)[:, :, None]
+    x, sp, sm, ra, rb = chi[:, None], s[:, None] + 1.0, s[:, None] - 1.0, a[:, None], b[:, None]
+
+    def per_interval(mask, w):
+        # one (P, L) @ (L,) matvec per row
+        return (mask @ w.mT)[:, :, 0]
+
+    # padded intervals give inf - inf and 0 * inf, den == 0 gives 0 / 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        in_gamma = x > sp * probe - ra
+        in_omega = x < sm * probe + rb
+        den = per_interval(in_gamma, sp**2) + per_interval(in_omega, sm**2)
+        num = (per_interval(in_gamma, np.where(np.isfinite(ra), (ra + x) * sp, 0.0))
+               + per_interval(in_omega, np.where(np.isfinite(rb), (x - rb) * sm, 0.0)))
+        stationary = num / den
+    rows = np.arange(pts.shape[0])
+    i = np.argmax((den == 0.0) | (stationary <= hi), axis=1)
+    lo, den, stationary = lo[rows, i], den[rows, i], stationary[rows, i]
+    d = np.where(den == 0.0, lo, np.maximum(stationary, lo))
+    return d, _clamp_u(chi, s, a, b, d[:, None])
 
 
 def solve_user_qp(inst):
-    """Smallest global minimizer (d*, u*, objective) of one per-user subproblem.
-
-    Each interval between consecutive boundary points has a constant
-    active-set classification (evaluated at the midpoint, or at tau + 1 on
-    the unbounded last interval), so the objective is one quadratic there
-    with stationary point num/den. By convexity the first interval whose
-    stationary point is not past its right end, or whose objective is
-    constant (den == 0), holds the smallest minimizer: clamp into it.
-    """
-    pts = boundary_points(inst)
-    lo, hi = pts[:-1], pts[1:]
-    probe = np.where(np.isfinite(hi), 0.5 * (lo + hi), lo + 1.0)[:, None]
-    s, chi, a, b = inst.s_tilde, inst.chi, inst.a_tilde, inst.b_tilde
-    with np.errstate(divide="ignore", invalid="ignore"):
-        in_gamma = chi > (s + 1.0) * probe - a
-        in_omega = chi < (s - 1.0) * probe + b
-        den = in_gamma @ (s + 1.0) ** 2 + in_omega @ (s - 1.0) ** 2
-        term_a = np.where(np.isfinite(a), (a + chi) * (s + 1.0), 0.0)
-        term_b = np.where(np.isfinite(b), (chi - b) * (s - 1.0), 0.0)
-        num = in_gamma @ term_a + in_omega @ term_b
-        stationary = num / den
-    i = int(np.argmax((den == 0.0) | (stationary <= hi)))
-    d = lo[i] if den[i] == 0.0 else max(stationary[i], lo[i])
-    obj, u = _objective_at(inst, d)
-    return float(d), u, obj
+    """Smallest global minimizer (d*, u*, objective) of one per-user
+    subproblem: the one-row case of :func:`_solve_rows`."""
+    d, u = _solve_rows(*inst.rows())
+    return float(d[0]), u[0], float(np.sum((u[0] - inst.chi) ** 2))
 
 
 def solve_block(lambda_tilde, spec):
     """Project a K x L complex block onto the SEP-feasible set.
 
-    Splits into 2K independent real subproblems (real and imaginary
-    dimension per user) and reassembles (u, d).
+    Splits into the spec's 2K independent real rows (real and imaginary
+    dimension per user), solves them in one pass and reassembles (u, d).
     """
     lam = np.asarray(lambda_tilde)
-    k, block_len = spec.s_real.shape
-    if lam.shape != (k, block_len):
+    if lam.shape != (spec.n_users, spec.s.shape[1]):
         raise ValueError("block shape does not match the SEP spec")
-    u = np.zeros((k, block_len), dtype=complex)
-    d = np.zeros(2 * k)
-    for kk in range(k):
-        inst_r = UserQpInstance(
-            lam[kk].real, spec.s_real[kk], spec.a_r[kk], spec.b_r[kk], spec.gamma
-        )
-        d_r, u_r, _ = solve_user_qp(inst_r)
-        inst_i = UserQpInstance(
-            lam[kk].imag, spec.s_imag[kk], spec.a_i[kk], spec.b_i[kk], spec.gamma
-        )
-        d_i, u_i, _ = solve_user_qp(inst_i)
-        u[kk] = u_r + 1j * u_i
-        d[kk] = d_r
-        d[k + kk] = d_i
-    return u, d
+    chi = real_rows(lam)
+    if not np.all(np.isfinite(chi)):
+        raise ValueError("projection targets must be finite")
+    d, u = _solve_rows(chi, spec.s, spec.a, spec.b, spec.gamma)
+    return complex_block(u), d

@@ -46,7 +46,7 @@ from onebit_isac.opt_pt import (
     surrogate_value,
 )
 from onebit_isac.quantization import bussgang_gain, covariance_czz_exact, quantize_one_bit
-from onebit_isac.sep_projection import _objective_at, boundary_points
+from onebit_isac.sep_projection import _clamp_u, boundary_points
 
 TWO_OVER_PI = 2.0 / np.pi
 SQRT_TWO_OVER_PI = np.sqrt(TWO_OVER_PI)
@@ -718,6 +718,26 @@ def per_draw_ser(x_matrix, h, s, d, sigma_w, n_noise_draws, seed, order):
         dec_i = _slice_to_level(y.imag / d_i, order)
         errors += np.sum((dec_r != s.real) | (dec_i != s.imag), axis=1)
     return errors / float(n_noise_draws * block_len)
+
+
+def sequential_boundary_points(inst):
+    """boundary_points as one Python pass per instance: gamma and every
+    finite candidate above gamma + 1e-12, sorted, each point kept when it
+    lies more than 1e-12 above the last point kept, then +inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cands = np.concatenate(((inst.chi + inst.a_tilde) / (1.0 + inst.s_tilde),
+                                (inst.b_tilde - inst.chi) / (1.0 - inst.s_tilde)))
+    pts = sorted(c for c in cands.tolist() if np.isfinite(c) and c > inst.gamma + 1e-12)
+    merged = [float(inst.gamma)]
+    for p in pts:
+        if p - merged[-1] > 1e-12:
+            merged.append(p)
+    return np.array(merged + [np.inf])
+
+
+def _objective_at(inst, d):
+    u = _clamp_u(inst.chi, inst.s_tilde, inst.a_tilde, inst.b_tilde, d)
+    return float(np.sum((u - inst.chi) ** 2)), u
 
 
 def enumerate_user_qp(inst):

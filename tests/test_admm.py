@@ -245,8 +245,9 @@ def test_x_init_sets_the_initial_auxiliary_block():
     spec = sc.sep_spec()
     chi = h_tilde_apply(sc.channel, x_init, sc.block_len).reshape(
         (sc.n_users, sc.block_len), order="F")
-    want = (_clamp_u(chi.real, spec.s_real, spec.a_r, spec.b_r, spec.gamma)
-            + 1j * _clamp_u(chi.imag, spec.s_imag, spec.a_i, spec.b_i, spec.gamma))
+    k = sc.n_users
+    want = (_clamp_u(chi.real, spec.s[:k], spec.a[:k], spec.b[:k], spec.gamma)
+            + 1j * _clamp_u(chi.imag, spec.s[k:], spec.a[k:], spec.b[k:], spec.gamma))
     assert not np.allclose(x_init, x0)
     assert not np.allclose(res.u, u0)
     assert np.array_equal(res.u, want.reshape(-1, order="F"))

@@ -11,7 +11,7 @@ from onebit_isac.array_geometry import (
     steering,
     steering_derivative,
 )
-from onebit_isac.linalg import complex_normal, vec
+from onebit_isac.linalg import complex_normal, vec_rows
 
 
 def test_steering_broadside_is_uniform():
@@ -187,7 +187,8 @@ def test_et_sample_covariance_matches_prior():
     target = EtTarget(phi_r, phi_t)
     c_true = target.c_aa
     n = 100000
-    samples = np.stack([vec(target.sample(rng)) for _ in range(n)])
+    # row i holds the 8 normals one target.sample(rng) call would draw
+    samples = vec_rows(target.responses(rng.standard_normal((n, 8))))
     c_emp = samples.conj().T @ samples / n
     c_emp = c_emp.T  # E[a a^H]
     se = np.sqrt(np.outer(np.diag(c_true).real, np.diag(c_true).real) / n)

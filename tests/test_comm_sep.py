@@ -70,18 +70,20 @@ def test_build_sep_spec_16qam_interior_and_extreme():
     gamma = sigma_w / np.sqrt(2) * q_inverse((1 - np.sqrt(1 - eps)) / 2)
     edge = sigma_w / np.sqrt(2) * q_inverse(1 - np.sqrt(1 - eps))
     assert spec.gamma == pytest.approx(gamma)
+    # row 0 is the real dimension of the one user, row 1 its imaginary one
+    assert np.array_equal(spec.s, [[1.0, 3.0, -3.0], [3.0, -1.0, 1.0]])
     # Re(s)=1 interior
-    assert spec.a_r[0, 0] == pytest.approx(gamma)
-    assert spec.b_r[0, 0] == pytest.approx(gamma)
+    assert spec.a[0, 0] == pytest.approx(gamma)
+    assert spec.b[0, 0] == pytest.approx(gamma)
     # Re(s)=3 extreme positive
-    assert spec.a_r[0, 1] == -np.inf
-    assert spec.b_r[0, 1] == pytest.approx(edge)
+    assert spec.a[0, 1] == -np.inf
+    assert spec.b[0, 1] == pytest.approx(edge)
     # Re(s)=-3 extreme negative, mirrored
-    assert spec.a_r[0, 2] == pytest.approx(edge)
-    assert spec.b_r[0, 2] == -np.inf
+    assert spec.a[0, 2] == pytest.approx(edge)
+    assert spec.b[0, 2] == -np.inf
     # Im thresholds by the same rule
-    assert spec.b_i[0, 0] == pytest.approx(edge)
-    assert spec.a_i[0, 0] == -np.inf
+    assert spec.b[1, 0] == pytest.approx(edge)
+    assert spec.a[1, 0] == -np.inf
 
 
 def test_build_sep_spec_monotone_in_epsilon():
@@ -89,7 +91,7 @@ def test_build_sep_spec_monotone_in_epsilon():
     s = random_qam_symbols(3, 5, 16, rng)
     specs = [build_sep_spec(s, e, 0.3, 16) for e in (1e-3, 1e-2, 1e-1)]
     for tight, loose in zip(specs, specs[1:]):
-        for attr in ("a_r", "b_r", "a_i", "b_i"):
+        for attr in ("a", "b"):
             t, l = getattr(tight, attr), getattr(loose, attr)
             mask = np.isfinite(t)
             assert np.all(l[mask] <= t[mask] + 1e-15)

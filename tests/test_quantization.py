@@ -185,7 +185,7 @@ def test_crr_et_identity_prior_trace():
 
 def test_crr_et_monte_carlo():
     from onebit_isac.array_geometry import EtTarget, exponential_correlation
-    from onebit_isac.linalg import vec
+    from onebit_isac.linalg import complex_from_normals, vec_rows
 
     rng = np.random.default_rng(8)
     phi_r = exponential_correlation(2, 0.5)
@@ -195,9 +195,11 @@ def test_crr_et_monte_carlo():
     sv = 0.3
     cov = crr_et(x, target.c_aa, sv)
     n = 100000
-    r = np.zeros((n, 4), dtype=complex)
-    for i in range(n):
-        r[i] = vec(target.sample(rng) @ x) + complex_normal(rng, 4, scale=np.sqrt(sv))
+    # row i: the 8 normals of one target.sample(rng), then the 4 + 4 of one
+    # complex_normal(rng, 4, scale=sqrt(sv)), as n calls in turn would draw
+    normals = rng.standard_normal((n, 16))
+    r = vec_rows(target.responses(normals[:, :8]) @ x) + complex_from_normals(
+        normals[:, 8:12], normals[:, 12:], np.sqrt(sv))
     c_emp = r.T @ r.conj() / n
     d = np.diag(cov).real
     se = np.sqrt(np.outer(d, d) / n)

@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from helpers_oracles import enumerate_user_qp
-from onebit_isac.comm_sep import build_sep_spec, random_qam_symbols, sep_constraints_satisfied
+from helpers_oracles import enumerate_user_qp, sequential_boundary_points
+from onebit_isac.comm_sep import (
+    SepSpec,
+    build_sep_spec,
+    random_qam_symbols,
+    sep_constraints_satisfied,
+)
 from onebit_isac.linalg import complex_normal
 from onebit_isac.sep_projection import (
     UserQpInstance,
+    _clamp_u,
     boundary_points,
     solve_block,
     solve_user_qp,
@@ -82,9 +88,14 @@ def test_boundary_points_sentinel_sides_skipped():
 
 def test_boundary_points_sorted_dedup():
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        inst = random_instance(rng, 6)
+    for trial in range(220):
+        inst = random_instance(rng, 6 if trial < 20 else int(rng.integers(1, 33)))
+        if trial >= 20:
+            # repeated targets, some 1e-13 apart: chains of points within
+            # 1e-12 of each other, merged into the first of each chain
+            inst.chi = np.round(inst.chi) + rng.choice([0.0, 1e-13, 6e-13], inst.chi.size)
         pts = boundary_points(inst)
+        assert np.array_equal(pts, sequential_boundary_points(inst))
         assert np.all(np.diff(pts[:-1]) > 1e-12)
         assert pts[-1] == np.inf
         assert np.all(pts[:-1] >= inst.gamma - 1e-15)
@@ -199,9 +210,9 @@ def test_solve_block_feasible_and_separable():
     parts = 0.0
     for kk in range(k):
         _, _, o_r = solve_user_qp(UserQpInstance(
-            lam[kk].real, spec.s_real[kk], spec.a_r[kk], spec.b_r[kk], spec.gamma))
+            lam[kk].real, spec.s[kk], spec.a[kk], spec.b[kk], spec.gamma))
         _, _, o_i = solve_user_qp(UserQpInstance(
-            lam[kk].imag, spec.s_imag[kk], spec.a_i[kk], spec.b_i[kk], spec.gamma))
+            lam[kk].imag, spec.s[k + kk], spec.a[k + kk], spec.b[k + kk], spec.gamma))
         parts += o_r + o_i
     assert total == pytest.approx(parts, abs=1e-10)
 
@@ -226,6 +237,77 @@ def test_solve_block_shape_mismatch():
         solve_block(np.zeros((3, 4), dtype=complex), spec)
 
 
+def test_solve_block_rejects_non_finite_block():
+    rng = np.random.default_rng(9)
+    s = random_qam_symbols(2, 4, 16, rng)
+    spec = build_sep_spec(s, 1e-2, 0.3, 16)
+    for bad in (np.nan, np.inf, 1j * np.inf):
+        lam = complex_normal(rng, (2, 4))
+        lam[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve_block(lam, spec)
+
+
+def random_block(rng, trial):
+    """A K x L block and its spec, K 1-6, L 1-32, QAM 4/16/64. Block 3i + 1
+    is random. The others sit near u = d0*s, where the objective is often
+    zero on a range of d; block 3i shrinks the two-sided thresholds (a + b <
+    2*gamma) every other time, and block 3i + 2 is rounded to half-integers,
+    so that its targets repeat and a row has few breakpoints but many
+    active terms."""
+    k, block_len = int(rng.integers(1, 7)), int(rng.integers(1, 33))
+    order = int(rng.choice([4, 16, 64]))
+    s = random_qam_symbols(k, block_len, order, rng)
+    spec = build_sep_spec(s, float(rng.choice([1e-3, 1e-2, 1e-1])),
+                          float(rng.uniform(0.05, 1.0)), order)
+    if trial % 3 == 1:
+        return complex_normal(rng, (k, block_len), scale=float(rng.choice([0.3, 3.0]))), spec
+    if trial % 6 == 3:
+        two_sided = np.isfinite(spec.a) & np.isfinite(spec.b)
+        a, b = spec.a.copy(), spec.b.copy()
+        a[two_sided] *= rng.uniform(0.2, 1.0, two_sided.sum())
+        b[two_sided] *= rng.uniform(0.2, 1.0, two_sided.sum())
+        spec = SepSpec(spec.s, a, b, spec.gamma)
+    d0 = spec.gamma * rng.uniform(1.0, 4.0, 2 * k)
+    lam = d0[:k, None] * s.real + 1j * d0[k:, None] * s.imag
+    lam = lam + complex_normal(rng, (k, block_len), scale=spec.gamma * 0.1)
+    return (np.round(2.0 * lam) / 2.0 if trial % 3 == 2 else lam), spec
+
+
+def test_solve_block_matches_per_row_solves_bitwise():
+    # every row is padded to the same breakpoint count alone or in a block,
+    # so it keeps the bits of its own one-row solve, tie rule included
+    rng = np.random.default_rng(10)
+    flat = 0
+    for trial in range(3000):
+        lam, spec = random_block(rng, trial)
+        u, d = solve_block(lam, spec)
+        chi = np.concatenate((lam.real, lam.imag))
+        got = np.concatenate((u.real, u.imag))
+        for row in range(chi.shape[0]):
+            inst = UserQpInstance(chi[row], spec.s[row], spec.a[row], spec.b[row], spec.gamma)
+            d_row, u_row, obj = solve_user_qp(inst)
+            assert d[row] == d_row and np.array_equal(got[row], u_row), (trial, row)
+            # zero on a range of d above gamma, where the tie rule decides
+            flat += bool(obj == 0.0 and d_row > spec.gamma and np.array_equal(
+                _clamp_u(inst.chi, inst.s_tilde, inst.a_tilde, inst.b_tilde, 1.001 * d_row),
+                inst.chi))
+    assert flat >= 1000
+
+
+def test_spec_is_checked_when_built():
+    s = np.array([[1.0, 3.0], [-1.0, 1.0]])
+    a = np.array([[0.3, -np.inf], [0.3, 0.3]])
+    b = np.array([[0.3, 0.1], [0.3, 0.3]])
+    SepSpec(s, a, b, 0.3)
+    for gamma in (0.0, -0.3):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            SepSpec(s, a, b, gamma)
+    b[1, 1] = 0.31
+    with pytest.raises(ValueError, match=r"a \+ b <= 2\*gamma"):
+        SepSpec(s, a, b, 0.3)
+
+
 def test_gamma_must_be_positive():
     with pytest.raises(ValueError, match="gamma must be positive"):
         UserQpInstance(np.array([0.0]), np.array([1.0]), np.array([0.1]),
@@ -241,9 +323,8 @@ def test_two_sided_row_must_keep_its_box_at_gamma():
     for order in (4, 16, 64):
         s = random_qam_symbols(3, 6, order, rng)
         spec = build_sep_spec(s, 1e-2, 0.3, order)
-        for kk in range(3):
-            UserQpInstance(np.zeros(6), spec.s_real[kk], spec.a_r[kk], spec.b_r[kk], spec.gamma)
-            UserQpInstance(np.zeros(6), spec.s_imag[kk], spec.a_i[kk], spec.b_i[kk], spec.gamma)
+        for row in range(6):
+            UserQpInstance(np.zeros(6), spec.s[row], spec.a[row], spec.b[row], spec.gamma)
 
 
 def test_tie_goes_to_smallest_minimizer():
