@@ -21,7 +21,6 @@ from .crb_metrics import (
     crb_et,
     crb_pt,
     crb_pt_infinite_resolution,
-    et_anchor,
     mse_et_quantization_unaware,
 )
 from .estimators import MleConfig, MleGrid, TrialResult, TrialsSummary, run_trials
@@ -39,7 +38,6 @@ from .opt_et import (
     EtProblem,
     EtSurrogate,
     build_et_surrogate,
-    build_lt,
     build_mbar,
     mm_update_et,
     solve_x_et,

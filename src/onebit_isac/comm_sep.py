@@ -65,7 +65,8 @@ class SepSpec:
     """Linear SEP constraints as the 2K real rows of a K x L block, real
     dimensions first, in the order of d: levels s, thresholds a and b (-inf
     marks a vacuous, one-sided threshold) and the least decision value
-    gamma. Checked once, here."""
+    gamma. Checked once, here: s, a and b become float arrays of one (2K, L)
+    shape."""
 
     s: np.ndarray
     a: np.ndarray
@@ -73,6 +74,11 @@ class SepSpec:
     gamma: float
 
     def __post_init__(self):
+        self.s, self.a, self.b = (np.asarray(v, dtype=float) for v in (self.s, self.a, self.b))
+        shape = self.s.shape
+        if len(shape) != 2 or shape[0] % 2 or not shape == self.a.shape == self.b.shape:
+            raise ValueError("s, a and b must share one (2K, L) shape, got "
+                             f"{self.s.shape}, {self.a.shape} and {self.b.shape}")
         check_thresholds(self.a, self.b, self.gamma)
 
     @property

@@ -2,8 +2,9 @@
 with its full derivative chain, the Bayesian trace bound for extended
 targets, their infinite-resolution / quantization-unaware counterparts, and
 the point-target chain factors, the point-target P = C^{-1} dC C^{-1} and
-the extended-target anchors the optimizers reuse: in the L x L eigenbasis of
-a Kronecker prior (:class:`KronPrior`), dense for any other prior."""
+the extended-target priors and anchors the optimizers reuse
+(:func:`et_prior`): in the L x L eigenbasis of a Kronecker prior
+(:class:`KronPrior`), dense for any other prior (:class:`DensePrior`)."""
 
 import math
 from dataclasses import dataclass, field
@@ -41,8 +42,7 @@ class PtModel:
     def __post_init__(self):
         if not (math.isfinite(self.sigma_alpha_sq) and self.sigma_alpha_sq >= 0.0):
             raise ValueError("target power must be finite and non-negative")
-        if self.sigma_v_sq <= 0.0:
-            raise ValueError("noise power must be positive")
+        check_noise_power(self.sigma_v_sq)
         if self.block_len < 1:
             raise ValueError("block length must be positive")
         self.a_t = steering(self.n_t, self.theta)
@@ -113,6 +113,12 @@ class PtModel:
         the infinite-resolution one when quantized is False; math.inf when
         the trace falls below INFINITE_CRB_FLOOR (unidentifiable direction)."""
         return bound_from_trace(self.chain_p(x, quantized).trace)
+
+
+def check_noise_power(sigma_v_sq):
+    """Raise ValueError unless the noise power sigma_v_sq is finite and positive."""
+    if not (math.isfinite(sigma_v_sq) and sigma_v_sq > 0.0):
+        raise ValueError(f"noise power must be finite and positive, got {sigma_v_sq}")
 
 
 def bound_from_trace(t):
@@ -216,33 +222,13 @@ def crb_pt_infinite_resolution(x, theta, sigma_alpha_sq, sigma_v_sq, n_r, block_
                    block_len).bound(x, quantized=False)
 
 
-@dataclass(frozen=True)
-class EtAnchor:
-    """The extended-target bound's pieces at one waveform on the dense path
-    (any prior; :class:`KronAnchor` holds them on a Kronecker prior).
-
-    l_mat = X~ C_aa, m = M(x) and m_inv_l = M^{-1} L, where M is
-    X~ C X~^H + (pi/2 - 1) diag(X~ C X~^H) + (pi/2) sigma_v^2 I for the
-    one-bit bound and X~ C X~^H + sigma_v^2 I for the unquantized LMMSE
-    (both Hermitian-symmetrized); gain = tr(L^H M^{-1} L) and
-    bound = tr(C_aa) - gain, the one-bit bound (crb_et) or the unquantized
-    LMMSE MSE (mse_et_quantization_unaware).
-    """
-
-    l_mat: np.ndarray
-    m: np.ndarray
-    m_inv_l: np.ndarray
-    gain: float
-    bound: float
-
-
 def et_l_and_m(x_matrix, c_aa, sigma_v_sq, quantization_aware=True):
     """L = X~ C_aa and the Hermitian M of the extended-target bound at X.
 
-    Unaware, M is the unquantized C_rr = X~ C_aa X~^H + sigma_v^2 I.
+    Aware, M is X~ C X~^H + (pi/2 - 1) diag(X~ C X~^H) + (pi/2) sigma_v^2 I;
+    unaware, it is the unquantized C_rr = X~ C_aa X~^H + sigma_v^2 I.
     """
-    if sigma_v_sq <= 0.0:
-        raise ValueError("noise power must be positive")
+    check_noise_power(sigma_v_sq)
     x_matrix = np.asarray(x_matrix)
     c_aa = np.asarray(c_aa)
     op = XtildeOperator(x_matrix, c_aa.shape[0] // x_matrix.shape[0])
@@ -257,13 +243,67 @@ def et_l_and_m(x_matrix, c_aa, sigma_v_sq, quantization_aware=True):
     return l_mat, (m + m.conj().T) / 2.0
 
 
-def et_anchor(x_matrix, c_aa, sigma_v_sq, quantization_aware=True):
-    """L, M, M^{-1} L, the gain and the bound of the extended target at X."""
-    l_mat, m = et_l_and_m(x_matrix, c_aa, sigma_v_sq, quantization_aware)
-    m_inv_l = hermitian_solve(m, l_mat)
-    gain = float(np.einsum("ij,ij->", l_mat.conj(), m_inv_l).real)
-    return EtAnchor(l_mat=l_mat, m=m, m_inv_l=m_inv_l, gain=gain,
-                    bound=float(np.trace(np.asarray(c_aa)).real - gain))
+class DensePrior(NamedTuple):
+    """An extended-target prior that is not one Kronecker product with a
+    constant diag(Phi_R), held whole with n_r and tr(C_aa). Build it with
+    :func:`et_prior`."""
+
+    c_aa: np.ndarray
+    n_r: int
+    trace: float
+
+    def anchor(self, x_matrix, sigma_v_sq, quantization_aware):
+        """The :class:`EtAnchor` of the bound at waveform X: M^{-1} L by one
+        Hermitian solve (:func:`et_l_and_m`)."""
+        l_mat, m = et_l_and_m(x_matrix, self.c_aa, sigma_v_sq, quantization_aware)
+        m_inv_l = hermitian_solve(m, l_mat)
+        gain = float(np.einsum("ij,ij->", l_mat.conj(), m_inv_l).real)
+        return EtAnchor(self, m_inv_l, gain, self.trace - gain)
+
+
+class EtAnchor(NamedTuple):
+    """The extended-target bound's pieces at one waveform on a
+    :class:`DensePrior`: m_inv_l = M^{-1} L (:func:`et_l_and_m`),
+    gain = tr(L^H M^{-1} L) and bound = tr(C_aa) - gain, the one-bit bound
+    (crb_et) or the unquantized LMMSE MSE (mse_et_quantization_unaware)."""
+
+    prior: DensePrior
+    m_inv_l: np.ndarray
+    gain: float
+    bound: float
+
+    def linear_term(self):
+        """l_t with tr(L_t^H M_t^{-1} L(x)) = l_t^H x: the receive-index
+        partial trace out[n, l] = sum_r W[(r, l), (r, n)] of
+        W = M_t^{-1} L_t C_aa."""
+        n_r = self.prior.n_r
+        rows, cols = self.m_inv_l.shape
+        w4 = (self.m_inv_l @ self.prior.c_aa).reshape((n_r, rows // n_r, n_r, cols // n_r),
+                                                       order="F")
+        return np.einsum("rlrn->nl", w4).reshape(-1, order="F")
+
+    def mbar(self, quantization_aware):
+        """(Mbar, lambda_max(Mbar)) with Mbar dense.
+
+        x^H Mbar x = tr(Mtilde X~ C_aa X~^H) for Mtilde = Y Y^H, Y = M^{-1} L,
+        plus (pi/2 - 1) diag(Y Y^H) when aware; Mbar is one contraction of
+        Mtilde with C_aa over the two receive indices:
+        Mbar[(n, l), (b, k)] = sum_{r, s} Mtilde[(r, l), (s, k)] C_aa[(s, b), (r, n)].
+        lambda_max comes from eigvalsh, which raises if it fails.
+        """
+        y = self.m_inv_l
+        m_tilde = y @ y.conj().T
+        if quantization_aware:
+            m_tilde = m_tilde + (np.pi / 2.0 - 1.0) * np.diag(np.diag(m_tilde))
+        m_tilde = (m_tilde + m_tilde.conj().T) / 2.0
+        n_r = self.prior.n_r
+        block_len, n_t = y.shape[0] // n_r, y.shape[1] // n_r
+        m4 = m_tilde.reshape((n_r, block_len, n_r, block_len), order="F")
+        c4 = self.prior.c_aa.reshape((n_r, n_t, n_r, n_t), order="F")
+        lkbn = np.tensordot(m4, c4, axes=([0, 2], [2, 0]))
+        dim = n_t * block_len
+        m_bar = lkbn.transpose(3, 0, 2, 1).reshape((dim, dim), order="F")
+        return m_bar, float(np.linalg.eigvalsh(m_bar)[-1])
 
 
 # relative tolerance of the Kronecker-structure test of an extended-target prior
@@ -274,7 +314,7 @@ class KronPrior(NamedTuple):
     """An extended-target prior C_aa = Phi_T^T kron Phi_R whose Phi_R has a
     constant diagonal c (every correlation matrix has c = 1), held as the
     pieces the bound's chain needs: Phi_T, the eigenvalues of Phi_R, c,
-    lambda_max(Phi_T) and tr(C_aa). Build it with :func:`kronecker_prior`."""
+    lambda_max(Phi_T) and tr(C_aa). Build it with :func:`et_prior`."""
 
     phi_t: np.ndarray
     sigma_r: np.ndarray
@@ -292,8 +332,7 @@ class KronPrior(NamedTuple):
         Q = Bv^H P the gain is sum_ij ||Q[i, :]||^2 s_j^2 / (l_i s_j + 1);
         no n_r L matrix is formed.
         """
-        if sigma_v_sq <= 0.0:
-            raise ValueError("noise power must be positive")
+        check_noise_power(sigma_v_sq)
         x = np.asarray(x_matrix)
         p = x.T @ self.phi_t.T
         a = p @ x.conj()
@@ -328,57 +367,71 @@ class KronAnchor(NamedTuple):
         w = self.e @ self.prior.sigma_r**2
         return vec(self.prior.phi_t @ (self.q.T * w) @ self.bv.T)
 
-    def g_matrix(self, quantization_aware):
-        """G with Mbar = G kron Phi_T: Bv (K3 o S) Bv^H, plus
-        (pi/2 - 1) c diag(Bv (K2 o S) Bv^H) when aware, where S = Q Q^H and
-        Kp[i, i'] = sum_j s_j^p / ((l_i s_j + 1)(l_i' s_j + 1))."""
+    def mbar(self, quantization_aware):
+        """(Mbar, lambda_max(Mbar)) with Mbar = G kron Phi_T a :class:`KronMbar`
+        and lambda_max(Mbar) = lambda_max(G) lambda_max(Phi_T).
+
+        G = Bv (K3 o S) Bv^H, plus (pi/2 - 1) c diag(Bv (K2 o S) Bv^H) when
+        aware, where S = Q Q^H and
+        Kp[i, i'] = sum_j s_j^p / ((l_i s_j + 1)(l_i' s_j + 1)).
+        """
         e, s = self.e, self.prior.sigma_r
         ss = self.q @ self.q.conj().T
         g = self.bv @ ((e * s**3) @ e.T * ss) @ self.bv.conj().T
         if quantization_aware:
             d = np.einsum("li,li->l", self.bv @ ((e * s**2) @ e.T * ss), self.bv.conj()).real
             g[np.diag_indices_from(g)] += (np.pi / 2.0 - 1.0) * self.prior.c * d
-        return (g + g.conj().T) / 2.0
+        g = (g + g.conj().T) / 2.0
+        return (KronMbar(g, self.prior.phi_t),
+                float(np.linalg.eigvalsh(g)[-1]) * self.prior.lam_max_t)
 
 
-def kronecker_prior(c_aa, n_r):
-    """The :class:`KronPrior` of c_aa, or None when c_aa is not one
-    Kronecker product Phi_T^T kron Phi_R (to KRON_RTOL) with a constant
-    diag(Phi_R).
+class KronMbar(NamedTuple):
+    """Mbar = G kron Phi_T, applied as Mbar @ x = vec(Phi_T X G^T)."""
+
+    g: np.ndarray
+    phi_t: np.ndarray
+
+    def __matmul__(self, x):
+        return vec(self.phi_t @ unvec(x, self.phi_t.shape[0], self.g.shape[0]) @ self.g.T)
+
+
+def et_prior(c_aa, n_r, n_t):
+    """The prior of an n_r x n_t extended-target response: a
+    :class:`KronPrior` when c_aa is one Kronecker product Phi_T^T kron Phi_R
+    (to KRON_RTOL) with a constant diag(Phi_R), as every EtTarget's is, else
+    a :class:`DensePrior`. Raises ValueError unless c_aa is
+    (n_r n_t) x (n_r n_t).
 
     The factors are read from c_aa itself, Phi_R' = c_aa[:n_r, :n_r] and
     Phi_T'^T = c_aa[::n_r, ::n_r] / c_aa[0, 0]; they equal Phi_R and Phi_T
     up to reciprocal scalars, which leaves their Kronecker product unchanged.
     """
     c_aa = np.asarray(c_aa)
+    dim = n_r * n_t
+    if dim < 1 or c_aa.shape != (dim, dim):
+        raise ValueError(f"c_aa must be {dim} x {dim} (n_r = {n_r} times n_t = {n_t}), "
+                         f"got shape {c_aa.shape}")
+    trace = float(np.trace(c_aa).real)
     c = float(c_aa[0, 0].real)
     if not c > 0.0:
-        return None
+        return DensePrior(c_aa, n_r, trace)
     phi_r = c_aa[:n_r, :n_r]
     phi_t_t = c_aa[::n_r, ::n_r] / c
     d = np.diag(phi_r).real
     # written so that a NaN in c_aa fails the test
     if not (np.linalg.norm(np.kron(phi_t_t, phi_r) - c_aa) <= KRON_RTOL * np.linalg.norm(c_aa)
             and np.ptp(d) <= KRON_RTOL * c):
-        return None
+        return DensePrior(c_aa, n_r, trace)
     return KronPrior(phi_t=np.ascontiguousarray(phi_t_t.T), sigma_r=np.linalg.eigvalsh(phi_r),
-                     c=c, lam_max_t=float(np.linalg.eigvalsh(phi_t_t)[-1]),
-                     trace=float(np.trace(c_aa).real))
-
-
-def bound_anchor(x_matrix, c_aa, sigma_v_sq, quantization_aware, kron):
-    """The extended-target anchor at X: on the Kronecker path when kron is
-    the :class:`KronPrior` of c_aa, on the dense :func:`et_anchor` when it
-    is None (a prior that is not one Kronecker product)."""
-    if kron is None:
-        return et_anchor(x_matrix, c_aa, sigma_v_sq, quantization_aware)
-    return kron.anchor(x_matrix, sigma_v_sq, quantization_aware)
+                     c=c, lam_max_t=float(np.linalg.eigvalsh(phi_t_t)[-1]), trace=trace)
 
 
 def _prior_bound(x_matrix, c_aa, sigma_v_sq, quantization_aware):
     x_matrix = np.asarray(x_matrix)
-    kron = kronecker_prior(c_aa, np.shape(c_aa)[0] // x_matrix.shape[0])
-    return bound_anchor(x_matrix, c_aa, sigma_v_sq, quantization_aware, kron).bound
+    n_t = x_matrix.shape[0]
+    prior = et_prior(c_aa, np.shape(c_aa)[0] // n_t, n_t)
+    return prior.anchor(x_matrix, sigma_v_sq, quantization_aware).bound
 
 
 def crb_et(x_matrix, c_aa, sigma_v_sq):
@@ -386,7 +439,7 @@ def crb_et(x_matrix, c_aa, sigma_v_sq):
 
     Uses the expanded form tr(C_aa) - tr(L^H M^{-1} L), which stays valid for
     merely PSD priors; a Kronecker prior takes the L x L eigenbasis
-    (:class:`KronPrior`).
+    (:func:`et_prior`).
     """
     return _prior_bound(x_matrix, c_aa, sigma_v_sq, True)
 

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .array_geometry import pt_response_operator, steering
-from .crb_metrics import et_anchor, et_l_and_m
+from .crb_metrics import et_l_and_m
 from .linalg import complex_from_normals, hermitian_factor, hermitian_solve, unvec, vec, vec_rows
 from .quantization import (arcsine_law, bussgang_gain, covariance_czz_exact, positive_diagonal,
                            quantize_one_bit)
@@ -286,8 +286,9 @@ def _et_block(scenario, waveform, seeds, unquantized):
     x_matrix = scenario.unvec_waveform(waveform)
     if unquantized:
         # unquantized LMMSE: C_aa X~^H C_rr^{-1} = (C_rr^{-1} L)^H
-        estimator = et_anchor(x_matrix, target.c_aa, scenario.sigma_v_sq,
-                              quantization_aware=False).m_inv_l.conj().T
+        l_mat, c_rr = et_l_and_m(x_matrix, target.c_aa, scenario.sigma_v_sq,
+                                 quantization_aware=False)
+        estimator = hermitian_solve(c_rr, l_mat).conj().T
     else:
         estimator = blmmse_matrix(x_matrix, target.c_aa, scenario.sigma_v_sq)
     n_a, n = target.c_aa.shape[0], scenario.n_r * scenario.block_len

@@ -1,7 +1,7 @@
 """One-bit quantizer, Bussgang gain and arcsine-law covariance. The
 point-target chain, with the linearized arcsine covariance, lives in
 ``crb_metrics.PtModel.chain_factors``; the extended-target echo covariance is
-the quantization-unaware M of ``crb_metrics.et_anchor``."""
+the quantization-unaware M of ``crb_metrics.et_l_and_m``."""
 
 import numpy as np
 

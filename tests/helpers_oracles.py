@@ -8,7 +8,8 @@ true augmented objective, surrogate value and gradient rows) that the
 library holds as diagonal plus rank one, the projected-gradient step that
 scores its backtracking candidates one at a time, the extended-target chain
 as the library computed it before the shared anchor and the dense Mbar
-(explicit Kronecker bound, matrix-free Mbar apply, uncached MM loop), the
+(explicit Kronecker bound and linear term, matrix-free Mbar apply,
+uncached MM loop), the library's dense path forced onto any prior, the
 information form of the extended-target bound, the explicit-Kronecker
 BLMMSE estimator, dense Kronecker/commutation builders for small
 instances, the per-trial, per-angle one-bit MLE on dense arcsine
@@ -24,7 +25,7 @@ import scipy.linalg as sla
 
 from onebit_isac.array_geometry import pt_response_operator, steering, steering_derivative
 from onebit_isac.comm_sep import _slice_to_level
-from onebit_isac.crb_metrics import ChainFactors, PtModel, crb_et, et_anchor
+from onebit_isac.crb_metrics import ChainFactors, DensePrior, PtModel, crb_et
 from onebit_isac.estimators import blmmse_matrix
 from onebit_isac.linalg import (
     XtildeOperator,
@@ -38,7 +39,7 @@ from onebit_isac.linalg import (
     unvec,
     vec,
 )
-from onebit_isac.opt_et import build_lt, lam_max_channel
+from onebit_isac.opt_et import lam_max_channel
 from onebit_isac import opt_pt
 from onebit_isac.opt_pt import (
     SurrogateAnchor,
@@ -508,6 +509,20 @@ def dense_et_anchor(x, c_aa, sigma_v_sq, n_t, n_r, block_len, quantization_aware
     return l_mat, m, y, float(np.einsum("ij,ij->", l_mat.conj(), y).real)
 
 
+def forced_dense_prior(c_aa, n_r):
+    """The library's dense path forced onto c_aa, a Kronecker prior or not."""
+    return DensePrior(np.asarray(c_aa), n_r, float(np.trace(c_aa).real))
+
+
+def dense_linear_term(y, c_aa, n_t, n_r, block_len):
+    """l_t with tr(Y^H X~(x) C_aa) = l_t^H x for every x, where Y = M_t^{-1} L_t:
+    l_t[j] = <X~(e_j) C_aa, Y> with X~(e_j) = E_j^T kron I formed explicitly
+    for each basis waveform e_j."""
+    identity = np.eye(n_t * block_len)
+    return np.array([np.vdot(np.kron(unvec(e, n_t, block_len).T, np.eye(n_r)) @ c_aa, y)
+                     for e in identity])
+
+
 def dense_m_tilde(y, quantization_aware=True):
     m_tilde = y @ y.conj().T
     if quantization_aware:
@@ -542,7 +557,7 @@ def uncached_solve_x_et(problem, x_init, rho=0.0, u_i=None, lambda_i=None,
         apply = mbar_apply_matrix_free(dense_m_tilde(y, aware), problem.c_aa, *dims)
         m_bar = np.column_stack([apply(e) for e in identity])
         lam_mbar = 1.01 * float(np.linalg.eigvalsh(m_bar)[-1])
-        l_t = build_lt(unvec(x, problem.n_t, problem.block_len), problem.c_aa, y, problem.n_r)
+        l_t = dense_linear_term(y, problem.c_aa, *dims)
         m_t = l_t + lam_mbar * x - apply(x)
         denom = lam_mbar
         if rho != 0.0 and channel is not None and channel.size:
@@ -687,8 +702,10 @@ def per_trial_et_errors(scenario, x_matrix, n_trials, base_seed, unquantized=Fal
     BLMMSE (unquantized: LMMSE) matrix to that one vector."""
     target = scenario.target
     if unquantized:
-        estimator = et_anchor(x_matrix, target.c_aa, scenario.sigma_v_sq,
-                              quantization_aware=False).m_inv_l.conj().T
+        # C_aa X~^H C_rr^{-1} = (C_rr^{-1} L)^H with X~ formed explicitly
+        estimator = dense_et_anchor(vec(x_matrix), target.c_aa, scenario.sigma_v_sq,
+                                    scenario.n_t, scenario.n_r, scenario.block_len,
+                                    quantization_aware=False)[2].conj().T
     else:
         estimator = blmmse_matrix(x_matrix, target.c_aa, scenario.sigma_v_sq)
     errors = []

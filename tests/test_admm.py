@@ -4,8 +4,8 @@ import pytest
 from onebit_isac import opt_et, opt_pt
 from onebit_isac.admm import AdmmConfig, admm_run, initialize
 from onebit_isac.comm_sep import sep_constraints_satisfied
-from onebit_isac.crb_metrics import (PtModel, crb_et, crb_pt, crb_pt_infinite_resolution,
-                                     mse_et_quantization_unaware)
+from onebit_isac.crb_metrics import (DensePrior, KronPrior, PtModel, crb_et, crb_pt,
+                                     crb_pt_infinite_resolution, mse_et_quantization_unaware)
 from onebit_isac.linalg import h_tilde_apply
 from onebit_isac.scenario import et_scenario, pt_scenario
 
@@ -115,7 +115,7 @@ def test_trace_records_each_outer_waveform_solve(monkeypatch, variant):
 def test_pt_objective_is_read_from_the_last_anchor(monkeypatch, variant, bound):
     # the objective is the solver's info["bound"] at its x; no outer
     # iteration builds a chain or an anchor that the solver did not
-    calls = {"chain_p": 0, "build_anchor": 0, "bound_anchor": 0}
+    calls = {"chain_p": 0, "build_anchor": 0, "prior_anchor": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -125,7 +125,8 @@ def test_pt_objective_is_read_from_the_last_anchor(monkeypatch, variant, bound):
 
     monkeypatch.setattr(PtModel, "chain_p", counted("chain_p", PtModel.chain_p))
     monkeypatch.setattr(opt_pt, "build_anchor", counted("build_anchor", opt_pt.build_anchor))
-    monkeypatch.setattr(opt_et, "bound_anchor", counted("bound_anchor", opt_et.bound_anchor))
+    for prior in (KronPrior, DensePrior):
+        monkeypatch.setattr(prior, "anchor", counted("prior_anchor", prior.anchor))
     if variant.startswith("PT"):
         sc = small_pt()
         cfg = AdmmConfig(rho0=10.0, c_rho=3.0, rho_max=1e6, max_outer=6, max_inner=5)
@@ -140,7 +141,7 @@ def test_pt_objective_is_read_from_the_last_anchor(monkeypatch, variant, bound):
                      sc.n_r, sc.block_len)
     else:
         # one anchor at the start and one at each inner iterate
-        assert calls["bound_anchor"] == 1 + sum(res.trace.inner_iters) > res.n_outer
+        assert calls["prior_anchor"] == 1 + sum(res.trace.inner_iters) > res.n_outer
         want = (bound(sc.unvec_waveform(res.x), sc.target.c_aa, sc.sigma_v_sq)
                 / float(np.trace(sc.target.c_aa).real))
     assert res.trace.objectives[-1] == want
@@ -174,6 +175,28 @@ def test_run_reports_why_it_stopped():
     assert res.n_outer == AdmmConfig.et_defaults().max_outer == 300
     res = admm_run(et_scenario(seed=3), "ET", seed=3)
     assert res.reason == "converged" and res.converged and res.n_outer == 15
+
+
+# the desk design cases with their ADMM outer and summed inner iteration
+# counts and final objectives: any change to them is a change of numbers
+DESK_DESIGNS = [
+    ("PT", 0, 16, 302, 5.323703893336096e-05),
+    ("ET", 0, 19, 348, 0.18852616934310273),
+    ("ET", 1, 46, 920, 0.21950633649344142),
+    ("ET_QU", 0, 300, 800, 0.0041248478916540154),
+    ("PT_INF", 0, 13, 246, 2.1470711351582798e-05),
+    ("ET", 2, 19, 370, 0.1888922992861818),
+    ("ET", 3, 15, 277, 0.18873436062239735),
+    ("ET_QU", 1, 31, 527, 0.007532942862211178),
+]
+
+
+@pytest.mark.parametrize("variant,seed,outer,inner,objective", DESK_DESIGNS)
+def test_desk_design_is_pinned(variant, seed, outer, inner, objective):
+    sc = (pt_scenario if variant.startswith("PT") else et_scenario)(seed=seed)
+    res = admm_run(sc, variant, x_init=initialize(sc, seed)[0], seed=seed)
+    assert (res.n_outer, sum(res.trace.inner_iters)) == (outer, inner)
+    assert res.trace.objectives[-1] == pytest.approx(objective, rel=1e-9)
 
 
 def test_min_sep_power_flags_infeasible_configuration():

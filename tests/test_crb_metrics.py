@@ -13,6 +13,7 @@ from onebit_isac.crb_metrics import (
     mse_et_quantization_unaware,
 )
 from onebit_isac.linalg import complex_normal, unvec
+from onebit_isac.opt_et import EtProblem
 
 
 def random_et_instance(rng, n_t=2, n_r=2, block_len=2, corr=0.5):
@@ -32,6 +33,23 @@ def test_crb_pt_infinite_at_endfire():
 def test_pt_model_rejects_bad_target_power(sigma_alpha_sq):
     with pytest.raises(ValueError):
         crb_pt(np.ones(16) / 4, 0.3, sigma_alpha_sq, 0.1, 4, 2)
+
+
+@pytest.mark.parametrize("sigma_v_sq", [0.0, -0.1, math.nan, math.inf])
+def test_bounds_and_models_reject_bad_noise_power(sigma_v_sq):
+    x, c_aa = random_et_instance(np.random.default_rng(3))
+    calls = [
+        lambda: crb_pt(np.ones(16) / 4, 0.3, 1.0, sigma_v_sq, 4, 2),
+        lambda: crb_pt_infinite_resolution(np.ones(16) / 4, 0.3, 1.0, sigma_v_sq, 4, 2),
+        lambda: PtModel(0.3, 1.0, sigma_v_sq, 4, 4, 2),
+        lambda: crb_et(x, c_aa, sigma_v_sq),
+        lambda: mse_et_quantization_unaware(x, c_aa, sigma_v_sq),
+        lambda: crb_et(x, np.eye(4) + 0.3 * np.ones((4, 4)), sigma_v_sq),  # dense path
+        lambda: EtProblem(c_aa, sigma_v_sq, 2, 2, 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="noise power must be finite and positive"):
+            call()
 
 
 def test_pt_workspace_derivatives_match_finite_differences():

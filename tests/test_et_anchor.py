@@ -1,5 +1,5 @@
-"""The dense extended-target anchor (``et_anchor``) and the dense Mbar against
-the chain they replace: the explicit-Kronecker bound, the matrix-free Mbar
+"""The dense extended-target anchor (``DensePrior.anchor``, forced onto the
+prior) and its dense Mbar against the chain they replace: the explicit-Kronecker bound, the matrix-free Mbar
 apply, the commutation form and the uncached MM loop, quantization-aware and
 -unaware, from desk size up to 8x8 with L = 32. The priors here are
 Kronecker products, so ``EtProblem`` and the bounds run the Kronecker path,
@@ -10,16 +10,18 @@ import pytest
 from helpers_oracles import (
     crb_et_information_form,
     dense_et_anchor,
+    dense_m_tilde,
     dense_mbar_commutation,
+    forced_dense_prior,
     mbar_apply_matrix_free,
     random_ball_point,
     uncached_solve_x_et,
 )
 
 from onebit_isac.array_geometry import EtTarget, exponential_correlation
-from onebit_isac.crb_metrics import crb_et, et_anchor, mse_et_quantization_unaware
+from onebit_isac.crb_metrics import crb_et, et_l_and_m, mse_et_quantization_unaware
 from onebit_isac.linalg import complex_normal, unvec
-from onebit_isac.opt_et import EtProblem, build_mbar, m_tilde_matrix, solve_x_et
+from onebit_isac.opt_et import EtProblem, build_mbar, solve_x_et
 
 RTOL = 1e-12
 SHAPES = [(2, 2, 2), (3, 2, 3), (4, 4, 8), (8, 8, 32)]
@@ -35,6 +37,12 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+def dense_anchor(prob, x_mat):
+    """The problem's anchor on the dense path, whatever its prior."""
+    return forced_dense_prior(prob.c_aa, prob.n_r).anchor(x_mat, prob.sigma_v_sq,
+                                                         prob.quantization_aware)
+
+
 @pytest.mark.parametrize("aware", [True, False])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_dense_mbar_matches_matrix_free_apply(shape, aware):
@@ -42,9 +50,9 @@ def test_dense_mbar_matches_matrix_free_apply(shape, aware):
     rng = np.random.default_rng(sum(shape))
     prob = make_problem(n_t, n_r, block_len, aware)
     x = random_ball_point(rng, n_t * block_len)
-    anchor = et_anchor(unvec(x, n_t, block_len), prob.c_aa, prob.sigma_v_sq, aware)
-    m_bar, lam_max = build_mbar(anchor, prob.c_aa, n_r, aware)
-    apply = mbar_apply_matrix_free(m_tilde_matrix(anchor, aware), prob.c_aa, *shape)
+    anchor = dense_anchor(prob, unvec(x, n_t, block_len))
+    m_bar, lam_max = build_mbar(anchor, aware)
+    apply = mbar_apply_matrix_free(dense_m_tilde(anchor.m_inv_l, aware), prob.c_aa, *shape)
     dim = n_t * block_len
     oracle = np.column_stack([apply(e) for e in np.eye(dim, dtype=complex)])
     assert rel_err(m_bar, oracle) <= RTOL
@@ -60,9 +68,9 @@ def test_dense_mbar_matches_commutation_form(shape, aware):
     rng = np.random.default_rng(10 + sum(shape))
     prob = make_problem(n_t, n_r, block_len, aware)
     x_mat = unvec(random_ball_point(rng, n_t * block_len), n_t, block_len)
-    anchor = et_anchor(x_mat, prob.c_aa, prob.sigma_v_sq, aware)
-    m_bar = build_mbar(anchor, prob.c_aa, n_r, aware)[0]
-    oracle = dense_mbar_commutation(m_tilde_matrix(anchor, aware), prob.c_aa, *shape)
+    anchor = dense_anchor(prob, x_mat)
+    m_bar = build_mbar(anchor, aware)[0]
+    oracle = dense_mbar_commutation(dense_m_tilde(anchor.m_inv_l, aware), prob.c_aa, *shape)
     assert rel_err(m_bar, oracle) <= RTOL
 
 
@@ -73,10 +81,11 @@ def test_anchor_matches_dense_kronecker_chain(shape, aware):
     rng = np.random.default_rng(20 + sum(shape))
     prob = make_problem(n_t, n_r, block_len, aware)
     x = random_ball_point(rng, n_t * block_len)
-    anchor = et_anchor(unvec(x, n_t, block_len), prob.c_aa, prob.sigma_v_sq, aware)
+    anchor = dense_anchor(prob, unvec(x, n_t, block_len))
     l_mat, m, y, gain = dense_et_anchor(x, prob.c_aa, prob.sigma_v_sq, *shape, aware)
-    assert rel_err(anchor.l_mat, l_mat) <= RTOL
-    assert rel_err(anchor.m, m) <= RTOL
+    lib_l, lib_m = et_l_and_m(unvec(x, n_t, block_len), prob.c_aa, prob.sigma_v_sq, aware)
+    assert rel_err(lib_l, l_mat) <= RTOL
+    assert rel_err(lib_m, m) <= RTOL
     assert rel_err(anchor.m_inv_l, y) <= 1e-10
     assert anchor.gain == pytest.approx(gain, rel=RTOL)
     x_mat = unvec(x, n_t, block_len)

@@ -1,17 +1,21 @@
 """The extended-target chain on a Kronecker prior (L x L eigenbasis) against
-the dense oracles it replaces: gain, bound, l_t, Mbar, Mbar x and
-lambda_max(Mbar), quantization-aware and -unaware, with real and complex
-correlations, a non-unit constant diag(Phi_R), n_r = 1 and n_t = 1; the
-dense path for priors that are not one Kronecker product; and a guard that
-no n_r L or n_t L matrix is factored, solved or eigendecomposed."""
+the dense oracles it replaces and against the library's dense path forced
+onto the same prior: gain, bound, l_t, Mbar, Mbar x and lambda_max(Mbar),
+quantization-aware and -unaware, with real and complex correlations, a
+non-unit constant diag(Phi_R), n_r = 1 and n_t = 1; the dense path for
+priors that are not one Kronecker product; the size check of et_prior; and
+a guard that no n_r L or n_t L matrix is factored, solved or
+eigendecomposed."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 from helpers_oracles import (
     dense_et_anchor,
+    dense_linear_term,
     dense_m_tilde,
     dense_mbar_commutation,
+    forced_dense_prior,
     mbar_apply_matrix_free,
     uncached_solve_x_et,
 )
@@ -19,15 +23,17 @@ from helpers_oracles import (
 from onebit_isac import crb_metrics, linalg
 from onebit_isac.array_geometry import EtTarget, exponential_correlation
 from onebit_isac.crb_metrics import (
+    DensePrior,
     EtAnchor,
     KronAnchor,
+    KronMbar,
+    KronPrior,
     crb_et,
-    et_anchor,
-    kronecker_prior,
+    et_prior,
     mse_et_quantization_unaware,
 )
 from onebit_isac.linalg import complex_normal, unvec
-from onebit_isac.opt_et import EtProblem, KronMbar, build_lt, build_mbar, solve_x_et
+from onebit_isac.opt_et import EtProblem, build_mbar, solve_x_et
 
 # (n_t, n_r, L, diag(Phi_R)); the commutation oracle covers n_r L, n_t L <= 64
 SHAPES = [(4, 4, 8, 1.0), (3, 5, 7, 2.5), (2, 1, 4, 1.0), (1, 3, 5, 2.5), (8, 8, 32, 1.0)]
@@ -71,8 +77,8 @@ def test_kron_path_matches_dense_oracles(shape, aware, kind):
     bound = (crb_et if aware else mse_et_quantization_unaware)(x_mat, c_aa, 1e-3)
     assert bound == anchor.bound
     assert bound == pytest.approx(np.trace(c_aa).real - gain, rel=rtol)
-    assert rel_err(anchor.linear_term(), build_lt(x_mat, c_aa, y, n_r)) <= rtol
-    m_bar, lam_max = build_mbar(anchor, c_aa, n_r, aware)
+    assert rel_err(anchor.linear_term(), dense_linear_term(y, c_aa, n_t, n_r, block_len)) <= rtol
+    m_bar, lam_max = build_mbar(anchor, aware)
     assert isinstance(m_bar, KronMbar)
     dims = (n_t, n_r, block_len)
     apply = mbar_apply_matrix_free(dense_m_tilde(y, aware), c_aa, *dims)
@@ -86,19 +92,66 @@ def test_kron_path_matches_dense_oracles(shape, aware, kind):
     assert lam_max == pytest.approx(1.01 * lam_true, rel=rtol)
 
 
-def test_kronecker_prior_reads_the_factors_of_c_aa():
+@pytest.mark.parametrize("kind", ["exponential", "complex"])
+@pytest.mark.parametrize("aware", [True, False])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_dense_prior_forced_on_a_kronecker_prior_matches_it(shape, aware, kind):
+    n_t, n_r, block_len, diag = shape
+    rng = np.random.default_rng(7 + n_t * 100 + n_r * 10 + block_len)
+    c_aa = kron_target(kind, n_t, n_r, diag, rng).c_aa
+    kron = et_prior(c_aa, n_r, n_t)
+    assert isinstance(kron, KronPrior)
+    dense = forced_dense_prior(c_aa, n_r)
+    x = complex_normal(rng, n_t * block_len)
+    x /= np.linalg.norm(x)
+    x_mat = unvec(x, n_t, block_len)
+    k_anchor = kron.anchor(x_mat, 1e-3, aware)
+    d_anchor = dense.anchor(x_mat, 1e-3, aware)
+    assert isinstance(d_anchor, EtAnchor)
+    assert k_anchor.gain == pytest.approx(d_anchor.gain, rel=1e-9)
+    assert k_anchor.bound == pytest.approx(d_anchor.bound, rel=1e-9)
+    assert rel_err(k_anchor.linear_term(), d_anchor.linear_term()) <= 1e-9
+    k_mbar, k_lam = k_anchor.mbar(aware)
+    d_mbar, d_lam = d_anchor.mbar(aware)
+    assert rel_err(k_mbar @ x, d_mbar @ x) <= 1e-9
+    assert k_lam == pytest.approx(d_lam, rel=1e-9)
+
+
+def test_et_prior_reads_the_factors_of_c_aa():
     rng = np.random.default_rng(1)
     phi_r, phi_t = complex_correlation(rng, 3, 2.5), complex_correlation(rng, 4, 0.4)
     c_aa = np.kron(phi_t.T, phi_r)
-    kron = kronecker_prior(c_aa, 3)
+    kron = et_prior(c_aa, 3, 4)
+    assert isinstance(kron, KronPrior)
     # Phi_R' = 0.4 Phi_R and Phi_T' = Phi_T / 0.4
     np.testing.assert_allclose(kron.phi_t, phi_t / 0.4, rtol=0, atol=1e-14)
     np.testing.assert_allclose(kron.sigma_r, 0.4 * np.linalg.eigvalsh(phi_r), rtol=1e-13)
     assert kron.c == pytest.approx(1.0, rel=1e-14)
     assert kron.lam_max_t == pytest.approx(np.linalg.eigvalsh(phi_t)[-1] / 0.4, rel=1e-13)
     assert kron.trace == float(np.trace(c_aa).real)
-    assert kronecker_prior(np.eye(6), 3) is not None
-    assert kronecker_prior(np.zeros((6, 6)), 3) is None
+    assert isinstance(et_prior(np.eye(6), 3, 2), KronPrior)
+    zero = et_prior(np.zeros((6, 6)), 3, 2)
+    assert isinstance(zero, DensePrior) and zero.n_r == 3 and zero.trace == 0.0
+
+
+@pytest.mark.parametrize("c_aa,n_r,n_t", [
+    (np.eye(6), 2, 2),  # the wrong size
+    (np.eye(6)[:, :4], 2, 3),  # not square
+    (np.eye(4)[None], 2, 2),  # not a matrix
+    (np.eye(4), 0, 4),  # no receive antenna
+])
+def test_et_prior_rejects_a_prior_of_the_wrong_shape(c_aa, n_r, n_t):
+    with pytest.raises(ValueError, match=f"n_r = {n_r} times n_t = {n_t}.*got shape"):
+        et_prior(c_aa, n_r, n_t)
+
+
+@pytest.mark.parametrize("bound", [crb_et, mse_et_quantization_unaware])
+@pytest.mark.parametrize("shape", [(6, 6), (6, 4), (4, 6), (8,)])
+def test_bounds_reject_a_prior_that_does_not_fit_x(bound, shape):
+    # X has n_t = 4: a 6 x 6 prior is not a multiple of it, the others are not square
+    x_mat = np.ones((4, 3)) / np.sqrt(12.0)
+    with pytest.raises(ValueError, match=r"c_aa must be .* got shape"):
+        bound(x_mat, np.ones(shape), 0.1)
 
 
 def non_kronecker_priors():
@@ -120,19 +173,21 @@ def non_kronecker_priors():
 @pytest.mark.parametrize("n_t,n_r,c_aa", list(non_kronecker_priors()))
 def test_non_kronecker_prior_takes_the_dense_path(n_t, n_r, c_aa, aware):
     block_len = 3
-    assert kronecker_prior(c_aa, n_r) is None
+    assert isinstance(et_prior(c_aa, n_r, n_t), DensePrior)
     prob = EtProblem(c_aa, 0.05, n_t, n_r, block_len, quantization_aware=aware)
     rng = np.random.default_rng(3)
     x = complex_normal(rng, n_t * block_len)
     x /= np.linalg.norm(x)
     x_mat = unvec(x, n_t, block_len)
     anchor = prob.anchor(x)
-    dense = et_anchor(x_mat, c_aa, 0.05, aware)
+    _, _, y, gain = dense_et_anchor(x, c_aa, 0.05, n_t, n_r, block_len, aware)
     assert isinstance(anchor, EtAnchor)
-    assert anchor.gain == dense.gain and anchor.bound == dense.bound
+    assert anchor.gain == pytest.approx(gain, rel=1e-12)
+    assert rel_err(anchor.m_inv_l, y) <= 1e-10
+    assert rel_err(anchor.linear_term(), dense_linear_term(y, c_aa, n_t, n_r, block_len)) <= 1e-12
     bound = (crb_et if aware else mse_et_quantization_unaware)(x_mat, c_aa, 0.05)
-    assert bound == dense.bound
-    m_bar, _ = build_mbar(anchor, c_aa, n_r, aware)
+    assert bound == anchor.bound
+    m_bar, _ = build_mbar(anchor, aware)
     assert isinstance(m_bar, np.ndarray)
     k = 2
     kw = dict(rho=0.7, u_i=complex_normal(rng, k * block_len),

@@ -102,7 +102,7 @@ def test_xtilde_gram_and_right_multiply():
     c = random_psd(rng, 6)
     l_mat = op.right_multiply(c)
     assert np.allclose(l_mat, dense @ c, atol=1e-12)
-    # the Gram as et_anchor forms it: X~ C X~^H = (X~ L^H)^H
+    # the Gram as et_l_and_m forms it: X~ C X~^H = (X~ L^H)^H
     gram = op.right_multiply(l_mat.conj().T).conj().T
     assert np.allclose(gram, dense @ c @ dense.conj().T, atol=1e-12)
 

@@ -3,22 +3,22 @@ import pytest
 from helpers_oracles import (
     commutation_apply,
     commutation_matrix,
+    dense_m_tilde,
     dense_mbar_commutation,
+    forced_dense_prior,
     random_ball_point,
     xtilde_dense,
 )
 
 from onebit_isac.array_geometry import EtTarget, exponential_correlation
-from onebit_isac.crb_metrics import crb_et, et_anchor, mse_et_quantization_unaware
+from onebit_isac.crb_metrics import crb_et, et_l_and_m, et_prior, mse_et_quantization_unaware
 from onebit_isac.linalg import XtildeOperator, complex_normal, hermitian_solve, unvec
 from onebit_isac.opt_et import (
     EtProblem,
     augmented_objective_et,
     build_et_surrogate,
-    build_lt,
     build_mbar,
     lam_max_channel,
-    m_tilde_matrix,
     mm_update_et,
     solve_x_et,
 )
@@ -28,6 +28,11 @@ def make_problem(n_t=2, n_r=2, block_len=2, sv=0.05, corr=0.5, aware=True):
     c_aa = EtTarget(exponential_correlation(n_r, corr), exponential_correlation(n_t, corr)).c_aa
     return EtProblem(c_aa=c_aa, sigma_v_sq=sv, n_t=n_t, n_r=n_r,
                      block_len=block_len, quantization_aware=aware)
+
+
+def both_priors(c_aa, n_r, n_t):
+    """The Kronecker prior of c_aa and the dense path forced onto it."""
+    return et_prior(c_aa, n_r, n_t), forced_dense_prior(c_aa, n_r)
 
 
 def test_commutation_identity_cases():
@@ -60,44 +65,40 @@ def test_commutation_dense_guard():
         commutation_apply(2, 3, np.zeros(5))
 
 
-def test_build_lt_trace_identity():
+def test_linear_term_trace_identity():
+    # on the Kronecker path and on the dense path forced onto the same prior
     rng = np.random.default_rng(3)
     prob = make_problem()
     x_t = random_ball_point(rng, 4)
     x_mat = unvec(x_t, 2, 2)
-    op_t = XtildeOperator(x_mat, 2)
-    m_t = et_anchor(x_mat, prob.c_aa, prob.sigma_v_sq).m
-    l_big = op_t.right_multiply(prob.c_aa)
-    y_t = hermitian_solve(m_t, l_big)
-    l_t = build_lt(x_mat, prob.c_aa, y_t, 2)
-    for _ in range(20):
-        xr = complex_normal(rng, 4)
-        lx = XtildeOperator(unvec(xr, 2, 2), 2).right_multiply(prob.c_aa)
-        tr_form = np.einsum("ij,ij->", l_big.conj(), hermitian_solve(m_t, lx))
-        assert abs(tr_form - np.vdot(l_t, xr)) < 1e-10
+    l_big, m_t = et_l_and_m(x_mat, prob.c_aa, prob.sigma_v_sq)
+    for prior in both_priors(prob.c_aa, 2, 2):
+        l_t = prior.anchor(x_mat, prob.sigma_v_sq, True).linear_term()
+        for _ in range(20):
+            xr = complex_normal(rng, 4)
+            lx = XtildeOperator(unvec(xr, 2, 2), 2).right_multiply(prob.c_aa)
+            tr_form = np.einsum("ij,ij->", l_big.conj(), hermitian_solve(m_t, lx))
+            assert abs(tr_form - np.vdot(l_t, xr)) < 1e-10
 
 
-def test_build_lt_zero_cases():
+def test_linear_term_zero_cases():
     prob = make_problem()
     zero_x = np.zeros((2, 2), dtype=complex)
-    op = XtildeOperator(zero_x, 2)
-    y = hermitian_solve(et_anchor(zero_x, prob.c_aa, prob.sigma_v_sq).m,
-                        op.right_multiply(prob.c_aa))
-    assert np.allclose(build_lt(zero_x, prob.c_aa, y, 2), 0.0)
+    for prior in both_priors(prob.c_aa, 2, 2):
+        assert np.allclose(prior.anchor(zero_x, prob.sigma_v_sq, True).linear_term(), 0.0)
     rng = np.random.default_rng(4)
     x_mat = unvec(complex_normal(rng, 4), 2, 2)
-    c_zero = np.zeros((4, 4))
-    y2 = np.zeros((4, 4), dtype=complex)
-    assert np.allclose(build_lt(x_mat, c_zero, y2, 2), 0.0)
+    zero_prior = et_prior(np.zeros((4, 4)), 2, 2)
+    assert np.allclose(zero_prior.anchor(x_mat, prob.sigma_v_sq, True).linear_term(), 0.0)
 
 
 def test_mbar_matches_dense_commutation_form():
     rng = np.random.default_rng(5)
     prob = make_problem()
     x_t = random_ball_point(rng, 4)
-    anchor = et_anchor(unvec(x_t, 2, 2), prob.c_aa, prob.sigma_v_sq)
-    m_bar, lam_max = build_mbar(anchor, prob.c_aa, 2)
-    dense = dense_mbar_commutation(m_tilde_matrix(anchor), prob.c_aa, 2, 2, 2)
+    anchor = both_priors(prob.c_aa, 2, 2)[1].anchor(unvec(x_t, 2, 2), prob.sigma_v_sq, True)
+    m_bar, lam_max = build_mbar(anchor)
+    dense = dense_mbar_commutation(dense_m_tilde(anchor.m_inv_l), prob.c_aa, 2, 2, 2)
     for _ in range(20):
         xr = complex_normal(rng, 4)
         assert np.linalg.norm(m_bar @ xr - dense @ xr) < 1e-9
@@ -111,7 +112,7 @@ def test_mbar_psd_and_bound_on_probes():
     rng = np.random.default_rng(6)
     prob = make_problem(n_t=3, n_r=2, block_len=3)
     x_t = random_ball_point(rng, 9)
-    m_bar, lam_max = build_mbar(prob.anchor(x_t), prob.c_aa, 2)
+    m_bar, lam_max = build_mbar(prob.anchor(x_t))
     for _ in range(100):
         v = complex_normal(rng, 9)
         quad = np.vdot(v, m_bar @ v).real
@@ -218,8 +219,8 @@ def test_qu_variant_structural_degeneration():
     prob_aware = make_problem(aware=True)
     prob_qu = make_problem(aware=False)
     x = random_ball_point(rng, 4)
-    m_qu = et_anchor(unvec(x, 2, 2), prob_qu.c_aa, prob_qu.sigma_v_sq,
-                     quantization_aware=False).m
+    m_qu = et_l_and_m(unvec(x, 2, 2), prob_qu.c_aa, prob_qu.sigma_v_sq,
+                      quantization_aware=False)[1]
     xd = xtilde_dense(unvec(x, 2, 2), 2)
     gram = xd @ prob_qu.c_aa @ xd.conj().T
     assert np.allclose(m_qu, gram + prob_qu.sigma_v_sq * np.eye(4), atol=1e-12)

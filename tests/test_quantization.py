@@ -3,7 +3,7 @@ import pytest
 from helpers_oracles import dense_operator, dense_pt_workspace, lift, lift_vector, linearized_czz
 
 from onebit_isac.array_geometry import pt_response_operator
-from onebit_isac.crb_metrics import PtModel, et_anchor
+from onebit_isac.crb_metrics import PtModel, et_l_and_m
 from onebit_isac.linalg import complex_normal, psd_sqrt
 from onebit_isac.quantization import (
     TWO_OVER_PI,
@@ -166,7 +166,7 @@ def test_crr_pt_rejects_bad_noise():
 def crr_et(x_matrix, c_aa, sigma_v_sq):
     """Extended-target echo covariance X~ C_aa X~^H + sigma_v^2 I: the M of
     the quantization-unaware anchor."""
-    return et_anchor(x_matrix, c_aa, sigma_v_sq, quantization_aware=False).m
+    return et_l_and_m(x_matrix, c_aa, sigma_v_sq, quantization_aware=False)[1]
 
 
 def test_crr_et_zero_waveform():

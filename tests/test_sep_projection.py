@@ -308,6 +308,28 @@ def test_spec_is_checked_when_built():
         SepSpec(s, a, b, 0.3)
 
 
+def test_spec_from_lists_solves_like_one_from_arrays():
+    rng = np.random.default_rng(11)
+    lam, spec = random_block(rng, 1)
+    listed = SepSpec(spec.s.tolist(), spec.a.tolist(), spec.b.tolist(), spec.gamma)
+    assert all(np.array_equal(getattr(listed, f), getattr(spec, f)) for f in "sab")
+    u, d = solve_block(lam, spec)
+    u_listed, d_listed = solve_block(lam, listed)
+    assert np.array_equal(u, u_listed) and np.array_equal(d, d_listed)
+
+
+@pytest.mark.parametrize("shapes", [
+    ((1, 2), (1, 2), (1, 2)),  # odd row count
+    ((2, 2), (2, 3), (2, 2)),  # a does not match s
+    ((2, 2), (2, 2), (4, 2)),  # b does not match s
+    ((4,), (4,), (4,)),  # not 2-D
+])
+def test_spec_rejects_mismatched_shapes(shapes):
+    s, a, b = (np.full(shape, f) for shape, f in zip(shapes, (1.0, 0.3, 0.3)))
+    with pytest.raises(ValueError, match=r"\(2K, L\) shape"):
+        SepSpec(s, a, b, 0.3)
+
+
 def test_gamma_must_be_positive():
     with pytest.raises(ValueError, match="gamma must be positive"):
         UserQpInstance(np.array([0.0]), np.array([1.0]), np.array([0.1]),
