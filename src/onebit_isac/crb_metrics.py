@@ -121,6 +121,18 @@ def check_noise_power(sigma_v_sq):
         raise ValueError(f"noise power must be finite and positive, got {sigma_v_sq}")
 
 
+def check_waveform(x_matrix):
+    """x_matrix as an array; raise ValueError unless it is an n_t x L matrix
+    with n_t, L >= 1 and finite entries."""
+    x_matrix = np.asarray(x_matrix)
+    if x_matrix.ndim != 2 or 0 in x_matrix.shape:
+        raise ValueError(f"waveform must be an n_t x L matrix with n_t, L >= 1, "
+                         f"got shape {x_matrix.shape}")
+    if not np.isfinite(x_matrix).all():
+        raise ValueError("waveform has non-finite entries")
+    return x_matrix
+
+
 def bound_from_trace(t):
     """1 / t for the trace t = tr(P dC), or math.inf below INFINITE_CRB_FLOOR."""
     return math.inf if t < INFINITE_CRB_FLOOR else 1.0 / t
@@ -428,7 +440,7 @@ def et_prior(c_aa, n_r, n_t):
 
 
 def _prior_bound(x_matrix, c_aa, sigma_v_sq, quantization_aware):
-    x_matrix = np.asarray(x_matrix)
+    x_matrix = check_waveform(x_matrix)
     n_t = x_matrix.shape[0]
     prior = et_prior(c_aa, np.shape(c_aa)[0] // n_t, n_t)
     return prior.anchor(x_matrix, sigma_v_sq, quantization_aware).bound

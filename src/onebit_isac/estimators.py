@@ -3,7 +3,6 @@ point targets, the Bussgang-linearized LMMSE response estimator for extended
 targets, and the seeded Monte-Carlo MSE harness."""
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,7 +10,8 @@ from scipy.linalg import lapack
 
 from .array_geometry import pt_response_operator, steering
 from .crb_metrics import et_l_and_m
-from .linalg import complex_from_normals, hermitian_factor, hermitian_solve, unvec, vec, vec_rows
+from .linalg import (complex_from_normals, hermitian_factor, hermitian_solve, integer_at_least,
+                     unvec, vec, vec_rows)
 from .quantization import (arcsine_law, bussgang_gain, covariance_czz_exact, positive_diagonal,
                            quantize_one_bit)
 
@@ -20,12 +20,6 @@ HALF_PI = np.pi / 2.0
 REFINE_OFFSETS = np.arange(-10, 11)
 # complex entries per stack of covariances (and per stack of their factors)
 _STACK_ENTRIES = 1 << 18
-
-
-def _integer_at_least(value, low):
-    """True when value is an integer (bool excluded) of at least low."""
-    return (not isinstance(value, bool) and isinstance(value, numbers.Integral)
-            and value >= low)
 
 
 @dataclass
@@ -39,7 +33,7 @@ class MleConfig:
     def __post_init__(self):
         if not 0.0 < self.coarse_grid_step <= np.pi:
             raise ValueError("coarse grid step must lie in (0, pi]")
-        if not _integer_at_least(self.refine_levels, 0):
+        if not integer_at_least(self.refine_levels, 0):
             raise ValueError("refine levels must be a non-negative integer")
         if not 0.0 < self.refine_shrink < 1.0:
             raise ValueError("refine shrink must lie in (0, 1)")
@@ -248,13 +242,89 @@ class TrialsSummary:
         return self.mse / self.normalizer
 
 
+# numpy's SeedSequence hash and PCG64 seeding, under the names that
+# numpy/random/bit_generator.pyx and numpy/random/src/pcg64/pcg64.h give them.
+# SeedSequence follows O'Neill's randutils seed_seq_fe; PCG64 is O'Neill's
+# PCG, HMC-CS-2014-0905.
+DEFAULT_POOL_SIZE = 4
+INIT_A = 0x43B0D7E5
+MULT_A = 0x931E8875
+INIT_B = 0x8B51F9DD
+MULT_B = 0x58F38DED
+MIX_MULT_L = 0xCA01F9DD
+MIX_MULT_R = 0x4973F715
+XSHIFT = 16  # half the bits of a uint32
+MASK32 = 0xFFFFFFFF
+PCG_DEFAULT_MULTIPLIER_HIGH = 2549297995355413924
+PCG_DEFAULT_MULTIPLIER_LOW = 4865540595714422341
+PCG_DEFAULT_MULTIPLIER_128 = PCG_DEFAULT_MULTIPLIER_HIGH << 64 | PCG_DEFAULT_MULTIPLIER_LOW
+MASK128 = (1 << 128) - 1
+# seeds below this fill at most the pool's 4 words, which is all _seed_states hashes
+SEED_BOUND = 1 << 32 * DEFAULT_POOL_SIZE
+
+
+def _seed_states(seeds):
+    """(T, 4) uint64: row t is SeedSequence(seeds[t]).generate_state(4,
+    uint64), for seeds in [0, SEED_BOUND), hashed for all T seeds at once.
+
+    SeedSequence splits a seed into little-endian uint32 words and pads them
+    with zero words to the pool size, so a seed below 2^128 hashes as its
+    four words whatever their count.
+    """
+    pool = [np.array([seed >> shift & MASK32 for seed in seeds], dtype=np.uint32)
+            for shift in range(0, 32 * DEFAULT_POOL_SIZE, 32)]
+    hash_const = INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * MULT_A & MASK32
+        value = value * hash_const
+        return value ^ value >> XSHIFT
+
+    pool = [hashmix(word) for word in pool]
+    for i_src in range(DEFAULT_POOL_SIZE):
+        for i_dst in range(DEFAULT_POOL_SIZE):
+            if i_src != i_dst:
+                mixed = MIX_MULT_L * pool[i_dst] - MIX_MULT_R * hashmix(pool[i_src])
+                pool[i_dst] = mixed ^ mixed >> XSHIFT
+    hash_const = INIT_B
+    state = []
+    for i_dst in range(2 * DEFAULT_POOL_SIZE):
+        data_val = pool[i_dst % DEFAULT_POOL_SIZE] ^ hash_const
+        hash_const = hash_const * MULT_B & MASK32
+        data_val = data_val * hash_const
+        state.append((data_val ^ data_val >> XSHIFT).astype(np.uint64))
+    # uint64 word k joins uint32 words 2k (low) and 2k + 1 (high)
+    return np.stack([state[2 * k] | state[2 * k + 1] << 32
+                     for k in range(DEFAULT_POOL_SIZE)], axis=1)
+
+
 def _trial_normals(seeds, count):
     """(T, count) standard normals: row t is the first count draws of
-    default_rng(seeds[t]), made in one call. One call draws the same values
-    as consecutive calls that split them."""
+    default_rng(seeds[t]), for seeds in [0, SEED_BOUND), made in one call.
+    One call draws the same values as consecutive calls that split them.
+
+    No generator is built per trial. _seed_states hashes every seed at once;
+    each row's words s0..s3 set one reused PCG64 as pcg_setseq_128_srandom_r
+    seeds it, inc = (s2 s3) << 1 | 1 and state = ((s0 s1) + inc) MULT + inc
+    mod 2^128, where (a b) is the 128-bit integer of high word a and low word
+    b; one Generator on it draws the row. The first row is checked against
+    default_rng(seeds[0]): a numpy that seeds otherwise raises RuntimeError.
+    """
+    generator = np.random.default_rng(seeds[0])
+    first = generator.standard_normal(count)
+    bit_generator = generator.bit_generator
     normals = np.empty((len(seeds), count))
-    for row, seed in zip(normals, seeds):
-        np.random.default_rng(seed).standard_normal(out=row)
+    for row, (s0, s1, s2, s3) in zip(normals, _seed_states(seeds).tolist()):
+        inc = ((s2 << 64 | s3) << 1 | 1) & MASK128
+        state = ((inc + (s0 << 64 | s1)) * PCG_DEFAULT_MULTIPLIER_128 + inc) & MASK128
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        generator.standard_normal(out=row)
+    if not np.array_equal(normals[0], first):
+        raise RuntimeError(f"numpy {np.__version__} seeds PCG64 unlike estimators._seed_states: "
+                           f"trial seed {seeds[0]} does not draw default_rng's stream")
     return normals
 
 
@@ -313,13 +383,15 @@ def run_trials(scenario, waveform, n_trials, base_seed, cfg=None, unquantized=Fa
     The estimator is built once: the MLE grid for a point target, the
     BLMMSE matrix for an extended target (unquantized=True: the LMMSE matrix
     on unquantized echoes; point targets have no such estimator). Trial t
-    makes one standard_normal call of default_rng(base_seed + t): for a
-    point target the real and imaginary parts of its reflection coefficient
-    (scaled to unit modulus, uniform phase) and then of its noise, for an
-    extended target those of its response and then of its noise. The draws
-    and the algebra after them run on the whole block of trials at once, and
-    the block holds O(n_trials n_r L) entries. Results do not depend on
-    batch size and repeat bit-exactly.
+    makes one standard_normal call from the stream of default_rng(base_seed
+    + t), seeded without building one (_trial_normals): for a point target
+    the real and imaginary parts of its reflection coefficient (scaled to
+    unit modulus, uniform phase) and then of its noise, for an extended
+    target those of its response and then of its noise. The draws and the
+    algebra after them run on the whole block of trials at once, and the
+    block holds O(n_trials n_r L) entries. Results do not depend on batch
+    size and repeat bit-exactly. The seeds must stay below 2^128
+    (SEED_BOUND), the seeds whose SeedSequence pool they fill.
 
     A numerical failure of the setup (NUMERICAL_ERRORS, or a non-finite
     waveform) fails every trial; a point-target grid angle, coarse or fine,
@@ -328,10 +400,14 @@ def run_trials(scenario, waveform, n_trials, base_seed, cfg=None, unquantized=Fa
     instead of aborting the batch; any other exception, ValueError included,
     propagates.
     """
-    if not _integer_at_least(n_trials, 1):
+    if not integer_at_least(n_trials, 1):
         raise ValueError(f"n_trials must be an integer of at least 1, got {n_trials!r}")
-    if not _integer_at_least(base_seed, 0):
+    if not integer_at_least(base_seed, 0):
         raise ValueError(f"base_seed must be a non-negative integer, got {base_seed!r}")
+    n_trials, base_seed = int(n_trials), int(base_seed)
+    if base_seed + n_trials > SEED_BOUND:
+        raise ValueError(f"base_seed + n_trials - 1 must be below 2**128, got base_seed "
+                         f"{base_seed} and n_trials {n_trials}")
     pt = scenario.kind == "pt"
     if pt and unquantized:
         raise ValueError("unquantized trials need an extended target")
@@ -350,21 +426,20 @@ def run_trials(scenario, waveform, n_trials, base_seed, cfg=None, unquantized=Fa
     diff = (estimates - truths).reshape(n_trials, -1)
     # stacked dot products: each error gets the bits of vdot(diff_t, diff_t)
     errors = (diff.conj()[:, None, :] @ diff[:, :, None]).real.ravel()
+    kept = np.isfinite(errors)
+    kept[list(failed)] = False
     records, failures = [], {}
     for t, seed in enumerate(seeds):
-        if t in failed:
-            reason = _reason(failed[t])
-        elif math.isfinite(errors[t]):
+        if kept[t]:
             records.append(TrialResult(estimates[t], truths[t], float(errors[t]), seed))
             continue
-        else:
-            reason = "non-finite squared error"
+        reason = _reason(failed[t]) if t in failed else "non-finite squared error"
         failures[reason] = failures.get(reason, 0) + 1
     n_failed = n_trials - len(records)
     if not records:
         return TrialsSummary(math.nan, math.nan, n_trials, n_failed, normalizer, records,
                              failures)
-    errors = np.array([rec.squared_error for rec in records])
+    errors = errors[kept]
     mse = float(errors.mean())
     se = float(errors.std(ddof=1) / math.sqrt(errors.size)) if errors.size > 1 else 0.0
     return TrialsSummary(mse, se, n_trials, n_failed, normalizer, records, failures)

@@ -1,9 +1,11 @@
 """Shared complex linear algebra: column-stacked vectorization, guarded
 Hermitian solves, PSD square roots, power iteration, the structured
-operators (X^T kron I, I kron H) used throughout the library, and the ADMM
-penalty and power check that both waveform solvers share."""
+operators (X^T kron I, I kron H) used throughout the library, the ADMM
+penalty and power check that both waveform solvers share, and the integer
+check of sizes and counts."""
 
 import math
+import numbers
 
 import numpy as np
 import scipy.linalg as sla
@@ -162,6 +164,12 @@ def penalty_value(x, block_len, rho, u_i, lambda_i, channel):
         return 0.0
     w = h_tilde_apply(channel, x, block_len) - u_i + lambda_i
     return rho * float(np.vdot(w, w).real)
+
+
+def integer_at_least(value, low):
+    """True when value is an integer (bool excluded) of at least low."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Integral)
+            and value >= low)
 
 
 def check_power(x, power):

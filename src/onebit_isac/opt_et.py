@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crb_metrics import check_noise_power, et_prior
-from .linalg import (check_power, h_tilde_adjoint, h_tilde_apply, penalty_value,
-                     project_power_ball, unvec)
+from .crb_metrics import check_noise_power, check_waveform, et_prior
+from .linalg import (check_power, h_tilde_adjoint, h_tilde_apply, integer_at_least,
+                     penalty_value, project_power_ball, unvec)
 
 
 @dataclass
@@ -35,6 +35,10 @@ class EtProblem:
     _prior: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("n_t", "n_r", "block_len"):
+            if not integer_at_least(getattr(self, name), 1):
+                raise ValueError(f"{name} must be an integer of at least 1, "
+                                 f"got {getattr(self, name)!r}")
         check_noise_power(self.sigma_v_sq)
         self.c_aa = np.asarray(self.c_aa)
         self._prior = et_prior(self.c_aa, self.n_r, self.n_t)
@@ -42,13 +46,14 @@ class EtProblem:
     def anchor(self, x):
         """The prior's anchor at waveform x: a
         :class:`~onebit_isac.crb_metrics.KronAnchor` or an
-        :class:`~onebit_isac.crb_metrics.EtAnchor`."""
+        :class:`~onebit_isac.crb_metrics.EtAnchor`. Raises ValueError
+        when x is not finite."""
         x = np.asarray(x)
         last = self._last
         if last is not None and np.array_equal(last[0], x):
             return last[1]
-        anchor = self._prior.anchor(unvec(x, self.n_t, self.block_len), self.sigma_v_sq,
-                                    self.quantization_aware)
+        anchor = self._prior.anchor(check_waveform(unvec(x, self.n_t, self.block_len)),
+                                    self.sigma_v_sq, self.quantization_aware)
         self._last = (x.copy(), anchor)
         return anchor
 

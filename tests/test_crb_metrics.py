@@ -52,6 +52,41 @@ def test_bounds_and_models_reject_bad_noise_power(sigma_v_sq):
             call()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "rows", "columns", "vector"])
+def test_et_bounds_and_problem_reject_bad_waveforms(bad):
+    x, c_aa = random_et_instance(np.random.default_rng(4))
+    dense = np.eye(4) + 0.3 * np.ones((4, 4))
+    if isinstance(bad, float):
+        x[1, 0] = bad
+        match = "waveform has non-finite entries"
+    else:
+        x = {"rows": np.ones((0, 2)), "columns": np.ones((2, 0)), "vector": np.ones(4)}[bad]
+        match = "waveform must be an n_t x L matrix"
+    calls = [
+        lambda: crb_et(x, c_aa, 0.1),
+        lambda: mse_et_quantization_unaware(x, c_aa, 0.1),
+        lambda: crb_et(x, dense, 0.1),  # dense path
+    ]
+    if isinstance(bad, float):
+        for prior in (c_aa, dense):
+            for aware in (True, False):
+                problem = EtProblem(prior, 0.1, 2, 2, 2, quantization_aware=aware)
+                calls += [lambda p=problem: p.anchor(x.reshape(-1, order="F")),
+                          lambda p=problem: p.objective(x.reshape(-1, order="F"))]
+    for call in calls:
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+@pytest.mark.parametrize("field", ["n_t", "n_r", "block_len"])
+@pytest.mark.parametrize("bad", [0, -1, 2.0, True, None])
+def test_et_problem_rejects_bad_sizes(field, bad):
+    sizes = {"n_t": 2, "n_r": 2, "block_len": 2, field: bad}
+    _, c_aa = random_et_instance(np.random.default_rng(5))
+    with pytest.raises(ValueError, match=f"{field} must be an integer of at least 1"):
+        EtProblem(c_aa, 0.1, **sizes)
+
+
 def test_pt_workspace_derivatives_match_finite_differences():
     rng = np.random.default_rng(1)
     x = complex_normal(rng, 6)

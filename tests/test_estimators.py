@@ -182,6 +182,48 @@ def test_trial_normals_match_per_trial_draws(pt_case, et_case):
             assert np.array_equal(row, _split_draws(seed, shapes))
 
 
+# each pool word's boundary: seeds of 1 to 4 uint32 words, the last one all ones
+WORD_BOUNDARY_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128 - 1]
+
+
+@pytest.mark.parametrize("count", [1, 2, 96, 37])
+def test_trial_normals_equal_default_rng_streams(count):
+    # pins the hash and the PCG64 seeding against numpy: a numpy that seeds
+    # otherwise fails here, not only in the first-row guard
+    seeds = [int(s) for s in np.random.default_rng(count).integers(0, 2**32, 300)]
+    seeds += WORD_BOUNDARY_SEEDS
+    states = estimators._seed_states(seeds)
+    rows = estimators._trial_normals(seeds, count)
+    assert rows.shape == (len(seeds), count)
+    for state, row, seed in zip(states, rows, seeds):
+        assert np.array_equal(state, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+        assert np.array_equal(row, np.random.default_rng(seed).standard_normal(count)), seed
+
+
+def test_trial_normals_guard_catches_a_wrong_hash(et_case, monkeypatch):
+    sc, x = et_case
+    seed_states = estimators._seed_states
+    monkeypatch.setattr(estimators, "_seed_states",
+                        lambda seeds: np.roll(seed_states(seeds), 1, axis=1))
+    with pytest.raises(RuntimeError, match=f"numpy {np.__version__} seeds PCG64"):
+        run_trials(sc, x, 3, base_seed=5)
+
+
+@pytest.mark.parametrize("base_seed, n_trials", [(2**128, 1), (2**128 - 1, 2), (2**128 - 5, 9)])
+def test_run_trials_rejects_seeds_past_2_128(et_case, monkeypatch, base_seed, n_trials):
+    sc, x = et_case
+    monkeypatch.setattr(estimators, "blmmse_matrix", None)
+    with pytest.raises(ValueError, match=r"base_seed \+ n_trials - 1 must be below 2\*\*128"):
+        run_trials(sc, x, n_trials, base_seed=base_seed)
+
+
+def test_run_trials_runs_up_to_the_last_seed(et_case):
+    sc, x = et_case
+    summary = run_trials(sc, x, 3, base_seed=2**128 - 3)
+    assert [r.seed for r in summary.records] == [2**128 - 3, 2**128 - 2, 2**128 - 1]
+    assert summary.n_failed == 0
+
+
 @pytest.mark.parametrize("bad", [0, -1, True, False, 2.5, np.float64(3.0), "3", None])
 def test_run_trials_rejects_bad_trial_count(et_case, monkeypatch, bad):
     sc, x = et_case
