@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.linalg import lapack
 
 from .array_geometry import pt_response_operator, steering
@@ -18,7 +19,7 @@ from .quantization import (arcsine_law, bussgang_gain, covariance_czz_exact, pos
 HALF_PI = np.pi / 2.0
 # refinement grid of each level: the estimate plus -10..10 fine steps
 REFINE_OFFSETS = np.arange(-10, 11)
-# complex entries per stack of covariances (and per stack of their factors)
+# complex entries per level's stack of covariances, which is factored in place
 _STACK_ENTRIES = 1 << 18
 
 
@@ -39,9 +40,10 @@ class MleConfig:
             raise ValueError("refine shrink must lie in (0, 1)")
 
 
-def pt_covariance_czz(x_matrix, thetas, sigma_alpha_sq, sigma_v_sq, n_r):
+def pt_covariance_czz(x_matrix, thetas, sigma_alpha_sq, sigma_v_sq, n_r, out=None):
     """Exact arcsine C_zz of the point-target echo at each angle in thetas,
-    shape (len(thetas), n_r L, n_r L).
+    shape (len(thetas), n_r L, n_r L), written into out when it is given
+    (any strides) and returned.
 
     The echo covariance is sigma_alpha_sq g g^H + sigma_v_sq I with
     g = vec(a_r s^T) and s = X^T a_t(theta). Its normalized correlation is
@@ -53,6 +55,11 @@ def pt_covariance_czz(x_matrix, thetas, sigma_alpha_sq, sigma_v_sq, n_r):
     """
     thetas = np.asarray(thetas, dtype=float)
     block_len = x_matrix.shape[1]
+    n = n_r * block_len
+    if out is None:
+        out = np.empty((thetas.size, n, n), dtype=complex)
+    elif out.shape != (thetas.size, n, n):
+        raise ValueError(f"out has shape {out.shape}; expected {(thetas.size, n, n)}")
     s = steering(x_matrix.shape[0], thetas) @ x_matrix
     d = positive_diagonal(sigma_alpha_sq * (s.real**2 + s.imag**2) / n_r + sigma_v_sq)
     beta = s * np.sqrt(sigma_alpha_sq / n_r / d)
@@ -61,35 +68,15 @@ def pt_covariance_czz(x_matrix, thetas, sigma_alpha_sq, sigma_v_sq, n_r):
     rho = (beta[:, :, None] * beta.conj()[:, None, :])[..., None] * lag[:, None, None, :]
     diag = (slice(None), np.arange(block_len), np.arange(block_len), n_r - 1)
     vals = arcsine_law(rho, diag)
-    # vec index r + n_r l: entry (i, i') reads (l, l', r - r')
-    l_idx = np.repeat(np.arange(block_len), n_r)
-    r_idx = np.tile(np.arange(n_r), block_len)
-    return vals[:, l_idx[:, None], l_idx[None, :], r_idx[:, None] - r_idx[None, :] + n_r - 1]
-
-
-def _factor_stack(czz):
-    """Lower Cholesky factors and log-determinants of a stack of covariances,
-    and {index: LinAlgError} for those that cannot be factored (their factor
-    is None). A covariance that the plain factorization rejects is retried
-    with hermitian_factor's jitter, so one bad angle fails alone.
-
-    Each factor is one LAPACK call from scipy, the library that also makes
-    the triangular solves: numpy's stacked Cholesky runs on numpy's own BLAS,
-    whose threads then contend with scipy's for the cores.
-    """
-    factors, logdets, errors = [], np.zeros(len(czz)), {}
-    for k, c in enumerate(czz):
-        factor, info = lapack.zpotrf(c, lower=1, clean=0)
-        if info:
-            try:
-                factor = hermitian_factor(c)[0]
-            except np.linalg.LinAlgError as err:
-                errors[k] = err
-                factor = None
-        factors.append(factor)
-        if factor is not None:
-            logdets[k] = 2.0 * np.log(factor.diagonal().real).sum()
-    return factors, logdets, errors
+    # vec index r + n_r l: entry (r + n_r l, r' + n_r l') reads (l, l', r - r'),
+    # so the (k, l, r, l', r') view of out takes one strided copy of the
+    # windows w[..., r, r'] = vals[..., r - r' + n_r - 1]
+    s0, s1, s2 = out.strides
+    blocks = as_strided(out, (thetas.size, block_len, n_r, block_len, n_r),
+                        (s0, n_r * s1, s1, n_r * s2, s2))
+    windows = sliding_window_view(vals[..., ::-1], n_r, axis=-1)[..., ::-1, :]
+    blocks[...] = windows.transpose(0, 1, 3, 2, 4)
+    return out
 
 
 def _quadratic_forms(factor, z):
@@ -112,19 +99,24 @@ class MleGrid:
     is factored or kept between estimate calls. The search is one loop of
     levels: level 0 scores every trial of a block against thetas, each
     refinement level against the 21 angles around its current estimate.
-    Every level factors the distinct angles its trials visit, in
-    memory-bounded stacks that it drops as it goes, and makes one triangular
-    solve per angle against the trials that visit it.
+    Every level fills the covariances of the distinct angles its trials
+    visit, chunk by chunk, into one memory-bounded stack that it allocates
+    once, factors each in place, and makes one triangular solve per angle
+    against the trials that visit it.
     """
 
     def __init__(self, x, sigma_alpha_sq, sigma_v_sq, block_len, n_r, cfg=None):
+        if not (integer_at_least(block_len, 1) and integer_at_least(n_r, 1)):
+            raise ValueError(f"block length and n_r must be positive integers, got "
+                             f"{block_len!r} and {n_r!r}")
+        for name, power in (("sigma_alpha_sq", sigma_alpha_sq), ("sigma_v_sq", sigma_v_sq)):
+            if not 0.0 < power < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {power!r}")
         self.x = vec(np.asarray(x, dtype=complex))
         self.sigma_alpha_sq = float(sigma_alpha_sq)
         self.sigma_v_sq = float(sigma_v_sq)
         self.block_len = int(block_len)
         self.n_r = int(n_r)
-        if self.block_len < 1 or self.n_r < 1:
-            raise ValueError("block length and n_r must be positive")
         if self.x.size == 0 or self.x.size % self.block_len:
             raise ValueError(
                 f"waveform length {self.x.size} is not a positive multiple of "
@@ -172,9 +164,10 @@ class MleGrid:
 
     def _level_objectives(self, block, grid, live, failed):
         """Objectives of each row's grid angles against the matching column of
-        block, from stacks of at most _STACK_ENTRIES covariance entries. A
-        trial that visits an angle that cannot be factored is added to failed
-        (keyed by live[row]) and its row is left unfinished."""
+        block. The covariances are filled, chunk by chunk, into one stack of
+        at most _STACK_ENTRIES entries and factored in place. A trial that
+        visits an angle that cannot be factored is added to failed (keyed by
+        live[row]) and its row is left unfinished."""
         angles, inverse = np.unique(grid, return_inverse=True)
         n_rows = grid.shape[0]
         # one entry per (angle, row) pair, sorted by angle and then by row
@@ -185,20 +178,35 @@ class MleGrid:
         starts = np.searchsorted(pairs // n_rows, np.arange(angles.size + 1))
         pair_vals = np.empty(pairs.size)
         n = self.n_r * self.block_len
-        size = max(1, _STACK_ENTRIES // (n * n))
+        size = max(1, min(angles.size, _STACK_ENTRIES // (n * n)))
+        # angle k's covariance is the Fortran-ordered matrix stack[k], which
+        # zpotrf overwrites with its factor instead of copying it
+        stack = np.empty((n, n, size), dtype=complex, order="F").transpose(2, 0, 1)
         x_matrix = unvec(self.x, self.n_t, self.block_len)
+        params = (self.sigma_alpha_sq, self.sigma_v_sq, self.n_r)
         for lo in range(0, angles.size, size):
-            czz = pt_covariance_czz(x_matrix, angles[lo:lo + size], self.sigma_alpha_sq,
-                                    self.sigma_v_sq, self.n_r)
-            factors, logdets, errors = _factor_stack(czz)
-            for k, factor in enumerate(factors):
+            chunk = angles[lo:lo + size]
+            czz = pt_covariance_czz(x_matrix, chunk, *params, stack[:chunk.size])
+            for k, c in enumerate(czz):
                 span = slice(starts[lo + k], starts[lo + k + 1])
                 rows = pair_rows[span]
-                if factor is None:
-                    for t in live[rows]:
-                        failed.setdefault(int(t), errors[k])
-                    continue
-                pair_vals[span] = _quadratic_forms(factor, block[:, rows]) + logdets[k]
+                # one LAPACK call from scipy, the library that also makes the
+                # triangular solves: numpy's stacked Cholesky runs on numpy's
+                # own BLAS, whose threads then contend with scipy's for the cores
+                factor, info = lapack.zpotrf(c, lower=1, clean=0, overwrite_a=1)
+                if info:
+                    # the failed call has overwritten c: rebuild it alone (a
+                    # one-angle product, so its last bits may differ) and
+                    # retry with jitter, so one bad angle fails alone
+                    try:
+                        factor = hermitian_factor(
+                            pt_covariance_czz(x_matrix, chunk[k:k + 1], *params)[0])[0]
+                    except np.linalg.LinAlgError as err:
+                        for t in live[rows]:
+                            failed.setdefault(int(t), err)
+                        continue
+                logdet = 2.0 * np.log(factor.diagonal().real).sum()
+                pair_vals[span] = _quadratic_forms(factor, block[:, rows]) + logdet
         return pair_vals[pair_of].reshape(grid.shape)
 
 

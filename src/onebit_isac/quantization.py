@@ -20,8 +20,8 @@ def quantize_one_bit(r):
 
 
 def positive_diagonal(d):
-    """The real covariance diagonal d, checked strictly positive."""
-    if np.any(d <= 0.0):
+    """The real covariance diagonal d, checked strictly positive (NaN fails)."""
+    if not np.all(d > 0.0):
         raise ValueError("covariance diagonal must be strictly positive")
     return d
 
@@ -35,15 +35,17 @@ def arcsine_law(rho, unit):
     """(2/pi) (arcsin Re rho + j arcsin Im rho) of a normalized correlation
     rho, with the entries at index unit (its diagonal) set to exactly one.
 
-    Raises if an entry off the diagonal has modulus above 1 + 1e-9; smaller
-    excesses from rounding are clipped.
+    Raises if an entry off the diagonal has modulus above 1 + 1e-9 or is NaN;
+    smaller excesses from rounding are clipped.
     """
     mod = np.abs(rho)
     mod[unit] = 0.0
-    if mod.max(initial=0.0) > 1.0 + 1e-9:
+    if not mod.max(initial=0.0) <= 1.0 + 1e-9:
         raise ValueError(f"normalized correlation modulus {mod.max():.6g} exceeds 1")
-    arcsin = np.arcsin(np.clip([rho.real, rho.imag], -1.0, 1.0))
-    vals = TWO_OVER_PI * (arcsin[0] + 1j * arcsin[1])
+    del mod  # as large as rho's real part: free it before the arcsines
+    re = np.arcsin(np.clip(rho.real, -1.0, 1.0))
+    im = np.arcsin(np.clip(rho.imag, -1.0, 1.0))
+    vals = TWO_OVER_PI * (re + 1j * im)
     vals[unit] = 1.0
     return vals
 

@@ -12,11 +12,13 @@ as the library computed it before the shared anchor and the dense Mbar
 uncached MM loop), the library's dense path forced onto any prior, the
 information form of the extended-target bound, the explicit-Kronecker
 BLMMSE estimator, dense Kronecker/commutation builders for small
-instances, the per-trial, per-angle one-bit MLE on dense arcsine
+instances, the point-target arcsine covariances gathered entry by entry
+from their lags, the per-trial, per-angle one-bit MLE on dense arcsine
 covariances, the Monte-Carlo trials drawn and scored one at a time, the
 symbol error rate counted one noise draw at a time, and the SEP projection
 solver that scores every interval."""
 
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -46,7 +48,13 @@ from onebit_isac.opt_pt import (
     surrogate_gradient,
     surrogate_value,
 )
-from onebit_isac.quantization import bussgang_gain, covariance_czz_exact, quantize_one_bit
+from onebit_isac.quantization import (
+    arcsine_law,
+    bussgang_gain,
+    covariance_czz_exact,
+    positive_diagonal,
+    quantize_one_bit,
+)
 from onebit_isac.sep_projection import _clamp_u, boundary_points
 
 TWO_OVER_PI = 2.0 / np.pi
@@ -650,6 +658,26 @@ def dense_pt_czz(grid, theta):
     g = pt_response_operator(theta, grid.block_len, grid.n_t, grid.n_r).apply(grid.x)
     c_rr = grid.sigma_alpha_sq * np.outer(g, g.conj()) + grid.sigma_v_sq * np.eye(g.size)
     return covariance_czz_exact(c_rr)
+
+
+def gathered_pt_czz(x_matrix, thetas, sigma_alpha_sq, sigma_v_sq, n_r):
+    """estimators.pt_covariance_czz with every entry gathered by one
+    fancy index into its lags: the same arcsines, and a new C-ordered
+    (len(thetas), n_r L, n_r L) array."""
+    thetas = np.asarray(thetas, dtype=float)
+    block_len = x_matrix.shape[1]
+    s = steering(x_matrix.shape[0], thetas) @ x_matrix
+    d = positive_diagonal(sigma_alpha_sq * (s.real**2 + s.imag**2) / n_r + sigma_v_sq)
+    beta = s * np.sqrt(sigma_alpha_sq / n_r / d)
+    t = steering(n_r, thetas) * math.sqrt(n_r)
+    lag = np.concatenate((t[:, :0:-1].conj(), t), axis=1)
+    rho = (beta[:, :, None] * beta.conj()[:, None, :])[..., None] * lag[:, None, None, :]
+    diag = (slice(None), np.arange(block_len), np.arange(block_len), n_r - 1)
+    vals = arcsine_law(rho, diag)
+    # vec index r + n_r l: entry (i, i') reads (l, l', r - r')
+    l_idx = np.repeat(np.arange(block_len), n_r)
+    r_idx = np.tile(np.arange(n_r), block_len)
+    return vals[:, l_idx[:, None], l_idx[None, :], r_idx[:, None] - r_idx[None, :] + n_r - 1]
 
 
 def dense_mle_objective(grid, z, theta):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from helpers_oracles import (
     dense_mle_estimate,
     dense_mle_objective,
     dense_pt_czz,
+    gathered_pt_czz,
     per_trial_et_errors,
     pt_trial_observations,
 )
+from scipy.linalg import lapack
 
 from onebit_isac import estimators
 from onebit_isac.array_geometry import EtTarget, exponential_correlation
@@ -61,6 +64,34 @@ def test_mle_grid_rejects_bad_sizes(small_grid):
             small_grid.estimate(z)
 
 
+GRID_ARGS = dict(x=np.ones(8), sigma_alpha_sq=1.0, sigma_v_sq=0.05, block_len=2, n_r=4)
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("block_len", 2.7), ("block_len", 2.0), ("block_len", 0), ("block_len", True),
+    ("n_r", 4.9), ("n_r", np.float64(4.0)), ("n_r", -1), ("n_r", "4"),
+    ("sigma_alpha_sq", math.nan), ("sigma_alpha_sq", math.inf), ("sigma_alpha_sq", 0.0),
+    ("sigma_v_sq", math.nan), ("sigma_v_sq", -math.inf), ("sigma_v_sq", -0.1),
+])
+def test_mle_grid_rejects_bad_parameters(field, bad):
+    name = {"block_len": "block length", "n_r": "n_r"}.get(field, field)
+    with pytest.raises(ValueError, match=f"{name}.* must be positive"):
+        MleGrid(**{**GRID_ARGS, field: bad})
+
+
+def test_mle_grid_accepts_numpy_sizes_and_powers():
+    grid = MleGrid(**{**GRID_ARGS, "block_len": np.int64(2), "n_r": np.int32(4),
+                      "sigma_v_sq": np.float32(0.05)})
+    assert (grid.block_len, grid.n_r, grid.n_t) == (2, 4, 4)
+
+
+def test_nan_power_fails_the_covariance_instead_of_every_trial():
+    # a NaN diagonal once passed positive_diagonal and gave -pi/2 for every trial
+    x_matrix = unvec(np.ones(20, dtype=complex), 2, 10)
+    with pytest.raises(ValueError, match="strictly positive"):
+        pt_covariance_czz(x_matrix, [0.1, 0.2], math.nan, 0.1, 8)
+
+
 STRUCTURED_CASES = [  # (n_t, n_r, block_len, snr_db)
     (3, 1, 4, 10.0), (1, 4, 3, 10.0), (4, 3, 1, 10.0), (8, 8, 10, 30.0),
     (8, 8, 10, 60.0), (2, 5, 4, 60.0),
@@ -78,6 +109,32 @@ def test_structured_czz_matches_dense(n_t, n_r, block_len, snr_db):
     got = pt_covariance_czz(unvec(x, n_t, block_len), thetas, 1.3, sv, n_r)
     for czz, theta in zip(got, thetas):
         assert np.max(np.abs(czz - dense_pt_czz(grid, theta))) <= 1e-12
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == b.tobytes()
+
+
+def _fortran_stack(size, n):
+    """The (size, n, n) view of an F-ordered (n, n, size) stack, as MleGrid
+    allocates it."""
+    return np.empty((n, n, size), dtype=complex, order="F").transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("n_r", [1, 2, 8])
+@pytest.mark.parametrize("block_len", [1, 10])
+def test_strided_fill_matches_gathered_covariances(n_r, block_len):
+    rng = np.random.default_rng(7 * n_r + block_len)
+    x_matrix = complex_normal(rng, (3, block_len))
+    thetas = np.concatenate(([0.0, np.pi / 2, -np.pi / 2], rng.uniform(-1.5, 1.5, 6)))
+    want = gathered_pt_czz(x_matrix, thetas, 1.3, 0.2, n_r)
+    assert _same_bits(pt_covariance_czz(x_matrix, thetas, 1.3, 0.2, n_r), want)
+    n = n_r * block_len
+    stack = _fortran_stack(thetas.size + 2, n)
+    got = pt_covariance_czz(x_matrix, thetas, 1.3, 0.2, n_r, stack[:thetas.size])
+    assert np.shares_memory(got, stack) and _same_bits(got, want)
+    with pytest.raises(ValueError, match="out has shape"):
+        pt_covariance_czz(x_matrix, thetas, 1.3, 0.2, n_r, stack)
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +389,70 @@ def test_jittered_retry_fails_no_trial(pt_case, monkeypatch):
     monkeypatch.setattr(estimators, "pt_covariance_czz", singular)
     theta_hat, failed = grid.estimate(z)
     assert failed == {} and np.all(np.isfinite(theta_hat))
+
+
+def test_levels_factor_in_place_in_one_stack_each(pt_case, monkeypatch):
+    _, _, cfg, grid, z, oracle, _ = pt_case
+    n = grid.n_r * grid.block_len
+    # five angles per chunk: the 61 coarse angles take 13 chunks, the
+    # refinement levels several each
+    monkeypatch.setattr(estimators, "_STACK_ENTRIES", 5 * n * n + n)
+    levels, factored = [], []
+    real_level, real_czz, real_potrf = MleGrid._level_objectives, pt_covariance_czz, lapack.zpotrf
+
+    def level(self, *args):
+        levels.append([])
+        return real_level(self, *args)
+
+    def filled(x_matrix, thetas, *args):
+        czz = real_czz(x_matrix, thetas, *args)
+        levels[-1].append(czz)
+        return czz
+
+    def potrf(c, **kwargs):
+        factor, info = real_potrf(c, **kwargs)
+        factored.append((info, np.shares_memory(factor, c), np.shares_memory(c, levels[-1][-1])))
+        return factor, info
+
+    monkeypatch.setattr(MleGrid, "_level_objectives", level)
+    monkeypatch.setattr(estimators, "pt_covariance_czz", filled)
+    monkeypatch.setattr(estimators.lapack, "zpotrf", potrf)
+    theta_hat, failed = grid.estimate(z)
+    assert failed == {} and theta_hat.tolist() == oracle
+    assert len(levels) == cfg.refine_levels + 1 and len(levels[0]) == 13
+    for chunks in levels:
+        assert len(chunks) > 1 and all(c.shape[0] <= 5 for c in chunks)
+        assert all(np.shares_memory(c, chunks[0]) for c in chunks)
+    # every factor overwrote its covariance: no silent f2py copy
+    assert len(factored) == sum(c.shape[0] for chunks in levels for c in chunks)
+    assert set(factored) == {(0, True, True)}
+
+
+def test_desk_estimate_peaks_near_one_stack():
+    sc = pt_scenario(seed=0)
+    x = complex_normal(np.random.default_rng(3), sc.n_t * sc.block_len)
+    x *= math.sqrt(sc.power) / np.linalg.norm(x)
+    grid = MleGrid(x, sc.target.sigma_alpha_sq, sc.sigma_v_sq, sc.block_len, sc.n_r)
+    z = quantize_one_bit(complex_normal(np.random.default_rng(4), (sc.n_r * sc.block_len, 12)))
+    n = sc.n_r * sc.block_len
+    size = estimators._STACK_ENTRIES // (n * n)
+    assert grid.thetas.size > 8 * size
+    stack = _fortran_stack(size, n)
+    x_matrix = unvec(grid.x, grid.n_t, grid.block_len)
+    fill_args = (x_matrix, grid.thetas[:size], grid.sigma_alpha_sq, grid.sigma_v_sq, grid.n_r)
+    tracemalloc.start()
+    try:
+        pt_covariance_czz(*fill_args, stack)
+        fill_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        grid.estimate(z)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # one stack, the work of filling it and a little more; keeping a factor
+    # per angle of a chunk would add a second stack
+    assert peak < stack.nbytes + fill_peak + stack.nbytes // 4
 
 
 def test_trial_objective_does_not_depend_on_its_solve_partners():

@@ -7,8 +7,10 @@ from onebit_isac.crb_metrics import PtModel, et_l_and_m
 from onebit_isac.linalg import complex_normal, psd_sqrt
 from onebit_isac.quantization import (
     TWO_OVER_PI,
+    arcsine_law,
     bussgang_gain,
     covariance_czz_exact,
+    positive_diagonal,
     quantize_one_bit,
 )
 
@@ -53,6 +55,42 @@ def test_bussgang_gain_scaling_identity():
 def test_bussgang_gain_rejects_nonpositive_diag():
     with pytest.raises(ValueError):
         bussgang_gain(np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("d", [[1.0, np.nan], [np.nan], [np.nan, -1.0], [2.0, 0.0]])
+def test_positive_diagonal_rejects_nan_and_non_positive(d):
+    with pytest.raises(ValueError, match="strictly positive"):
+        positive_diagonal(np.array(d))
+    with pytest.raises(ValueError, match="strictly positive"):
+        bussgang_gain(np.diag(d))
+
+
+def test_arcsine_law_rejects_nan_off_the_diagonal():
+    rho = np.array([[1.0, np.nan], [0.5, 1.0]], dtype=complex)
+    with pytest.raises(ValueError, match="modulus nan exceeds 1"):
+        arcsine_law(rho, np.diag_indices(2))
+    rho = np.array([[1.0, complex(0.3, np.nan)], [0.3, 1.0]])
+    with pytest.raises(ValueError, match="modulus nan exceeds 1"):
+        arcsine_law(rho, np.diag_indices(2))
+    with pytest.raises(ValueError, match="modulus nan exceeds 1"):
+        covariance_czz_exact(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    # the diagonal is set to one whatever it held
+    vals = arcsine_law(np.array([[np.nan, 0.5], [0.5, 1.0]], dtype=complex), np.diag_indices(2))
+    assert vals[0, 0] == 1.0 and vals[0, 1] == TWO_OVER_PI * np.arcsin(0.5)
+
+
+def test_arcsine_law_matches_stacked_clip_bit_for_bit():
+    # the parts clipped one at a time give the bits of the stacked clip,
+    # rounding excesses and signed zeros included
+    rng = np.random.default_rng(10)
+    rho = complex_normal(rng, (6, 6)) / 2.0
+    rho[0, 1:4] = [1.0 + 5e-10, -0.0 - 1e-10j, complex(-0.0, -0.0)]
+    rho[2, 3] = complex(-5e-10, 1.0 + 4e-10) / abs(complex(-5e-10, 1.0 + 4e-10))
+    unit = np.diag_indices(6)
+    arcsin = np.arcsin(np.clip([rho.real, rho.imag], -1.0, 1.0))
+    want = TWO_OVER_PI * (arcsin[0] + 1j * arcsin[1])
+    want[unit] = 1.0
+    assert arcsine_law(rho, unit).tobytes() == want.tobytes()
 
 
 def test_czz_exact_identity():
