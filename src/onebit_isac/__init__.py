@@ -23,7 +23,7 @@ from .crb_metrics import (
     crb_pt_infinite_resolution,
     mse_et_quantization_unaware,
 )
-from .estimators import MleConfig, MleGrid, TrialResult, TrialsSummary, run_trials
+from .estimators import MleConfig, MleGrid, TrialsSummary, run_trials
 from .comm_sep import (
     SepSpec,
     build_sep_spec,

@@ -2,6 +2,7 @@
 SEP-feasible projection, including the geometric penalty schedule with dual
 rescaling and per-iteration convergence bookkeeping."""
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -10,7 +11,7 @@ import numpy as np
 
 from . import opt_et, opt_pt
 from .comm_sep import complex_block, real_rows
-from .linalg import check_power, complex_normal, h_tilde_apply, vec
+from .linalg import check_power, complex_normal, h_tilde_apply, integer_at_least, vec
 from .sep_projection import _clamp_u, solve_block
 from .crb_metrics import PtModel
 from .opt_et import EtProblem
@@ -30,9 +31,17 @@ class AdmmConfig:
     inner_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.rho0 <= 0.0 or self.c_rho <= 1.0 or self.rho_max < self.rho0:
-            raise ValueError("penalty schedule requires rho0 > 0, c_rho > 1, "
+        if not (0.0 < self.rho0 <= self.rho_max < math.inf and 1.0 < self.c_rho < math.inf):
+            raise ValueError("penalty schedule requires finite rho0 > 0, c_rho > 1, "
                              "rho_max >= rho0")
+        for name in ("tol_residual", "tol_objective", "inner_tol"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)!r}")
+        for name in ("max_outer", "max_inner"):
+            if not integer_at_least(getattr(self, name), 1):
+                raise ValueError(f"{name} must be an integer of at least 1, "
+                                 f"got {getattr(self, name)!r}")
 
     @classmethod
     def pt_defaults(cls):
@@ -138,12 +147,15 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
         x = check_power(x_init, scenario.power)
         if k:
             u = _feasible_u(scenario, spec, x)
+    # the solvers are looked up on their modules here, so that a wrapper put
+    # there before the call is the one every outer iteration runs
     if variant in ("PT", "PT_INF"):
         model = PtModel(
             scenario.target.theta, scenario.target.sigma_alpha_sq,
             scenario.sigma_v_sq, scenario.n_t, scenario.n_r, scenario.block_len,
         )
         normalizer = 1.0
+        solve_x = functools.partial(opt_pt.solve_x_pt, quantized=(variant == "PT"))
     else:
         model = EtProblem(
             c_aa=scenario.target.c_aa, sigma_v_sq=scenario.sigma_v_sq,
@@ -151,25 +163,17 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
             quantization_aware=(variant == "ET"),
         )
         normalizer = float(np.trace(scenario.target.c_aa).real)
-        lam_hth = opt_et.lam_max_channel(channel)
+        solve_x = functools.partial(opt_et.solve_x_et,
+                                    lam_hth=opt_et.lam_max_channel(channel))
     rho = config.rho0
     trace = AdmmTrace()
     obj_prev = None
     reason = "max_outer"
     t0 = time.perf_counter()
     for it in range(config.max_outer):
-        if variant in ("PT", "PT_INF"):
-            x, info = opt_pt.solve_x_pt(
-                model, x, rho=rho, u_i=u, lambda_i=lam, channel=channel,
-                power=scenario.power, tol=config.inner_tol,
-                max_iter=config.max_inner, quantized=(variant == "PT"),
-            )
-        else:
-            x, info = opt_et.solve_x_et(
-                model, x, rho=rho, u_i=u, lambda_i=lam, channel=channel,
-                power=scenario.power, tol=config.inner_tol,
-                max_iter=config.max_inner, lam_hth=lam_hth,
-            )
+        x, info = solve_x(model, x, rho=rho, u_i=u, lambda_i=lam, channel=channel,
+                          power=scenario.power, tol=config.inner_tol,
+                          max_iter=config.max_inner)
         if k:
             hx = h_tilde_apply(channel, x, scenario.block_len)
             chi = (hx + lam).reshape((k, scenario.block_len), order="F")

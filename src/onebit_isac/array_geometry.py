@@ -2,6 +2,7 @@
 point-target chain, and target-response construction for point-like and
 extended targets."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,8 +93,9 @@ class PtTarget:
     sigma_alpha_sq: float = 1.0
 
     def __post_init__(self):
-        if self.sigma_alpha_sq <= 0:
-            raise ValueError("sigma_alpha_sq must be positive")
+        if not 0.0 < self.sigma_alpha_sq < math.inf:
+            raise ValueError(f"sigma_alpha_sq must be positive and finite, "
+                             f"got {self.sigma_alpha_sq!r}")
         _check_angle(self.theta)
 
 
@@ -127,7 +129,3 @@ class EtTarget:
         shape = np.shape(normals)[:-1] + (sr.shape[0], st.shape[0])
         return sr @ complex_from_normals(normals[..., :k].reshape(shape),
                                          normals[..., k:].reshape(shape)) @ st
-
-    def sample(self, rng):
-        """One response, from 2 n_r n_t standard normals of rng."""
-        return self.responses(rng.standard_normal(2 * self.c_aa.shape[0]))

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import XtildeOperator, hermitian_solve, unvec, vec
+from .linalg import hermitian_solve, unvec, vec, xtilde_multiply
 from .array_geometry import receive_basis, steering, steering_derivative
 from .quantization import TWO_OVER_PI
 
@@ -241,12 +241,9 @@ def et_l_and_m(x_matrix, c_aa, sigma_v_sq, quantization_aware=True):
     unaware, it is the unquantized C_rr = X~ C_aa X~^H + sigma_v^2 I.
     """
     check_noise_power(sigma_v_sq)
-    x_matrix = np.asarray(x_matrix)
-    c_aa = np.asarray(c_aa)
-    op = XtildeOperator(x_matrix, c_aa.shape[0] // x_matrix.shape[0])
-    l_mat = op.right_multiply(c_aa)
+    l_mat = xtilde_multiply(x_matrix, c_aa)
     # X~ C_aa X~^H = (X~ L^H)^H
-    gram = op.right_multiply(l_mat.conj().T).conj().T
+    gram = xtilde_multiply(x_matrix, l_mat.conj().T).conj().T
     if quantization_aware:
         m = gram + (np.pi / 2.0 - 1.0) * np.diag(np.diag(gram))
         m += (np.pi / 2.0) * sigma_v_sq * np.eye(gram.shape[0])

@@ -3,7 +3,8 @@ point targets, the Bussgang-linearized LMMSE response estimator for extended
 targets, and the seeded Monte-Carlo MSE harness."""
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -219,14 +220,6 @@ def blmmse_matrix(x_matrix, c_aa, sigma_v_sq):
     return hermitian_solve(czz, f[:, None] * l_mat).conj().T
 
 
-@dataclass
-class TrialResult:
-    estimate: object
-    truth: object
-    squared_error: float
-    seed: int
-
-
 # what a trial may raise and still be counted as failed: numerical trouble
 NUMERICAL_ERRORS = (np.linalg.LinAlgError, FloatingPointError)
 
@@ -234,16 +227,18 @@ NUMERICAL_ERRORS = (np.linalg.LinAlgError, FloatingPointError)
 @dataclass
 class TrialsSummary:
     """Monte-Carlo MSE summary; ``normalizer`` is tr(C_aa) for extended
-    targets and 1 for point targets. ``failures`` counts the failed trials
-    per reason ("<exception type>: <message>" or "non-finite squared error")."""
+    targets and 1 for point targets. ``squared_errors`` holds trial t's
+    squared error at index t (seed base_seed + t), NaN exactly where the
+    trial failed. ``failures`` counts the failed trials per reason
+    ("<exception type>: <message>" or "non-finite squared error")."""
 
     mse: float
     std_error: float
     n_trials: int
     n_failed: int
     normalizer: float
-    records: list = field(default_factory=list)
-    failures: dict = field(default_factory=dict)
+    squared_errors: np.ndarray
+    failures: dict
 
     @property
     def normalized_mse(self):
@@ -404,9 +399,11 @@ def run_trials(scenario, waveform, n_trials, base_seed, cfg=None, unquantized=Fa
     A numerical failure of the setup (NUMERICAL_ERRORS, or a non-finite
     waveform) fails every trial; a point-target grid angle, coarse or fine,
     that cannot be factored fails the trials that visit it, and a non-finite
-    squared error fails its trial. Failed trials are counted per reason
-    instead of aborting the batch; any other exception, ValueError included,
-    propagates.
+    squared error fails its trial. A failed trial's entry of
+    squared_errors is NaN and every finite entry is a kept trial's: mse and
+    std_error are over the finite entries, NaN when there are none. Failed
+    trials are counted per reason instead of aborting the batch; any other
+    exception, ValueError included, propagates.
     """
     if not integer_at_least(n_trials, 1):
         raise ValueError(f"n_trials must be an integer of at least 1, got {n_trials!r}")
@@ -429,28 +426,23 @@ def run_trials(scenario, waveform, n_trials, base_seed, cfg=None, unquantized=Fa
         else:
             estimates, truths, failed = _et_block(scenario, waveform, seeds, unquantized)
     except NUMERICAL_ERRORS as err:
-        return TrialsSummary(math.nan, math.nan, n_trials, n_trials, normalizer, [],
-                             {_reason(err): n_trials})
-    diff = (estimates - truths).reshape(n_trials, -1)
-    # stacked dot products: each error gets the bits of vdot(diff_t, diff_t)
-    errors = (diff.conj()[:, None, :] @ diff[:, :, None]).real.ravel()
-    kept = np.isfinite(errors)
-    kept[list(failed)] = False
-    records, failures = [], {}
-    for t, seed in enumerate(seeds):
-        if kept[t]:
-            records.append(TrialResult(estimates[t], truths[t], float(errors[t]), seed))
-            continue
-        reason = _reason(failed[t]) if t in failed else "non-finite squared error"
-        failures[reason] = failures.get(reason, 0) + 1
-    n_failed = n_trials - len(records)
-    if not records:
-        return TrialsSummary(math.nan, math.nan, n_trials, n_failed, normalizer, records,
-                             failures)
-    errors = errors[kept]
-    mse = float(errors.mean())
-    se = float(errors.std(ddof=1) / math.sqrt(errors.size)) if errors.size > 1 else 0.0
-    return TrialsSummary(mse, se, n_trials, n_failed, normalizer, records, failures)
+        squared_errors = np.full(n_trials, math.nan)
+        reasons = [_reason(err)] * n_trials
+    else:
+        diff = (estimates - truths).reshape(n_trials, -1)
+        # stacked dot products: each error gets the bits of vdot(diff_t, diff_t)
+        squared_errors = (diff.conj()[:, None, :] @ diff[:, :, None]).real.ravel()
+        squared_errors[list(failed)] = math.nan
+        reasons = [_reason(e) for e in failed.values()]
+    kept = squared_errors[np.isfinite(squared_errors)]
+    n_failed = n_trials - kept.size
+    reasons += ["non-finite squared error"] * (n_failed - len(reasons))
+    mse = se = math.nan
+    if kept.size:
+        mse = float(kept.mean())
+        se = float(kept.std(ddof=1) / math.sqrt(kept.size)) if kept.size > 1 else 0.0
+    return TrialsSummary(mse, se, n_trials, n_failed, normalizer, squared_errors,
+                         dict(Counter(reasons)))
 
 
 def _reason(err):

@@ -123,26 +123,18 @@ def complex_normal(rng, shape, scale=1.0):
     return complex_from_normals(rng.standard_normal(shape), rng.standard_normal(shape), scale)
 
 
-class XtildeOperator:
-    """Action of X^T kron I_{n_r} without forming the Kronecker product.
-
-    Maps each vectorized n_r x n_t response matrix A to vec(A @ X), the
-    stacked length-(n_r * L) echo block.
-    """
-
-    def __init__(self, x_matrix, n_r):
-        self.x = np.asarray(x_matrix)
-        self.n_t, self.block_len = self.x.shape
-        self.n_r = int(n_r)
-
-    def right_multiply(self, c):
-        """X~ @ C for a matrix C with n_r * n_t rows."""
-        c = np.asarray(c)
-        if c.shape[0] != self.n_r * self.n_t:
-            raise ValueError("row count mismatch in right_multiply")
-        c4 = c.reshape((self.n_r, self.n_t, c.shape[1]), order="F")
-        out = np.einsum("bl,rbj->rlj", self.x, c4)
-        return out.reshape((self.n_r * self.block_len, c.shape[1]), order="F")
+def xtilde_multiply(x_matrix, c):
+    """X~ @ C with X~ = X^T kron I_{n_r}, without forming the Kronecker
+    product, for a matrix C of n_r n_t rows: each column, the vec of an
+    n_r x n_t response matrix A, maps to vec(A @ X), a length-(n_r L) echo."""
+    x_matrix, c = np.asarray(x_matrix), np.asarray(c)
+    n_t, block_len = x_matrix.shape
+    n_r, rest = divmod(c.shape[0], n_t)
+    if rest:
+        raise ValueError(f"C has {c.shape[0]} rows, not a multiple of n_t = {n_t}")
+    c4 = c.reshape((n_r, n_t, c.shape[1]), order="F")
+    out = np.einsum("bl,rbj->rlj", x_matrix, c4)
+    return out.reshape((n_r * block_len, c.shape[1]), order="F")
 
 
 def h_tilde_apply(h, x, block_len):

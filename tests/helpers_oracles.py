@@ -14,7 +14,8 @@ information form of the extended-target bound, the explicit-Kronecker
 BLMMSE estimator, dense Kronecker/commutation builders for small
 instances, the point-target arcsine covariances gathered entry by entry
 from their lags, the per-trial, per-angle one-bit MLE on dense arcsine
-covariances, the Monte-Carlo trials drawn and scored one at a time, the
+covariances, one extended-target response drawn from a generator, the
+Monte-Carlo trials drawn and scored one at a time, the
 symbol error rate counted one noise draw at a time, and the SEP projection
 solver that scores every interval."""
 
@@ -30,7 +31,6 @@ from onebit_isac.comm_sep import _slice_to_level
 from onebit_isac.crb_metrics import ChainFactors, DensePrior, PtModel, crb_et
 from onebit_isac.estimators import blmmse_matrix
 from onebit_isac.linalg import (
-    XtildeOperator,
     complex_normal,
     h_tilde_adjoint,
     h_tilde_apply,
@@ -40,6 +40,7 @@ from onebit_isac.linalg import (
     project_power_ball,
     unvec,
     vec,
+    xtilde_multiply,
 )
 from onebit_isac.opt_et import lam_max_channel
 from onebit_isac import opt_pt
@@ -492,8 +493,7 @@ def mbar_apply_matrix_free(m_tilde, c_aa, n_t, n_r, block_len):
     trace, never forming Mbar."""
 
     def apply(xv):
-        op = XtildeOperator(unvec(xv, n_t, block_len), n_r)
-        w4 = (m_tilde @ op.right_multiply(c_aa)).reshape(
+        w4 = (m_tilde @ xtilde_multiply(unvec(xv, n_t, block_len), c_aa)).reshape(
             (n_r, block_len, n_r, n_t), order="F")
         return np.einsum("rlrn->nl", w4).reshape(-1, order="F")
 
@@ -723,6 +723,11 @@ def pt_trial_observations(scenario, x, n_trials, base_seed):
     return np.column_stack(cols)
 
 
+def sample_response(target, rng):
+    """One response of an EtTarget, from 2 n_r n_t standard normals of rng."""
+    return target.responses(rng.standard_normal(2 * target.c_aa.shape[0]))
+
+
 def per_trial_et_errors(scenario, x_matrix, n_trials, base_seed, unquantized=False):
     """Squared errors of extended-target trials run one at a time: trial t
     draws from seed base_seed + t the response A and then the noise, forms
@@ -739,7 +744,7 @@ def per_trial_et_errors(scenario, x_matrix, n_trials, base_seed, unquantized=Fal
     errors = []
     for seed in range(base_seed, base_seed + n_trials):
         rng = np.random.default_rng(seed)
-        a = target.sample(rng)
+        a = sample_response(target, rng)
         noise = complex_normal(rng, scenario.n_r * scenario.block_len,
                                scale=np.sqrt(scenario.sigma_v_sq))
         r = vec(a @ x_matrix) + noise

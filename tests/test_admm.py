@@ -29,6 +29,24 @@ def test_config_validation_and_defaults():
     assert pt.tol_residual == 1e-4 and pt.tol_objective == 1e-4
 
 
+@pytest.mark.parametrize("bad", [
+    dict(rho0=float("nan")), dict(rho0=float("inf"), rho_max=float("inf")),
+    dict(c_rho=float("inf")), dict(c_rho=float("nan")), dict(rho_max=float("inf")),
+    dict(rho_max=0.5), dict(max_outer=0), dict(max_outer=2.5), dict(max_outer=True),
+    dict(max_inner=0), dict(max_inner=-3), dict(tol_residual=-1.0),
+    dict(tol_objective=float("nan")), dict(inner_tol=float("inf")),
+])
+def test_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        AdmmConfig(**{**dict(rho0=1.0, c_rho=2.0, rho_max=10.0), **bad})
+
+
+def test_config_accepts_zero_tolerances_and_numpy_counts():
+    cfg = AdmmConfig(rho0=1.0, c_rho=2.0, rho_max=1.0, tol_residual=0.0, tol_objective=0.0,
+                     inner_tol=0.0, max_outer=np.int64(2), max_inner=np.int32(1))
+    assert cfg.max_outer == 2 and cfg.max_inner == 1
+
+
 def test_initialize_contract():
     sc = small_pt()
     x, u, d, lam = initialize(sc, seed=3)

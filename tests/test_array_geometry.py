@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from helpers_oracles import dense_operator, pt_response_derivative_operator
+from helpers_oracles import dense_operator, pt_response_derivative_operator, sample_response
 
 from onebit_isac.array_geometry import (
     EtTarget,
@@ -175,7 +177,7 @@ def test_et_prior_covariance_rejects_non_psd():
 def test_et_sample_identity_correlation_unit_variance():
     rng = np.random.default_rng(7)
     target = EtTarget(np.eye(2), np.eye(2))
-    draws = np.array([target.sample(rng) for _ in range(10000)])
+    draws = np.array([sample_response(target, rng) for _ in range(10000)])
     var = np.mean(np.abs(draws) ** 2, axis=0)
     assert np.all(np.abs(var - 1.0) < 0.05)
 
@@ -187,7 +189,7 @@ def test_et_sample_covariance_matches_prior():
     target = EtTarget(phi_r, phi_t)
     c_true = target.c_aa
     n = 100000
-    # row i holds the 8 normals one target.sample(rng) call would draw
+    # row i holds the 8 normals one sample_response(target, rng) call would draw
     samples = vec_rows(target.responses(rng.standard_normal((n, 8))))
     c_emp = samples.conj().T @ samples / n
     c_emp = c_emp.T  # E[a a^H]
@@ -197,13 +199,13 @@ def test_et_sample_covariance_matches_prior():
 
 def test_et_sample_deterministic_given_seed():
     target = EtTarget(np.eye(2), np.eye(2))
-    a = target.sample(np.random.default_rng(42))
-    b = target.sample(np.random.default_rng(42))
+    a = sample_response(target, np.random.default_rng(42))
+    b = sample_response(target, np.random.default_rng(42))
     assert np.array_equal(a, b)
 
 
 def test_et_responses_match_per_draw_sample():
-    # sample draws the real and then the imaginary parts of A, as the
+    # sample_response draws the real and then the imaginary parts of A, as the
     # per-trial draws did; a stack of normals gives each row's own response
     target = EtTarget(exponential_correlation(3, 0.6), exponential_correlation(2, 0.4))
     sr, st = target.roots
@@ -212,16 +214,19 @@ def test_et_responses_match_per_draw_sample():
         rng = np.random.default_rng(seed)
         re, im = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
         want = sr @ ((re + 1j * im) * (1.0 / np.sqrt(2.0))) @ st
-        assert np.array_equal(target.sample(np.random.default_rng(seed)), want)
+        assert np.array_equal(sample_response(target, np.random.default_rng(seed)), want)
         row[:] = np.concatenate((re.ravel(), im.ravel()))
     stacked = target.responses(normals)
     assert stacked.shape == (5, 3, 2)
     for seed, response in enumerate(stacked):
-        assert np.array_equal(response, target.sample(np.random.default_rng(seed)))
+        assert np.array_equal(response, sample_response(target, np.random.default_rng(seed)))
 
 
 def test_targets_validation():
     with pytest.raises(ValueError):
         PtTarget(0.1, sigma_alpha_sq=0.0)
+    for power in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma_alpha_sq must be positive and finite"):
+            PtTarget(0.1, power)
     t = EtTarget(np.eye(2), np.eye(3))
     assert np.allclose(t.c_aa, np.eye(6))

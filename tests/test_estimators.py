@@ -160,21 +160,36 @@ def test_batched_estimates_match_dense_oracle(pt_case):
     assert [grid.estimate(z[:, [t]])[0][0] for t in range(z.shape[1])] == oracle
 
 
+def _kept_seeds(summary, base_seed):
+    """Seeds of the trials a summary kept: trial t is seed base_seed + t."""
+    return [base_seed + t for t in np.flatnonzero(np.isfinite(summary.squared_errors)).tolist()]
+
+
 def test_run_trials_does_not_depend_on_batch_size(pt_case):
     sc, x, cfg, *_ = pt_case
     batch = run_trials(sc, x, 7, base_seed=40, cfg=cfg)
-    singles = [run_trials(sc, x, 1, base_seed=40 + t, cfg=cfg).records[0] for t in range(7)]
-    assert batch.records == singles
+    singles = [run_trials(sc, x, 1, base_seed=40 + t, cfg=cfg) for t in range(7)]
+    assert batch.n_failed == 0 and all(s.n_failed == 0 for s in singles)
+    assert np.array_equal(batch.squared_errors,
+                          np.concatenate([s.squared_errors for s in singles]))
+    estimates, truths, failed = estimators._pt_block(sc, x, range(40, 47), cfg)
+    assert failed == {}
+    for t in range(7):
+        one_estimate, one_truth, one_failed = estimators._pt_block(sc, x, [40 + t], cfg)
+        assert one_failed == {}
+        assert estimates[t] == one_estimate[0] and truths[t] == one_truth[0]
 
 
 def test_run_trials_estimates_each_seeds_own_echo(pt_case):
     # the oracle draws each trial's echo alone (unit-modulus alpha, then noise)
     sc, x, cfg, _, _, oracle, _ = pt_case
     summary = run_trials(sc, x, 12, base_seed=40, cfg=cfg)
-    assert [r.estimate for r in summary.records] == oracle
-    assert [r.squared_error for r in summary.records] == [
-        (t - sc.target.theta) ** 2 for t in oracle]
-    assert [r.seed for r in summary.records] == list(range(40, 52))
+    estimates, truths, failed = estimators._pt_block(sc, x, range(40, 52), cfg)
+    assert failed == {}
+    assert estimates.tolist() == oracle
+    assert truths.tolist() == [sc.target.theta] * 12
+    assert summary.squared_errors.tolist() == [(t - sc.target.theta) ** 2 for t in oracle]
+    assert _kept_seeds(summary, 40) == list(range(40, 52))
 
 
 def test_run_trials_rejects_unquantized_point_target(pt_case):
@@ -194,13 +209,16 @@ def et_case():
 def test_et_run_trials_does_not_depend_on_batch_size(et_case, unquantized):
     sc, x = et_case
     batch = run_trials(sc, x, 7, base_seed=60, unquantized=unquantized)
-    singles = [run_trials(sc, x, 1, base_seed=60 + t, unquantized=unquantized).records[0]
+    singles = [run_trials(sc, x, 1, base_seed=60 + t, unquantized=unquantized)
                for t in range(7)]
-    assert [r.seed for r in batch.records] == [r.seed for r in singles]
-    for got, want in zip(batch.records, singles):
-        assert got.squared_error == want.squared_error
-        assert np.array_equal(got.estimate, want.estimate)
-        assert np.array_equal(got.truth, want.truth)
+    assert _kept_seeds(batch, 60) == list(range(60, 67))
+    assert np.array_equal(batch.squared_errors,
+                          np.concatenate([s.squared_errors for s in singles]))
+    estimates, truths, _ = estimators._et_block(sc, x, range(60, 67), unquantized)
+    for t in range(7):
+        one_estimate, one_truth, _ = estimators._et_block(sc, x, [60 + t], unquantized)
+        assert np.array_equal(estimates[t], one_estimate[0])
+        assert np.array_equal(truths[t], one_truth[0])
 
 
 @pytest.mark.parametrize("unquantized", [False, True])
@@ -208,13 +226,14 @@ def test_et_block_of_257_matches_single_trials(et_case, unquantized):
     sc, x = et_case
     batch = run_trials(sc, x, 257, base_seed=300, unquantized=unquantized)
     assert batch.n_failed == 0
+    estimates, truths, _ = estimators._et_block(sc, x, range(300, 557), unquantized)
     for t in (0, 128, 256):
-        [single] = run_trials(sc, x, 1, base_seed=300 + t, unquantized=unquantized).records
-        got = batch.records[t]
-        assert got.seed == single.seed == 300 + t
-        assert got.squared_error == single.squared_error
-        assert np.array_equal(got.estimate, single.estimate)
-        assert np.array_equal(got.truth, single.truth)
+        single = run_trials(sc, x, 1, base_seed=300 + t, unquantized=unquantized)
+        assert _kept_seeds(single, 300 + t) == [300 + t]
+        assert batch.squared_errors[t] == single.squared_errors[0]
+        one_estimate, one_truth, _ = estimators._et_block(sc, x, [300 + t], unquantized)
+        assert np.array_equal(estimates[t], one_estimate[0])
+        assert np.array_equal(truths[t], one_truth[0])
 
 
 def _split_draws(seed, shapes):
@@ -277,7 +296,7 @@ def test_run_trials_rejects_seeds_past_2_128(et_case, monkeypatch, base_seed, n_
 def test_run_trials_runs_up_to_the_last_seed(et_case):
     sc, x = et_case
     summary = run_trials(sc, x, 3, base_seed=2**128 - 3)
-    assert [r.seed for r in summary.records] == [2**128 - 3, 2**128 - 2, 2**128 - 1]
+    assert _kept_seeds(summary, 2**128 - 3) == [2**128 - 3, 2**128 - 2, 2**128 - 1]
     assert summary.n_failed == 0
 
 
@@ -300,7 +319,7 @@ def test_run_trials_rejects_bad_base_seed(et_case, monkeypatch, bad):
 def test_run_trials_accepts_numpy_integers(et_case):
     sc, x = et_case
     summary = run_trials(sc, x, np.int64(3), base_seed=np.uint32(5))
-    assert [r.seed for r in summary.records] == [5, 6, 7]
+    assert _kept_seeds(summary, 5) == [5, 6, 7]
 
 
 @pytest.mark.parametrize("unquantized", [False, True])
@@ -308,7 +327,7 @@ def test_et_block_errors_match_per_trial_oracle(et_case, unquantized):
     sc, x = et_case
     summary = run_trials(sc, x, 40, base_seed=70, unquantized=unquantized)
     want = per_trial_et_errors(sc, x, 40, base_seed=70, unquantized=unquantized)
-    got = np.array([r.squared_error for r in summary.records])
+    got = summary.squared_errors
     assert summary.n_failed == 0
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
@@ -344,7 +363,7 @@ def test_refinement_failure_fails_only_its_visitors(pt_case, monkeypatch):
     assert np.isnan(one_hat[0]) and isinstance(one_failed[0], np.linalg.LinAlgError)
     summary = run_trials(sc, x, z.shape[1], base_seed=40, cfg=cfg)
     assert summary.failures == {REFINE_FAILURE: len(visitors)}
-    assert [r.seed - 40 for r in summary.records] == sorted(set(range(12)) - visitors)
+    assert [seed - 40 for seed in _kept_seeds(summary, 40)] == sorted(set(range(12)) - visitors)
 
 
 def test_coarse_failure_fails_every_trial(pt_case, monkeypatch):
@@ -357,7 +376,9 @@ def test_coarse_failure_fails_every_trial(pt_case, monkeypatch):
     one_hat, one_failed = grid.estimate(z[:, [0]])
     assert np.isnan(one_hat[0]) and "even after jitter" in str(one_failed[0])
     summary = run_trials(sc, x, 4, base_seed=40, cfg=cfg)
-    assert summary.n_failed == 4 and summary.records == []
+    assert summary.n_failed == 4 and np.isnan(summary.squared_errors).all()
+    assert summary.squared_errors.shape == (4,)
+    assert math.isnan(summary.mse) and math.isnan(summary.std_error)
     assert summary.failures == {REFINE_FAILURE: 4}
 
 
@@ -501,10 +522,10 @@ def test_mle_localizes_target_at_high_snr():
     rng = np.random.default_rng(3)
     x = complex_normal(rng, 80)
     x /= np.linalg.norm(x)
-    summary = run_trials(sc, x, 100, base_seed=50)
-    errors = np.array([abs(r.estimate - r.truth) for r in summary.records])
+    estimates, truths, failed = estimators._pt_block(sc, x, range(50, 150), None)
+    errors = np.abs(estimates - truths)
     assert np.median(errors) < math.radians(1.0)
-    assert summary.n_failed == 0
+    assert failed == {}
 
 
 def test_blmmse_zero_observation():
@@ -555,7 +576,7 @@ def test_run_trials_deterministic():
     a = run_trials(sc, x, 5, base_seed=3)
     b = run_trials(sc, x, 5, base_seed=3)
     assert a.mse == b.mse
-    assert [r.squared_error for r in a.records] == [r.squared_error for r in b.records]
+    assert np.array_equal(a.squared_errors, b.squared_errors)
     single = run_trials(sc, x, 1, base_seed=3)
     assert single.n_trials == 1
     assert single.std_error == 0.0
@@ -602,7 +623,7 @@ def test_run_trials_counts_numerical_failures_by_reason(monkeypatch):
 
     monkeypatch.setattr(estimators, "blmmse_matrix", singular)
     summary = run_trials(sc, x, 9, base_seed=0)
-    assert summary.n_failed == 9 and summary.records == []
+    assert summary.n_failed == 9 and np.isnan(summary.squared_errors).all()
     assert summary.failures == {"LinAlgError: singular": 9}
     monkeypatch.undo()
 
@@ -616,9 +637,36 @@ def test_run_trials_counts_numerical_failures_by_reason(monkeypatch):
     monkeypatch.setattr(estimators, "quantize_one_bit", corrupted)
     summary = run_trials(sc, x, 9, base_seed=0)
     assert summary.n_failed == 3
-    assert [r.seed for r in summary.records] == [1, 2, 4, 5, 7, 8]
+    assert _kept_seeds(summary, 0) == [1, 2, 4, 5, 7, 8]
     assert summary.failures == {"non-finite squared error": 3}
     assert math.isfinite(summary.mse)
+
+
+def test_squared_errors_are_nan_exactly_where_trials_failed(monkeypatch):
+    sc = et_scenario(seed=0)
+    nan_waveform = np.full(sc.n_t * sc.block_len, np.nan, dtype=complex)
+    setup_failure = run_trials(sc, nan_waveform, 5, base_seed=0)
+    assert setup_failure.squared_errors.shape == (5,)
+    assert np.isnan(setup_failure.squared_errors).all() and setup_failure.n_failed == 5
+    assert math.isnan(setup_failure.mse) and math.isnan(setup_failure.std_error)
+
+    x = complex_normal(np.random.default_rng(12), sc.n_t * sc.block_len)
+    clean = run_trials(sc, x, 9, base_seed=0)
+    real_quantize = estimators.quantize_one_bit
+
+    def corrupted(r):  # trials 0, 3 and 6 turn non-finite
+        z = real_quantize(r)
+        z[::3] = np.nan
+        return z
+
+    monkeypatch.setattr(estimators, "quantize_one_bit", corrupted)
+    mixed = run_trials(sc, x, 9, base_seed=0)
+    failed = np.isnan(mixed.squared_errors)
+    assert np.flatnonzero(failed).tolist() == [0, 3, 6] and mixed.n_failed == 3
+    kept = mixed.squared_errors[~failed]
+    assert np.array_equal(kept, clean.squared_errors[~failed])
+    assert mixed.mse == float(kept.mean())
+    assert mixed.std_error == float(kept.std(ddof=1) / math.sqrt(kept.size))
 
 
 def test_run_trials_propagates_non_numerical_errors(monkeypatch):

@@ -3,7 +3,6 @@ import pytest
 from helpers_oracles import chol_logdet
 
 from onebit_isac.linalg import (
-    XtildeOperator,
     complex_normal,
     h_tilde_adjoint,
     h_tilde_apply,
@@ -14,6 +13,7 @@ from onebit_isac.linalg import (
     psd_sqrt,
     unvec,
     vec,
+    xtilde_multiply,
 )
 
 
@@ -97,14 +97,15 @@ def test_power_iteration_norm_is_numpy_norm_bit_for_bit():
 def test_xtilde_gram_and_right_multiply():
     rng = np.random.default_rng(5)
     x = complex_normal(rng, (3, 4))
-    op = XtildeOperator(x, n_r=2)
     dense = np.kron(x.T, np.eye(2))
     c = random_psd(rng, 6)
-    l_mat = op.right_multiply(c)
+    l_mat = xtilde_multiply(x, c)
     assert np.allclose(l_mat, dense @ c, atol=1e-12)
     # the Gram as et_l_and_m forms it: X~ C X~^H = (X~ L^H)^H
-    gram = op.right_multiply(l_mat.conj().T).conj().T
+    gram = xtilde_multiply(x, l_mat.conj().T).conj().T
     assert np.allclose(gram, dense @ c @ dense.conj().T, atol=1e-12)
+    with pytest.raises(ValueError, match="not a multiple of n_t = 3"):
+        xtilde_multiply(x, c[:5])
 
 
 def test_h_tilde_roundtrip_against_kron():

@@ -12,7 +12,7 @@ from helpers_oracles import (
 
 from onebit_isac.array_geometry import EtTarget, exponential_correlation
 from onebit_isac.crb_metrics import crb_et, et_l_and_m, et_prior, mse_et_quantization_unaware
-from onebit_isac.linalg import XtildeOperator, complex_normal, hermitian_solve, unvec
+from onebit_isac.linalg import complex_normal, hermitian_solve, unvec, xtilde_multiply
 from onebit_isac.opt_et import (
     EtProblem,
     augmented_objective_et,
@@ -76,7 +76,7 @@ def test_linear_term_trace_identity():
         l_t = prior.anchor(x_mat, prob.sigma_v_sq, True).linear_term()
         for _ in range(20):
             xr = complex_normal(rng, 4)
-            lx = XtildeOperator(unvec(xr, 2, 2), 2).right_multiply(prob.c_aa)
+            lx = xtilde_multiply(unvec(xr, 2, 2), prob.c_aa)
             tr_form = np.einsum("ij,ij->", l_big.conj(), hermitian_solve(m_t, lx))
             assert abs(tr_form - np.vdot(l_t, xr)) < 1e-10
 

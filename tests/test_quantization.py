@@ -233,7 +233,7 @@ def test_crr_et_monte_carlo():
     sv = 0.3
     cov = crr_et(x, target.c_aa, sv)
     n = 100000
-    # row i: the 8 normals of one target.sample(rng), then the 4 + 4 of one
+    # row i: the 8 normals of one sample_response(target, rng), then the 4 + 4 of one
     # complex_normal(rng, 4, scale=sqrt(sv)), as n calls in turn would draw
     normals = rng.standard_normal((n, 16))
     r = vec_rows(target.responses(normals[:, :8]) @ x) + complex_from_normals(
