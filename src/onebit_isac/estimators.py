@@ -2,6 +2,7 @@
 point targets, the Bussgang-linearized LMMSE response estimator for extended
 targets, and the seeded Monte-Carlo MSE harness."""
 
+import contextlib
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from scipy.linalg import lapack
 from .array_geometry import pt_response_operator, steering
 from .crb_metrics import et_l_and_m
 from .linalg import (complex_from_normals, hermitian_factor, hermitian_solve, integer_at_least,
-                     unvec, vec, vec_rows)
+                     single_blas_thread, unvec, vec, vec_rows)
 from .quantization import (arcsine_law, bussgang_gain, covariance_czz_exact, positive_diagonal,
                            quantize_one_bit)
 
@@ -22,6 +23,10 @@ HALF_PI = np.pi / 2.0
 REFINE_OFFSETS = np.arange(-10, 11)
 # complex entries per level's stack of covariances, which is factored in place
 _STACK_ENTRIES = 1 << 18
+# largest n_r L whose search runs on one BLAS thread: up to it one thread
+# runs the per-angle LAPACK calls faster or as fast, from 480 up the default
+# threads win (BENCH_mle_threads.json)
+_SINGLE_THREAD_MAX_N = 320
 
 
 @dataclass
@@ -104,6 +109,12 @@ class MleGrid:
     visit, chunk by chunk, into one memory-bounded stack that it allocates
     once, factors each in place, and makes one triangular solve per angle
     against the trials that visit it.
+
+    While n_r L is at most _SINGLE_THREAD_MAX_N, estimate runs its levels
+    inside linalg.single_blas_thread: these small per-angle LAPACK calls
+    run faster on one BLAS thread than on several, and the estimates keep
+    their bits. The thread count is process-wide, so other threads' BLAS
+    calls run single-threaded during that window too.
     """
 
     def __init__(self, x, sigma_alpha_sq, sigma_v_sq, block_len, n_r, cfg=None):
@@ -114,6 +125,8 @@ class MleGrid:
             if not 0.0 < power < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {power!r}")
         self.x = vec(np.asarray(x, dtype=complex))
+        if not np.all(np.isfinite(self.x)):
+            raise ValueError("waveform has non-finite entries")
         self.sigma_alpha_sq = float(sigma_alpha_sq)
         self.sigma_v_sq = float(sigma_v_sq)
         self.block_len = int(block_len)
@@ -149,18 +162,21 @@ class MleGrid:
         theta_hat = np.zeros(block.shape[1])
         failed = {}
         step = self.cfg.coarse_grid_step
-        for level in range(self.cfg.refine_levels + 1):
-            live = np.flatnonzero(~np.isnan(theta_hat))
-            if level:
-                step *= self.cfg.refine_shrink
-                grid = np.clip(theta_hat[live, None] + REFINE_OFFSETS * step, -HALF_PI, HALF_PI)
-            else:
-                grid = np.broadcast_to(self.thetas, (live.size, self.thetas.size))
-            fvals = self._level_objectives(block[:, live], grid, live, failed)
-            theta_hat[list(failed)] = np.nan
-            ok = ~np.isnan(theta_hat[live])
-            # first, smaller angle on ties
-            theta_hat[live[ok]] = grid[ok, np.argmin(fvals[ok], axis=1)]
+        small = self.n_r * self.block_len <= _SINGLE_THREAD_MAX_N
+        with single_blas_thread() if small else contextlib.nullcontext():
+            for level in range(self.cfg.refine_levels + 1):
+                live = np.flatnonzero(~np.isnan(theta_hat))
+                if level:
+                    step *= self.cfg.refine_shrink
+                    grid = np.clip(theta_hat[live, None] + REFINE_OFFSETS * step,
+                                   -HALF_PI, HALF_PI)
+                else:
+                    grid = np.broadcast_to(self.thetas, (live.size, self.thetas.size))
+                fvals = self._level_objectives(block[:, live], grid, live, failed)
+                theta_hat[list(failed)] = np.nan
+                ok = ~np.isnan(theta_hat[live])
+                # first, smaller angle on ties
+                theta_hat[live[ok]] = grid[ok, np.argmin(fvals[ok], axis=1)]
         return theta_hat, failed
 
     def _level_objectives(self, block, grid, live, failed):

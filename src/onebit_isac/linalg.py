@@ -1,11 +1,15 @@
 """Shared complex linear algebra: column-stacked vectorization, guarded
 Hermitian solves, PSD square roots, power iteration, the structured
 operators (X^T kron I, I kron H) used throughout the library, the ADMM
-penalty and power check that both waveform solvers share, and the integer
-check of sizes and counts."""
+penalty and power check that both waveform solvers share, the integer
+check of sizes and counts, and the single-BLAS-thread window of the
+one-bit MLE."""
 
+import contextlib
+import ctypes
 import math
 import numbers
+import threading
 
 import numpy as np
 import scipy.linalg as sla
@@ -65,9 +69,12 @@ def psd_sqrt(a):
     """Hermitian PSD square root via eigendecomposition.
 
     Eigenvalues in [-PSD_TOL * scale, 0) are clamped to zero; anything more
-    negative raises, since the input is then not a correlation/covariance.
+    negative, or a non-finite entry, raises ValueError, since the input is
+    then not a correlation/covariance.
     """
     a = np.asarray(a)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     scale = max(abs(w[-1]), 1.0)
     if w[0] < -PSD_TOL * scale:
@@ -179,3 +186,66 @@ def project_power_ball(x, power):
     if n2 <= power:
         return x
     return x * np.sqrt(power / n2)
+
+
+# (get, set) thread-count symbols of numpy's and of scipy's OpenBLAS build
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+_blas_lock = threading.Lock()
+_blas = {"controls": None, "depth": 0, "saved": ()}
+
+
+def _blas_thread_controls():
+    """(get, set) ctypes functions of each OpenBLAS build mapped into this
+    process, found through /proc/self/maps; empty where there is no /proc
+    or no such build."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the body with every loaded OpenBLAS build at one thread, and
+    restore each build's thread count on the way out, also on an exception.
+
+    The count is process-wide, so BLAS calls of other threads run
+    single-threaded too while any body is inside. Nested and concurrent
+    bodies share one depth count under a lock: the first entry saves the
+    counts and the last exit restores them. The builds are looked up once,
+    on first use; where none is found this does nothing.
+    """
+    with _blas_lock:
+        if _blas["controls"] is None:
+            _blas["controls"] = _blas_thread_controls()
+        if _blas["depth"] == 0:
+            _blas["saved"] = tuple(get() for get, _ in _blas["controls"])
+            for _, put in _blas["controls"]:
+                put(1)
+        _blas["depth"] += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas["depth"] -= 1
+            if _blas["depth"] == 0:
+                for (_, put), count in zip(_blas["controls"], _blas["saved"]):
+                    put(count)

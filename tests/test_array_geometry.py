@@ -230,3 +230,9 @@ def test_targets_validation():
             PtTarget(0.1, power)
     t = EtTarget(np.eye(2), np.eye(3))
     assert np.allclose(t.c_aa, np.eye(6))
+    # a NaN correlation once built a NaN c_aa
+    for bad in (math.nan, math.inf):
+        corr = np.array([[1.0, bad], [bad, 1.0]])
+        for phi_r, phi_t in ((corr, np.eye(2)), (np.eye(2), corr)):
+            with pytest.raises(ValueError, match="non-finite"):
+                EtTarget(phi_r, phi_t)

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from pathlib import Path
 
@@ -81,8 +82,9 @@ SMALL = {"n_t": 4, "n_r": 4, "n_users": 2, "block_len": 4, "snr_db_list": [20.0]
     ({"target": "et", "correlation": 1.5}, "not PSD"),
     ({"experiment": "timing", "correlation": 1.5}, "not PSD"),
     ({"experiment": "tradeoff", "admm_overrides": {"max_outer": 0}}, "max_outer must be"),
+    ({"experiment": "et_sweep", "target": "et", "correlation": math.nan}, "non-finite"),
 ], ids=["c_rho", "rho0", "epsilon", "epsilon_list", "qam_order", "theta_deg", "correlation",
-        "timing_correlation", "tradeoff_max_outer"])
+        "timing_correlation", "tradeoff_max_outer", "correlation_nan"])
 def test_config_rejects_out_of_range_values(tmp_path, capsys, bad, message):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({**SMALL, **bad}))

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -83,6 +85,15 @@ def test_mle_grid_accepts_numpy_sizes_and_powers():
     grid = MleGrid(**{**GRID_ARGS, "block_len": np.int64(2), "n_r": np.int32(4),
                       "sigma_v_sq": np.float32(0.05)})
     assert (grid.block_len, grid.n_r, grid.n_t) == (2, 4, 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mle_grid_rejects_non_finite_waveform(bad):
+    # a NaN waveform once built a grid whose estimate failed on the covariance
+    x = np.ones(8, dtype=complex)
+    x[3] = bad
+    with pytest.raises(ValueError, match="waveform has non-finite entries"):
+        MleGrid(**{**GRID_ARGS, "x": x})
 
 
 def test_nan_power_fails_the_covariance_instead_of_every_trial():
@@ -526,6 +537,92 @@ def test_mle_localizes_target_at_high_snr():
     errors = np.abs(estimates - truths)
     assert np.median(errors) < math.radians(1.0)
     assert failed == {}
+
+
+@pytest.fixture(scope="module")
+def desk_case():
+    sc = pt_scenario(seed=0)
+    x = complex_normal(np.random.default_rng(5), sc.n_t * sc.block_len)
+    x *= math.sqrt(sc.power) / np.linalg.norm(x)
+    grid = MleGrid(x, sc.target.sigma_alpha_sq, sc.sigma_v_sq, sc.block_len, sc.n_r)
+    return grid, pt_trial_observations(sc, x, 12, base_seed=7)
+
+
+def _blas_counts(controls):
+    return [get() for get, _ in controls]
+
+
+def _record_level_counts(monkeypatch, controls):
+    """BLAS thread counts seen at the start of every level of estimate."""
+    seen = []
+    real = MleGrid._level_objectives
+
+    def level(self, *args):
+        seen.append(_blas_counts(controls))
+        return real(self, *args)
+
+    monkeypatch.setattr(MleGrid, "_level_objectives", level)
+    return seen
+
+
+def test_desk_levels_run_on_one_blas_thread(desk_case, blas_controls, monkeypatch):
+    grid, z = desk_case
+    seen = _record_level_counts(monkeypatch, blas_controls)
+    theta_hat, failed = grid.estimate(z)
+    assert failed == {} and np.all(np.isfinite(theta_hat))
+    assert seen == [[1] * len(blas_controls)] * (grid.cfg.refine_levels + 1)
+    assert _blas_counts(blas_controls) == [2] * len(blas_controls)
+
+
+@pytest.mark.parametrize("extra, capped", [(0, True), (1, False)])
+def test_blas_threads_capped_only_up_to_the_crossover(blas_controls, monkeypatch, extra, capped):
+    n = estimators._SINGLE_THREAD_MAX_N + extra
+    rng = np.random.default_rng(6)
+    x = complex_normal(rng, n)
+    grid = MleGrid(x / np.linalg.norm(x), 1.0, 0.1, block_len=n, n_r=1,
+                   cfg=MleConfig(coarse_grid_step=math.radians(30.0), refine_levels=1))
+    seen = _record_level_counts(monkeypatch, blas_controls)
+    grid.estimate(quantize_one_bit(complex_normal(rng, (n, 2))))
+    assert seen == [[1 if capped else 2] * len(blas_controls)] * 2
+    assert _blas_counts(blas_controls) == [2] * len(blas_controls)
+
+
+def test_blas_threads_restored_after_a_failing_level(desk_case, blas_controls, monkeypatch):
+    grid, z = desk_case
+
+    def broken(self, *args):
+        raise RuntimeError("level failed")
+
+    monkeypatch.setattr(MleGrid, "_level_objectives", broken)
+    with pytest.raises(RuntimeError, match="level failed"):
+        grid.estimate(z)
+    assert _blas_counts(blas_controls) == [2] * len(blas_controls)
+
+
+def test_concurrent_estimates_restore_blas_threads(desk_case, blas_controls):
+    grid, z = desk_case
+    want = grid.estimate(z)[0]
+    results = [None, None]
+
+    def work(i):
+        results[i] = grid.estimate(z)[0]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r.tobytes() == want.tobytes() for r in results)
+    assert _blas_counts(blas_controls) == [2] * len(blas_controls)
+
+
+def test_desk_estimates_keep_their_bits_on_one_blas_thread(desk_case, blas_controls,
+                                                           monkeypatch):
+    grid, z = desk_case
+    capped = grid.estimate(z)[0]
+    monkeypatch.setattr(estimators, "single_blas_thread", contextlib.nullcontext)
+    assert grid.estimate(z)[0].tobytes() == capped.tobytes()
 
 
 def test_blmmse_zero_observation():

@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from helpers_oracles import chol_logdet
 
+from onebit_isac import linalg
 from onebit_isac.linalg import (
     complex_normal,
     h_tilde_adjoint,
@@ -11,6 +15,7 @@ from onebit_isac.linalg import (
     power_iteration,
     project_power_ball,
     psd_sqrt,
+    single_blas_thread,
     unvec,
     vec,
     xtilde_multiply,
@@ -72,6 +77,73 @@ def test_psd_sqrt_clamps_small_negative():
 def test_psd_sqrt_rejects_indefinite():
     with pytest.raises(ValueError):
         psd_sqrt(np.diag([1.0, -0.5]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_psd_sqrt_rejects_non_finite(bad):
+    # a NaN eigenvalue once passed the indefiniteness test
+    with pytest.raises(ValueError, match="non-finite"):
+        psd_sqrt(np.array([[1.0, bad], [bad, 1.0]]))
+
+
+def _counts(controls):
+    return [get() for get, _ in controls]
+
+
+def test_single_blas_thread_restores_counts(blas_controls):
+    with single_blas_thread():
+        assert _counts(blas_controls) == [1] * len(blas_controls)
+        with single_blas_thread():
+            assert _counts(blas_controls) == [1] * len(blas_controls)
+        # the inner exit leaves the outer window at one thread
+        assert _counts(blas_controls) == [1] * len(blas_controls)
+    assert _counts(blas_controls) == [2] * len(blas_controls)
+    with pytest.raises(RuntimeError, match="inside"):
+        with single_blas_thread():
+            raise RuntimeError("inside")
+    assert _counts(blas_controls) == [2] * len(blas_controls)
+    assert linalg._blas["depth"] == 0
+
+
+def test_single_blas_thread_is_safe_across_threads(blas_controls):
+    # more threads than cores, switching often: a lost depth update would
+    # leave a count at 1 or restore it while another body is still inside
+    errors = []
+
+    def work():
+        for _ in range(200):
+            with single_blas_thread():
+                if _counts(blas_controls) != [1] * len(blas_controls):
+                    errors.append(_counts(blas_controls))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert _counts(blas_controls) == [2] * len(blas_controls)
+    assert linalg._blas["depth"] == 0
+
+
+def test_single_blas_thread_without_openblas_does_nothing(monkeypatch):
+    def no_proc(*args, **kwargs):
+        raise FileNotFoundError("/proc/self/maps")
+
+    monkeypatch.setattr(linalg, "open", no_proc, raising=False)
+    assert linalg._blas_thread_controls() == ()
+    # looked up again on the next entry, and found empty
+    monkeypatch.setitem(linalg._blas, "controls", None)
+    with single_blas_thread():
+        assert linalg._blas["controls"] == ()
+        assert linalg._blas["depth"] == 1
+    assert linalg._blas["depth"] == 0
 
 
 def test_power_iteration_matches_eigvalsh():
