@@ -15,6 +15,7 @@ from .linalg import check_power, complex_normal, h_tilde_apply, integer_at_least
 from .sep_projection import _clamp_u, solve_block
 from .crb_metrics import PtModel
 from .opt_et import EtProblem
+from .scenario import min_sep_power
 
 VARIANTS = ("PT", "ET", "ET_QU", "PT_INF")
 
@@ -86,7 +87,10 @@ class AdmmTrace:
 @dataclass
 class AdmmResult:
     """The last iterates, the trace, and why the run stopped: reason is
-    "converged" (both tolerances cleared) or "max_outer"."""
+    "converged" (both tolerances cleared), "budget_infeasible" (stopped at
+    max_outer with a power budget below scenario.min_sep_power, so no
+    waveform meets the SEP constraints at the tightest decisions) or
+    "max_outer"."""
 
     x: np.ndarray
     d: np.ndarray
@@ -129,9 +133,10 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
     The penalty grows geometrically with the dual rescaled by the same
     factor until rho_max; iteration stops once the residual and the relative
     objective change both clear their tolerances (reason "converged"), or at
-    max_outer (reason "max_outer"); a non-finite objective raises. The
-    objective is the waveform solver's info["bound"] at its x: crb_pt (PT),
-    crb_pt_infinite_resolution (PT_INF), or crb_et (ET) and
+    max_outer (reason "budget_infeasible" when the scenario has users and its
+    power is below min_sep_power, else "max_outer"); a non-finite objective
+    raises. The objective is the waveform solver's info["bound"] at its x:
+    crb_pt (PT), crb_pt_infinite_resolution (PT_INF), or crb_et (ET) and
     mse_et_quantization_unaware (ET_QU) over tr(C_aa).
     """
     if variant not in VARIANTS:
@@ -203,6 +208,8 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
             factor = min(config.c_rho, config.rho_max / rho)
             rho *= factor
             lam = lam / factor
+    if reason != "converged" and k and min_sep_power(scenario) > scenario.power:
+        reason = "budget_infeasible"
     return AdmmResult(
         x=x, d=d, trace=trace, u=u, lam=lam, reason=reason,
         n_outer=len(trace),

@@ -1,10 +1,10 @@
 """QAM constellation handling, symbol-error-probability threshold
-construction, constraint evaluation, and empirical SER measurement."""
+construction, constraint evaluation, and empirical SER measurement.
+scipy.special is loaded on the first call of q_function or q_inverse."""
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as sps
 
 from .linalg import complex_from_normals
 
@@ -14,15 +14,19 @@ _CHUNK_NORMALS = 1 << 18
 
 def q_function(x):
     """Gaussian tail probability Q(x)."""
-    return 0.5 * sps.erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+    from scipy.special import erfc
+
+    return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 
 def q_inverse(p):
     """Inverse Gaussian tail, Q^{-1}(p) for p in (0, 1)."""
+    from scipy.special import ndtri
+
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValueError("q_inverse requires probabilities strictly inside (0, 1)")
-    out = -sps.ndtri(p)
+    out = -ndtri(p)
     return float(out) if out.ndim == 0 else out
 
 

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
-from scipy.linalg import lapack
 
 from .array_geometry import pt_response_operator, steering
 from .crb_metrics import et_l_and_m
@@ -85,9 +84,9 @@ def pt_covariance_czz(x_matrix, thetas, sigma_alpha_sq, sigma_v_sq, n_r, out=Non
     return out
 
 
-def _quadratic_forms(factor, z):
+def _quadratic_forms(factor, z, lapack):
     """z_t^H C^{-1} z_t for every column z_t of z, from the lower Cholesky
-    factor of C."""
+    factor of C (scipy's lapack module makes the triangular solve)."""
     n_cols = z.shape[1]
     # a one-column solve takes another BLAS path that rounds differently;
     # solving at least two columns keeps each trial's value independent of
@@ -156,13 +155,17 @@ class MleGrid:
 
         Returns (theta_hat, failed): the T estimates, NaN for a failed trial,
         and {trial: LinAlgError} naming the first angle each failed trial
-        could not factor.
+        could not factor. The first call loads scipy.linalg.
         """
         block = self._observations(z)
         theta_hat = np.zeros(block.shape[1])
         failed = {}
         step = self.cfg.coarse_grid_step
         small = self.n_r * self.block_len <= _SINGLE_THREAD_MAX_N
+        # importing scipy's LAPACK maps scipy's OpenBLAS build; it comes before
+        # the window, which finds the builds it caps on its first entry
+        from scipy.linalg import lapack
+
         with single_blas_thread() if small else contextlib.nullcontext():
             for level in range(self.cfg.refine_levels + 1):
                 live = np.flatnonzero(~np.isnan(theta_hat))
@@ -172,19 +175,20 @@ class MleGrid:
                                    -HALF_PI, HALF_PI)
                 else:
                     grid = np.broadcast_to(self.thetas, (live.size, self.thetas.size))
-                fvals = self._level_objectives(block[:, live], grid, live, failed)
+                fvals = self._level_objectives(block[:, live], grid, live, failed, lapack)
                 theta_hat[list(failed)] = np.nan
                 ok = ~np.isnan(theta_hat[live])
                 # first, smaller angle on ties
                 theta_hat[live[ok]] = grid[ok, np.argmin(fvals[ok], axis=1)]
         return theta_hat, failed
 
-    def _level_objectives(self, block, grid, live, failed):
+    def _level_objectives(self, block, grid, live, failed, lapack):
         """Objectives of each row's grid angles against the matching column of
-        block. The covariances are filled, chunk by chunk, into one stack of
-        at most _STACK_ENTRIES entries and factored in place. A trial that
-        visits an angle that cannot be factored is added to failed (keyed by
-        live[row]) and its row is left unfinished."""
+        block, factored and solved by scipy's lapack module. The covariances
+        are filled, chunk by chunk, into one stack of at most _STACK_ENTRIES
+        entries and factored in place. A trial that visits an angle that
+        cannot be factored is added to failed (keyed by live[row]) and its row
+        is left unfinished."""
         angles, inverse = np.unique(grid, return_inverse=True)
         n_rows = grid.shape[0]
         # one entry per (angle, row) pair, sorted by angle and then by row
@@ -223,7 +227,7 @@ class MleGrid:
                             failed.setdefault(int(t), err)
                         continue
                 logdet = 2.0 * np.log(factor.diagonal().real).sum()
-                pair_vals[span] = _quadratic_forms(factor, block[:, rows]) + logdet
+                pair_vals[span] = _quadratic_forms(factor, block[:, rows], lapack) + logdet
         return pair_vals[pair_of].reshape(grid.shape)
 
 

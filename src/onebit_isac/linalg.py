@@ -12,7 +12,6 @@ import numbers
 import threading
 
 import numpy as np
-import scipy.linalg as sla
 
 _TINY = np.finfo(float).tiny
 # first diagonal lift of hermitian_factor, relative to trace(a)/n
@@ -47,14 +46,17 @@ def hermitian_factor(a):
     Returns (factor, lower_flag) in the scipy ``cho_factor`` convention.
     When the plain factorization fails, the diagonal is lifted by
     JITTER_SCALE * trace(a)/n, escalating twice by 10x before giving up.
+    The first call loads scipy.linalg, which ``import onebit_isac`` does not.
     """
+    from scipy.linalg import cho_factor
+
     a = np.asarray(a)
     n = a.shape[0]
     base = JITTER_SCALE * max(np.trace(a).real / max(n, 1), np.finfo(float).tiny)
     for k in range(4):
         jitter = 0.0 if k == 0 else base * 10.0 ** (k - 1)
         try:
-            return sla.cho_factor(a + jitter * np.eye(n), lower=True)
+            return cho_factor(a + jitter * np.eye(n), lower=True)
         except np.linalg.LinAlgError:
             continue
     raise np.linalg.LinAlgError("matrix not positive definite even after jitter")
@@ -62,7 +64,9 @@ def hermitian_factor(a):
 
 def hermitian_solve(a, b):
     """Solve a @ x = b for Hermitian positive definite a (jittered Cholesky)."""
-    return sla.cho_solve(hermitian_factor(a), np.asarray(b))
+    from scipy.linalg import cho_solve
+
+    return cho_solve(hermitian_factor(a), np.asarray(b))
 
 
 def psd_sqrt(a):
@@ -231,7 +235,8 @@ def single_blas_thread():
     single-threaded too while any body is inside. Nested and concurrent
     bodies share one depth count under a lock: the first entry saves the
     counts and the last exit restores them. The builds are looked up once,
-    on first use; where none is found this does nothing.
+    on first use, so a caller imports the libraries whose calls it caps
+    before its first entry; where none is found this does nothing.
     """
     with _blas_lock:
         if _blas["controls"] is None:

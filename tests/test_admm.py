@@ -229,8 +229,13 @@ def test_min_sep_power_flags_infeasible_configuration():
     assert min_sep_power(crowded) > crowded.power
     cfg = AdmmConfig(rho0=10.0, c_rho=3.0, rho_max=1e8, max_outer=10, max_inner=5)
     res = admm_run(crowded, "PT", config=cfg, seed=0)
-    assert not res.converged
+    assert not res.converged and res.reason == "budget_infeasible"
     assert res.trace.residuals[-1] > 1e-4
+    # the desk ET_QU design of scenario 0 also stops at its cap, but on a
+    # budget that fits the constraints: test_run_reports_why_it_stopped
+    # reads its reason as max_outer
+    desk = et_scenario(seed=0)
+    assert min_sep_power(desk) < desk.power
 
 
 def test_pt_inf_variant_logs_infinite_resolution_objective():

@@ -448,7 +448,7 @@ def test_levels_factor_in_place_in_one_stack_each(pt_case, monkeypatch):
 
     monkeypatch.setattr(MleGrid, "_level_objectives", level)
     monkeypatch.setattr(estimators, "pt_covariance_czz", filled)
-    monkeypatch.setattr(estimators.lapack, "zpotrf", potrf)
+    monkeypatch.setattr(lapack, "zpotrf", potrf)
     theta_hat, failed = grid.estimate(z)
     assert failed == {} and theta_hat.tolist() == oracle
     assert len(levels) == cfg.refine_levels + 1 and len(levels[0]) == 13
@@ -493,10 +493,10 @@ def test_trial_objective_does_not_depend_on_its_solve_partners():
     a = complex_normal(rng, (n, n))
     factor = np.linalg.cholesky(a @ a.conj().T + np.eye(n))
     z = complex_normal(rng, (n, 9))
-    together = estimators._quadratic_forms(factor, z)
+    together = estimators._quadratic_forms(factor, z, lapack)
     for t in range(9):
-        assert estimators._quadratic_forms(factor, z[:, [t]])[0] == together[t]
-        assert estimators._quadratic_forms(factor, z[:, [t, (t + 4) % 9]])[0] == together[t]
+        assert estimators._quadratic_forms(factor, z[:, [t]], lapack)[0] == together[t]
+        assert estimators._quadratic_forms(factor, z[:, [t, (t + 4) % 9]], lapack)[0] == together[t]
 
 
 def test_pt_value_error_propagates(pt_case, monkeypatch):
