@@ -11,7 +11,7 @@ import numpy as np
 
 from . import opt_et, opt_pt
 from .comm_sep import complex_block, real_rows
-from .linalg import check_power, complex_normal, h_tilde_apply, integer_at_least, vec
+from .linalg import check_counts, check_power, complex_normal, h_tilde_apply, vec
 from .sep_projection import _clamp_u, solve_block
 from .crb_metrics import PtModel
 from .opt_et import EtProblem
@@ -39,10 +39,7 @@ class AdmmConfig:
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, "
                                  f"got {getattr(self, name)!r}")
-        for name in ("max_outer", "max_inner"):
-            if not integer_at_least(getattr(self, name), 1):
-                raise ValueError(f"{name} must be an integer of at least 1, "
-                                 f"got {getattr(self, name)!r}")
+        check_counts(self, ("max_outer", "max_inner"))
 
     @classmethod
     def pt_defaults(cls):
@@ -62,8 +59,9 @@ class AdmmConfig:
 @dataclass
 class AdmmTrace:
     """Per-outer-iteration record: residual, objective, penalty, wall time
-    since the start, the waveform solver's inner iterations and whether its
-    line search stalled (never for the extended target)."""
+    since the start, the waveform solver's inner iterations and its
+    info["stalled"] (a point-target line search that gave up; the
+    extended-target closed-form step never stalls)."""
 
     residuals: list = field(default_factory=list)
     objectives: list = field(default_factory=list)
@@ -168,8 +166,7 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
             quantization_aware=(variant == "ET"),
         )
         normalizer = float(np.trace(scenario.target.c_aa).real)
-        solve_x = functools.partial(opt_et.solve_x_et,
-                                    lam_hth=opt_et.lam_max_channel(channel))
+        solve_x = opt_et.solve_x_et
     rho = config.rho0
     trace = AdmmTrace()
     obj_prev = None
@@ -196,7 +193,7 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
             err.trace = trace
             raise err
         trace.append(residual, objective, rho, time.perf_counter() - t0, info["n_iter"],
-                     info.get("stalled", False))
+                     info["stalled"])
         if obj_prev is not None:
             rel = abs(objective - obj_prev) / (abs(obj_prev) + 1e-30)
             if residual < config.tol_residual and rel < config.tol_objective:

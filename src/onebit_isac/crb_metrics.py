@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import hermitian_solve, unvec, vec, xtilde_multiply
+from .linalg import check_counts, hermitian_solve, unvec, vec, xtilde_multiply
 from .array_geometry import receive_basis, steering, steering_derivative
 from .quantization import TWO_OVER_PI
 
@@ -43,8 +43,7 @@ class PtModel:
         if not (math.isfinite(self.sigma_alpha_sq) and self.sigma_alpha_sq >= 0.0):
             raise ValueError("target power must be finite and non-negative")
         check_noise_power(self.sigma_v_sq)
-        if self.block_len < 1:
-            raise ValueError("block length must be positive")
+        check_counts(self, ("n_t", "n_r", "block_len"))
         self.a_t = steering(self.n_t, self.theta)
         self.da_t = steering_derivative(self.n_t, self.theta)
         self.q = receive_basis(self.n_r, self.theta)

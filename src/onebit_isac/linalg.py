@@ -1,9 +1,9 @@
 """Shared complex linear algebra: column-stacked vectorization, guarded
 Hermitian solves, PSD square roots, power iteration, the structured
 operators (X^T kron I, I kron H) used throughout the library, the ADMM
-penalty and power check that both waveform solvers share, the integer
-check of sizes and counts, and the single-BLAS-thread window of the
-one-bit MLE."""
+penalty, power check and majorize-minimize loop that both waveform
+solvers share, the integer check of sizes and counts, and the
+single-BLAS-thread window of the one-bit MLE."""
 
 import contextlib
 import ctypes
@@ -175,13 +175,44 @@ def integer_at_least(value, low):
             and value >= low)
 
 
+def check_counts(owner, names):
+    """Raise ValueError unless each named attribute of owner is an integer
+    of at least 1."""
+    for name in names:
+        if not integer_at_least(getattr(owner, name), 1):
+            raise ValueError(f"{name} must be an integer of at least 1, "
+                             f"got {getattr(owner, name)!r}")
+
+
 def check_power(x, power):
-    """x as a complex array, checked to satisfy ||x||^2 <= power up to a
-    relative 1e-9."""
+    """x as a complex array, checked to be finite and to satisfy
+    ||x||^2 <= power up to a relative 1e-9."""
     x = np.asarray(x, dtype=complex)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("waveform has non-finite entries")
     if float(np.vdot(x, x).real) > power * (1.0 + 1e-9):
         raise ValueError("initial waveform violates the power constraint")
     return x
+
+
+def mm_loop(evaluate, step, bound, x_init, power, tol, max_iter):
+    """Majorize-minimize loop of both waveform solvers: evaluate(x) gives
+    (objective, state) and step(state, x) gives (x_next, stalled). Stops on a
+    stall, a relative objective change of at most tol, or max_iter steps.
+    Returns (x, info); info["bound"] is bound(state, x) at the last x."""
+    x = check_power(x_init, power)
+    f_prev, state = evaluate(x)
+    history = [f_prev]
+    stalled = False
+    for _ in range(max_iter):
+        x, stalled = step(state, x)
+        f_new, state = evaluate(x)
+        history.append(f_new)
+        if stalled or abs(f_new - f_prev) <= tol * (abs(f_prev) + 1e-30):
+            break
+        f_prev = f_new
+    return x, {"objective_history": history, "n_iter": len(history) - 1,
+               "stalled": stalled, "bound": bound(state, x)}
 
 
 def project_power_ball(x, power):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crb_metrics import check_noise_power, check_waveform, et_prior
-from .linalg import (check_power, h_tilde_adjoint, h_tilde_apply, integer_at_least,
+from .linalg import (check_counts, h_tilde_adjoint, h_tilde_apply, mm_loop,
                      penalty_value, project_power_ball, unvec)
 
 
@@ -35,10 +35,7 @@ class EtProblem:
     _prior: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("n_t", "n_r", "block_len"):
-            if not integer_at_least(getattr(self, name), 1):
-                raise ValueError(f"{name} must be an integer of at least 1, "
-                                 f"got {getattr(self, name)!r}")
+        check_counts(self, ("n_t", "n_r", "block_len"))
         check_noise_power(self.sigma_v_sq)
         self.c_aa = np.asarray(self.c_aa)
         self._prior = et_prior(self.c_aa, self.n_r, self.n_t)
@@ -139,27 +136,23 @@ def augmented_objective_et(problem, x, rho=0.0, u_i=None, lambda_i=None,
 
 
 def solve_x_et(problem, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,
-               power=1.0, tol=1e-6, max_iter=20, lam_hth=None):
-    """Closed-form MM loop for the extended-target subproblem.
+               power=1.0, tol=1e-6, max_iter=20):
+    """Closed-form MM loop (linalg.mm_loop) for the extended-target
+    subproblem, with lam_max_channel(channel) computed once per call.
 
     Returns (x, info); the true augmented objective is tracked and is
     non-increasing across iterations. info["bound"] is tr(C_aa) - gain at x
     (crb_et, or mse_et_quantization_unaware for an EtProblem with
     quantization_aware=False, the quantization-unaware variant).
     """
-    x = check_power(x_init, power)
-    if lam_hth is None:
-        lam_hth = lam_max_channel(channel)
-    f_prev = augmented_objective_et(problem, x, rho, u_i, lambda_i, channel)
-    history = [f_prev]
-    for _ in range(max_iter):
+    lam_hth = lam_max_channel(channel)
+
+    def evaluate(x):
+        return augmented_objective_et(problem, x, rho, u_i, lambda_i, channel), None
+
+    def step(_, x):
         surrogate = build_et_surrogate(problem, x, rho, u_i, lambda_i, channel, lam_hth)
-        x = mm_update_et(x, surrogate, power)
-        f_new = augmented_objective_et(problem, x, rho, u_i, lambda_i, channel)
-        history.append(f_new)
-        if abs(f_new - f_prev) <= tol * (abs(f_prev) + 1e-30):
-            f_prev = f_new
-            break
-        f_prev = f_new
-    return x, {"objective_history": history, "n_iter": len(history) - 1,
-               "bound": problem.anchor(x).bound}
+        return mm_update_et(x, surrogate, power), False
+
+    return mm_loop(evaluate, step, lambda _, x: problem.anchor(x).bound, x_init, power, tol,
+                   max_iter)

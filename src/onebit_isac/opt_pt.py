@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crb_metrics import ChainP, PtModel, SQRT_TWO_OVER_PI, bound_from_trace, trace_p_dc
-from .linalg import check_power, h_tilde_adjoint, h_tilde_apply, penalty_value
+from .linalg import h_tilde_adjoint, h_tilde_apply, mm_loop, penalty_value
 
 # backtracking schedule: start at 0.1 sqrt(P), halve until accepted or below
 # STEP_FLOOR; a candidate may exceed the anchor value by RELATIVE_SLACK * (|m0| + 1)
@@ -237,33 +237,22 @@ def pgd_step(anchor, x_t, rho=0.0, u_i=None, lambda_i=None, channel=None,
 
 def solve_x_pt(model, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,
                power=1.0, tol=1e-6, max_iter=20, quantized=True):
-    """Majorize-minimize loop: re-anchor, take one PGD step, repeat.
+    """Majorize-minimize loop (linalg.mm_loop): re-anchor, take one PGD step, repeat.
 
     The true augmented objective is non-increasing across anchors; iteration
     stops on a relative change below tol, a stalled line search, or the
     iteration cap. Returns (x, info); info["bound"] is PtModel.bound at x,
     read from the last anchor's trace.
     """
-    x = check_power(x_init, power)
-    anchor = build_anchor(model, x, quantized)
-    f_prev = -anchor.p.trace + penalty_value(x, model.block_len, rho, u_i, lambda_i, channel)
-    history = [f_prev]
-    stalled = False
-    for _ in range(max_iter):
-        x, _, stalled = pgd_step(anchor, x, rho, u_i, lambda_i, channel, power)
-        # the next anchor carries the true objective at the new iterate
+    def evaluate(x):
+        # the anchor at x carries the true objective there
         anchor = build_anchor(model, x, quantized)
-        f_new = -anchor.p.trace + penalty_value(x, model.block_len, rho, u_i, lambda_i, channel)
-        history.append(f_new)
-        if stalled:
-            break
-        if abs(f_new - f_prev) <= tol * (abs(f_prev) + 1e-30):
-            f_prev = f_new
-            break
-        f_prev = f_new
-    return x, {
-        "objective_history": history,
-        "n_iter": len(history) - 1,
-        "stalled": stalled,
-        "bound": bound_from_trace(anchor.p.trace),
-    }
+        return -anchor.p.trace + penalty_value(x, model.block_len, rho, u_i, lambda_i,
+                                               channel), anchor
+
+    def step(anchor, x):
+        x, _, stalled = pgd_step(anchor, x, rho, u_i, lambda_i, channel, power)
+        return x, stalled
+
+    return mm_loop(evaluate, step, lambda anchor, _: bound_from_trace(anchor.p.trace),
+                   x_init, power, tol, max_iter)

@@ -121,9 +121,38 @@ def test_trace_records_each_outer_waveform_solve(monkeypatch, variant):
     assert len(infos) == res.n_outer
     assert t.inner_iters == [info["n_iter"] for info in infos]
     assert sum(t.inner_iters) == sum(info["n_iter"] for info in infos) > 0
-    assert t.stalled == [info.get("stalled", False) for info in infos]
+    assert t.stalled == [info["stalled"] for info in infos]
     if variant == "ET":
         assert not any(t.stalled)
+
+
+@pytest.mark.parametrize("variant", ["PT", "ET"])
+def test_non_finite_objective_raises_with_the_earlier_iterations(monkeypatch, variant):
+    module, name = (opt_pt, "solve_x_pt") if variant == "PT" else (opt_et, "solve_x_et")
+    solve = getattr(module, name)
+    calls = []
+
+    def nan_at_outer_two(*args, **kwargs):
+        x, info = solve(*args, **kwargs)
+        calls.append(info)
+        if len(calls) == 3:
+            info = dict(info, bound=float("nan"))
+        return x, info
+
+    monkeypatch.setattr(module, name, nan_at_outer_two)
+    if variant == "ET":
+        sc = et_scenario(snr_sensing_db=20.0, snr_comm_db=30.0, seed=0)
+        cfg = AdmmConfig(rho0=1.0, c_rho=1.1, rho_max=10.0, max_outer=8, max_inner=6)
+    else:
+        sc = small_pt()
+        cfg = AdmmConfig(rho0=10.0, c_rho=3.0, rho_max=1e6, max_outer=6, max_inner=5)
+    with pytest.raises(RuntimeError, match="non-finite objective at outer iteration 2") as err:
+        admm_run(sc, variant, config=cfg, seed=1)
+    assert len(calls) == 3
+    trace = err.value.trace
+    assert len(trace) == 2
+    assert trace.inner_iters == [info["n_iter"] for info in calls[:2]]
+    assert all(np.isfinite(trace.objectives))
 
 
 @pytest.mark.parametrize("variant,bound", [("PT", crb_pt),

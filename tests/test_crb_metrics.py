@@ -87,6 +87,21 @@ def test_et_problem_rejects_bad_sizes(field, bad):
         EtProblem(c_aa, 0.1, **sizes)
 
 
+@pytest.mark.parametrize("field", ["n_t", "n_r", "block_len"])
+@pytest.mark.parametrize("bad", [0, -1, 2.0, 2.5, 8.0, True, None])
+def test_pt_model_rejects_bad_sizes(field, bad):
+    # a float or bool size used to pass construction and fail later in the
+    # solver with a TypeError; a zero size failed inside numpy
+    sizes = {"n_t": 8, "n_r": 8, "block_len": 10, field: bad}
+    with pytest.raises(ValueError, match=f"{field} must be an integer of at least 1"):
+        PtModel(0.3, 1.0, 0.1, **sizes)
+
+
+def test_pt_model_accepts_numpy_integer_sizes():
+    model = PtModel(0.3, 1.0, 0.1, np.int64(4), np.int32(3), np.int64(2))
+    assert model.a_t.shape == (4,) and model.q.shape[0] == 3
+
+
 def test_pt_workspace_derivatives_match_finite_differences():
     rng = np.random.default_rng(1)
     x = complex_normal(rng, 6)
