@@ -2,7 +2,6 @@
 SEP-feasible projection, including the geometric penalty schedule with dual
 rescaling and per-iteration convergence bookkeeping."""
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -156,9 +155,10 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
         model = PtModel(
             scenario.target.theta, scenario.target.sigma_alpha_sq,
             scenario.sigma_v_sq, scenario.n_t, scenario.n_r, scenario.block_len,
+            quantized=(variant == "PT"),
         )
         normalizer = 1.0
-        solve_x = functools.partial(opt_pt.solve_x_pt, quantized=(variant == "PT"))
+        solve_x = opt_pt.solve_x_pt
     else:
         model = EtProblem(
             c_aa=scenario.target.c_aa, sigma_v_sq=scenario.sigma_v_sq,

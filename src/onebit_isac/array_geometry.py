@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import complex_from_normals, psd_sqrt, unvec, vec
+from .linalg import check_count, complex_from_normals, psd_sqrt, unvec, vec
 
 HALF_PI = np.pi / 2.0
 
@@ -21,10 +21,10 @@ def steering(n, theta):
     """Unit-norm steering vector of an n-element half-wavelength ULA.
 
     Entry m is exp(-j pi m sin(theta)) / sqrt(n). An array of angles gives
-    one vector per angle along a new last axis.
+    one vector per angle along a new last axis. Raises ValueError unless n
+    is an integer of at least 1.
     """
-    if n < 1:
-        raise ValueError("array needs at least one element")
+    check_count("n", n)
     _check_angle(theta)
     m = np.arange(n)
     return np.exp(-1j * np.pi * m * np.sin(theta)[..., None]) / np.sqrt(n)
@@ -32,8 +32,7 @@ def steering(n, theta):
 
 def steering_derivative(n, theta):
     """Elementwise angle derivative of :func:`steering`."""
-    if n < 1:
-        raise ValueError("array needs at least one element")
+    check_count("n", n)
     _check_angle(theta)
     m = np.arange(n)
     return steering(n, theta) * (-1j * np.pi * m * np.cos(theta))
@@ -73,14 +72,16 @@ class BlockRankOneOperator:
 
 
 def pt_response_operator(theta, block_len, n_t, n_r):
-    """Structured operator for I_L kron (a_r a_t^T)."""
-    if block_len < 1:
-        raise ValueError("block length must be positive")
+    """Structured operator for I_L kron (a_r a_t^T); block_len must be an
+    integer of at least 1."""
+    check_count("block_len", block_len)
     return BlockRankOneOperator(steering(n_r, theta), steering(n_t, theta), block_len)
 
 
 def exponential_correlation(n, coeff=0.5):
-    """Correlation matrix [Phi]_{m,n} = coeff**|m - n| with real coeff."""
+    """n x n correlation matrix [Phi]_{m,n} = coeff**|m - n| with real
+    coeff; n must be an integer of at least 1."""
+    check_count("n", n)
     idx = np.arange(n)
     return coeff ** np.abs(idx[:, None] - idx[None, :]).astype(float)
 

@@ -224,7 +224,7 @@ def _pt_point(cfg, snr_db, seed):
     point = f"snr={snr_db:g}"
     rows = [
         ResultRow("pt_sweep", point, "crb_onebit", info["bound"], seed=seed),
-        ResultRow("pt_sweep", point, "crb_infinite", model.bound(x, quantized=False),
+        ResultRow("pt_sweep", point, "crb_infinite", replace(model, quantized=False).bound(x),
                   seed=seed),
     ]
     if cfg.trials > 0:

@@ -23,7 +23,12 @@ SQRT_TWO_OVER_PI = math.sqrt(TWO_OVER_PI)
 @dataclass
 class PtModel:
     """Point-target problem data with the transmit steering vectors and the
-    receive basis Q (:func:`receive_basis`) with beta = Q^H da_r."""
+    receive basis Q (:func:`receive_basis`) with beta = Q^H da_r.
+
+    quantized picks the chain of every bound, anchor and surrogate built on
+    this model: the one-bit chain (True, the PT design) or the unquantized
+    one (False, the PT_INF baseline). It must be a bool.
+    """
 
     theta: float
     sigma_alpha_sq: float
@@ -31,6 +36,7 @@ class PtModel:
     n_t: int
     n_r: int
     block_len: int
+    quantized: bool = True
     a_t: np.ndarray = field(init=False, repr=False, compare=False)
     da_t: np.ndarray = field(init=False, repr=False, compare=False)
     q: np.ndarray = field(init=False, repr=False, compare=False)
@@ -44,6 +50,7 @@ class PtModel:
             raise ValueError("target power must be finite and non-negative")
         check_noise_power(self.sigma_v_sq)
         check_counts(self, ("n_t", "n_r", "block_len"))
+        check_flag("quantized", self.quantized)
         self.a_t = steering(self.n_t, self.theta)
         self.da_t = steering_derivative(self.n_t, self.theta)
         self.q = receive_basis(self.n_r, self.theta)
@@ -84,9 +91,9 @@ class PtModel:
         self._last = (x.copy(), fac)
         return fac
 
-    def chain_p(self, x, quantized=True):
-        """P = C^{-1} dC C^{-1} of the one-bit (or, quantized=False, the
-        unquantized) chain at waveform x, as a :class:`ChainP`.
+    def chain_p(self, x):
+        """P = C^{-1} dC C^{-1} of the model's chain (one-bit, or unquantized
+        when quantized is False) at waveform x, as a :class:`ChainP`.
 
         By Sherman-Morrison C^{-1} = diag(1/d0) - c b b^H with b = (h / d0) e_0
         and c = sa / (1 + sa h^H b), and sa C^{-1} h = c b, so
@@ -94,7 +101,7 @@ class PtModel:
         v = c C^{-1} q - c diag(d1 / d0) b + (c^2 / 2) (b^H diag(d1) b) b.
         """
         sa = self.sigma_alpha_sq
-        d0, d1, h, q = self.workspace(x).low_rank(self.sigma_v_sq, quantized)
+        d0, d1, h, q = self.workspace(x).low_rank(self.sigma_v_sq, self.quantized)
         b0 = h / d0
         c = sa / (1.0 + sa * np.vdot(h, b0).real)
         u = np.zeros((2,) + q.shape, dtype=complex)
@@ -107,17 +114,24 @@ class PtModel:
         p = ChainP(p_perp, u, self.n_r * p_perp + 2.0 * (u[0, :, 0] * b0.conj()).real, 0.0)
         return p._replace(trace=float(trace_p_dc(sa, p, d1, h, q)[0]))
 
-    def bound(self, x, quantized=True):
+    def bound(self, x):
         """1 / tr(C^{-1} dC C^{-1} dC) at waveform x: the one-bit bound, or
         the infinite-resolution one when quantized is False; math.inf when
         the trace falls below INFINITE_CRB_FLOOR (unidentifiable direction)."""
-        return bound_from_trace(self.chain_p(x, quantized).trace)
+        return bound_from_trace(self.chain_p(x).trace)
 
 
 def check_noise_power(sigma_v_sq):
     """Raise ValueError unless the noise power sigma_v_sq is finite and positive."""
     if not (math.isfinite(sigma_v_sq) and sigma_v_sq > 0.0):
         raise ValueError(f"noise power must be finite and positive, got {sigma_v_sq}")
+
+
+def check_flag(name, value):
+    """Raise ValueError unless the variant flag value is a bool (numpy's
+    included)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
 def check_waveform(x_matrix):
@@ -230,7 +244,7 @@ def crb_pt_infinite_resolution(x, theta, sigma_alpha_sq, sigma_v_sq, n_r, block_
     """Same trace bound with the unquantized echo covariance."""
     x = np.asarray(x)
     return PtModel(theta, sigma_alpha_sq, sigma_v_sq, x.size // block_len, n_r,
-                   block_len).bound(x, quantized=False)
+                   block_len, quantized=False).bound(x)
 
 
 def et_l_and_m(x_matrix, c_aa, sigma_v_sq, quantization_aware=True):
@@ -253,17 +267,21 @@ def et_l_and_m(x_matrix, c_aa, sigma_v_sq, quantization_aware=True):
 
 class DensePrior(NamedTuple):
     """An extended-target prior that is not one Kronecker product with a
-    constant diag(Phi_R), held whole with n_r and tr(C_aa). Build it with
+    constant diag(Phi_R), held whole with n_r and tr(C_aa), and the noise
+    power and variant of every anchor built on it (one-bit when
+    quantization_aware, else the unquantized LMMSE). Build it with
     :func:`et_prior`."""
 
     c_aa: np.ndarray
     n_r: int
     trace: float
+    sigma_v_sq: float
+    quantization_aware: bool
 
-    def anchor(self, x_matrix, sigma_v_sq, quantization_aware):
+    def anchor(self, x_matrix):
         """The :class:`EtAnchor` of the bound at waveform X: M^{-1} L by one
         Hermitian solve (:func:`et_l_and_m`)."""
-        l_mat, m = et_l_and_m(x_matrix, self.c_aa, sigma_v_sq, quantization_aware)
+        l_mat, m = et_l_and_m(x_matrix, self.c_aa, self.sigma_v_sq, self.quantization_aware)
         m_inv_l = hermitian_solve(m, l_mat)
         gain = float(np.einsum("ij,ij->", l_mat.conj(), m_inv_l).real)
         return EtAnchor(self, m_inv_l, gain, self.trace - gain)
@@ -290,18 +308,18 @@ class EtAnchor(NamedTuple):
                                                        order="F")
         return np.einsum("rlrn->nl", w4).reshape(-1, order="F")
 
-    def mbar(self, quantization_aware):
+    def mbar(self):
         """(Mbar, lambda_max(Mbar)) with Mbar dense.
 
         x^H Mbar x = tr(Mtilde X~ C_aa X~^H) for Mtilde = Y Y^H, Y = M^{-1} L,
-        plus (pi/2 - 1) diag(Y Y^H) when aware; Mbar is one contraction of
-        Mtilde with C_aa over the two receive indices:
+        plus (pi/2 - 1) diag(Y Y^H) when the prior is aware; Mbar is one
+        contraction of Mtilde with C_aa over the two receive indices:
         Mbar[(n, l), (b, k)] = sum_{r, s} Mtilde[(r, l), (s, k)] C_aa[(s, b), (r, n)].
         lambda_max comes from eigvalsh, which raises if it fails.
         """
         y = self.m_inv_l
         m_tilde = y @ y.conj().T
-        if quantization_aware:
+        if self.prior.quantization_aware:
             m_tilde = m_tilde + (np.pi / 2.0 - 1.0) * np.diag(np.diag(m_tilde))
         m_tilde = (m_tilde + m_tilde.conj().T) / 2.0
         n_r = self.prior.n_r
@@ -322,15 +340,19 @@ class KronPrior(NamedTuple):
     """An extended-target prior C_aa = Phi_T^T kron Phi_R whose Phi_R has a
     constant diagonal c (every correlation matrix has c = 1), held as the
     pieces the bound's chain needs: Phi_T, the eigenvalues of Phi_R, c,
-    lambda_max(Phi_T) and tr(C_aa). Build it with :func:`et_prior`."""
+    lambda_max(Phi_T) and tr(C_aa), with the noise power and variant of
+    every anchor built on it (one-bit when quantization_aware, else the
+    unquantized LMMSE). Build it with :func:`et_prior`."""
 
     phi_t: np.ndarray
     sigma_r: np.ndarray
     c: float
     lam_max_t: float
     trace: float
+    sigma_v_sq: float
+    quantization_aware: bool
 
-    def anchor(self, x_matrix, sigma_v_sq, quantization_aware):
+    def anchor(self, x_matrix):
         """The :class:`KronAnchor` of the bound at waveform X.
 
         With P = X^T Phi_T^T and A = P conj(X) (L x L), M = A kron Phi_R +
@@ -340,14 +362,13 @@ class KronPrior(NamedTuple):
         Q = Bv^H P the gain is sum_ij ||Q[i, :]||^2 s_j^2 / (l_i s_j + 1);
         no n_r L matrix is formed.
         """
-        check_noise_power(sigma_v_sq)
         x = np.asarray(x_matrix)
         p = x.T @ self.phi_t.T
         a = p @ x.conj()
-        if quantization_aware:
-            b = (np.pi / 2.0 - 1.0) * self.c * np.diag(a).real + (np.pi / 2.0) * sigma_v_sq
+        if self.quantization_aware:
+            b = (np.pi / 2.0 - 1.0) * self.c * np.diag(a).real + (np.pi / 2.0) * self.sigma_v_sq
         else:
-            b = np.full(a.shape[0], float(sigma_v_sq))
+            b = np.full(a.shape[0], self.sigma_v_sq)
         r = 1.0 / np.sqrt(b)
         lam, v = np.linalg.eigh(r[:, None] * a * r)
         bv = r[:, None] * v
@@ -375,18 +396,18 @@ class KronAnchor(NamedTuple):
         w = self.e @ self.prior.sigma_r**2
         return vec(self.prior.phi_t @ (self.q.T * w) @ self.bv.T)
 
-    def mbar(self, quantization_aware):
+    def mbar(self):
         """(Mbar, lambda_max(Mbar)) with Mbar = G kron Phi_T a :class:`KronMbar`
         and lambda_max(Mbar) = lambda_max(G) lambda_max(Phi_T).
 
         G = Bv (K3 o S) Bv^H, plus (pi/2 - 1) c diag(Bv (K2 o S) Bv^H) when
-        aware, where S = Q Q^H and
+        the prior is aware, where S = Q Q^H and
         Kp[i, i'] = sum_j s_j^p / ((l_i s_j + 1)(l_i' s_j + 1)).
         """
         e, s = self.e, self.prior.sigma_r
         ss = self.q @ self.q.conj().T
         g = self.bv @ ((e * s**3) @ e.T * ss) @ self.bv.conj().T
-        if quantization_aware:
+        if self.prior.quantization_aware:
             d = np.einsum("li,li->l", self.bv @ ((e * s**2) @ e.T * ss), self.bv.conj()).real
             g[np.diag_indices_from(g)] += (np.pi / 2.0 - 1.0) * self.prior.c * d
         g = (g + g.conj().T) / 2.0
@@ -404,17 +425,25 @@ class KronMbar(NamedTuple):
         return vec(self.phi_t @ unvec(x, self.phi_t.shape[0], self.g.shape[0]) @ self.g.T)
 
 
-def et_prior(c_aa, n_r, n_t):
+def et_prior(c_aa, n_r, n_t, sigma_v_sq, quantization_aware):
     """The prior of an n_r x n_t extended-target response: a
     :class:`KronPrior` when c_aa is one Kronecker product Phi_T^T kron Phi_R
     (to KRON_RTOL) with a constant diag(Phi_R), as every EtTarget's is, else
     a :class:`DensePrior`. Raises ValueError unless c_aa is
-    (n_r n_t) x (n_r n_t).
+    (n_r n_t) x (n_r n_t), sigma_v_sq is finite and positive and
+    quantization_aware is a bool.
+
+    The prior holds the noise power and the variant, so every anchor built
+    on it, and every Mbar built from such an anchor, is of the one bound:
+    crb_et when quantization_aware, mse_et_quantization_unaware otherwise.
 
     The factors are read from c_aa itself, Phi_R' = c_aa[:n_r, :n_r] and
     Phi_T'^T = c_aa[::n_r, ::n_r] / c_aa[0, 0]; they equal Phi_R and Phi_T
     up to reciprocal scalars, which leaves their Kronecker product unchanged.
     """
+    check_noise_power(sigma_v_sq)
+    check_flag("quantization_aware", quantization_aware)
+    sigma_v_sq = float(sigma_v_sq)
     c_aa = np.asarray(c_aa)
     dim = n_r * n_t
     if dim < 1 or c_aa.shape != (dim, dim):
@@ -423,23 +452,24 @@ def et_prior(c_aa, n_r, n_t):
     trace = float(np.trace(c_aa).real)
     c = float(c_aa[0, 0].real)
     if not c > 0.0:
-        return DensePrior(c_aa, n_r, trace)
+        return DensePrior(c_aa, n_r, trace, sigma_v_sq, quantization_aware)
     phi_r = c_aa[:n_r, :n_r]
     phi_t_t = c_aa[::n_r, ::n_r] / c
     d = np.diag(phi_r).real
     # written so that a NaN in c_aa fails the test
     if not (np.linalg.norm(np.kron(phi_t_t, phi_r) - c_aa) <= KRON_RTOL * np.linalg.norm(c_aa)
             and np.ptp(d) <= KRON_RTOL * c):
-        return DensePrior(c_aa, n_r, trace)
+        return DensePrior(c_aa, n_r, trace, sigma_v_sq, quantization_aware)
     return KronPrior(phi_t=np.ascontiguousarray(phi_t_t.T), sigma_r=np.linalg.eigvalsh(phi_r),
-                     c=c, lam_max_t=float(np.linalg.eigvalsh(phi_t_t)[-1]), trace=trace)
+                     c=c, lam_max_t=float(np.linalg.eigvalsh(phi_t_t)[-1]), trace=trace,
+                     sigma_v_sq=sigma_v_sq, quantization_aware=quantization_aware)
 
 
 def _prior_bound(x_matrix, c_aa, sigma_v_sq, quantization_aware):
     x_matrix = check_waveform(x_matrix)
     n_t = x_matrix.shape[0]
-    prior = et_prior(c_aa, np.shape(c_aa)[0] // n_t, n_t)
-    return prior.anchor(x_matrix, sigma_v_sq, quantization_aware).bound
+    prior = et_prior(c_aa, np.shape(c_aa)[0] // n_t, n_t, sigma_v_sq, quantization_aware)
+    return prior.anchor(x_matrix).bound
 
 
 def crb_et(x_matrix, c_aa, sigma_v_sq):

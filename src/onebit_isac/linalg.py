@@ -175,13 +175,17 @@ def integer_at_least(value, low):
             and value >= low)
 
 
+def check_count(name, value):
+    """Raise ValueError unless value is an integer of at least 1."""
+    if not integer_at_least(value, 1):
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+
+
 def check_counts(owner, names):
     """Raise ValueError unless each named attribute of owner is an integer
     of at least 1."""
     for name in names:
-        if not integer_at_least(getattr(owner, name), 1):
-            raise ValueError(f"{name} must be an integer of at least 1, "
-                             f"got {getattr(owner, name)!r}")
+        check_count(name, getattr(owner, name))
 
 
 def check_power(x, power):

@@ -8,19 +8,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crb_metrics import check_noise_power, check_waveform, et_prior
+from .crb_metrics import check_waveform, et_prior
 from .linalg import (check_counts, h_tilde_adjoint, h_tilde_apply, mm_loop,
                      penalty_value, project_power_ball, unvec)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EtProblem:
     """Extended-target objective data; quantization_aware=False drops the
     one-bit correction terms (the quantization-unaware baseline). The prior
     (:func:`~onebit_isac.crb_metrics.et_prior`) takes the L x L eigenbasis
     path when c_aa is one Kronecker product Phi_T^T kron Phi_R with a
     constant diag(Phi_R), as every EtTarget's is, and the dense chain
-    otherwise."""
+    otherwise. It is built once, here, and holds sigma_v_sq and
+    quantization_aware for every anchor and Mbar of the problem; the
+    problem is frozen, so neither can be set again later."""
 
     c_aa: np.ndarray
     sigma_v_sq: float
@@ -36,9 +38,9 @@ class EtProblem:
 
     def __post_init__(self):
         check_counts(self, ("n_t", "n_r", "block_len"))
-        check_noise_power(self.sigma_v_sq)
-        self.c_aa = np.asarray(self.c_aa)
-        self._prior = et_prior(self.c_aa, self.n_r, self.n_t)
+        object.__setattr__(self, "c_aa", np.asarray(self.c_aa))
+        object.__setattr__(self, "_prior", et_prior(self.c_aa, self.n_r, self.n_t,
+                                                    self.sigma_v_sq, self.quantization_aware))
 
     def anchor(self, x):
         """The prior's anchor at waveform x: a
@@ -49,9 +51,8 @@ class EtProblem:
         last = self._last
         if last is not None and np.array_equal(last[0], x):
             return last[1]
-        anchor = self._prior.anchor(check_waveform(unvec(x, self.n_t, self.block_len)),
-                                    self.sigma_v_sq, self.quantization_aware)
-        self._last = (x.copy(), anchor)
+        anchor = self._prior.anchor(check_waveform(unvec(x, self.n_t, self.block_len)))
+        object.__setattr__(self, "_last", (x.copy(), anchor))
         return anchor
 
     def objective(self, x):
@@ -59,31 +60,28 @@ class EtProblem:
         return -self.anchor(x).gain
 
 
-def build_mbar(anchor, quantization_aware=True):
+def build_mbar(anchor):
     """Quadratic-form matrix Mbar at an anchor plus a safe spectral upper
     bound. Returns (m_bar, lam_max); m_bar @ x applies Mbar on both paths.
 
     Mbar realizes x^H Mbar x = tr(Mtilde X~ C_aa X~^H) (the anchor's
     ``mbar``: a :class:`~onebit_isac.crb_metrics.KronMbar` on a Kronecker
-    prior, a dense matrix otherwise). The bound is its largest eigenvalue
-    inflated by 1.01.
+    prior, a dense matrix otherwise), of the variant its prior holds. The
+    bound is its largest eigenvalue inflated by 1.01.
     """
-    m_bar, lam = anchor.mbar(quantization_aware)
+    m_bar, lam = anchor.mbar()
     return m_bar, 1.01 * lam
 
 
 @dataclass
 class EtSurrogate:
-    """All anchor-dependent pieces of the closed-form update."""
+    """The spectral surrogate denominator ||x||^2 - 2 Re(m_t^H x) at one
+    anchor (up to a constant), whose minimizer over the power ball is the
+    closed-form update; denominator = 1.01 lambda_max(Mbar) +
+    rho lambda_max(H^H H)."""
 
-    lam_max_mbar: float
-    lam_max_hth: float
+    denominator: float
     m_t: np.ndarray
-    rho: float
-
-    @property
-    def denominator(self):
-        return self.lam_max_mbar + self.rho * self.lam_max_hth
 
     def value(self, x):
         x = np.asarray(x)
@@ -100,25 +98,21 @@ def lam_max_channel(channel):
     return float(np.linalg.eigvalsh(h.conj().T @ h)[-1])
 
 
-def build_et_surrogate(problem, x_t, rho=0.0, u_i=None, lambda_i=None,
-                       channel=None, lam_hth=None):
+def build_et_surrogate(problem, x_t, rho, u_i, lambda_i, channel, lam_hth):
+    """The :class:`EtSurrogate` at x_t for penalty rho and the channel's
+    bound lam_hth = lam_max_channel(channel), which is 0.0 without a
+    channel; without a penalty rho * lam_hth adds 0.0."""
     x_t = np.asarray(x_t, dtype=complex)
     anchor = problem.anchor(x_t)
-    m_bar, lam_mbar = build_mbar(anchor, problem.quantization_aware)
+    m_bar, lam_mbar = build_mbar(anchor)
     m_t = anchor.linear_term() + lam_mbar * x_t - m_bar @ x_t
     if rho != 0.0 and channel is not None and channel.size:
-        if lam_hth is None:
-            lam_hth = lam_max_channel(channel)
         hx = h_tilde_apply(channel, x_t, problem.block_len)
         m_t = m_t + rho * h_tilde_adjoint(channel, u_i - lambda_i, problem.block_len)
         m_t = m_t + rho * (
             lam_hth * x_t - h_tilde_adjoint(channel, hx, problem.block_len)
         )
-    else:
-        lam_hth = 0.0
-        rho = float(rho)
-    return EtSurrogate(lam_max_mbar=lam_mbar, lam_max_hth=float(lam_hth), m_t=m_t,
-                       rho=float(rho))
+    return EtSurrogate(denominator=lam_mbar + float(rho) * lam_hth, m_t=m_t)
 
 
 def mm_update_et(x_t, surrogate, power=1.0):

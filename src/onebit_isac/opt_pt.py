@@ -23,21 +23,20 @@ RELATIVE_SLACK = 1e-12
 class SurrogateAnchor:
     """Taylor anchor of the trace surrogate at one iterate.
 
-    p is P = C^{-1} dC C^{-1} evaluated at the anchor (quantized or
-    infinite-resolution covariance chain as configured), held as diagonal
-    plus rank two with the true objective's trace tr(P dC)
+    p is P = C^{-1} dC C^{-1} evaluated at the anchor on the model's chain
+    (one-bit, or infinite-resolution when model.quantized is False), held
+    as diagonal plus rank two with the true objective's trace tr(P dC)
     (:meth:`PtModel.chain_p`).
     """
 
     model: PtModel
     x_t: np.ndarray
     p: ChainP
-    quantized: bool
 
 
-def build_anchor(model, x_t, quantized=True):
+def build_anchor(model, x_t):
     return SurrogateAnchor(model=model, x_t=np.asarray(x_t, dtype=complex),
-                           p=model.chain_p(x_t, quantized), quantized=quantized)
+                           p=model.chain_p(x_t))
 
 
 def surrogate_values(anchor, xs, rho=0.0, u_i=None, lambda_i=None, channel=None):
@@ -65,7 +64,7 @@ def surrogate_values(anchor, xs, rho=0.0, u_i=None, lambda_i=None, channel=None)
     samples = xs.reshape(-1, model.n_t)
     s = (samples @ model.a_t).reshape(n_rows, block_len)
     s_d = (samples @ model.da_t).reshape(n_rows, block_len)
-    d0, d1, h, q = model.chain_factors(s, s_d).low_rank(model.sigma_v_sq, anchor.quantized)
+    d0, d1, h, q = model.chain_factors(s, s_d).low_rank(model.sigma_v_sq, model.quantized)
     p = anchor.p
     sa = model.sigma_alpha_sq
     lin, ph = trace_p_dc(sa, p, d1, h, q)
@@ -140,7 +139,7 @@ def gradient_rows(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None):
     g[:, 0] = s
     beta_h = model.beta.conj()
     rows = {}
-    if anchor.quantized:
+    if model.quantized:
         f, df = fac.f, fac.d_f
         fc, dfc = f[:, None], df[:, None]
         # j1 j2 / n_r with j1 = 1 / diag(C), j2 = diag(C)^{-1/2}
@@ -236,7 +235,7 @@ def pgd_step(anchor, x_t, rho=0.0, u_i=None, lambda_i=None, channel=None,
 
 
 def solve_x_pt(model, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,
-               power=1.0, tol=1e-6, max_iter=20, quantized=True):
+               power=1.0, tol=1e-6, max_iter=20):
     """Majorize-minimize loop (linalg.mm_loop): re-anchor, take one PGD step, repeat.
 
     The true augmented objective is non-increasing across anchors; iteration
@@ -246,7 +245,7 @@ def solve_x_pt(model, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,
     """
     def evaluate(x):
         # the anchor at x carries the true objective there
-        anchor = build_anchor(model, x, quantized)
+        anchor = build_anchor(model, x)
         return -anchor.p.trace + penalty_value(x, model.block_len, rho, u_i, lambda_i,
                                                channel), anchor
 

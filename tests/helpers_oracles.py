@@ -91,11 +91,11 @@ def lift(model: PtModel, obj, quantized=True):
 
     ChainFactors give the pair (C, dC) of the one-bit chain, or of the
     unquantized one when quantized is False; a SurrogateAnchor gives
-    P = C^{-1} dC C^{-1} from the lifted (C, dC) at its anchor point, by
-    dense solves, independent of the library's P. A dense array passes
-    through."""
+    P = C^{-1} dC C^{-1} from the lifted (C, dC) of the model's chain at its
+    anchor point, by dense solves, independent of the library's P. A dense
+    array passes through."""
     if isinstance(obj, SurrogateAnchor):
-        return _dense_p(*lift(model, model.workspace(obj.x_t), obj.quantized))
+        return _dense_p(*lift(model, model.workspace(obj.x_t), model.quantized))
     if not isinstance(obj, ChainFactors):
         return np.asarray(obj)
     d0, d1, h, q = obj.low_rank(model.sigma_v_sq, quantized)
@@ -186,10 +186,10 @@ def dense_anchor_p(model: PtModel, x_t, quantized=True):
     return _dense_p(*_dense_chain(dense_pt_workspace(model, x_t), quantized))
 
 
-def augmented_objective(model, x, rho, u_i=None, lambda_i=None, channel=None,
-                        quantized=True):
-    """True objective -tr(C^{-1} dC C^{-1} dC) plus the penalty at x."""
-    return -model.chain_p(x, quantized).trace + penalty_value(
+def augmented_objective(model, x, rho, u_i=None, lambda_i=None, channel=None):
+    """True objective -tr(C^{-1} dC C^{-1} dC) of the model's chain plus the
+    penalty at x."""
+    return -model.chain_p(x).trace + penalty_value(
         x, model.block_len, rho, u_i, lambda_i, channel
     )
 
@@ -517,9 +517,10 @@ def dense_et_anchor(x, c_aa, sigma_v_sq, n_t, n_r, block_len, quantization_aware
     return l_mat, m, y, float(np.einsum("ij,ij->", l_mat.conj(), y).real)
 
 
-def forced_dense_prior(c_aa, n_r):
+def forced_dense_prior(c_aa, n_r, sigma_v_sq, quantization_aware):
     """The library's dense path forced onto c_aa, a Kronecker prior or not."""
-    return DensePrior(np.asarray(c_aa), n_r, float(np.trace(c_aa).real))
+    return DensePrior(np.asarray(c_aa), n_r, float(np.trace(c_aa).real), float(sigma_v_sq),
+                      quantization_aware)
 
 
 def dense_linear_term(y, c_aa, n_t, n_r, block_len):

@@ -37,6 +37,7 @@ from onebit_isac.opt_et import (
     EtProblem,
     augmented_objective_et,
     build_et_surrogate,
+    lam_max_channel,
     mm_update_et,
     solve_x_et,
 )
@@ -132,7 +133,7 @@ def test_criterion_02_majorization_suites():
     ue = complex_normal(rng, 4)
     lame = 0.2 * complex_normal(rng, 4)
     he = complex_normal(rng, (2, 2))
-    sur = build_et_surrogate(prob, xe, rho, ue, lame, he)
+    sur = build_et_surrogate(prob, xe, rho, ue, lame, he, lam_max_channel(he))
     aug_t = augmented_objective_et(prob, xe, rho, ue, lame, he)
     shift = aug_t - sur.value(xe)
     scale_e = abs(aug_t) + 1.0
@@ -149,7 +150,7 @@ def test_criterion_02_majorization_suites():
     prev = aug_t
     mono_et = True
     for _ in range(25):
-        s = build_et_surrogate(prob, xe_i, rho, ue, lame, he)
+        s = build_et_surrogate(prob, xe_i, rho, ue, lame, he, lam_max_channel(he))
         xe_i = mm_update_et(xe_i, s, power=1.0)
         cur = augmented_objective_et(prob, xe_i, rho, ue, lame, he)
         mono_et &= cur <= prev + 1e-9 * (abs(prev) + 1.0)

@@ -47,6 +47,32 @@ def test_steering_rejects_empty_and_out_of_range():
         steering_derivative(0, 0.0)
 
 
+SIZED_CALLS = {
+    "steering": lambda n: steering(n, 0.3),
+    "steering_derivative": lambda n: steering_derivative(n, 0.3),
+    "exponential_correlation": lambda n: exponential_correlation(n),
+    "pt_response_operator": lambda n: pt_response_operator(0.3, n, 4, 4),
+}
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, 3.0, True, None])
+@pytest.mark.parametrize("name", SIZED_CALLS)
+def test_array_sizes_must_be_integers_of_at_least_one(name, bad):
+    # 2.5 used to give a 3-vector or a block length of 2, True a 1-vector
+    with pytest.raises(ValueError, match="must be an integer of at least 1"):
+        SIZED_CALLS[name](bad)
+
+
+@pytest.mark.parametrize("name", SIZED_CALLS)
+def test_array_sizes_accept_numpy_integers(name):
+    for size in (np.int64(3), np.int32(3)):
+        got, want = SIZED_CALLS[name](size), SIZED_CALLS[name](3)
+        if name == "pt_response_operator":
+            assert got.block_len == want.block_len == 3
+            got, want = got.apply(np.ones(12)), want.apply(np.ones(12))
+        assert np.array_equal(got, want)
+
+
 def test_steering_derivative_endfire_vanishes():
     assert np.allclose(steering_derivative(6, np.pi / 2), 0.0)
     assert np.allclose(steering_derivative(6, -np.pi / 2), 0.0)

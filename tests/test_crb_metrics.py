@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from onebit_isac.crb_metrics import (
     crb_et,
     crb_pt,
     crb_pt_infinite_resolution,
+    et_prior,
     mse_et_quantization_unaware,
 )
 from onebit_isac.linalg import complex_normal, unvec
@@ -100,6 +102,40 @@ def test_pt_model_rejects_bad_sizes(field, bad):
 def test_pt_model_accepts_numpy_integer_sizes():
     model = PtModel(0.3, 1.0, 0.1, np.int64(4), np.int32(3), np.int64(2))
     assert model.a_t.shape == (4,) and model.q.shape[0] == 3
+
+
+@pytest.mark.parametrize("bad", ["no", 0, 1, None])
+def test_variant_flags_must_be_bools(bad):
+    # EtProblem(..., quantization_aware="no") used to build the aware bound
+    _, c_aa = random_et_instance(np.random.default_rng(6))
+    calls = [
+        lambda: PtModel(0.3, 1.0, 0.1, 4, 4, 2, quantized=bad),
+        lambda: EtProblem(c_aa, 0.1, 2, 2, 2, quantization_aware=bad),
+        lambda: et_prior(c_aa, 2, 2, 0.1, bad),
+        lambda: et_prior(np.eye(4) + 0.3 * np.ones((4, 4)), 2, 2, 0.1, bad),  # dense path
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be a bool"):
+            call()
+
+
+def test_et_problem_variant_and_noise_cannot_be_set_again():
+    # the prior holds both, so a later assignment would be silently ignored
+    _, c_aa = random_et_instance(np.random.default_rng(8))
+    problem = EtProblem(c_aa, 0.1, 2, 2, 2)
+    for name, value in (("quantization_aware", False), ("sigma_v_sq", 0.2)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(problem, name, value)
+
+
+def test_variant_flags_accept_numpy_bools():
+    x, c_aa = random_et_instance(np.random.default_rng(7))
+    x_pt = np.ones(8) / np.sqrt(8.0)
+    model = PtModel(0.3, 1.0, 0.1, 4, 4, 2, quantized=np.False_)
+    assert model.bound(x_pt) == crb_pt_infinite_resolution(x_pt, 0.3, 1.0, 0.1, 4, 2)
+    problem = EtProblem(c_aa, 0.1, 2, 2, 2, quantization_aware=np.False_)
+    assert problem.anchor(x.reshape(-1, order="F")).bound == mse_et_quantization_unaware(
+        x, c_aa, 0.1)
 
 
 def test_pt_workspace_derivatives_match_finite_differences():

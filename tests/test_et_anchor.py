@@ -39,8 +39,8 @@ def rel_err(a, b):
 
 def dense_anchor(prob, x_mat):
     """The problem's anchor on the dense path, whatever its prior."""
-    return forced_dense_prior(prob.c_aa, prob.n_r).anchor(x_mat, prob.sigma_v_sq,
-                                                         prob.quantization_aware)
+    return forced_dense_prior(prob.c_aa, prob.n_r, prob.sigma_v_sq,
+                              prob.quantization_aware).anchor(x_mat)
 
 
 @pytest.mark.parametrize("aware", [True, False])
@@ -51,7 +51,7 @@ def test_dense_mbar_matches_matrix_free_apply(shape, aware):
     prob = make_problem(n_t, n_r, block_len, aware)
     x = random_ball_point(rng, n_t * block_len)
     anchor = dense_anchor(prob, unvec(x, n_t, block_len))
-    m_bar, lam_max = build_mbar(anchor, aware)
+    m_bar, lam_max = build_mbar(anchor)
     apply = mbar_apply_matrix_free(dense_m_tilde(anchor.m_inv_l, aware), prob.c_aa, *shape)
     dim = n_t * block_len
     oracle = np.column_stack([apply(e) for e in np.eye(dim, dtype=complex)])
@@ -69,7 +69,7 @@ def test_dense_mbar_matches_commutation_form(shape, aware):
     prob = make_problem(n_t, n_r, block_len, aware)
     x_mat = unvec(random_ball_point(rng, n_t * block_len), n_t, block_len)
     anchor = dense_anchor(prob, x_mat)
-    m_bar = build_mbar(anchor, aware)[0]
+    m_bar = build_mbar(anchor)[0]
     oracle = dense_mbar_commutation(dense_m_tilde(anchor.m_inv_l, aware), prob.c_aa, *shape)
     assert rel_err(m_bar, oracle) <= RTOL
 

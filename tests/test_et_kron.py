@@ -34,6 +34,7 @@ from onebit_isac.crb_metrics import (
 )
 from onebit_isac.linalg import complex_normal, unvec
 from onebit_isac.opt_et import EtProblem, build_mbar, solve_x_et
+from onebit_isac.scenario import et_scenario
 
 # (n_t, n_r, L, diag(Phi_R)); the commutation oracle covers n_r L, n_t L <= 64
 SHAPES = [(4, 4, 8, 1.0), (3, 5, 7, 2.5), (2, 1, 4, 1.0), (1, 3, 5, 2.5), (8, 8, 32, 1.0)]
@@ -78,7 +79,7 @@ def test_kron_path_matches_dense_oracles(shape, aware, kind):
     assert bound == anchor.bound
     assert bound == pytest.approx(np.trace(c_aa).real - gain, rel=rtol)
     assert rel_err(anchor.linear_term(), dense_linear_term(y, c_aa, n_t, n_r, block_len)) <= rtol
-    m_bar, lam_max = build_mbar(anchor, aware)
+    m_bar, lam_max = build_mbar(anchor)
     assert isinstance(m_bar, KronMbar)
     dims = (n_t, n_r, block_len)
     apply = mbar_apply_matrix_free(dense_m_tilde(y, aware), c_aa, *dims)
@@ -92,6 +93,22 @@ def test_kron_path_matches_dense_oracles(shape, aware, kind):
     assert lam_max == pytest.approx(1.01 * lam_true, rel=rtol)
 
 
+def test_unaware_problem_builds_the_unaware_mbar():
+    # build_mbar(anchor) used to default to the aware Mbar whatever the
+    # anchor's problem was (lambda_max 9.09 against 8.49 here)
+    sc = et_scenario(seed=0)
+    dims = (sc.n_t, sc.n_r, sc.block_len)
+    prob = EtProblem(sc.target.c_aa, sc.sigma_v_sq, *dims, quantization_aware=False)
+    x = np.full(sc.n_t * sc.block_len, np.sqrt(sc.power / (sc.n_t * sc.block_len)), complex)
+    m_bar, lam_max = build_mbar(prob.anchor(x))
+    y = dense_et_anchor(x, sc.target.c_aa, sc.sigma_v_sq, *dims, False)[2]
+    oracle = dense_mbar_commutation(dense_m_tilde(y, False), sc.target.c_aa, *dims)
+    assert rel_err(np.kron(m_bar.g, m_bar.phi_t), oracle) <= 1e-11
+    assert lam_max == pytest.approx(1.01 * np.linalg.eigvalsh(oracle)[-1], rel=1e-11)
+    aware = dense_mbar_commutation(dense_m_tilde(y, True), sc.target.c_aa, *dims)
+    assert rel_err(aware, oracle) > 1e-3
+
+
 @pytest.mark.parametrize("kind", ["exponential", "complex"])
 @pytest.mark.parametrize("aware", [True, False])
 @pytest.mark.parametrize("shape", SHAPES)
@@ -99,20 +116,20 @@ def test_dense_prior_forced_on_a_kronecker_prior_matches_it(shape, aware, kind):
     n_t, n_r, block_len, diag = shape
     rng = np.random.default_rng(7 + n_t * 100 + n_r * 10 + block_len)
     c_aa = kron_target(kind, n_t, n_r, diag, rng).c_aa
-    kron = et_prior(c_aa, n_r, n_t)
+    kron = et_prior(c_aa, n_r, n_t, 1e-3, aware)
     assert isinstance(kron, KronPrior)
-    dense = forced_dense_prior(c_aa, n_r)
+    dense = forced_dense_prior(c_aa, n_r, 1e-3, aware)
     x = complex_normal(rng, n_t * block_len)
     x /= np.linalg.norm(x)
     x_mat = unvec(x, n_t, block_len)
-    k_anchor = kron.anchor(x_mat, 1e-3, aware)
-    d_anchor = dense.anchor(x_mat, 1e-3, aware)
+    k_anchor = kron.anchor(x_mat)
+    d_anchor = dense.anchor(x_mat)
     assert isinstance(d_anchor, EtAnchor)
     assert k_anchor.gain == pytest.approx(d_anchor.gain, rel=1e-9)
     assert k_anchor.bound == pytest.approx(d_anchor.bound, rel=1e-9)
     assert rel_err(k_anchor.linear_term(), d_anchor.linear_term()) <= 1e-9
-    k_mbar, k_lam = k_anchor.mbar(aware)
-    d_mbar, d_lam = d_anchor.mbar(aware)
+    k_mbar, k_lam = k_anchor.mbar()
+    d_mbar, d_lam = d_anchor.mbar()
     assert rel_err(k_mbar @ x, d_mbar @ x) <= 1e-9
     assert k_lam == pytest.approx(d_lam, rel=1e-9)
 
@@ -121,7 +138,7 @@ def test_et_prior_reads_the_factors_of_c_aa():
     rng = np.random.default_rng(1)
     phi_r, phi_t = complex_correlation(rng, 3, 2.5), complex_correlation(rng, 4, 0.4)
     c_aa = np.kron(phi_t.T, phi_r)
-    kron = et_prior(c_aa, 3, 4)
+    kron = et_prior(c_aa, 3, 4, 0.1, True)
     assert isinstance(kron, KronPrior)
     # Phi_R' = 0.4 Phi_R and Phi_T' = Phi_T / 0.4
     np.testing.assert_allclose(kron.phi_t, phi_t / 0.4, rtol=0, atol=1e-14)
@@ -129,8 +146,8 @@ def test_et_prior_reads_the_factors_of_c_aa():
     assert kron.c == pytest.approx(1.0, rel=1e-14)
     assert kron.lam_max_t == pytest.approx(np.linalg.eigvalsh(phi_t)[-1] / 0.4, rel=1e-13)
     assert kron.trace == float(np.trace(c_aa).real)
-    assert isinstance(et_prior(np.eye(6), 3, 2), KronPrior)
-    zero = et_prior(np.zeros((6, 6)), 3, 2)
+    assert isinstance(et_prior(np.eye(6), 3, 2, 0.1, True), KronPrior)
+    zero = et_prior(np.zeros((6, 6)), 3, 2, 0.1, True)
     assert isinstance(zero, DensePrior) and zero.n_r == 3 and zero.trace == 0.0
 
 
@@ -142,7 +159,7 @@ def test_et_prior_reads_the_factors_of_c_aa():
 ])
 def test_et_prior_rejects_a_prior_of_the_wrong_shape(c_aa, n_r, n_t):
     with pytest.raises(ValueError, match=f"n_r = {n_r} times n_t = {n_t}.*got shape"):
-        et_prior(c_aa, n_r, n_t)
+        et_prior(c_aa, n_r, n_t, 0.1, True)
 
 
 @pytest.mark.parametrize("bound", [crb_et, mse_et_quantization_unaware])
@@ -173,7 +190,7 @@ def non_kronecker_priors():
 @pytest.mark.parametrize("n_t,n_r,c_aa", list(non_kronecker_priors()))
 def test_non_kronecker_prior_takes_the_dense_path(n_t, n_r, c_aa, aware):
     block_len = 3
-    assert isinstance(et_prior(c_aa, n_r, n_t), DensePrior)
+    assert isinstance(et_prior(c_aa, n_r, n_t, 0.05, aware), DensePrior)
     prob = EtProblem(c_aa, 0.05, n_t, n_r, block_len, quantization_aware=aware)
     rng = np.random.default_rng(3)
     x = complex_normal(rng, n_t * block_len)
@@ -187,7 +204,7 @@ def test_non_kronecker_prior_takes_the_dense_path(n_t, n_r, c_aa, aware):
     assert rel_err(anchor.linear_term(), dense_linear_term(y, c_aa, n_t, n_r, block_len)) <= 1e-12
     bound = (crb_et if aware else mse_et_quantization_unaware)(x_mat, c_aa, 0.05)
     assert bound == anchor.bound
-    m_bar, _ = build_mbar(anchor, aware)
+    m_bar, _ = build_mbar(anchor)
     assert isinstance(m_bar, np.ndarray)
     k = 2
     kw = dict(rho=0.7, u_i=complex_normal(rng, k * block_len),

@@ -10,6 +10,7 @@ from helpers_oracles import (
     xtilde_dense,
 )
 
+from onebit_isac import opt_et
 from onebit_isac.array_geometry import EtTarget, exponential_correlation
 from onebit_isac.crb_metrics import crb_et, et_l_and_m, et_prior, mse_et_quantization_unaware
 from onebit_isac.linalg import complex_normal, hermitian_solve, unvec, xtilde_multiply
@@ -30,9 +31,11 @@ def make_problem(n_t=2, n_r=2, block_len=2, sv=0.05, corr=0.5, aware=True):
                      block_len=block_len, quantization_aware=aware)
 
 
-def both_priors(c_aa, n_r, n_t):
-    """The Kronecker prior of c_aa and the dense path forced onto it."""
-    return et_prior(c_aa, n_r, n_t), forced_dense_prior(c_aa, n_r)
+def both_priors(c_aa, n_r, n_t, sigma_v_sq):
+    """The Kronecker prior of c_aa and the dense path forced onto it, both
+    quantization-aware."""
+    return (et_prior(c_aa, n_r, n_t, sigma_v_sq, True),
+            forced_dense_prior(c_aa, n_r, sigma_v_sq, True))
 
 
 def test_commutation_identity_cases():
@@ -72,8 +75,8 @@ def test_linear_term_trace_identity():
     x_t = random_ball_point(rng, 4)
     x_mat = unvec(x_t, 2, 2)
     l_big, m_t = et_l_and_m(x_mat, prob.c_aa, prob.sigma_v_sq)
-    for prior in both_priors(prob.c_aa, 2, 2):
-        l_t = prior.anchor(x_mat, prob.sigma_v_sq, True).linear_term()
+    for prior in both_priors(prob.c_aa, 2, 2, prob.sigma_v_sq):
+        l_t = prior.anchor(x_mat).linear_term()
         for _ in range(20):
             xr = complex_normal(rng, 4)
             lx = xtilde_multiply(unvec(xr, 2, 2), prob.c_aa)
@@ -84,19 +87,19 @@ def test_linear_term_trace_identity():
 def test_linear_term_zero_cases():
     prob = make_problem()
     zero_x = np.zeros((2, 2), dtype=complex)
-    for prior in both_priors(prob.c_aa, 2, 2):
-        assert np.allclose(prior.anchor(zero_x, prob.sigma_v_sq, True).linear_term(), 0.0)
+    for prior in both_priors(prob.c_aa, 2, 2, prob.sigma_v_sq):
+        assert np.allclose(prior.anchor(zero_x).linear_term(), 0.0)
     rng = np.random.default_rng(4)
     x_mat = unvec(complex_normal(rng, 4), 2, 2)
-    zero_prior = et_prior(np.zeros((4, 4)), 2, 2)
-    assert np.allclose(zero_prior.anchor(x_mat, prob.sigma_v_sq, True).linear_term(), 0.0)
+    zero_prior = et_prior(np.zeros((4, 4)), 2, 2, prob.sigma_v_sq, True)
+    assert np.allclose(zero_prior.anchor(x_mat).linear_term(), 0.0)
 
 
 def test_mbar_matches_dense_commutation_form():
     rng = np.random.default_rng(5)
     prob = make_problem()
     x_t = random_ball_point(rng, 4)
-    anchor = both_priors(prob.c_aa, 2, 2)[1].anchor(unvec(x_t, 2, 2), prob.sigma_v_sq, True)
+    anchor = both_priors(prob.c_aa, 2, 2, prob.sigma_v_sq)[1].anchor(unvec(x_t, 2, 2))
     m_bar, lam_max = build_mbar(anchor)
     dense = dense_mbar_commutation(dense_m_tilde(anchor.m_inv_l), prob.c_aa, 2, 2, 2)
     for _ in range(20):
@@ -129,7 +132,7 @@ def test_majorization_chain_touches_and_dominates():
         lam = 0.2 * complex_normal(rng, 6)
         h = complex_normal(rng, (3, 2))
         rho = 0.8
-        sur = build_et_surrogate(prob, x_t, rho, u, lam, h)
+        sur = build_et_surrogate(prob, x_t, rho, u, lam, h, lam_max_channel(h))
         aug_t = augmented_objective_et(prob, x_t, rho, u, lam, h)
         shift = aug_t - sur.value(x_t)
         for _ in range(50):
@@ -142,7 +145,7 @@ def test_mm_update_interior_solution_unprojected():
     rng = np.random.default_rng(8)
     prob = make_problem()
     x_t = random_ball_point(rng, 4, power=0.01)
-    sur = build_et_surrogate(prob, x_t, 0.0, None, None, None)
+    sur = build_et_surrogate(prob, x_t, 0.0, None, None, None, 0.0)
     big_power = 1e12
     x_new = mm_update_et(x_t, sur, power=big_power)
     assert np.allclose(x_new, sur.m_t / sur.denominator)
@@ -158,7 +161,7 @@ def test_mm_update_decreases_surrogate_and_objective():
     rho = 0.5
     prev_aug = augmented_objective_et(prob, x, rho, u, lam, h)
     for _ in range(50):
-        sur = build_et_surrogate(prob, x, rho, u, lam, h)
+        sur = build_et_surrogate(prob, x, rho, u, lam, h, lam_max_channel(h))
         s0 = sur.value(x)
         x = mm_update_et(x, sur, power=1.0)
         assert sur.value(x) <= s0 + 1e-10 * (abs(s0) + 1.0)
@@ -197,6 +200,26 @@ def test_solve_monotone_and_power_feasible():
     for a, b in zip(hist, hist[1:]):
         assert b <= a + 1e-9 * (abs(a) + 1.0)
     assert np.vdot(x, x).real <= 1.0 + 1e-12
+
+
+def test_solve_computes_the_channel_bound_once(monkeypatch):
+    # build_et_surrogate reads the bound from its caller, never computing it
+    calls = []
+
+    def counted(channel):
+        calls.append(channel)
+        return lam_max_channel(channel)
+
+    monkeypatch.setattr(opt_et, "lam_max_channel", counted)
+    rng = np.random.default_rng(13)
+    prob = make_problem(n_t=2, n_r=2, block_len=3)
+    x0 = random_ball_point(rng, 6)
+    h = complex_normal(rng, (2, 2))
+    _, info = solve_x_et(prob, x0, rho=0.7, u_i=complex_normal(rng, 6),
+                         lambda_i=0.1 * complex_normal(rng, 6), channel=h, tol=0.0,
+                         max_iter=5)
+    assert info["n_iter"] == 5
+    assert len(calls) == 1 and calls[0] is h
 
 
 def test_desk_scale_improvement():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,9 +30,9 @@ from onebit_isac.opt_pt import (
 )
 
 
-def make_instance(seed, n_t=3, n_r=3, block_len=2, k=2, sv=0.07, theta=0.35):
+def make_instance(seed, n_t=3, n_r=3, block_len=2, k=2, sv=0.07, theta=0.35, quantized=True):
     rng = np.random.default_rng(seed)
-    model = PtModel(theta, 1.0 + 0.4 * rng.uniform(), sv, n_t, n_r, block_len)
+    model = PtModel(theta, 1.0 + 0.4 * rng.uniform(), sv, n_t, n_r, block_len, quantized)
     x = random_ball_point(rng, n_t * block_len)
     u = complex_normal(rng, k * block_len)
     lam = 0.3 * complex_normal(rng, k * block_len)
@@ -104,8 +105,8 @@ def test_penalty_only_gradient_when_signal_free():
 
 def test_infinite_resolution_gradient_finite_difference():
     for seed in range(4):
-        model, x, rho, u, lam, h = make_instance(seed + 200)
-        anchor = build_anchor(model, x, quantized=False)
+        model, x, rho, u, lam, h = make_instance(seed + 200, quantized=False)
+        anchor = build_anchor(model, x)
         fd = conjugate_gradient_fd(
             lambda y: surrogate_value(anchor, y, rho, u, lam, h), x
         )
@@ -116,16 +117,16 @@ def test_infinite_resolution_gradient_finite_difference():
 def test_majorization_touches_and_dominates():
     rng = np.random.default_rng(4)
     for quantized in (True, False):
-        model, x0, rho, u, lam, h = make_instance(11)
-        anchor = build_anchor(model, x0, quantized=quantized)
-        aug0 = augmented_objective(model, x0, rho, u, lam, h, quantized)
+        model, x0, rho, u, lam, h = make_instance(11, quantized=quantized)
+        anchor = build_anchor(model, x0)
+        aug0 = augmented_objective(model, x0, rho, u, lam, h)
         m0 = surrogate_value(anchor, x0, rho, u, lam, h)
         scale = abs(aug0) + 1.0
         assert abs(m0 - aug0) < 1e-9 * scale  # Taylor constant vanishes
         for _ in range(50):
             y = random_ball_point(rng, x0.size)
             gap = surrogate_value(anchor, y, rho, u, lam, h) - augmented_objective(
-                model, y, rho, u, lam, h, quantized
+                model, y, rho, u, lam, h
             )
             assert gap >= -1e-9 * scale
 
@@ -233,7 +234,7 @@ def mm_anchors(n_t, n_r, block_len, quantized, rho, n_steps=6, power=1.0, sv=1e-
     -10 dB (sv = 10) the sufficient-decrease test rejects steps that lower
     the surrogate."""
     rng = np.random.default_rng(9)
-    model = PtModel(math.radians(30.0), 1.0, sv, n_t, n_r, block_len)
+    model = PtModel(math.radians(30.0), 1.0, sv, n_t, n_r, block_len, quantized)
     x = complex_normal(rng, n_t * block_len)
     x *= math.sqrt(power) / np.linalg.norm(x)
     k = 2
@@ -241,7 +242,7 @@ def mm_anchors(n_t, n_r, block_len, quantized, rho, n_steps=6, power=1.0, sv=1e-
                complex_normal(rng, (k, n_t)))
     out = []
     for _ in range(n_steps):
-        anchor = build_anchor(model, x, quantized)
+        anchor = build_anchor(model, x)
         out.append((anchor, x, penalty))
         x = scalar_pgd_step(anchor, x, *penalty, power=power)[0]
     return out
@@ -296,8 +297,9 @@ def test_candidate_scoring_builds_no_block_products(monkeypatch):
         return chain_factors(self, s, s_d)
 
     for quantized in (True, False):
-        model, x, rho, u, lam, h = make_instance(3, n_t=4, n_r=8, block_len=32)
-        anchor = build_anchor(model, x, quantized)
+        model, x, rho, u, lam, h = make_instance(3, n_t=4, n_r=8, block_len=32,
+                                                 quantized=quantized)
+        anchor = build_anchor(model, x)
         want = pgd_step(anchor, x, rho, u, lam, h)
         grad = surrogate_gradient(anchor, x, rho, u, lam, h)
         stack = np.stack([x, want[0], 0.5 * x])
@@ -321,9 +323,10 @@ def test_candidate_scoring_builds_no_block_products(monkeypatch):
     kl = model.q.shape[1] * model.block_len
     assert kl == 2048
     for quantized in (True, False):
+        variant = replace(model, quantized=quantized)
         tracemalloc.start()
         try:
-            pgd_step(build_anchor(model, x, quantized), x, rho, u, lam, h)
+            pgd_step(build_anchor(variant, x), x, rho, u, lam, h)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

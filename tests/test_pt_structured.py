@@ -3,6 +3,7 @@ it replaced, and at sizes the dense chain cannot reach."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ import onebit_isac.linalg as linalg
 from onebit_isac.crb_metrics import (
     INFINITE_CRB_FLOOR,
     PtModel,
+    bound_from_trace,
     crb_pt,
     crb_pt_infinite_resolution,
 )
@@ -50,12 +52,12 @@ def rel_err(got, want, scale=None):
     return np.linalg.norm(np.asarray(got) - np.asarray(want)) / max(ref, 1e-300)
 
 
-def instance(seed, n_t, n_r, block_len, theta=None, k=2):
+def instance(seed, n_t, n_r, block_len, theta=None, k=2, quantized=True):
     rng = np.random.default_rng(seed)
     if theta is None:
         theta = rng.uniform(-1.3, 1.3)
     model = PtModel(theta, float(rng.uniform(0.5, 2.0)), float(10 ** rng.uniform(-3, 0)),
-                    n_t, n_r, block_len)
+                    n_t, n_r, block_len, quantized)
     x = random_ball_point(rng, n_t * block_len)
     y = random_ball_point(rng, n_t * block_len)
     penalty = (complex_normal(rng, k * block_len), 0.3 * complex_normal(rng, k * block_len),
@@ -86,9 +88,9 @@ def test_workspace_matches_dense_oracle(case):
 @pytest.mark.parametrize("quantized", [True, False])
 def test_trace_form_and_bounds_match_dense_oracle(case, quantized):
     for seed in range(3):
-        model, x, _, _ = instance(seed, *case)
+        model, x, _, _ = instance(seed, *case, quantized=quantized)
         oracle = dense_pt_workspace(model, x)
-        got = model.chain_p(x, quantized).trace
+        got = model.chain_p(x).trace
         if quantized:
             want = dense_trace_form(oracle.c_zz_hat, oracle.d_czz_dtheta)
             bound = crb_pt(x, model.theta, model.sigma_alpha_sq, model.sigma_v_sq,
@@ -109,8 +111,8 @@ def test_trace_form_and_bounds_match_dense_oracle(case, quantized):
 @pytest.mark.parametrize("rho", [0.0, 1.7])
 def test_anchor_surrogate_and_gradient_rows_match_dense_oracle(case, quantized, rho):
     for seed in range(2):
-        model, x, y, (u, lam, h) = instance(seed + 10, *case)
-        anchor = build_anchor(model, x, quantized)
+        model, x, y, (u, lam, h) = instance(seed + 10, *case, quantized=quantized)
+        anchor = build_anchor(model, x)
         p_dense = dense_anchor_p(model, x, quantized)
         assert rel_err(lift(model, anchor), p_dense) < RTOL
         for point in (x, y):
@@ -140,8 +142,8 @@ def test_anchor_surrogate_and_gradient_rows_match_dense_oracle(case, quantized, 
 @pytest.mark.parametrize("quantized", [True, False])
 def test_chain_p_operations_match_dense_p(shape, quantized):
     # the dense P is solved from the lifted (C, dC), not read from the factors
-    model, x, _, _ = instance(20, *shape)
-    anchor = build_anchor(model, x, quantized)
+    model, x, _, _ = instance(20, *shape, quantized=quantized)
+    anchor = build_anchor(model, x)
     p, p_dense = anchor.p, lift(model, anchor)
     block_len, n_r = model.block_len, model.n_r
     k = model.q.shape[1]
@@ -157,6 +159,20 @@ def test_chain_p_operations_match_dense_p(shape, quantized):
     ds = rng.uniform(0.1, 2.0, (3, block_len))
     assert rel_err(p.abs2_apply(ds), ds @ abs2) < RTOL
     assert rel_err(p.abs2_apply(ds[0]), abs2 @ ds[0]) < RTOL
+
+
+@pytest.mark.parametrize("quantized,bound", [(True, crb_pt),
+                                             (False, crb_pt_infinite_resolution)])
+def test_model_variant_gives_the_bits_of_its_bound(quantized, bound):
+    # the variant is read from the model by bound, by the anchor and by the
+    # solver's info["bound"] alike
+    for shape in ((3, 3, 2), (8, 8, 10)):
+        model, x, _, _ = instance(30, *shape, quantized=quantized)
+        want = bound(x, model.theta, model.sigma_alpha_sq, model.sigma_v_sq, model.n_r,
+                     model.block_len)
+        assert model.bound(x) == want
+        assert bound_from_trace(build_anchor(model, x).p.trace) == want
+        assert solve_x_pt(model, x, max_iter=0)[1]["bound"] == want
 
 
 @pytest.mark.parametrize("theta", [math.pi / 2, -math.pi / 2])
@@ -183,9 +199,10 @@ def test_pt_chain_uses_no_dense_solve(monkeypatch):
     kl = model.q.shape[1] * model.block_len
     assert kl == 2048
     for quantized in (True, False):
+        variant = replace(model, quantized=quantized)
         tracemalloc.start()
         try:
-            solve_x_pt(model, x, 2.0, u, lam, h, power=1.0, max_iter=1, quantized=quantized)
+            solve_x_pt(variant, x, 2.0, u, lam, h, power=1.0, max_iter=1)
             crb_pt(x, model.theta, 1.0, 0.1, model.n_r, model.block_len)
             crb_pt_infinite_resolution(x, model.theta, 1.0, 0.1, model.n_r, model.block_len)
             _, peak = tracemalloc.get_traced_memory()
