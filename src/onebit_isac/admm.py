@@ -21,6 +21,11 @@ VARIANTS = ("PT", "ET", "ET_QU", "PT_INF")
 
 @dataclass
 class AdmmConfig:
+    """ADMM penalty schedule, tolerances and caps. inner_tol is relative to the
+    waveform solver's augmented objective: the trace tr(P dC) for PT, the gain
+    tr(L^H M^{-1} L) for ET and ET_QU, not the bound tr(C_aa) - gain (on desk
+    ET_QU scenario 0, 1e-6 of the gain is 2.4e-4 of the bound)."""
+
     rho0: float
     c_rho: float
     rho_max: float
@@ -58,9 +63,10 @@ class AdmmConfig:
 @dataclass
 class AdmmTrace:
     """Per-outer-iteration record: residual, objective, penalty, wall time
-    since the start, the waveform solver's inner iterations and its
+    since the start, the waveform solver's inner iterations, its
     info["stalled"] (a point-target line search that gave up; the
-    extended-target closed-form step never stalls)."""
+    extended-target closed-form step never stalls) and its info["stop"]:
+    "tol", "stalled" or "max_iter"."""
 
     residuals: list = field(default_factory=list)
     objectives: list = field(default_factory=list)
@@ -68,14 +74,16 @@ class AdmmTrace:
     wall_times: list = field(default_factory=list)
     inner_iters: list = field(default_factory=list)
     stalled: list = field(default_factory=list)
+    inner_stops: list = field(default_factory=list)
 
-    def append(self, residual, objective, rho, wall_time, inner_iters, stalled):
+    def append(self, residual, objective, rho, wall_time, info):
         self.residuals.append(float(residual))
         self.objectives.append(float(objective))
         self.rhos.append(float(rho))
         self.wall_times.append(float(wall_time))
-        self.inner_iters.append(int(inner_iters))
-        self.stalled.append(bool(stalled))
+        self.inner_iters.append(int(info["n_iter"]))
+        self.stalled.append(bool(info["stalled"]))
+        self.inner_stops.append(info["stop"])
 
     def __len__(self):
         return len(self.residuals)
@@ -192,8 +200,7 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
             )
             err.trace = trace
             raise err
-        trace.append(residual, objective, rho, time.perf_counter() - t0, info["n_iter"],
-                     info["stalled"])
+        trace.append(residual, objective, rho, time.perf_counter() - t0, info)
         if obj_prev is not None:
             rel = abs(objective - obj_prev) / (abs(obj_prev) + 1e-30)
             if residual < config.tol_residual and rel < config.tol_objective:

@@ -186,14 +186,6 @@ def emit(table, fmt, path):
         raise OSError(f"cannot write results to {path!r}: {err}") from err
 
 
-def parse_results(path):
-    """Read back an emitted file as a list of record dicts."""
-    with open(path) as fh:
-        if path.endswith(".json"):
-            return json.load(fh)
-        return list(csv.DictReader(fh))
-
-
 def _scenario_for(cfg, snr_db, epsilon, seed):
     common = dict(
         n_t=cfg.n_t, n_r=cfg.n_r, n_users=cfg.n_users, block_len=cfg.block_len,

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import check_counts, hermitian_solve, unvec, vec, xtilde_multiply
+from .linalg import check_counts, hermitian_solve, last_call, unvec, vec, xtilde_multiply
 from .array_geometry import receive_basis, steering, steering_derivative
 from .quantization import TWO_OVER_PI
 
@@ -20,14 +20,15 @@ INFINITE_CRB_FLOOR = 1e-18
 SQRT_TWO_OVER_PI = math.sqrt(TWO_OVER_PI)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PtModel:
     """Point-target problem data with the transmit steering vectors and the
     receive basis Q (:func:`receive_basis`) with beta = Q^H da_r.
 
     quantized picks the chain of every bound, anchor and surrogate built on
     this model: the one-bit chain (True, the PT design) or the unquantized
-    one (False, the PT_INF baseline). It must be a bool.
+    one (False, the PT_INF baseline). It must be a bool. The model is frozen,
+    as its steering vectors and basis are built once, from theta and the sizes.
     """
 
     theta: float
@@ -51,10 +52,11 @@ class PtModel:
         check_noise_power(self.sigma_v_sq)
         check_counts(self, ("n_t", "n_r", "block_len"))
         check_flag("quantized", self.quantized)
-        self.a_t = steering(self.n_t, self.theta)
-        self.da_t = steering_derivative(self.n_t, self.theta)
-        self.q = receive_basis(self.n_r, self.theta)
-        self.beta = self.q.conj().T @ steering_derivative(self.n_r, self.theta)
+        q = receive_basis(self.n_r, self.theta)
+        for name, value in (("a_t", steering(self.n_t, self.theta)),
+                            ("da_t", steering_derivative(self.n_t, self.theta)), ("q", q),
+                            ("beta", q.conj().T @ steering_derivative(self.n_r, self.theta))):
+            object.__setattr__(self, name, value)
 
     def chain_factors(self, s, s_d):
         """Per-sample pieces of the covariance chain at s = X^T a_t and
@@ -82,14 +84,11 @@ class PtModel:
 
     def workspace(self, x):
         """The chain factors at waveform x."""
-        x = np.asarray(x, dtype=complex)
-        last = self._last
-        if last is not None and np.array_equal(last[0], x):
-            return last[1]
+        return last_call(self, np.asarray(x, dtype=complex), self._factors)
+
+    def _factors(self, x):
         xm = unvec(x, self.n_t, self.block_len)
-        fac = self.chain_factors(xm.T @ self.a_t, xm.T @ self.da_t)
-        self._last = (x.copy(), fac)
-        return fac
+        return self.chain_factors(xm.T @ self.a_t, xm.T @ self.da_t)
 
     def chain_p(self, x):
         """P = C^{-1} dC C^{-1} of the model's chain (one-bit, or unquantized
@@ -298,15 +297,15 @@ class EtAnchor(NamedTuple):
     gain: float
     bound: float
 
-    def linear_term(self):
-        """l_t with tr(L_t^H M_t^{-1} L(x)) = l_t^H x: the receive-index
-        partial trace out[n, l] = sum_r W[(r, l), (r, n)] of
-        W = M_t^{-1} L_t C_aa."""
+    def descent(self, m_bar, x_mat):
+        """l_t - Mbar x as an n_t x L matrix, for this anchor's dense Mbar, where
+        l_t with tr(L_t^H M_t^{-1} L(x)) = l_t^H x is the receive-index partial
+        trace l_t[n, l] = sum_r W[(r, l), (r, n)] of W = M_t^{-1} L_t C_aa."""
         n_r = self.prior.n_r
         rows, cols = self.m_inv_l.shape
         w4 = (self.m_inv_l @ self.prior.c_aa).reshape((n_r, rows // n_r, n_r, cols // n_r),
                                                        order="F")
-        return np.einsum("rlrn->nl", w4).reshape(-1, order="F")
+        return np.einsum("rlrn->nl", w4) - unvec(m_bar @ vec(x_mat), *x_mat.shape)
 
     def mbar(self):
         """(Mbar, lambda_max(Mbar)) with Mbar dense.
@@ -339,13 +338,15 @@ KRON_RTOL = 1e-12
 class KronPrior(NamedTuple):
     """An extended-target prior C_aa = Phi_T^T kron Phi_R whose Phi_R has a
     constant diagonal c (every correlation matrix has c = 1), held as the
-    pieces the bound's chain needs: Phi_T, the eigenvalues of Phi_R, c,
-    lambda_max(Phi_T) and tr(C_aa), with the noise power and variant of
+    pieces the bound's chain needs: Phi_T, the eigenvalues s of Phi_R with s^2
+    and s^3, c, lambda_max(Phi_T) and tr(C_aa), with the noise power and variant of
     every anchor built on it (one-bit when quantization_aware, else the
     unquantized LMMSE). Build it with :func:`et_prior`."""
 
     phi_t: np.ndarray
     sigma_r: np.ndarray
+    sigma_r2: np.ndarray
+    sigma_r3: np.ndarray
     c: float
     lam_max_t: float
     trace: float
@@ -365,36 +366,39 @@ class KronPrior(NamedTuple):
         x = np.asarray(x_matrix)
         p = x.T @ self.phi_t.T
         a = p @ x.conj()
+        # r is the column of B^{-1/2}, or one number when B = sigma_v^2 I
         if self.quantization_aware:
-            b = (np.pi / 2.0 - 1.0) * self.c * np.diag(a).real + (np.pi / 2.0) * self.sigma_v_sq
+            r = 1.0 / np.sqrt((np.pi / 2.0 - 1.0) * self.c * a.diagonal().real[:, None]
+                              + (np.pi / 2.0) * self.sigma_v_sq)
         else:
-            b = np.full(a.shape[0], self.sigma_v_sq)
-        r = 1.0 / np.sqrt(b)
-        lam, v = np.linalg.eigh(r[:, None] * a * r)
-        bv = r[:, None] * v
+            r = np.float64(1.0 / math.sqrt(self.sigma_v_sq))
+        lam, v = np.linalg.eigh(r * a * r.T)
+        bv = r * v
         q = bv.conj().T @ p
         e = 1.0 / (1.0 + lam[:, None] * self.sigma_r)
-        gain = float((e @ self.sigma_r**2) @ (q.real**2 + q.imag**2).sum(axis=1))
-        return KronAnchor(self, bv, q, e, gain, self.trace - gain)
+        w = e @ self.sigma_r2
+        gain = float(np.vdot(q, w[:, None] * q).real)
+        return KronAnchor(self, bv, q, e, w, gain, self.trace - gain)
 
 
 class KronAnchor(NamedTuple):
     """The extended-target bound's pieces at one waveform on a
     :class:`KronPrior`: Bv, Q = Bv^H X^T Phi_T^T, E[i, j] = 1 / (l_i s_j + 1),
-    gain = tr(L^H M^{-1} L) and bound = tr(C_aa) - gain."""
+    w = E s^2, gain = tr(L^H M^{-1} L) and bound = tr(C_aa) - gain."""
 
     prior: KronPrior
     bv: np.ndarray
     q: np.ndarray
     e: np.ndarray
+    w: np.ndarray
     gain: float
     bound: float
 
-    def linear_term(self):
-        """l_t with tr(L_t^H M_t^{-1} L(x)) = l_t^H x:
-        vec(Phi_T Q^T diag(w) Bv^T), w_i = sum_j s_j^2 / (l_i s_j + 1)."""
-        w = self.e @ self.prior.sigma_r**2
-        return vec(self.prior.phi_t @ (self.q.T * w) @ self.bv.T)
+    def descent(self, m_bar, x_mat):
+        """l_t - Mbar x as the n_t x L matrix Phi_T (Q^T diag(w) Bv^T - X G^T)
+        for this anchor's Mbar; its first term is the linear term l_t with
+        tr(L_t^H M_t^{-1} L(x)) = l_t^H x."""
+        return self.prior.phi_t @ ((self.q.T * self.w) @ self.bv.T - x_mat @ m_bar.g.T)
 
     def mbar(self):
         """(Mbar, lambda_max(Mbar)) with Mbar = G kron Phi_T a :class:`KronMbar`
@@ -404,15 +408,16 @@ class KronAnchor(NamedTuple):
         the prior is aware, where S = Q Q^H and
         Kp[i, i'] = sum_j s_j^p / ((l_i s_j + 1)(l_i' s_j + 1)).
         """
-        e, s = self.e, self.prior.sigma_r
+        e, prior = self.e, self.prior
         ss = self.q @ self.q.conj().T
-        g = self.bv @ ((e * s**3) @ e.T * ss) @ self.bv.conj().T
-        if self.prior.quantization_aware:
-            d = np.einsum("li,li->l", self.bv @ ((e * s**2) @ e.T * ss), self.bv.conj()).real
-            g[np.diag_indices_from(g)] += (np.pi / 2.0 - 1.0) * self.prior.c * d
+        bv_h = self.bv.conj().T
+        g = self.bv @ ((e * prior.sigma_r3) @ e.T * ss) @ bv_h
+        if prior.quantization_aware:
+            d = (self.bv @ ((e * prior.sigma_r2) @ e.T * ss) * bv_h.T).sum(axis=1).real
+            # g is a fresh product, so ravel() is a view and this adds to its diagonal
+            g.ravel()[::g.shape[0] + 1] += (np.pi / 2.0 - 1.0) * prior.c * d
         g = (g + g.conj().T) / 2.0
-        return (KronMbar(g, self.prior.phi_t),
-                float(np.linalg.eigvalsh(g)[-1]) * self.prior.lam_max_t)
+        return KronMbar(g, prior.phi_t), float(np.linalg.eigvalsh(g)[-1]) * prior.lam_max_t
 
 
 class KronMbar(NamedTuple):
@@ -460,8 +465,11 @@ def et_prior(c_aa, n_r, n_t, sigma_v_sq, quantization_aware):
     if not (np.linalg.norm(np.kron(phi_t_t, phi_r) - c_aa) <= KRON_RTOL * np.linalg.norm(c_aa)
             and np.ptp(d) <= KRON_RTOL * c):
         return DensePrior(c_aa, n_r, trace, sigma_v_sq, quantization_aware)
-    return KronPrior(phi_t=np.ascontiguousarray(phi_t_t.T), sigma_r=np.linalg.eigvalsh(phi_r),
-                     c=c, lam_max_t=float(np.linalg.eigvalsh(phi_t_t)[-1]), trace=trace,
+    s = np.linalg.eigvalsh(phi_r)
+    # Phi_T is stored complex, so its products with a waveform need no cast
+    return KronPrior(phi_t=np.ascontiguousarray(phi_t_t.T, dtype=complex), sigma_r=s,
+                     sigma_r2=s**2, sigma_r3=s**3, c=c,
+                     lam_max_t=float(np.linalg.eigvalsh(phi_t_t)[-1]), trace=trace,
                      sigma_v_sq=sigma_v_sq, quantization_aware=quantization_aware)
 
 

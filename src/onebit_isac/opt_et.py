@@ -9,8 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crb_metrics import check_waveform, et_prior
-from .linalg import (check_counts, h_tilde_adjoint, h_tilde_apply, mm_loop,
-                     penalty_value, project_power_ball, unvec)
+from .linalg import check_counts, last_call, mm_loop, project_power_ball, unvec, vec
 
 
 @dataclass(frozen=True)
@@ -30,8 +29,8 @@ class EtProblem:
     n_r: int
     block_len: int
     quantization_aware: bool = True
-    # (waveform, anchor) of the last call: the MM loop and the ADMM driver
-    # ask for the anchor at an accepted iterate up to three times
+    # (waveform, anchor) of the last call: each solve of an ADMM run starts
+    # from the iterate the previous solve ended on
     _last: tuple = field(default=None, init=False, repr=False, compare=False)
     # the KronPrior or DensePrior of c_aa
     _prior: object = field(default=None, init=False, repr=False, compare=False)
@@ -47,13 +46,10 @@ class EtProblem:
         :class:`~onebit_isac.crb_metrics.KronAnchor` or an
         :class:`~onebit_isac.crb_metrics.EtAnchor`. Raises ValueError
         when x is not finite."""
-        x = np.asarray(x)
-        last = self._last
-        if last is not None and np.array_equal(last[0], x):
-            return last[1]
-        anchor = self._prior.anchor(check_waveform(unvec(x, self.n_t, self.block_len)))
-        object.__setattr__(self, "_last", (x.copy(), anchor))
-        return anchor
+        return last_call(self, np.asarray(x), self._anchor)
+
+    def _anchor(self, x):
+        return self._prior.anchor(check_waveform(unvec(x, self.n_t, self.block_len)))
 
     def objective(self, x):
         """h(x) = -tr(L(x)^H M(x)^{-1} L(x)); the bound is tr(C_aa) + h."""
@@ -98,21 +94,46 @@ def lam_max_channel(channel):
     return float(np.linalg.eigvalsh(h.conj().T @ h)[-1])
 
 
+def _mm_parts(problem, rho, u_i, lambda_i, channel, lam_hth):
+    """(evaluate, surrogate) of one solve: evaluate(x) is the augmented objective
+    at waveform x with the state (anchor, H X), H X None without a penalty, and
+    surrogate(state, x) the :class:`EtSurrogate` at x from that state, formed as
+    n_t x L matrices. The solve's rho H^H (U - Lambda) is formed once, here."""
+    shape = (problem.n_t, problem.block_len)
+    penalized = rho != 0.0 and channel is not None and channel.size > 0
+    if penalized:
+        target = unvec(u_i - lambda_i, channel.shape[0], shape[1])
+        rho_h_adj = rho * channel.conj().T
+        rhs = rho_h_adj @ target
+
+    def evaluate(x):
+        anchor = problem.anchor(x)
+        if not penalized:
+            return -anchor.gain, (anchor, None)
+        hx = channel @ unvec(x, *shape)
+        w = hx - target
+        return -anchor.gain + rho * float(np.vdot(w, w).real), (anchor, hx)
+
+    def surrogate(state, x):
+        anchor, hx = state
+        x_mat = unvec(x, *shape)
+        m_bar, lam_mbar = build_mbar(anchor)
+        denominator = lam_mbar + float(rho) * lam_hth
+        m_t = anchor.descent(m_bar, x_mat) + denominator * x_mat
+        if penalized:
+            m_t += rhs - rho_h_adj @ hx
+        return EtSurrogate(denominator, vec(m_t))
+
+    return evaluate, surrogate
+
+
 def build_et_surrogate(problem, x_t, rho, u_i, lambda_i, channel, lam_hth):
     """The :class:`EtSurrogate` at x_t for penalty rho and the channel's
     bound lam_hth = lam_max_channel(channel), which is 0.0 without a
     channel; without a penalty rho * lam_hth adds 0.0."""
     x_t = np.asarray(x_t, dtype=complex)
-    anchor = problem.anchor(x_t)
-    m_bar, lam_mbar = build_mbar(anchor)
-    m_t = anchor.linear_term() + lam_mbar * x_t - m_bar @ x_t
-    if rho != 0.0 and channel is not None and channel.size:
-        hx = h_tilde_apply(channel, x_t, problem.block_len)
-        m_t = m_t + rho * h_tilde_adjoint(channel, u_i - lambda_i, problem.block_len)
-        m_t = m_t + rho * (
-            lam_hth * x_t - h_tilde_adjoint(channel, hx, problem.block_len)
-        )
-    return EtSurrogate(denominator=lam_mbar + float(rho) * lam_hth, m_t=m_t)
+    evaluate, surrogate = _mm_parts(problem, rho, u_i, lambda_i, channel, lam_hth)
+    return surrogate(evaluate(x_t)[1], x_t)
 
 
 def mm_update_et(x_t, surrogate, power=1.0):
@@ -125,28 +146,26 @@ def mm_update_et(x_t, surrogate, power=1.0):
 
 def augmented_objective_et(problem, x, rho=0.0, u_i=None, lambda_i=None,
                            channel=None):
-    return problem.objective(x) + penalty_value(x, problem.block_len, rho, u_i, lambda_i,
-                                                channel)
+    evaluate, _ = _mm_parts(problem, rho, u_i, lambda_i, channel, 0.0)
+    return evaluate(np.asarray(x))[0]
 
 
 def solve_x_et(problem, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,
                power=1.0, tol=1e-6, max_iter=20):
     """Closed-form MM loop (linalg.mm_loop) for the extended-target
-    subproblem, with lam_max_channel(channel) computed once per call.
+    subproblem; each iterate's anchor and H X are computed once and handed to
+    the step as the loop's state, lam_max_channel(channel) once per call.
 
     Returns (x, info); the true augmented objective is tracked and is
     non-increasing across iterations. info["bound"] is tr(C_aa) - gain at x
     (crb_et, or mse_et_quantization_unaware for an EtProblem with
     quantization_aware=False, the quantization-unaware variant).
     """
-    lam_hth = lam_max_channel(channel)
+    evaluate, surrogate = _mm_parts(problem, rho, u_i, lambda_i, channel,
+                                    lam_max_channel(channel))
 
-    def evaluate(x):
-        return augmented_objective_et(problem, x, rho, u_i, lambda_i, channel), None
+    def step(state, x):
+        return mm_update_et(x, surrogate(state, x), power), False
 
-    def step(_, x):
-        surrogate = build_et_surrogate(problem, x, rho, u_i, lambda_i, channel, lam_hth)
-        return mm_update_et(x, surrogate, power), False
-
-    return mm_loop(evaluate, step, lambda _, x: problem.anchor(x).bound, x_init, power, tol,
+    return mm_loop(evaluate, step, lambda state, _: state[0].bound, x_init, power, tol,
                    max_iter)

@@ -532,6 +532,12 @@ def dense_linear_term(y, c_aa, n_t, n_r, block_len):
                      for e in identity])
 
 
+def anchor_linear_term(anchor, x_mat):
+    """l_t of a library anchor, Kronecker or dense: its descent l_t - Mbar x
+    at the zero waveform, of the shape of x_mat."""
+    return vec(anchor.descent(anchor.mbar()[0], np.zeros_like(x_mat, dtype=complex)))
+
+
 def dense_m_tilde(y, quantization_aware=True):
     m_tilde = y @ y.conj().T
     if quantization_aware:

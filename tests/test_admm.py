@@ -116,12 +116,14 @@ def test_trace_records_each_outer_waveform_solve(monkeypatch, variant):
         cfg = AdmmConfig(rho0=10.0, c_rho=3.0, rho_max=1e6, max_outer=6, max_inner=5)
     res = admm_run(sc, variant, config=cfg, seed=1)
     t = res.trace
-    per_outer = (t.residuals, t.objectives, t.rhos, t.wall_times, t.inner_iters, t.stalled)
+    per_outer = (t.residuals, t.objectives, t.rhos, t.wall_times, t.inner_iters, t.stalled,
+                 t.inner_stops)
     assert all(len(values) == res.n_outer for values in per_outer)
     assert len(infos) == res.n_outer
     assert t.inner_iters == [info["n_iter"] for info in infos]
     assert sum(t.inner_iters) == sum(info["n_iter"] for info in infos) > 0
     assert t.stalled == [info["stalled"] for info in infos]
+    assert t.inner_stops == [info["stop"] for info in infos]
     if variant == "ET":
         assert not any(t.stalled)
 
@@ -215,11 +217,14 @@ def test_small_et_run_converges():
 
 
 def test_run_reports_why_it_stopped():
-    # the desk ET_QU design of scenario 0 runs to its 300-iteration cap;
-    # the desk ET design of scenario 3 converges
+    # the desk ET_QU design of scenario 0 runs to its 300-iteration cap,
+    # its inner solves crawling: each of the last 10 stops on inner_tol after
+    # one step; the desk ET design of scenario 3 converges
     res = admm_run(et_scenario(seed=0), "ET_QU", seed=0)
     assert res.reason == "max_outer" and not res.converged
     assert res.n_outer == AdmmConfig.et_defaults().max_outer == 300
+    assert res.trace.inner_stops[-10:] == ["tol"] * 10
+    assert res.trace.inner_iters[-10:] == [1] * 10
     res = admm_run(et_scenario(seed=3), "ET", seed=3)
     assert res.reason == "converged" and res.converged and res.n_outer == 15
 

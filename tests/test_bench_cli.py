@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import time
@@ -11,9 +12,16 @@ from onebit_isac.bench_cli import (
     ResultRow,
     emit,
     main,
-    parse_results,
     run_experiment,
 )
+
+
+def parse_results(path):
+    """Read back an emitted file as a list of record dicts."""
+    with open(path) as fh:
+        if path.endswith(".json"):
+            return json.load(fh)
+        return list(csv.DictReader(fh))
 
 
 def tiny_cfg(**kw):

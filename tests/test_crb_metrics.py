@@ -128,6 +128,22 @@ def test_et_problem_variant_and_noise_cannot_be_set_again():
             setattr(problem, name, value)
 
 
+def test_pt_model_fields_cannot_be_set_again():
+    # the steering vectors and receive basis are built from theta and the
+    # sizes once, so an assignment to theta used to leave the bound at the
+    # old angle: 0.0197 where a model built at 0.6 gives 0.265
+    model = PtModel(0.3, 1.0, 0.1, 4, 4, 2)
+    x = np.ones(8, dtype=complex) / np.sqrt(8.0)
+    before = model.bound(x)
+    for f in dataclasses.fields(PtModel):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, f.name, getattr(model, f.name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.theta = 0.6
+    assert model.bound(x) == before == crb_pt(x, 0.3, 1.0, 0.1, 4, 2)
+    assert PtModel(0.6, 1.0, 0.1, 4, 4, 2).bound(x) == pytest.approx(0.2646, rel=1e-3)
+
+
 def test_variant_flags_accept_numpy_bools():
     x, c_aa = random_et_instance(np.random.default_rng(7))
     x_pt = np.ones(8) / np.sqrt(8.0)

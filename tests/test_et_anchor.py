@@ -3,7 +3,9 @@ prior) and its dense Mbar against the chain they replace: the explicit-Kronecker
 apply, the commutation form and the uncached MM loop, quantization-aware and
 -unaware, from desk size up to 8x8 with L = 32. The priors here are
 Kronecker products, so ``EtProblem`` and the bounds run the Kronecker path,
-and the MM histories and bounds check it against the dense oracles too."""
+and the MM histories and bounds check it against the dense oracles too; one
+history runs criterion 02's non-Kronecker prior on the dense path. The last
+test pins the work of one MM iterate."""
 
 import numpy as np
 import pytest
@@ -19,7 +21,9 @@ from helpers_oracles import (
 )
 
 from onebit_isac.array_geometry import EtTarget, exponential_correlation
-from onebit_isac.crb_metrics import crb_et, et_l_and_m, mse_et_quantization_unaware
+from onebit_isac import opt_et
+from onebit_isac.crb_metrics import (DensePrior, KronPrior, crb_et, et_l_and_m,
+                                     mse_et_quantization_unaware)
 from onebit_isac.linalg import complex_normal, unvec
 from onebit_isac.opt_et import EtProblem, build_mbar, solve_x_et
 
@@ -27,8 +31,13 @@ RTOL = 1e-12
 SHAPES = [(2, 2, 2), (3, 2, 3), (4, 4, 8), (8, 8, 32)]
 
 
-def make_problem(n_t, n_r, block_len, aware, sv=0.05, corr=0.5):
-    c_aa = EtTarget(exponential_correlation(n_r, corr), exponential_correlation(n_t, corr)).c_aa
+def make_problem(n_t, n_r, block_len, aware, sv=0.05, corr=0.5, prior="kron"):
+    # prior "I+0.3J" is criterion 02's prior, which is not a Kronecker product
+    if prior == "I+0.3J":
+        c_aa = np.eye(n_t * n_r) + 0.3 * np.ones((n_t * n_r, n_t * n_r))
+    else:
+        c_aa = EtTarget(exponential_correlation(n_r, corr),
+                        exponential_correlation(n_t, corr)).c_aa
     return EtProblem(c_aa=c_aa, sigma_v_sq=sv, n_t=n_t, n_r=n_r,
                      block_len=block_len, quantization_aware=aware)
 
@@ -105,11 +114,14 @@ def test_anchor_bound_matches_information_form_at_scale():
 @pytest.mark.parametrize("aware", [True, False])
 @pytest.mark.parametrize("shape,rho,max_iter", [
     ((2, 2, 3), 0.7, 40), ((4, 4, 8), 0.0, 30), ((4, 4, 8), 1.3, 20), ((8, 8, 32), 0.0, 3),
+    ((2, 2, 2, "I+0.3J"), 0.8, 25),
 ])
 def test_solve_history_matches_uncached_chain(shape, rho, max_iter, aware):
-    n_t, n_r, block_len = shape
-    rng = np.random.default_rng(40 + sum(shape))
-    prob = make_problem(n_t, n_r, block_len, aware, sv=1e-3)
+    # a fourth entry of shape names a prior other than the Kronecker one
+    n_t, n_r, block_len, *other = shape
+    rng = np.random.default_rng(40 + n_t + n_r + block_len)
+    prob = make_problem(n_t, n_r, block_len, aware, sv=1e-3, prior=other[0] if other else "kron")
+    assert isinstance(prob._prior, DensePrior if other else KronPrior)
     x0 = complex_normal(rng, n_t * block_len)
     x0 /= np.linalg.norm(x0)
     k = 2
@@ -138,3 +150,46 @@ def test_anchor_cache_recomputes_after_in_place_change():
     assert prob.objective(x) == fresh.objective(x)
     assert solve_x_et(prob, x, max_iter=0)[1]["bound"] == pytest.approx(
         crb_et(unvec(x, 3, 3), prob.c_aa, prob.sigma_v_sq), rel=RTOL)
+
+
+class CountingChannel(np.ndarray):
+    """A channel H that records each product H @ Y and H^H @ Y by its left
+    factor's shape and its right factor."""
+
+    products = []
+
+    def __matmul__(self, other):
+        CountingChannel.products.append((self.shape, np.array(other)))
+        return np.asarray(self) @ np.asarray(other)
+
+
+@pytest.mark.parametrize("aware", [True, False])
+def test_each_iterate_does_the_step_work_once(monkeypatch, aware):
+    # per iterate one prior anchor and one H X product, per step one Mbar and
+    # one H^H (H X) product; rho H^H (U - Lambda) once per solve
+    n_t, n_r, block_len, k = 3, 2, 4, 2
+    rng = np.random.default_rng(60)
+    prob = make_problem(n_t, n_r, block_len, aware)
+    counts = {"anchor": 0, "build_mbar": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(KronPrior, "anchor", counted("anchor", KronPrior.anchor))
+    monkeypatch.setattr(opt_et, "build_mbar", counted("build_mbar", opt_et.build_mbar))
+    channel = complex_normal(rng, (k, n_t)).view(CountingChannel)
+    u, lam = complex_normal(rng, k * block_len), 0.1 * complex_normal(rng, k * block_len)
+    CountingChannel.products = []
+    _, info = solve_x_et(prob, random_ball_point(rng, n_t * block_len), rho=0.7, u_i=u,
+                         lambda_i=lam, channel=channel, tol=0.0, max_iter=6)
+    steps = info["n_iter"]
+    assert steps == 6
+    assert counts == {"anchor": steps + 1, "build_mbar": steps}
+    shapes = [shape for shape, _ in CountingChannel.products]
+    assert shapes.count((k, n_t)) == steps + 1
+    assert shapes.count((n_t, k)) == steps + 1
+    target = unvec(u - lam, k, block_len)
+    assert sum(np.array_equal(y, target) for _, y in CountingChannel.products) == 1

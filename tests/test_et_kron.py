@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from helpers_oracles import (
+    anchor_linear_term,
     dense_et_anchor,
     dense_linear_term,
     dense_m_tilde,
@@ -32,7 +33,7 @@ from onebit_isac.crb_metrics import (
     et_prior,
     mse_et_quantization_unaware,
 )
-from onebit_isac.linalg import complex_normal, unvec
+from onebit_isac.linalg import complex_normal, unvec, vec
 from onebit_isac.opt_et import EtProblem, build_mbar, solve_x_et
 from onebit_isac.scenario import et_scenario
 
@@ -78,12 +79,14 @@ def test_kron_path_matches_dense_oracles(shape, aware, kind):
     bound = (crb_et if aware else mse_et_quantization_unaware)(x_mat, c_aa, 1e-3)
     assert bound == anchor.bound
     assert bound == pytest.approx(np.trace(c_aa).real - gain, rel=rtol)
-    assert rel_err(anchor.linear_term(), dense_linear_term(y, c_aa, n_t, n_r, block_len)) <= rtol
     m_bar, lam_max = build_mbar(anchor)
     assert isinstance(m_bar, KronMbar)
     dims = (n_t, n_r, block_len)
     apply = mbar_apply_matrix_free(dense_m_tilde(y, aware), c_aa, *dims)
     oracle = np.column_stack([apply(e) for e in np.eye(n_t * block_len, dtype=complex)])
+    l_t = dense_linear_term(y, c_aa, n_t, n_r, block_len)
+    assert rel_err(anchor_linear_term(anchor, x_mat), l_t) <= rtol
+    assert rel_err(vec(anchor.descent(m_bar, x_mat)), l_t - oracle @ x) <= rtol
     assert rel_err(np.kron(m_bar.g, m_bar.phi_t), oracle) <= rtol
     if n_r * block_len <= 64 and n_t * block_len <= 64:
         commutation = dense_mbar_commutation(dense_m_tilde(y, aware), c_aa, *dims)
@@ -127,10 +130,11 @@ def test_dense_prior_forced_on_a_kronecker_prior_matches_it(shape, aware, kind):
     assert isinstance(d_anchor, EtAnchor)
     assert k_anchor.gain == pytest.approx(d_anchor.gain, rel=1e-9)
     assert k_anchor.bound == pytest.approx(d_anchor.bound, rel=1e-9)
-    assert rel_err(k_anchor.linear_term(), d_anchor.linear_term()) <= 1e-9
+    assert rel_err(anchor_linear_term(k_anchor, x_mat), anchor_linear_term(d_anchor, x_mat)) <= 1e-9
     k_mbar, k_lam = k_anchor.mbar()
     d_mbar, d_lam = d_anchor.mbar()
     assert rel_err(k_mbar @ x, d_mbar @ x) <= 1e-9
+    assert rel_err(k_anchor.descent(k_mbar, x_mat), d_anchor.descent(d_mbar, x_mat)) <= 1e-9
     assert k_lam == pytest.approx(d_lam, rel=1e-9)
 
 
@@ -201,7 +205,8 @@ def test_non_kronecker_prior_takes_the_dense_path(n_t, n_r, c_aa, aware):
     assert isinstance(anchor, EtAnchor)
     assert anchor.gain == pytest.approx(gain, rel=1e-12)
     assert rel_err(anchor.m_inv_l, y) <= 1e-10
-    assert rel_err(anchor.linear_term(), dense_linear_term(y, c_aa, n_t, n_r, block_len)) <= 1e-12
+    assert rel_err(anchor_linear_term(anchor, x_mat),
+                   dense_linear_term(y, c_aa, n_t, n_r, block_len)) <= 1e-12
     bound = (crb_et if aware else mse_et_quantization_unaware)(x_mat, c_aa, 0.05)
     assert bound == anchor.bound
     m_bar, _ = build_mbar(anchor)

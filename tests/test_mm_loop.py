@@ -1,6 +1,6 @@
 """The majorize-minimize loop both waveform solvers share (linalg.mm_loop),
 checked through the public solvers: the power and finiteness check of the
-start, the stop rules and the one info schema."""
+start, the stop rules with the reason each reports and the one info schema."""
 
 import math
 
@@ -17,7 +17,7 @@ from onebit_isac.opt_et import EtProblem, solve_x_et
 from onebit_isac.opt_pt import solve_x_pt
 from onebit_isac.scenario import et_scenario, pt_scenario
 
-INFO_KEYS = {"objective_history", "n_iter", "stalled", "bound"}
+INFO_KEYS = {"objective_history", "n_iter", "stalled", "stop", "bound"}
 
 
 def pt_case(seed=0):
@@ -78,6 +78,7 @@ def test_zero_iterations_report_the_start(kind):
     assert info["n_iter"] == 0
     assert len(info["objective_history"]) == 1
     assert info["stalled"] is False
+    assert info["stop"] == "max_iter"
     assert info["bound"] == pytest.approx(want, rel=1e-9)
 
 
@@ -95,6 +96,7 @@ def test_a_stalled_step_stops_the_loop(monkeypatch, scale):
     x, info = solve_x_pt(model, x0, tol=0.0, max_iter=10)
     assert len(steps) == 1
     assert info["stalled"] is True
+    assert info["stop"] == "stalled"
     assert info["n_iter"] == 1
     history = info["objective_history"]
     assert len(history) == 2
@@ -121,7 +123,9 @@ def test_both_solvers_share_one_info_schema_and_stop_rule(tol, max_iter):
         small = [abs(b - a) <= tol * (abs(a) + 1e-30) for a, b in zip(history, history[1:])]
         if tol == 0.0:
             assert info["n_iter"] == max_iter
+            assert info["stop"] == "max_iter"
         else:
             assert info["n_iter"] < max_iter
+            assert info["stop"] == "tol"
             assert small[-1] and not any(small[:-1])
         assert float(np.vdot(x, x).real) <= 1.0 + 1e-9
