@@ -32,6 +32,7 @@ from .comm_sep import (
     q_inverse,
     sep_constraints_satisfied,
 )
+from .linalg import Penalty, build_penalty
 from .sep_projection import UserQpInstance, boundary_points, solve_block, solve_user_qp
 from .opt_pt import SurrogateAnchor, build_anchor, pgd_step, solve_x_pt, surrogate_gradient, surrogate_value
 from .opt_et import (

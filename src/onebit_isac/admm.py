@@ -10,7 +10,7 @@ import numpy as np
 
 from . import opt_et, opt_pt
 from .comm_sep import complex_block, real_rows
-from .linalg import check_counts, check_power, complex_normal, h_tilde_apply, vec
+from .linalg import check_counts, check_power, complex_normal, vec
 from .sep_projection import _clamp_u, solve_block
 from .crb_metrics import PtModel
 from .opt_et import EtProblem
@@ -111,9 +111,8 @@ class AdmmResult:
 
 
 def _feasible_u(scenario, spec, x):
-    """The auxiliary block H~ x projected to feasibility at all-gamma decisions."""
-    hx = h_tilde_apply(scenario.channel, x, scenario.block_len)
-    chi = real_rows(hx.reshape((scenario.n_users, scenario.block_len), order="F"))
+    """The auxiliary block H X projected to feasibility at all-gamma decisions."""
+    chi = real_rows(scenario.channel @ scenario.unvec_waveform(x))
     return vec(complex_block(_clamp_u(chi, spec.s, spec.a, spec.b, spec.gamma)))
 
 
@@ -151,7 +150,6 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
     config = config or AdmmConfig.for_variant(variant)
     x, u, d, lam = initialize(scenario, seed)
     k = scenario.n_users
-    channel = scenario.channel if k else None
     spec = scenario.sep_spec() if k else None
     if x_init is not None:
         x = check_power(x_init, scenario.power)
@@ -181,11 +179,11 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
     reason = "max_outer"
     t0 = time.perf_counter()
     for it in range(config.max_outer):
-        x, info = solve_x(model, x, rho=rho, u_i=u, lambda_i=lam, channel=channel,
+        x, info = solve_x(model, x, rho=rho, u_i=u, lambda_i=lam, channel=scenario.channel,
                           power=scenario.power, tol=config.inner_tol,
                           max_iter=config.max_inner)
         if k:
-            hx = h_tilde_apply(channel, x, scenario.block_len)
+            hx = vec(scenario.channel @ scenario.unvec_waveform(x))
             chi = (hx + lam).reshape((k, scenario.block_len), order="F")
             u_mat, d = solve_block(chi, spec)
             u = vec(u_mat)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import complex_from_normals
+from .linalg import check_count, complex_from_normals
 
 # standard normals per chunk of empirical_ser's noise draws
 _CHUNK_NORMALS = 1 << 18
@@ -161,8 +161,7 @@ def empirical_ser(x_matrix, h, s, d, sigma_w, n_noise_draws, seed, order=None):
     every draw comes from one default_rng(seed), in memory-bounded chunks of
     draws that are sliced and counted at once.
     """
-    if n_noise_draws < 1:
-        raise ValueError("need at least one noise draw")
+    check_count("n_noise_draws", n_noise_draws)
     h = np.asarray(h)
     s = np.asarray(s)
     x_matrix = np.asarray(x_matrix)

@@ -421,13 +421,11 @@ class KronAnchor(NamedTuple):
 
 
 class KronMbar(NamedTuple):
-    """Mbar = G kron Phi_T, applied as Mbar @ x = vec(Phi_T X G^T)."""
+    """Mbar = G kron Phi_T by its factors; its action Mbar x = vec(Phi_T X G^T)
+    enters :meth:`KronAnchor.descent`."""
 
     g: np.ndarray
     phi_t: np.ndarray
-
-    def __matmul__(self, x):
-        return vec(self.phi_t @ unvec(x, self.phi_t.shape[0], self.g.shape[0]) @ self.g.T)
 
 
 def et_prior(c_aa, n_r, n_t, sigma_v_sq, quantization_aware):

@@ -1,15 +1,16 @@
 """Shared complex linear algebra: column-stacked vectorization, guarded
 Hermitian solves, PSD square roots, power iteration, the structured
-operators (X^T kron I, I kron H) used throughout the library, the ADMM
-penalty, power check, majorize-minimize loop and last-call cache that both
-waveform solvers share, the integer check of sizes and counts, and the
-single-BLAS-thread window of the one-bit MLE."""
+operator X^T kron I used throughout the library, the ADMM penalty, power
+check, majorize-minimize loop and last-call cache that both waveform solvers
+share, the integer check of sizes and counts, and the single-BLAS-thread
+window of the one-bit MLE."""
 
 import contextlib
 import ctypes
 import math
 import numbers
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,25 +149,61 @@ def xtilde_multiply(x_matrix, c):
     return out.reshape((n_r * block_len, c.shape[1]), order="F")
 
 
-def h_tilde_apply(h, x, block_len):
-    """(I_L kron H) @ x, i.e. vec(H @ unvec(x))."""
-    h = np.asarray(h)
-    return vec(h @ unvec(x, h.shape[1], block_len))
+class Penalty(NamedTuple):
+    """The ADMM penalty rho ||H~ x - u + lambda||^2 = rho ||H X - T||^2 of both
+    waveform solvers, H~ = I_L kron H, T = unvec(u - lambda) (build_penalty)."""
+
+    rho: float
+    channel: np.ndarray  # H, K x n_t
+    target: np.ndarray  # T, K x L
+    adjoint: np.ndarray  # -rho H^H, formed once for every descent
+
+    def residual(self, x_mat):
+        """H X - T of an n_t x L waveform X, or per matrix of an (m, n_t, L) stack."""
+        if x_mat.ndim == 2:
+            return self.channel @ x_mat - self.target
+        # one product over the samples (columns) of all m matrices, not m products
+        samples = np.swapaxes(x_mat, -1, -2)
+        hx = samples.reshape(-1, samples.shape[-1]) @ self.channel.T
+        return np.swapaxes(hx.reshape(samples.shape[:-1] + (-1,)), -1, -2) - self.target
+
+    def value(self, w):
+        """rho ||W||^2 of a residual W, per matrix of a stack."""
+        if w.ndim == 2:
+            return self.rho * float(np.vdot(w, w).real)
+        return self.rho * (w * w.conj()).real.sum(axis=(-2, -1))
+
+    def descent(self, w):
+        """-rho H^H W, the penalty's descent direction in X at residual W."""
+        return self.adjoint @ w
+
+    def curvature(self):
+        """rho lambda_max(H^H H), the largest eigenvalue of rho H~^H H~."""
+        return self.rho * float(np.linalg.eigvalsh(self.channel.conj().T @ self.channel)[-1])
 
 
-def h_tilde_adjoint(h, y, block_len):
-    """(I_L kron H)^H @ y."""
-    h = np.asarray(h)
-    return vec(h.conj().T @ unvec(y, h.shape[0], block_len))
-
-
-def penalty_value(x, block_len, rho, u_i, lambda_i, channel):
-    """ADMM penalty rho ||H~ x - u + lambda||^2 of either waveform
-    subproblem; 0 without a penalty or without users."""
-    if rho == 0.0 or channel is None or channel.size == 0:
-        return 0.0
-    w = h_tilde_apply(channel, x, block_len) - u_i + lambda_i
-    return rho * float(np.vdot(w, w).real)
+def build_penalty(rho, u_i, lambda_i, channel, n_t, block_len):
+    """The :class:`Penalty` of one solve, None without one (rho 0, no channel
+    or no users). Raises ValueError unless rho is finite and non-negative,
+    the channel a finite K x n_t matrix and, with a penalty, u_i and
+    lambda_i finite vectors of length K L."""
+    if not 0.0 <= rho < math.inf:
+        raise ValueError(f"rho must be finite and non-negative, got {rho!r}")
+    if channel is None:
+        return None
+    channel = np.asanyarray(channel)
+    if channel.ndim != 2 or channel.shape[1] != n_t or not np.isfinite(channel).all():
+        raise ValueError(f"channel must be a finite K x {n_t} matrix, got {channel.shape}")
+    k = channel.shape[0]
+    if rho == 0.0 or k == 0:
+        return None
+    u_i, lambda_i = np.asarray(u_i), np.asarray(lambda_i)
+    if (u_i.shape != (k * block_len,) or lambda_i.shape != u_i.shape
+            or not (np.isfinite(u_i).all() and np.isfinite(lambda_i).all())):
+        raise ValueError(f"u_i and lambda_i must be finite vectors of length K L = "
+                         f"{k * block_len}")
+    rho = float(rho)
+    return Penalty(rho, channel, unvec(u_i - lambda_i, k, block_len), -rho * channel.conj().T)
 
 
 def integer_at_least(value, low):
@@ -205,7 +242,12 @@ def mm_loop(evaluate, step, bound, x_init, power, tol, max_iter):
     of x is all the step at x reads. Stops on a stall, a relative objective
     change of at most tol, or max_iter steps, and info["stop"] says which:
     "stalled", "tol" or "max_iter". Returns (x, info); info["bound"] is
-    bound(state, x) at the last x."""
+    bound(state, x) at the last x. Raises ValueError unless tol is finite and
+    non-negative and max_iter an integer of at least 0."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+    if not integer_at_least(max_iter, 0):
+        raise ValueError(f"max_iter must be an integer of at least 0, got {max_iter!r}")
     x = check_power(x_init, power)
     f_prev, state = evaluate(x)
     history = [f_prev]

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crb_metrics import check_waveform, et_prior
-from .linalg import check_counts, last_call, mm_loop, project_power_ball, unvec, vec
+from .linalg import (build_penalty, check_counts, last_call, mm_loop, project_power_ball,
+                     unvec, vec)
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ class EtProblem:
 
 def build_mbar(anchor):
     """Quadratic-form matrix Mbar at an anchor plus a safe spectral upper
-    bound. Returns (m_bar, lam_max); m_bar @ x applies Mbar on both paths.
+    bound. Returns (m_bar, lam_max).
 
     Mbar realizes x^H Mbar x = tr(Mtilde X~ C_aa X~^H) (the anchor's
     ``mbar``: a :class:`~onebit_isac.crb_metrics.KronMbar` on a Kronecker
@@ -73,8 +74,8 @@ def build_mbar(anchor):
 class EtSurrogate:
     """The spectral surrogate denominator ||x||^2 - 2 Re(m_t^H x) at one
     anchor (up to a constant), whose minimizer over the power ball is the
-    closed-form update; denominator = 1.01 lambda_max(Mbar) +
-    rho lambda_max(H^H H)."""
+    closed-form update; denominator = 1.01 lambda_max(Mbar) plus the
+    penalty's curvature rho lambda_max(H^H H)."""
 
     denominator: float
     m_t: np.ndarray
@@ -86,53 +87,38 @@ class EtSurrogate:
         )
 
 
-def lam_max_channel(channel):
-    """Largest eigenvalue of H~^H H~, which equals that of H^H H."""
-    if channel is None or channel.size == 0:
-        return 0.0
-    h = np.asarray(channel)
-    return float(np.linalg.eigvalsh(h.conj().T @ h)[-1])
-
-
-def _mm_parts(problem, rho, u_i, lambda_i, channel, lam_hth):
+def _mm_parts(problem, penalty):
     """(evaluate, surrogate) of one solve: evaluate(x) is the augmented objective
-    at waveform x with the state (anchor, H X), H X None without a penalty, and
-    surrogate(state, x) the :class:`EtSurrogate` at x from that state, formed as
-    n_t x L matrices. The solve's rho H^H (U - Lambda) is formed once, here."""
+    at waveform x with the state (anchor, H X - T), the residual None without a
+    penalty, and surrogate(state, x) the :class:`EtSurrogate` at x from that
+    state, formed as n_t x L matrices; the penalty's curvature is taken once."""
     shape = (problem.n_t, problem.block_len)
-    penalized = rho != 0.0 and channel is not None and channel.size > 0
-    if penalized:
-        target = unvec(u_i - lambda_i, channel.shape[0], shape[1])
-        rho_h_adj = rho * channel.conj().T
-        rhs = rho_h_adj @ target
+    curvature = 0.0 if penalty is None else penalty.curvature()
 
     def evaluate(x):
         anchor = problem.anchor(x)
-        if not penalized:
+        if penalty is None:
             return -anchor.gain, (anchor, None)
-        hx = channel @ unvec(x, *shape)
-        w = hx - target
-        return -anchor.gain + rho * float(np.vdot(w, w).real), (anchor, hx)
+        w = penalty.residual(unvec(x, *shape))
+        return -anchor.gain + float(penalty.value(w)), (anchor, w)
 
     def surrogate(state, x):
-        anchor, hx = state
+        anchor, w = state
         x_mat = unvec(x, *shape)
         m_bar, lam_mbar = build_mbar(anchor)
-        denominator = lam_mbar + float(rho) * lam_hth
+        denominator = lam_mbar + curvature
         m_t = anchor.descent(m_bar, x_mat) + denominator * x_mat
-        if penalized:
-            m_t += rhs - rho_h_adj @ hx
+        if penalty is not None:
+            m_t += penalty.descent(w)
         return EtSurrogate(denominator, vec(m_t))
 
     return evaluate, surrogate
 
 
-def build_et_surrogate(problem, x_t, rho, u_i, lambda_i, channel, lam_hth):
-    """The :class:`EtSurrogate` at x_t for penalty rho and the channel's
-    bound lam_hth = lam_max_channel(channel), which is 0.0 without a
-    channel; without a penalty rho * lam_hth adds 0.0."""
+def build_et_surrogate(problem, x_t, penalty=None):
+    """The :class:`EtSurrogate` at x_t under penalty (a linalg.Penalty or None)."""
     x_t = np.asarray(x_t, dtype=complex)
-    evaluate, surrogate = _mm_parts(problem, rho, u_i, lambda_i, channel, lam_hth)
+    evaluate, surrogate = _mm_parts(problem, penalty)
     return surrogate(evaluate(x_t)[1], x_t)
 
 
@@ -144,25 +130,24 @@ def mm_update_et(x_t, surrogate, power=1.0):
     return project_power_ball(surrogate.m_t / denom, power)
 
 
-def augmented_objective_et(problem, x, rho=0.0, u_i=None, lambda_i=None,
-                           channel=None):
-    evaluate, _ = _mm_parts(problem, rho, u_i, lambda_i, channel, 0.0)
+def augmented_objective_et(problem, x, penalty=None):
+    evaluate, _ = _mm_parts(problem, penalty)
     return evaluate(np.asarray(x))[0]
 
 
 def solve_x_et(problem, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,
                power=1.0, tol=1e-6, max_iter=20):
     """Closed-form MM loop (linalg.mm_loop) for the extended-target
-    subproblem; each iterate's anchor and H X are computed once and handed to
-    the step as the loop's state, lam_max_channel(channel) once per call.
+    subproblem; each iterate's anchor and penalty residual H X - T are computed
+    once and handed to the step as the loop's state, the penalty once per call.
 
     Returns (x, info); the true augmented objective is tracked and is
     non-increasing across iterations. info["bound"] is tr(C_aa) - gain at x
     (crb_et, or mse_et_quantization_unaware for an EtProblem with
     quantization_aware=False, the quantization-unaware variant).
     """
-    evaluate, surrogate = _mm_parts(problem, rho, u_i, lambda_i, channel,
-                                    lam_max_channel(channel))
+    penalty = build_penalty(rho, u_i, lambda_i, channel, problem.n_t, problem.block_len)
+    evaluate, surrogate = _mm_parts(problem, penalty)
 
     def step(state, x):
         return mm_update_et(x, surrogate(state, x), power), False

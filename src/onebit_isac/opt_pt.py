@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crb_metrics import ChainP, PtModel, SQRT_TWO_OVER_PI, bound_from_trace, trace_p_dc
-from .linalg import h_tilde_adjoint, h_tilde_apply, mm_loop, penalty_value
+from .linalg import build_penalty, mm_loop, unvec, vec
 
 # backtracking schedule: start at 0.1 sqrt(P), halve until accepted or below
 # STEP_FLOOR; a candidate may exceed the anchor value by RELATIVE_SLACK * (|m0| + 1)
@@ -39,9 +39,9 @@ def build_anchor(model, x_t):
                            p=model.chain_p(x_t))
 
 
-def surrogate_values(anchor, xs, rho=0.0, u_i=None, lambda_i=None, channel=None):
+def surrogate_values(anchor, xs, penalty=None):
     """Surrogate -2 Re tr(P dC(x)) + tr(P C(x) P C(x)) + penalty at every row
-    of a (K, n_t L) stack of waveforms, as a length-K array.
+    of a (K, n_t L) stack of waveforms (penalty a linalg.Penalty or None).
 
     Per row the chain is C = diag(d0) + sa h h^H and
     dC = diag(d1) + sa (q h^H + h q^H) in receive-subspace coordinates
@@ -73,17 +73,17 @@ def surrogate_values(anchor, xs, rho=0.0, u_i=None, lambda_i=None, channel=None)
             + 2.0 * sa * np.sum((ph * ph.conj()).real.sum(axis=2) * d0, axis=1)
             + (sa * hph) ** 2)
     values = quad - 2.0 * lin
-    if rho != 0.0 and channel is not None and channel.size:
-        w = (samples @ channel.T).reshape(n_rows, -1) - (u_i - lambda_i)
-        values += rho * (w * w.conj()).real.sum(axis=1)
+    if penalty is not None:
+        # row k of xs is vec of waveform k, so its samples are rows of X^T
+        stack = np.swapaxes(samples.reshape(n_rows, block_len, model.n_t), 1, 2)
+        values += penalty.value(penalty.residual(stack))
     return values
 
 
-def surrogate_value(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None):
+def surrogate_value(anchor, x, penalty=None):
     """Surrogate -2 Re tr(P dC(x)) + tr(P C(x) P C(x)) + penalty at one
     waveform: the one-row case of :func:`surrogate_values`."""
-    return float(surrogate_values(anchor, np.asarray(x)[None, :], rho, u_i, lambda_i,
-                                  channel)[0])
+    return float(surrogate_values(anchor, np.asarray(x)[None, :], penalty)[0])
 
 
 def _row(model, alpha, gamma=None):
@@ -111,7 +111,7 @@ def _ptr_crr(model, s, v, ptr_x, x_vg):
     return model.sigma_v_sq * v * ptr_x + model.sigma_alpha_sq * s * x_vg.conj()
 
 
-def gradient_rows(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None):
+def gradient_rows(anchor, x, penalty=None):
     """Per-term rows of the surrogate derivative d m / d x^T.
 
     Keys m11..m16 cover the six linear-term paths (quantized chain), m3 the
@@ -175,25 +175,23 @@ def gradient_rows(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None):
         y3 = p.apply(_apply_c(sa, d0, h, y_ad))
         rows["m3"] = _row(model, 2.0 * sa * y3[:, 0])
         linear_keys = ("m1",)
-    if rho != 0.0 and channel is not None and channel.size:
-        w = h_tilde_apply(channel, x, model.block_len) - u_i + lambda_i
-        rows["m4"] = rho * np.conj(h_tilde_adjoint(channel, w, model.block_len))
-    else:
-        rows["m4"] = np.zeros(model.n_t * model.block_len, dtype=complex)
-    total = rows["m4"].copy() + rows["m3"]
+    rows["m4"] = np.zeros_like(rows["m3"])
+    if penalty is not None:
+        w = penalty.residual(unvec(x, model.n_t, model.block_len))
+        rows["m4"] = -np.conj(vec(penalty.descent(w)))
+    total = rows["m4"] + rows["m3"]
     for key in linear_keys:
         total = total + 2.0 * rows[key]
     rows["total"] = total
     return rows
 
 
-def surrogate_gradient(anchor, x, rho=0.0, u_i=None, lambda_i=None, channel=None):
+def surrogate_gradient(anchor, x, penalty=None):
     """Conjugate (Wirtinger) gradient of the surrogate, the descent direction."""
-    return np.conj(gradient_rows(anchor, x, rho, u_i, lambda_i, channel)["total"])
+    return np.conj(gradient_rows(anchor, x, penalty)["total"])
 
 
-def pgd_step(anchor, x_t, rho=0.0, u_i=None, lambda_i=None, channel=None,
-             power=1.0):
+def pgd_step(anchor, x_t, penalty=None, power=1.0):
     """One normalized projected-gradient step with backtracking.
 
     The schedule mu = 0.1 sqrt(power), halved down to STEP_FLOOR, is built
@@ -206,7 +204,7 @@ def pgd_step(anchor, x_t, rho=0.0, u_i=None, lambda_i=None, channel=None,
     search returns the anchor point unchanged (stalled flags the latter).
     """
     x_t = np.asarray(x_t, dtype=complex)
-    grad = surrogate_gradient(anchor, x_t, rho, u_i, lambda_i, channel)
+    grad = surrogate_gradient(anchor, x_t, penalty)
     gn = float(np.linalg.norm(grad))
     ghat = grad / gn if gn > 0.0 else grad
     mus = []
@@ -219,8 +217,7 @@ def pgd_step(anchor, x_t, rho=0.0, u_i=None, lambda_i=None, channel=None,
     norm2 = (steps * steps.conj()).real.sum(axis=1)
     # rows inside the ball keep a unit scale
     candidates = steps * np.sqrt(power / np.maximum(norm2, power))[:, None]
-    values = surrogate_values(anchor, np.concatenate((x_t[None], candidates)), rho, u_i,
-                              lambda_i, channel)
+    values = surrogate_values(anchor, np.concatenate((x_t[None], candidates)), penalty)
     m0, m1 = values[0], values[1:]
     if gn <= 1e-12 * (abs(m0) + 1.0):
         # normalized steps along a numerically-zero gradient only add noise
@@ -241,16 +238,20 @@ def solve_x_pt(model, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,
     The true augmented objective is non-increasing across anchors; iteration
     stops on a relative change below tol, a stalled line search, or the
     iteration cap. Returns (x, info); info["bound"] is PtModel.bound at x,
-    read from the last anchor's trace.
+    read from the last anchor's trace; the penalty is built once (build_penalty).
     """
+    penalty = build_penalty(rho, u_i, lambda_i, channel, model.n_t, model.block_len)
+
     def evaluate(x):
         # the anchor at x carries the true objective there
         anchor = build_anchor(model, x)
-        return -anchor.p.trace + penalty_value(x, model.block_len, rho, u_i, lambda_i,
-                                               channel), anchor
+        if penalty is None:
+            return -anchor.p.trace, anchor
+        w = penalty.residual(unvec(x, model.n_t, model.block_len))
+        return -anchor.p.trace + float(penalty.value(w)), anchor
 
     def step(anchor, x):
-        x, _, stalled = pgd_step(anchor, x, rho, u_i, lambda_i, channel, power)
+        x, _, stalled = pgd_step(anchor, x, penalty, power)
         return x, stalled
 
     return mm_loop(evaluate, step, lambda anchor, _: bound_from_trace(anchor.p.trace),

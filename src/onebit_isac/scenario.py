@@ -8,8 +8,8 @@ from typing import Union
 import numpy as np
 
 from .array_geometry import EtTarget, PtTarget, exponential_correlation
-from .comm_sep import build_sep_spec, random_qam_symbols
-from .linalg import complex_normal
+from .comm_sep import build_sep_spec, check_epsilon, random_qam_symbols
+from .linalg import check_count, complex_normal, integer_at_least
 
 
 @dataclass
@@ -58,6 +58,16 @@ def min_sep_power(scenario):
 
 def _common(n_t, n_r, n_users, block_len, qam_order, snr_sensing_db, snr_comm_db,
             epsilon, power, seed):
+    """Channel, symbols and noise powers of a scenario. Raises ValueError
+    unless n_t, n_r and block_len are integers of at least 1, n_users one of
+    at least 0, epsilon lies in (0, 1) and power is finite and positive."""
+    for name, value in (("n_t", n_t), ("n_r", n_r), ("block_len", block_len)):
+        check_count(name, value)
+    if not integer_at_least(n_users, 0):
+        raise ValueError(f"n_users must be an integer of at least 0, got {n_users!r}")
+    check_epsilon(epsilon)
+    if not 0.0 < power < math.inf:
+        raise ValueError(f"power must be finite and positive, got {power!r}")
     rng = np.random.default_rng(seed)
     channel = complex_normal(rng, (n_users, n_t))
     symbols = random_qam_symbols(n_users, block_len, qam_order, rng)

@@ -5,19 +5,20 @@ point-target response, the lift of the library's receive-subspace chain
 factors to n x n matrices (an anchor's P solved densely from them), the
 dense n x n point-target covariance chain (workspace, trace form, anchor,
 true augmented objective, surrogate value and gradient rows) that the
-library holds as diagonal plus rank one, the projected-gradient step that
-scores its backtracking candidates one at a time, the extended-target chain
-as the library computed it before the shared anchor and the dense Mbar
-(explicit Kronecker bound and linear term, matrix-free Mbar apply,
-uncached MM loop), the library's dense path forced onto any prior, the
-information form of the extended-target bound, the explicit-Kronecker
-BLMMSE estimator, dense Kronecker/commutation builders for small
-instances, the point-target arcsine covariances gathered entry by entry
-from their lags, the per-trial, per-angle one-bit MLE on dense arcsine
-covariances, one extended-target response drawn from a generator, the
-Monte-Carlo trials drawn and scored one at a time, the
-symbol error rate counted one noise draw at a time, and the SEP projection
-solver that scores every interval."""
+library holds as diagonal plus rank one, the ADMM penalty with I_L kron H
+formed explicitly, the projected-gradient step that scores its
+backtracking candidates one at a time, the extended-target chain as the
+library computed it before the shared anchor and the dense Mbar (explicit
+Kronecker bound and linear term, matrix-free Mbar apply, uncached MM loop,
+a Kronecker Mbar formed densely), the library's dense path forced onto any
+prior, the information form of the extended-target bound, the
+explicit-Kronecker BLMMSE estimator, dense Kronecker/commutation builders
+for small instances, the point-target arcsine covariances gathered entry by
+entry from their lags, the per-trial, per-angle one-bit MLE on dense
+arcsine covariances, one extended-target response drawn from a generator,
+the Monte-Carlo trials drawn and scored one at a time, the symbol error
+rate counted one noise draw at a time, and the SEP projection solver that
+scores every interval."""
 
 import math
 from dataclasses import dataclass
@@ -32,17 +33,13 @@ from onebit_isac.crb_metrics import ChainFactors, DensePrior, PtModel, crb_et
 from onebit_isac.estimators import blmmse_matrix
 from onebit_isac.linalg import (
     complex_normal,
-    h_tilde_adjoint,
-    h_tilde_apply,
     hermitian_factor,
     hermitian_solve,
-    penalty_value,
     project_power_ball,
     unvec,
     vec,
     xtilde_multiply,
 )
-from onebit_isac.opt_et import lam_max_channel
 from onebit_isac import opt_pt
 from onebit_isac.opt_pt import (
     SurrogateAnchor,
@@ -186,10 +183,28 @@ def dense_anchor_p(model: PtModel, x_t, quantized=True):
     return _dense_p(*_dense_chain(dense_pt_workspace(model, x_t), quantized))
 
 
+def dense_h_tilde(channel, block_len):
+    """H~ = I_L kron H formed explicitly."""
+    return np.kron(np.eye(block_len), channel)
+
+
+def _penalized(rho, channel):
+    return rho != 0.0 and channel is not None and np.size(channel) > 0
+
+
+def dense_penalty(x, block_len, rho, u_i=None, lambda_i=None, channel=None):
+    """ADMM penalty rho ||H~ x - u + lambda||^2 with H~ formed explicitly; 0
+    without a penalty or without users."""
+    if not _penalized(rho, channel):
+        return 0.0
+    w = dense_h_tilde(channel, block_len) @ x - u_i + lambda_i
+    return rho * float(np.vdot(w, w).real)
+
+
 def augmented_objective(model, x, rho, u_i=None, lambda_i=None, channel=None):
     """True objective -tr(C^{-1} dC C^{-1} dC) of the model's chain plus the
-    penalty at x."""
-    return -model.chain_p(x).trace + penalty_value(
+    dense penalty at x."""
+    return -model.chain_p(x).trace + dense_penalty(
         x, model.block_len, rho, u_i, lambda_i, channel
     )
 
@@ -202,17 +217,16 @@ def dense_surrogate_value(model: PtModel, p_big, x, quantized=True, rho=0.0,
     lin = -2.0 * float(np.einsum("ij,ji->", p, dbase).real)
     pc = p @ base
     quad = float(np.einsum("ij,ji->", pc, pc).real)
-    return lin + quad + penalty_value(x, model.block_len, rho, u_i, lambda_i, channel)
+    return lin + quad + dense_penalty(x, model.block_len, rho, u_i, lambda_i, channel)
 
 
-def scalar_pgd_step(anchor, x_t, rho=0.0, u_i=None, lambda_i=None, channel=None,
-                    power=1.0):
+def scalar_pgd_step(anchor, x_t, penalty=None, power=1.0):
     """opt_pt.pgd_step as a loop: score one backtracking candidate at a time,
     halving mu from 0.1 sqrt(power) until one passes or mu drops below
     opt_pt.STEP_FLOOR. Returns (x_next, mu, stalled)."""
-    grad = surrogate_gradient(anchor, x_t, rho, u_i, lambda_i, channel)
+    grad = surrogate_gradient(anchor, x_t, penalty)
     gn = float(np.linalg.norm(grad))
-    m0 = surrogate_value(anchor, x_t, rho, u_i, lambda_i, channel)
+    m0 = surrogate_value(anchor, x_t, penalty)
     if gn <= 1e-12 * (abs(m0) + 1.0):
         return np.asarray(x_t, dtype=complex), 0.0, False
     ghat = grad / gn
@@ -220,7 +234,7 @@ def scalar_pgd_step(anchor, x_t, rho=0.0, u_i=None, lambda_i=None, channel=None,
     mu = 0.1 * np.sqrt(power)
     while mu >= opt_pt.STEP_FLOOR:
         x_new = project_power_ball(x_t - mu * ghat, power)
-        m1 = surrogate_value(anchor, x_new, rho, u_i, lambda_i, channel)
+        m1 = surrogate_value(anchor, x_new, penalty)
         rhs = (2.0 * mu / gn) * float(np.vdot(grad, x_new - x_t).real)
         if m1 - m0 <= rhs + slack and m1 <= m0 + slack:
             return x_new, mu, False
@@ -279,9 +293,9 @@ def dense_chain_gradient_rows(model: PtModel, p_big, x, quantized=True, rho=0.0,
         rows["m3"] = _row(2.0 * sa, g, (w_mat + w_mat.conj().T) / 2.0, op_a)
         linear_keys = ("m1",)
     rows["m4"] = np.zeros(model.n_t * model.block_len, dtype=complex)
-    if rho != 0.0 and channel is not None and channel.size:
-        w = h_tilde_apply(channel, x, model.block_len) - u_i + lambda_i
-        rows["m4"] = rho * np.conj(h_tilde_adjoint(channel, w, model.block_len))
+    if _penalized(rho, channel):
+        h_tilde = dense_h_tilde(channel, model.block_len)
+        rows["m4"] = rho * np.conj(h_tilde.conj().T @ (h_tilde @ x - u_i + lambda_i))
     rows["total"] = rows["m4"] + rows["m3"] + 2.0 * sum(rows[k] for k in linear_keys)
     return rows
 
@@ -538,6 +552,12 @@ def anchor_linear_term(anchor, x_mat):
     return vec(anchor.descent(anchor.mbar()[0], np.zeros_like(x_mat, dtype=complex)))
 
 
+def dense_mbar(m_bar):
+    """A library Mbar as a dense matrix: G kron Phi_T of a KronMbar, a dense
+    one as it is."""
+    return np.kron(m_bar.g, m_bar.phi_t) if isinstance(m_bar, tuple) else m_bar
+
+
 def dense_m_tilde(y, quantization_aware=True):
     m_tilde = y @ y.conj().T
     if quantization_aware:
@@ -556,13 +576,14 @@ def uncached_solve_x_et(problem, x_init, rho=0.0, u_i=None, lambda_i=None,
     aware = problem.quantization_aware
 
     def objective(x):
-        val = -dense_et_anchor(x, problem.c_aa, problem.sigma_v_sq, *dims, aware)[3]
-        if rho != 0.0 and channel is not None and channel.size:
-            w = h_tilde_apply(channel, x, problem.block_len) - u_i + lambda_i
-            val += rho * float(np.vdot(w, w).real)
-        return val
+        return (-dense_et_anchor(x, problem.c_aa, problem.sigma_v_sq, *dims, aware)[3]
+                + dense_penalty(x, problem.block_len, rho, u_i, lambda_i, channel))
 
-    lam_hth = lam_max_channel(channel)
+    penalized = _penalized(rho, channel)
+    if penalized:
+        h_tilde = dense_h_tilde(channel, problem.block_len)
+        hth = h_tilde.conj().T @ h_tilde
+        lam_hth = float(np.linalg.eigvalsh(hth)[-1])
     x = np.asarray(x_init, dtype=complex)
     f_prev = objective(x)
     history = [f_prev]
@@ -575,10 +596,9 @@ def uncached_solve_x_et(problem, x_init, rho=0.0, u_i=None, lambda_i=None,
         l_t = dense_linear_term(y, problem.c_aa, *dims)
         m_t = l_t + lam_mbar * x - apply(x)
         denom = lam_mbar
-        if rho != 0.0 and channel is not None and channel.size:
-            hx = h_tilde_apply(channel, x, problem.block_len)
-            m_t = m_t + rho * h_tilde_adjoint(channel, u_i - lambda_i, problem.block_len)
-            m_t = m_t + rho * (lam_hth * x - h_tilde_adjoint(channel, hx, problem.block_len))
+        if penalized:
+            m_t = m_t + rho * (h_tilde.conj().T @ (u_i - lambda_i))
+            m_t = m_t + rho * (lam_hth * x - hth @ x)
             denom = lam_mbar + rho * lam_hth
         x = project_power_ball(m_t / denom, power)
         f_new = objective(x)

@@ -32,12 +32,11 @@ from onebit_isac.crb_metrics import (
     crb_pt_infinite_resolution,
 )
 from onebit_isac.estimators import run_trials
-from onebit_isac.linalg import complex_normal, psd_sqrt, unvec
+from onebit_isac.linalg import build_penalty, complex_normal, psd_sqrt, unvec
 from onebit_isac.opt_et import (
     EtProblem,
     augmented_objective_et,
     build_et_surrogate,
-    lam_max_channel,
     mm_update_et,
     solve_x_et,
 )
@@ -75,10 +74,11 @@ def test_criterion_01_gradient_ledger():
         h = complex_normal(rng, (2, 3))
         rho = float(10 ** rng.uniform(-1, 1))
         anchor = build_anchor(model, x)
+        pen = build_penalty(rho, u, lam, h, 3, 2)
         fd = conjugate_gradient_fd(
-            lambda y: surrogate_value(anchor, y, rho, u, lam, h), x, h=1e-6
+            lambda y: surrogate_value(anchor, y, pen), x, h=1e-6
         )
-        an = surrogate_gradient(anchor, x, rho, u, lam, h)
+        an = surrogate_gradient(anchor, x, pen)
         worst_total = max(worst_total, np.linalg.norm(an - fd) / np.linalg.norm(fd))
     worst_terms = 0.0
     for trial in range(5):
@@ -116,13 +116,14 @@ def test_criterion_02_majorization_suites():
     h = complex_normal(rng, (2, 3))
     rho = 0.8
     anchor = build_anchor(model, x0)
+    pen = build_penalty(rho, u, lam, h, 3, 2)
     aug0 = augmented_objective(model, x0, rho, u, lam, h)
     scale = abs(aug0) + 1.0
-    touch_pt = abs(surrogate_value(anchor, x0, rho, u, lam, h) - aug0)
+    touch_pt = abs(surrogate_value(anchor, x0, pen) - aug0)
     worst_pt = 0.0
     for _ in range(50):
         y = random_ball_point(rng, 6)
-        gap = surrogate_value(anchor, y, rho, u, lam, h) - augmented_objective(
+        gap = surrogate_value(anchor, y, pen) - augmented_objective(
             model, y, rho, u, lam, h
         )
         worst_pt = min(worst_pt, gap / scale)
@@ -133,14 +134,15 @@ def test_criterion_02_majorization_suites():
     ue = complex_normal(rng, 4)
     lame = 0.2 * complex_normal(rng, 4)
     he = complex_normal(rng, (2, 2))
-    sur = build_et_surrogate(prob, xe, rho, ue, lame, he, lam_max_channel(he))
-    aug_t = augmented_objective_et(prob, xe, rho, ue, lame, he)
+    pen_e = build_penalty(rho, ue, lame, he, 2, 2)
+    sur = build_et_surrogate(prob, xe, pen_e)
+    aug_t = augmented_objective_et(prob, xe, pen_e)
     shift = aug_t - sur.value(xe)
     scale_e = abs(aug_t) + 1.0
     worst_et = 0.0
     for _ in range(50):
         y = random_ball_point(rng, 4)
-        gap = (sur.value(y) + shift) - augmented_objective_et(prob, y, rho, ue, lame, he)
+        gap = (sur.value(y) + shift) - augmented_objective_et(prob, y, pen_e)
         worst_et = min(worst_et, gap / scale_e)
     # MM monotonicity on the true augmented objectives
     _, info_pt = solve_x_pt(model, x0, rho, u, lam, h, power=1.0, max_iter=25)
@@ -150,9 +152,9 @@ def test_criterion_02_majorization_suites():
     prev = aug_t
     mono_et = True
     for _ in range(25):
-        s = build_et_surrogate(prob, xe_i, rho, ue, lame, he, lam_max_channel(he))
+        s = build_et_surrogate(prob, xe_i, pen_e)
         xe_i = mm_update_et(xe_i, s, power=1.0)
-        cur = augmented_objective_et(prob, xe_i, rho, ue, lame, he)
+        cur = augmented_objective_et(prob, xe_i, pen_e)
         mono_et &= cur <= prev + 1e-9 * (abs(prev) + 1.0)
         prev = cur
     check(

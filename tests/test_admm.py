@@ -6,7 +6,7 @@ from onebit_isac.admm import AdmmConfig, admm_run, initialize
 from onebit_isac.comm_sep import sep_constraints_satisfied
 from onebit_isac.crb_metrics import (DensePrior, KronPrior, PtModel, crb_et, crb_pt,
                                      crb_pt_infinite_resolution, mse_et_quantization_unaware)
-from onebit_isac.linalg import h_tilde_apply
+from onebit_isac.linalg import unvec, vec
 from onebit_isac.scenario import et_scenario, pt_scenario
 
 
@@ -306,7 +306,7 @@ def test_residual_tracks_constraint_gap():
     sc = small_pt()
     cfg = AdmmConfig(rho0=10.0, c_rho=3.0, rho_max=1e8, max_outer=8, max_inner=8)
     res = admm_run(sc, "PT", config=cfg, seed=6)
-    hx = h_tilde_apply(sc.channel, res.x, sc.block_len)
+    hx = vec(sc.channel @ unvec(res.x, sc.n_t, sc.block_len))
     gap = float(np.vdot(hx - res.u, hx - res.u).real)
     assert gap == pytest.approx(res.trace.residuals[-1], rel=1e-9, abs=1e-15)
 
@@ -323,8 +323,7 @@ def test_x_init_sets_the_initial_auxiliary_block():
     config.max_outer = 0
     res = admm_run(sc, "PT", config=config, x_init=x_init, seed=0)
     spec = sc.sep_spec()
-    chi = h_tilde_apply(sc.channel, x_init, sc.block_len).reshape(
-        (sc.n_users, sc.block_len), order="F")
+    chi = sc.channel @ unvec(x_init, sc.n_t, sc.block_len)
     k = sc.n_users
     want = (_clamp_u(chi.real, spec.s[:k], spec.a[:k], spec.b[:k], spec.gamma)
             + 1j * _clamp_u(chi.imag, spec.s[k:], spec.a[k:], spec.b[k:], spec.gamma))

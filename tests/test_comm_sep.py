@@ -209,3 +209,14 @@ def test_empirical_ser_rejects_bad_decision_values(d):
     x = complex_normal(rng, (4, 3))
     with pytest.raises(ValueError):
         empirical_ser(x, h, s, d, 0.5, 10, seed=0, order=16)
+
+
+@pytest.mark.parametrize("n_draws", [0, -3, 2.5, True, None])
+def test_empirical_ser_rejects_a_bad_draw_count(n_draws):
+    # 2.5 used to raise TypeError from range and True to count as one draw
+    rng = np.random.default_rng(6)
+    s = random_qam_symbols(2, 3, 16, rng)
+    h = complex_normal(rng, (2, 4))
+    x = complex_normal(rng, (4, 3))
+    with pytest.raises(ValueError, match="n_noise_draws must be an integer of at least 1"):
+        empirical_ser(x, h, s, np.ones(4), 0.5, n_draws, seed=0, order=16)

@@ -24,7 +24,7 @@ from onebit_isac.array_geometry import EtTarget, exponential_correlation
 from onebit_isac import opt_et
 from onebit_isac.crb_metrics import (DensePrior, KronPrior, crb_et, et_l_and_m,
                                      mse_et_quantization_unaware)
-from onebit_isac.linalg import complex_normal, unvec
+from onebit_isac.linalg import Penalty, complex_normal, unvec
 from onebit_isac.opt_et import EtProblem, build_mbar, solve_x_et
 
 RTOL = 1e-12
@@ -153,24 +153,30 @@ def test_anchor_cache_recomputes_after_in_place_change():
 
 
 class CountingChannel(np.ndarray):
-    """A channel H that records each product H @ Y and H^H @ Y by its left
-    factor's shape and its right factor."""
+    """A channel H that records each product taken with it, H @ Y or Y @ H,
+    by the shape of the factor taken (H, H^T or H^H)."""
 
     products = []
 
     def __matmul__(self, other):
-        CountingChannel.products.append((self.shape, np.array(other)))
+        CountingChannel.products.append(self.shape)
         return np.asarray(self) @ np.asarray(other)
+
+    def __rmatmul__(self, other):
+        CountingChannel.products.append(self.shape)
+        return np.asarray(other) @ np.asarray(self)
 
 
 @pytest.mark.parametrize("aware", [True, False])
 def test_each_iterate_does_the_step_work_once(monkeypatch, aware):
-    # per iterate one prior anchor and one H X product, per step one Mbar and
-    # one H^H (H X) product; rho H^H (U - Lambda) once per solve
+    # per iterate one prior anchor and one penalty residual H X - T, per step
+    # one Mbar and one penalty descent -rho H^H (H X - T); the penalty, with
+    # its target T = unvec(u - lambda) and its curvature, once per solve
     n_t, n_r, block_len, k = 3, 2, 4, 2
     rng = np.random.default_rng(60)
     prob = make_problem(n_t, n_r, block_len, aware)
-    counts = {"anchor": 0, "build_mbar": 0}
+    names = ("anchor", "build_mbar", "build_penalty", "residual", "descent", "curvature")
+    counts = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -179,7 +185,10 @@ def test_each_iterate_does_the_step_work_once(monkeypatch, aware):
         return wrapper
 
     monkeypatch.setattr(KronPrior, "anchor", counted("anchor", KronPrior.anchor))
-    monkeypatch.setattr(opt_et, "build_mbar", counted("build_mbar", opt_et.build_mbar))
+    for name in ("build_mbar", "build_penalty"):
+        monkeypatch.setattr(opt_et, name, counted(name, getattr(opt_et, name)))
+    for name in ("residual", "descent", "curvature"):
+        monkeypatch.setattr(Penalty, name, counted(name, getattr(Penalty, name)))
     channel = complex_normal(rng, (k, n_t)).view(CountingChannel)
     u, lam = complex_normal(rng, k * block_len), 0.1 * complex_normal(rng, k * block_len)
     CountingChannel.products = []
@@ -187,9 +196,7 @@ def test_each_iterate_does_the_step_work_once(monkeypatch, aware):
                          lambda_i=lam, channel=channel, tol=0.0, max_iter=6)
     steps = info["n_iter"]
     assert steps == 6
-    assert counts == {"anchor": steps + 1, "build_mbar": steps}
-    shapes = [shape for shape, _ in CountingChannel.products]
-    assert shapes.count((k, n_t)) == steps + 1
-    assert shapes.count((n_t, k)) == steps + 1
-    target = unvec(u - lam, k, block_len)
-    assert sum(np.array_equal(y, target) for _, y in CountingChannel.products) == 1
+    assert counts == {"anchor": steps + 1, "build_mbar": steps, "build_penalty": 1,
+                      "residual": steps + 1, "descent": steps, "curvature": 1}
+    # each residual, descent and curvature takes one product with H
+    assert len(CountingChannel.products) == 2 * steps + 2

@@ -1,15 +1,15 @@
+import math
 import sys
 import threading
 
 import numpy as np
 import pytest
-from helpers_oracles import chol_logdet
+from helpers_oracles import chol_logdet, dense_h_tilde
 
 from onebit_isac import linalg
 from onebit_isac.linalg import (
+    build_penalty,
     complex_normal,
-    h_tilde_adjoint,
-    h_tilde_apply,
     hermitian_factor,
     hermitian_solve,
     power_iteration,
@@ -180,15 +180,61 @@ def test_xtilde_gram_and_right_multiply():
         xtilde_multiply(x, c[:5])
 
 
-def test_h_tilde_roundtrip_against_kron():
+def test_penalty_matches_dense_kron():
+    # rho ||H~ x - u + lambda||^2 with H~ = I_L kron H, its conjugate gradient
+    # rho H~^H (H~ x - u + lambda) and curvature rho lambda_max(H~^H H~),
+    # for one waveform and per waveform of a stack
     rng = np.random.default_rng(6)
     h = complex_normal(rng, (2, 3))
-    block_len = 4
-    dense = np.kron(np.eye(block_len), h)
-    x = complex_normal(rng, 12)
-    assert np.allclose(h_tilde_apply(h, x, block_len), dense @ x, atol=1e-12)
-    y = complex_normal(rng, 8)
-    assert np.allclose(h_tilde_adjoint(h, y, block_len), dense.conj().T @ y, atol=1e-12)
+    block_len, rho = 4, 0.7
+    u, lam = complex_normal(rng, 8), complex_normal(rng, 8)
+    dense = dense_h_tilde(h, block_len)
+    pen = build_penalty(rho, u, lam, h, 3, block_len)
+    xs = complex_normal(rng, (5, 12))
+    stack = np.swapaxes(xs.reshape(5, block_len, 3), 1, 2)
+    for x, x_mat, value in zip(xs, stack, pen.value(pen.residual(stack))):
+        assert np.array_equal(unvec(x, 3, block_len), x_mat)
+        w = dense @ x - u + lam
+        want = rho * np.vdot(w, w).real
+        assert value == pytest.approx(want, rel=1e-12)
+        residual = pen.residual(x_mat)
+        assert np.allclose(vec(residual), w, atol=1e-12)
+        assert pen.value(residual) == pytest.approx(want, rel=1e-12)
+        assert np.allclose(vec(pen.descent(residual)), -rho * dense.conj().T @ w, atol=1e-12)
+    assert pen.curvature() == pytest.approx(
+        rho * np.linalg.eigvalsh(dense.conj().T @ dense)[-1], rel=1e-10)
+
+
+@pytest.mark.parametrize("rho,u_len,channel", [(0.0, 8, (2, 3)), (0.7, 0, (0, 3)),
+                                              (0.7, 8, None)])
+def test_no_penalty_is_none(rho, u_len, channel):
+    rng = np.random.default_rng(7)
+    h = None if channel is None else complex_normal(rng, channel)
+    assert build_penalty(rho, complex_normal(rng, u_len), complex_normal(rng, u_len), h,
+                         3, 4) is None
+
+
+@pytest.mark.parametrize("change,match", [
+    (dict(rho=-1.0), "rho must be finite and non-negative"),
+    (dict(rho=math.nan), "rho must be finite and non-negative"),
+    (dict(rho=math.inf), "rho must be finite and non-negative"),
+    (dict(u_i=None), "u_i and lambda_i must be finite vectors of length K L = 8"),
+    (dict(u_i=np.zeros(7, complex)), "u_i and lambda_i must be finite vectors of length K L = 8"),
+    (dict(u_i=np.zeros((2, 4), complex)), "u_i and lambda_i must be finite vectors of length K L = 8"),
+    (dict(lambda_i=np.full(8, np.nan)), "u_i and lambda_i must be finite vectors of length K L = 8"),
+    (dict(u_i=np.full(8, np.inf), lambda_i=np.full(8, np.inf)),
+     "u_i and lambda_i must be finite vectors of length K L = 8"),
+    (dict(channel=np.zeros((2, 4))), "channel must be a finite K x 3 matrix"),
+    (dict(channel=np.zeros(3)), "channel must be a finite K x 3 matrix"),
+    (dict(channel=np.full((2, 3), np.inf)), "channel must be a finite K x 3 matrix"),
+])
+def test_penalty_rejects_bad_input(change, match):
+    rng = np.random.default_rng(8)
+    args = dict(rho=0.7, u_i=complex_normal(rng, 8), lambda_i=complex_normal(rng, 8),
+                channel=complex_normal(rng, (2, 3)))
+    args.update(change)
+    with pytest.raises(ValueError, match=match):
+        build_penalty(**args, n_t=3, block_len=4)
 
 
 def test_project_power_ball():

@@ -129,3 +129,39 @@ def test_both_solvers_share_one_info_schema_and_stop_rule(tol, max_iter):
             assert info["stop"] == "tol"
             assert small[-1] and not any(small[:-1])
         assert float(np.vdot(x, x).real) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("kind", ["PT", "ET"])
+@pytest.mark.parametrize("change,match", [
+    (dict(tol=math.nan), "tol must be finite and non-negative"),
+    (dict(tol=math.inf), "tol must be finite and non-negative"),
+    (dict(tol=-1e-6), "tol must be finite and non-negative"),
+    (dict(max_iter=2.5), "max_iter must be an integer of at least 0"),
+    (dict(max_iter=-1), "max_iter must be an integer of at least 0"),
+    (dict(max_iter=True), "max_iter must be an integer of at least 0"),
+])
+def test_the_loop_rejects_a_bad_tolerance_or_cap(kind, change, match):
+    # a NaN tol used to run every step and report "max_iter"
+    solve, (model, x0) = ((solve_x_pt, pt_case()) if kind == "PT"
+                          else (solve_x_et, et_case()))
+    with pytest.raises(ValueError, match=match):
+        solve(model, x0, **{"tol": 1e-6, "max_iter": 5, **change})
+    assert solve(model, x0, tol=0.0, max_iter=np.int64(2))[1]["n_iter"] == 2
+
+
+@pytest.mark.parametrize("kind", ["PT", "ET"])
+@pytest.mark.parametrize("change,match", [
+    (dict(rho=-1.0), "rho must be finite and non-negative"),
+    (dict(rho=math.nan), "rho must be finite and non-negative"),
+    (dict(u_i=None), "u_i and lambda_i must be finite vectors of length K L = 8"),
+    (dict(u_i=np.zeros(6, complex)), "u_i and lambda_i must be finite vectors of length K L = 8"),
+    (dict(lambda_i=np.zeros(9, complex)), "u_i and lambda_i must be finite vectors of length K L = 8"),
+    (dict(channel=np.zeros((2, 4), complex)), "channel must be a finite K x 3 matrix"),
+])
+def test_both_solvers_reject_a_bad_penalty(kind, change, match):
+    # a negative rho used to run and return a bound, a missing u_i to raise
+    # TypeError and a mis-sized one a broadcast error, deep in the step
+    solve, (model, x0) = ((solve_x_pt, pt_case()) if kind == "PT"
+                          else (solve_x_et, et_case()))
+    with pytest.raises(ValueError, match=match):
+        solve(model, x0, max_iter=2, **{**penalty(), **change})

@@ -4,7 +4,9 @@ from helpers_oracles import (
     anchor_linear_term,
     commutation_apply,
     commutation_matrix,
+    dense_h_tilde,
     dense_m_tilde,
+    dense_mbar,
     dense_mbar_commutation,
     forced_dense_prior,
     random_ball_point,
@@ -13,17 +15,19 @@ from helpers_oracles import (
 
 from onebit_isac import opt_et
 from onebit_isac.array_geometry import EtTarget, exponential_correlation
-from onebit_isac.crb_metrics import crb_et, et_l_and_m, et_prior, mse_et_quantization_unaware
-from onebit_isac.linalg import complex_normal, hermitian_solve, unvec, xtilde_multiply
+from onebit_isac.crb_metrics import (PtModel, crb_et, et_l_and_m, et_prior,
+                                     mse_et_quantization_unaware)
+from onebit_isac.linalg import (Penalty, build_penalty, complex_normal, hermitian_solve,
+                                unvec, xtilde_multiply)
 from onebit_isac.opt_et import (
     EtProblem,
     augmented_objective_et,
     build_et_surrogate,
     build_mbar,
-    lam_max_channel,
     mm_update_et,
     solve_x_et,
 )
+from onebit_isac.opt_pt import solve_x_pt
 
 
 def make_problem(n_t=2, n_r=2, block_len=2, sv=0.05, corr=0.5, aware=True):
@@ -105,7 +109,7 @@ def test_mbar_matches_dense_commutation_form():
     dense = dense_mbar_commutation(dense_m_tilde(anchor.m_inv_l), prob.c_aa, 2, 2, 2)
     for _ in range(20):
         xr = complex_normal(rng, 4)
-        assert np.linalg.norm(m_bar @ xr - dense @ xr) < 1e-9
+        assert np.linalg.norm(dense_mbar(m_bar) @ xr - dense @ xr) < 1e-9
     # spectral bound dominates the true maximum eigenvalue
     true_lam = np.linalg.eigvalsh((dense + dense.conj().T) / 2)[-1]
     assert lam_max >= true_lam
@@ -119,7 +123,7 @@ def test_mbar_psd_and_bound_on_probes():
     m_bar, lam_max = build_mbar(prob.anchor(x_t))
     for _ in range(100):
         v = complex_normal(rng, 9)
-        quad = np.vdot(v, m_bar @ v).real
+        quad = np.vdot(v, dense_mbar(m_bar) @ v).real
         assert quad >= -1e-9 * np.vdot(v, v).real
         assert quad <= lam_max * np.vdot(v, v).real * (1.0 + 1e-9)
 
@@ -132,13 +136,13 @@ def test_majorization_chain_touches_and_dominates():
         u = complex_normal(rng, 6)
         lam = 0.2 * complex_normal(rng, 6)
         h = complex_normal(rng, (3, 2))
-        rho = 0.8
-        sur = build_et_surrogate(prob, x_t, rho, u, lam, h, lam_max_channel(h))
-        aug_t = augmented_objective_et(prob, x_t, rho, u, lam, h)
+        pen = build_penalty(0.8, u, lam, h, 2, 2)
+        sur = build_et_surrogate(prob, x_t, pen)
+        aug_t = augmented_objective_et(prob, x_t, pen)
         shift = aug_t - sur.value(x_t)
         for _ in range(50):
             y = random_ball_point(rng, 4)
-            aug_y = augmented_objective_et(prob, y, rho, u, lam, h)
+            aug_y = augmented_objective_et(prob, y, pen)
             assert sur.value(y) + shift >= aug_y - 1e-8 * (abs(aug_t) + 1.0)
 
 
@@ -146,7 +150,7 @@ def test_mm_update_interior_solution_unprojected():
     rng = np.random.default_rng(8)
     prob = make_problem()
     x_t = random_ball_point(rng, 4, power=0.01)
-    sur = build_et_surrogate(prob, x_t, 0.0, None, None, None, 0.0)
+    sur = build_et_surrogate(prob, x_t)
     big_power = 1e12
     x_new = mm_update_et(x_t, sur, power=big_power)
     assert np.allclose(x_new, sur.m_t / sur.denominator)
@@ -159,14 +163,14 @@ def test_mm_update_decreases_surrogate_and_objective():
     u = complex_normal(rng, 6)
     lam = 0.1 * complex_normal(rng, 6)
     h = complex_normal(rng, (2, 3))
-    rho = 0.5
-    prev_aug = augmented_objective_et(prob, x, rho, u, lam, h)
+    pen = build_penalty(0.5, u, lam, h, 3, 3)
+    prev_aug = augmented_objective_et(prob, x, pen)
     for _ in range(50):
-        sur = build_et_surrogate(prob, x, rho, u, lam, h, lam_max_channel(h))
+        sur = build_et_surrogate(prob, x, pen)
         s0 = sur.value(x)
         x = mm_update_et(x, sur, power=1.0)
         assert sur.value(x) <= s0 + 1e-10 * (abs(s0) + 1.0)
-        aug = augmented_objective_et(prob, x, rho, u, lam, h)
+        aug = augmented_objective_et(prob, x, pen)
         assert aug <= prev_aug + 1e-9 * (abs(prev_aug) + 1.0)
         prev_aug = aug
         assert np.vdot(x, x).real <= 1.0 + 1e-12
@@ -204,23 +208,28 @@ def test_solve_monotone_and_power_feasible():
 
 
 def test_solve_computes_the_channel_bound_once(monkeypatch):
-    # build_et_surrogate reads the bound from its caller, never computing it
+    # the penalty's curvature rho lambda_max(H^H H) is computed once per
+    # extended-target solve, never per step, and never by a point-target solve
     calls = []
+    curvature = Penalty.curvature
 
-    def counted(channel):
-        calls.append(channel)
-        return lam_max_channel(channel)
+    def counted(penalty):
+        calls.append(penalty.channel)
+        return curvature(penalty)
 
-    monkeypatch.setattr(opt_et, "lam_max_channel", counted)
+    monkeypatch.setattr(Penalty, "curvature", counted)
     rng = np.random.default_rng(13)
     prob = make_problem(n_t=2, n_r=2, block_len=3)
     x0 = random_ball_point(rng, 6)
     h = complex_normal(rng, (2, 2))
-    _, info = solve_x_et(prob, x0, rho=0.7, u_i=complex_normal(rng, 6),
-                         lambda_i=0.1 * complex_normal(rng, 6), channel=h, tol=0.0,
-                         max_iter=5)
+    kw = dict(rho=0.7, u_i=complex_normal(rng, 6), lambda_i=0.1 * complex_normal(rng, 6),
+              channel=h, tol=0.0, max_iter=5)
+    _, info = solve_x_et(prob, x0, **kw)
     assert info["n_iter"] == 5
     assert len(calls) == 1 and calls[0] is h
+    _, info = solve_x_pt(PtModel(0.3, 1.0, 0.1, 2, 2, 3), x0, **kw)
+    assert info["n_iter"] == 5
+    assert len(calls) == 1
 
 
 def test_desk_scale_improvement():
@@ -281,14 +290,21 @@ def test_qu_solver_monotone():
         assert b <= a + 1e-9 * (abs(a) + 1.0)
 
 
-def test_lam_max_channel_block_identity():
+def test_penalty_curvature_block_identity():
+    # lambda_max(H~^H H~) = lambda_max(H^H H); no penalty adds no curvature
     rng = np.random.default_rng(14)
     h = complex_normal(rng, (3, 4))
     block_len = 5
-    dense = np.kron(np.eye(block_len), h)
+    dense = dense_h_tilde(h, block_len)
     lam_block = np.linalg.eigvalsh(dense.conj().T @ dense)[-1]
-    assert lam_max_channel(h) == pytest.approx(lam_block, rel=1e-10)
-    assert lam_max_channel(None) == 0.0
+    u = complex_normal(rng, 3 * block_len)
+    pen = build_penalty(0.7, u, u, h, 4, block_len)
+    assert pen.curvature() == pytest.approx(0.7 * lam_block, rel=1e-10)
+    prob = make_problem(n_t=4, n_r=2, block_len=block_len)
+    x = random_ball_point(rng, 4 * block_len)
+    m_bar_bound = build_mbar(prob.anchor(x))[1]
+    assert build_et_surrogate(prob, x).denominator == m_bar_bound
+    assert build_et_surrogate(prob, x, pen).denominator == m_bar_bound + pen.curvature()
 
 
 def test_high_snr_quantization_aware_beats_unaware():

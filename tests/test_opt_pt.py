@@ -9,6 +9,7 @@ from helpers_oracles import (
     augmented_objective,
     conjugate_gradient_fd,
     dense_gradient_rows,
+    dense_h_tilde,
     dense_pt_workspace,
     lift,
     random_ball_point,
@@ -18,7 +19,7 @@ from helpers_oracles import (
 
 from onebit_isac import opt_pt
 from onebit_isac.crb_metrics import PtModel, crb_pt
-from onebit_isac.linalg import complex_normal, h_tilde_adjoint, h_tilde_apply
+from onebit_isac.linalg import build_penalty, complex_normal
 from onebit_isac.opt_pt import (
     build_anchor,
     gradient_rows,
@@ -41,14 +42,17 @@ def make_instance(seed, n_t=3, n_r=3, block_len=2, k=2, sv=0.07, theta=0.35, qua
     return model, x, rho, u, lam, h
 
 
+def penalty_of(model, rho, u, lam, h):
+    return build_penalty(rho, u, lam, h, model.n_t, model.block_len)
+
+
 def test_gradient_matches_finite_differences():
     for seed in range(8):
         model, x, rho, u, lam, h = make_instance(seed)
         anchor = build_anchor(model, x)
-        fd = conjugate_gradient_fd(
-            lambda y: surrogate_value(anchor, y, rho, u, lam, h), x
-        )
-        an = surrogate_gradient(anchor, x, rho, u, lam, h)
+        pen = penalty_of(model, rho, u, lam, h)
+        fd = conjugate_gradient_fd(lambda y: surrogate_value(anchor, y, pen), x)
+        an = surrogate_gradient(anchor, x, pen)
         assert np.linalg.norm(an - fd) / np.linalg.norm(fd) < 1e-6
 
 
@@ -59,7 +63,7 @@ def test_gradient_each_term_against_slot_oracle():
         model, x, rho, u, lam, h = make_instance(seed + 100)
         anchor = build_anchor(model, x)
         oracle = PtSlotOracle(model, anchor, x)
-        rows = gradient_rows(anchor, x, rho, u, lam, h)
+        rows = gradient_rows(anchor, x, penalty_of(model, rho, u, lam, h))
         for key, slot in slot_of.items():
             # the slot functions carry a large frozen baseline, so roundoff
             # favors a slightly larger step than the total-gradient check
@@ -69,8 +73,8 @@ def test_gradient_each_term_against_slot_oracle():
         fd3 = wirtinger_dx(oracle.quadratic_term, x)
         assert np.linalg.norm(rows["m3"] - fd3) / np.linalg.norm(fd3) < 1e-6
         # penalty row is the exact quadratic gradient
-        w = h_tilde_apply(h, x, model.block_len) - u + lam
-        expected_m4 = rho * np.conj(h_tilde_adjoint(h, w, model.block_len))
+        h_tilde = dense_h_tilde(h, model.block_len)
+        expected_m4 = rho * np.conj(h_tilde.conj().T @ (h_tilde @ x - u + lam))
         assert np.linalg.norm(rows["m4"] - expected_m4) < 1e-12 * max(
             np.linalg.norm(expected_m4), 1.0
         )
@@ -80,7 +84,7 @@ def test_gradient_terms_match_dense_kronecker_oracle():
     for seed in (0, 1):
         model, x, rho, u, lam, h = make_instance(seed, n_t=2, n_r=2, block_len=2)
         anchor = build_anchor(model, x)
-        rows = gradient_rows(anchor, x, rho, u, lam, h)
+        rows = gradient_rows(anchor, x, penalty_of(model, rho, u, lam, h))
         dense = dense_gradient_rows(model, anchor, x)
         for key, val in dense.items():
             rel = np.linalg.norm(rows[key] - val) / max(np.linalg.norm(val), 1e-30)
@@ -97,9 +101,9 @@ def test_penalty_only_gradient_when_signal_free():
     h = complex_normal(rng, (2, 3))
     rho = 2.5
     anchor = build_anchor(model, x)
-    grad = surrogate_gradient(anchor, x, rho, u, lam, h)
-    w = h_tilde_apply(h, x, 2) - u + lam
-    expected = rho * h_tilde_adjoint(h, w, 2)
+    grad = surrogate_gradient(anchor, x, penalty_of(model, rho, u, lam, h))
+    h_tilde = dense_h_tilde(h, 2)
+    expected = rho * (h_tilde.conj().T @ (h_tilde @ x - u + lam))
     assert np.linalg.norm(grad - expected) < 1e-12 * np.linalg.norm(expected)
 
 
@@ -107,10 +111,9 @@ def test_infinite_resolution_gradient_finite_difference():
     for seed in range(4):
         model, x, rho, u, lam, h = make_instance(seed + 200, quantized=False)
         anchor = build_anchor(model, x)
-        fd = conjugate_gradient_fd(
-            lambda y: surrogate_value(anchor, y, rho, u, lam, h), x
-        )
-        an = surrogate_gradient(anchor, x, rho, u, lam, h)
+        pen = penalty_of(model, rho, u, lam, h)
+        fd = conjugate_gradient_fd(lambda y: surrogate_value(anchor, y, pen), x)
+        an = surrogate_gradient(anchor, x, pen)
         assert np.linalg.norm(an - fd) / np.linalg.norm(fd) < 1e-6
 
 
@@ -119,13 +122,14 @@ def test_majorization_touches_and_dominates():
     for quantized in (True, False):
         model, x0, rho, u, lam, h = make_instance(11, quantized=quantized)
         anchor = build_anchor(model, x0)
+        pen = penalty_of(model, rho, u, lam, h)
         aug0 = augmented_objective(model, x0, rho, u, lam, h)
-        m0 = surrogate_value(anchor, x0, rho, u, lam, h)
+        m0 = surrogate_value(anchor, x0, pen)
         scale = abs(aug0) + 1.0
         assert abs(m0 - aug0) < 1e-9 * scale  # Taylor constant vanishes
         for _ in range(50):
             y = random_ball_point(rng, x0.size)
-            gap = surrogate_value(anchor, y, rho, u, lam, h) - augmented_objective(
+            gap = surrogate_value(anchor, y, pen) - augmented_objective(
                 model, y, rho, u, lam, h
             )
             assert gap >= -1e-9 * scale
@@ -148,10 +152,10 @@ def test_pgd_step_zero_gradient_is_identity():
     rng = np.random.default_rng(5)
     x = random_ball_point(rng, 6)
     anchor = build_anchor(model, x)
-    x_new, mu, stalled = pgd_step(anchor, x, rho=0.0, power=1.0)
+    x_new, mu, stalled = pgd_step(anchor, x, power=1.0)
     assert np.array_equal(x_new, x)
     assert not stalled
-    assert (mu, stalled) == scalar_pgd_step(anchor, x, rho=0.0, power=1.0)[1:]
+    assert (mu, stalled) == scalar_pgd_step(anchor, x, power=1.0)[1:]
 
 
 def test_pgd_step_respects_power_and_descends():
@@ -159,10 +163,11 @@ def test_pgd_step_respects_power_and_descends():
     for seed in range(100):
         model, x, rho, u, lam, h = make_instance(seed + 300)
         anchor = build_anchor(model, x)
-        m0 = surrogate_value(anchor, x, rho, u, lam, h)
-        x_new, mu, stalled = pgd_step(anchor, x, rho, u, lam, h, power=1.0)
+        pen = penalty_of(model, rho, u, lam, h)
+        m0 = surrogate_value(anchor, x, pen)
+        x_new, mu, stalled = pgd_step(anchor, x, pen, power=1.0)
         assert np.vdot(x_new, x_new).real <= 1.0 + 1e-12
-        m1 = surrogate_value(anchor, x_new, rho, u, lam, h)
+        m1 = surrogate_value(anchor, x_new, pen)
         assert m1 <= m0 + 1e-12 * (abs(m0) + 1.0)
 
 
@@ -182,11 +187,11 @@ def test_solve_stationary_least_squares_point():
     model = PtModel(0.3, 1e-300, 0.1, 3, 3, 2)
     h = complex_normal(rng, (2, 3))
     x0 = 0.05 * complex_normal(rng, 6)
-    u = h_tilde_apply(h, x0, 2)
+    u = dense_h_tilde(h, 2) @ x0
     x, info = solve_x_pt(model, x0, rho=5.0, u_i=u, lambda_i=np.zeros_like(u),
                          channel=h, power=1.0, tol=1e-14, max_iter=60)
     anchor = build_anchor(model, x)
-    grad = surrogate_gradient(anchor, x, 5.0, u, np.zeros_like(u), h)
+    grad = surrogate_gradient(anchor, x, penalty_of(model, 5.0, u, np.zeros_like(u), h))
     assert np.linalg.norm(grad) < 1e-8
 
 
@@ -223,13 +228,13 @@ def test_search_config_stall_reporting(monkeypatch):
     model, x, rho, u, lam, h = make_instance(12)
     anchor = build_anchor(model, x)
     monkeypatch.setattr(opt_pt, "STEP_FLOOR", 1.0)  # first step 0.1: schedule exhausted at once
-    x_new, mu, stalled = pgd_step(anchor, x, rho, u, lam, h, power=1.0)
+    x_new, mu, stalled = pgd_step(anchor, x, penalty_of(model, rho, u, lam, h), power=1.0)
     assert stalled
     assert np.array_equal(x_new, x)
 
 
 def mm_anchors(n_t, n_r, block_len, quantized, rho, n_steps=6, power=1.0, sv=1e-3):
-    """(anchor, x_t, penalty args) along an MM run, each next iterate from the
+    """(anchor, x_t, penalty) along an MM run, each next iterate from the
     scalar oracle. The line search backtracks at 30 dB (sv = 1e-3); at
     -10 dB (sv = 10) the sufficient-decrease test rejects steps that lower
     the surrogate."""
@@ -238,13 +243,14 @@ def mm_anchors(n_t, n_r, block_len, quantized, rho, n_steps=6, power=1.0, sv=1e-
     x = complex_normal(rng, n_t * block_len)
     x *= math.sqrt(power) / np.linalg.norm(x)
     k = 2
-    penalty = (rho, complex_normal(rng, k * block_len), 0.3 * complex_normal(rng, k * block_len),
-               complex_normal(rng, (k, n_t)))
+    penalty = build_penalty(rho, complex_normal(rng, k * block_len),
+                            0.3 * complex_normal(rng, k * block_len),
+                            complex_normal(rng, (k, n_t)), n_t, block_len)
     out = []
     for _ in range(n_steps):
         anchor = build_anchor(model, x)
         out.append((anchor, x, penalty))
-        x = scalar_pgd_step(anchor, x, *penalty, power=power)[0]
+        x = scalar_pgd_step(anchor, x, penalty, power=power)[0]
     return out
 
 
@@ -260,8 +266,8 @@ def test_pgd_step_matches_scalar_backtracking(case):
     *shape, quantized, rho, power, sv = case
     mus = []
     for anchor, x, penalty in mm_anchors(*shape, quantized, rho, power=power, sv=sv):
-        x_new, mu, stalled = pgd_step(anchor, x, *penalty, power=power)
-        want_x, want_mu, want_stalled = scalar_pgd_step(anchor, x, *penalty, power=power)
+        x_new, mu, stalled = pgd_step(anchor, x, penalty, power=power)
+        want_x, want_mu, want_stalled = scalar_pgd_step(anchor, x, penalty, power=power)
         assert (mu, stalled) == (want_mu, want_stalled)
         assert np.linalg.norm(x_new - want_x) <= 1e-12 * np.linalg.norm(want_x)
         assert np.vdot(x_new, x_new).real <= power * (1.0 + 1e-12)
@@ -271,16 +277,16 @@ def test_pgd_step_matches_scalar_backtracking(case):
 
 def test_pgd_step_exhausted_schedule_matches_scalar(monkeypatch):
     anchors = mm_anchors(4, 4, 4, True, 0.0)
-    backtracked = [(a, x, p, scalar_pgd_step(a, x, *p)[1]) for a, x, p in anchors]
+    backtracked = [(a, x, p, scalar_pgd_step(a, x, p)[1]) for a, x, p in anchors]
     backtracked = [case for case in backtracked if case[3] < 0.1]
     assert backtracked
     for anchor, x, penalty, mu in backtracked:
         # the floor just above the accepted step: every candidate left fails
         monkeypatch.setattr(opt_pt, "STEP_FLOOR", 1.5 * mu)
-        x_new, mu_new, stalled = pgd_step(anchor, x, *penalty)
+        x_new, mu_new, stalled = pgd_step(anchor, x, penalty)
         assert (mu_new, stalled) == (0.0, True)
         assert np.array_equal(x_new, x)
-        assert scalar_pgd_step(anchor, x, *penalty)[1:] == (0.0, True)
+        assert scalar_pgd_step(anchor, x, penalty)[1:] == (0.0, True)
 
 
 def test_candidate_scoring_builds_no_block_products(monkeypatch):
@@ -300,18 +306,19 @@ def test_candidate_scoring_builds_no_block_products(monkeypatch):
         model, x, rho, u, lam, h = make_instance(3, n_t=4, n_r=8, block_len=32,
                                                  quantized=quantized)
         anchor = build_anchor(model, x)
-        want = pgd_step(anchor, x, rho, u, lam, h)
-        grad = surrogate_gradient(anchor, x, rho, u, lam, h)
+        pen = penalty_of(model, rho, u, lam, h)
+        want = pgd_step(anchor, x, pen)
+        grad = surrogate_gradient(anchor, x, pen)
         stack = np.stack([x, want[0], 0.5 * x])
-        values = surrogate_values(anchor, stack, rho, u, lam, h)
+        values = surrogate_values(anchor, stack, pen)
         builds.clear()
         with monkeypatch.context() as patch:
             patch.setattr(opt_pt, "surrogate_gradient", lambda *args, **kwargs: grad)
             patch.setattr(PtModel, "chain_p", refuse)
             patch.setattr(PtModel, "workspace", refuse)
             patch.setattr(PtModel, "chain_factors", counted_chain_factors)
-            got = pgd_step(anchor, x, rho, u, lam, h)
-            got_values = surrogate_values(anchor, stack, rho, u, lam, h)
+            got = pgd_step(anchor, x, pen)
+            got_values = surrogate_values(anchor, stack, pen)
         assert got[1:] == want[1:] and np.array_equal(got[0], want[0])
         assert np.array_equal(got_values, values)
         # one stacked (K, L) build for the step's whole schedule, one for the stack
@@ -326,7 +333,7 @@ def test_candidate_scoring_builds_no_block_products(monkeypatch):
         variant = replace(model, quantized=quantized)
         tracemalloc.start()
         try:
-            pgd_step(build_anchor(variant, x), x, rho, u, lam, h)
+            pgd_step(build_anchor(variant, x), x, penalty_of(model, rho, u, lam, h))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -28,7 +28,7 @@ from onebit_isac.crb_metrics import (
     crb_pt,
     crb_pt_infinite_resolution,
 )
-from onebit_isac.linalg import complex_normal, project_power_ball
+from onebit_isac.linalg import build_penalty, complex_normal, project_power_ball
 from onebit_isac.opt_pt import (
     build_anchor,
     gradient_rows,
@@ -115,11 +115,12 @@ def test_anchor_surrogate_and_gradient_rows_match_dense_oracle(case, quantized, 
         anchor = build_anchor(model, x)
         p_dense = dense_anchor_p(model, x, quantized)
         assert rel_err(lift(model, anchor), p_dense) < RTOL
+        pen = build_penalty(rho, u, lam, h, model.n_t, model.block_len)
         for point in (x, y):
-            got = surrogate_value(anchor, point, rho, u, lam, h)
+            got = surrogate_value(anchor, point, pen)
             want = dense_surrogate_value(model, p_dense, point, quantized, rho, u, lam, h)
             assert abs(got - want) < RTOL * abs(want)
-            rows = gradient_rows(anchor, point, rho, u, lam, h)
+            rows = gradient_rows(anchor, point, pen)
             oracle = dense_chain_gradient_rows(model, p_dense, point, quantized, rho, u, lam, h)
             assert rows.keys() == oracle.keys()
             # a path can vanish to roundoff (uniform |g| when n_t = 1, say);
@@ -131,7 +132,7 @@ def test_anchor_surrogate_and_gradient_rows_match_dense_oracle(case, quantized, 
         # candidate pulled back onto the power ball
         outside = x + 3.0 * y / np.linalg.norm(y)
         stack = np.stack([x, y, 0.5 * (x + y), 0.3 * y, project_power_ball(outside, 1.0)])
-        values = surrogate_values(anchor, stack, rho, u, lam, h)
+        values = surrogate_values(anchor, stack, pen)
         assert values.shape == (len(stack),)
         for point, got in zip(stack, values):
             want = dense_surrogate_value(model, p_dense, point, quantized, rho, u, lam, h)
