@@ -43,7 +43,7 @@ from .opt_et import (
     mm_update_et,
     solve_x_et,
 )
-from .admm import AdmmConfig, AdmmResult, AdmmTrace, admm_run, initialize
+from .admm import AdmmConfig, AdmmResult, AdmmTrace, admm_run, initialize, variant_model
 from .scenario import Scenario, et_scenario, pt_scenario
 
 __version__ = "0.1.0"

@@ -131,6 +131,23 @@ def initialize(scenario, seed=0):
     return x, u, d, lam
 
 
+def variant_model(scenario, variant):
+    """The model whose bound the variant minimizes on scenario: a PtModel with
+    quantized=(variant == "PT") for PT and PT_INF, an EtProblem with
+    quantization_aware=(variant == "ET") for ET and ET_QU. Raises ValueError
+    for an unknown variant or one that does not fit scenario.kind."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if variant.startswith("PT") != (scenario.kind == "pt"):
+        raise ValueError(f"variant {variant!r} does not fit scenario.kind {scenario.kind!r}")
+    if scenario.kind == "pt":
+        return PtModel(scenario.target.theta, scenario.target.sigma_alpha_sq,
+                       scenario.sigma_v_sq, scenario.n_t, scenario.n_r, scenario.block_len,
+                       quantized=(variant == "PT"))
+    return EtProblem(scenario.target.c_aa, scenario.sigma_v_sq, scenario.n_t, scenario.n_r,
+                     scenario.block_len, quantization_aware=(variant == "ET"))
+
+
 def admm_run(scenario, variant, config=None, x_init=None, seed=0):
     """Alternating updates of waveform, feasible block, and scaled dual.
 
@@ -139,14 +156,12 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
     objective change both clear their tolerances (reason "converged"), or at
     max_outer (reason "budget_infeasible" when the scenario has users and its
     power is below min_sep_power, else "max_outer"); a non-finite objective
-    raises. The objective is the waveform solver's info["bound"] at its x:
-    crb_pt (PT), crb_pt_infinite_resolution (PT_INF), or crb_et (ET) and
+    raises. The objective is the waveform solver's info["bound"] at its x on
+    variant_model(scenario, variant), over scenario.normalizer: crb_pt (PT),
+    crb_pt_infinite_resolution (PT_INF), or crb_et (ET) and
     mse_et_quantization_unaware (ET_QU) over tr(C_aa).
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant.startswith("PT") != (scenario.kind == "pt"):
-        raise ValueError(f"variant {variant!r} does not fit scenario.kind {scenario.kind!r}")
+    model = variant_model(scenario, variant)
     config = config or AdmmConfig.for_variant(variant)
     x, u, d, lam = initialize(scenario, seed)
     k = scenario.n_users
@@ -155,24 +170,10 @@ def admm_run(scenario, variant, config=None, x_init=None, seed=0):
         x = check_power(x_init, scenario.power)
         if k:
             u = _feasible_u(scenario, spec, x)
-    # the solvers are looked up on their modules here, so that a wrapper put
+    # the solver is looked up on its module here, so that a wrapper put
     # there before the call is the one every outer iteration runs
-    if variant in ("PT", "PT_INF"):
-        model = PtModel(
-            scenario.target.theta, scenario.target.sigma_alpha_sq,
-            scenario.sigma_v_sq, scenario.n_t, scenario.n_r, scenario.block_len,
-            quantized=(variant == "PT"),
-        )
-        normalizer = 1.0
-        solve_x = opt_pt.solve_x_pt
-    else:
-        model = EtProblem(
-            c_aa=scenario.target.c_aa, sigma_v_sq=scenario.sigma_v_sq,
-            n_t=scenario.n_t, n_r=scenario.n_r, block_len=scenario.block_len,
-            quantization_aware=(variant == "ET"),
-        )
-        normalizer = float(np.trace(scenario.target.c_aa).real)
-        solve_x = opt_et.solve_x_et
+    solve_x = opt_pt.solve_x_pt if scenario.kind == "pt" else opt_et.solve_x_et
+    normalizer = scenario.normalizer
     rho = config.rho0
     trace = AdmmTrace()
     obj_prev = None

@@ -13,14 +13,10 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import crb_metrics
-from .admm import AdmmConfig, admm_run
-from .array_geometry import EtTarget, PtTarget, exponential_correlation
-from .comm_sep import check_epsilon, qam_levels
-from .crb_metrics import PtModel
+from .admm import AdmmConfig, admm_run, variant_model
 from .estimators import run_trials
 from .linalg import complex_normal
-from .opt_et import EtProblem, solve_x_et
+from .opt_et import solve_x_et
 from .opt_pt import solve_x_pt
 from .scenario import et_scenario, pt_scenario
 
@@ -89,31 +85,24 @@ class ExperimentConfig:
         if self.target != sweep_target:
             raise ConfigError(f"experiment {self.experiment!r} needs target "
                               f"{sweep_target!r}, got target {self.target!r}")
-        for name in ("n_t", "n_r", "block_len", "qam_order"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.n_users < 0:
-            raise ConfigError("n_users must be >= 0")
         if not self.snr_db_list:
             raise ConfigError("snr_db_list must be non-empty")
         if not self.epsilon_list:
             raise ConfigError("epsilon_list must be non-empty")
-        if self.trials < 0:
-            raise ConfigError("trials must be >= 0")
-        # build what the run builds from each value, so that the library's own
-        # checks reject a bad one before any run starts
+        for name in ("trials", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        # build the scenarios and ADMM configs the run builds, so that the
+        # library's own checks reject a bad value before any run starts
         targets = ("pt", "et") if self.experiment == "timing" else (self.target,)
         try:
-            qam_levels(self.qam_order)
-            for epsilon in (self.epsilon, *self.epsilon_list):
-                check_epsilon(epsilon)
             for target in targets:
                 _admm_config(self, target.upper())
-            if "pt" in targets:
-                PtTarget(math.radians(self.theta_deg))
-            if "et" in targets:
-                EtTarget(exponential_correlation(self.n_r, self.correlation),
-                         exponential_correlation(self.n_t, self.correlation))
+                cfg = replace(self, target=target)
+                for snr_db in self.snr_db_list:
+                    _scenario_for(cfg, snr_db, self.epsilon, self.seed)
+                for epsilon in self.epsilon_list:
+                    _scenario_for(cfg, self.snr_db_list[-1], epsilon, self.seed)
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
@@ -208,15 +197,14 @@ def _initial_waveform(dim, seed):
 
 def _pt_point(cfg, snr_db, seed):
     sc = _scenario_for(cfg, snr_db, cfg.epsilon, seed)
-    model = PtModel(sc.target.theta, sc.target.sigma_alpha_sq, sc.sigma_v_sq,
-                    sc.n_t, sc.n_r, sc.block_len)
+    onebit = variant_model(sc, "PT")
     x0 = _initial_waveform(sc.n_t * sc.block_len, seed + 1)
-    x, info = solve_x_pt(model, x0, rho=0.0, power=sc.power, tol=1e-9,
-                         max_iter=cfg.solver_max_iter)
+    x, _ = solve_x_pt(onebit, x0, rho=0.0, power=sc.power, tol=1e-9,
+                      max_iter=cfg.solver_max_iter)
     point = f"snr={snr_db:g}"
     rows = [
-        ResultRow("pt_sweep", point, "crb_onebit", info["bound"], seed=seed),
-        ResultRow("pt_sweep", point, "crb_infinite", replace(model, quantized=False).bound(x),
+        ResultRow("pt_sweep", point, "crb_onebit", onebit.bound(x) / sc.normalizer, seed=seed),
+        ResultRow("pt_sweep", point, "crb_infinite", variant_model(sc, "PT_INF").bound(x),
                   seed=seed),
     ]
     if cfg.trials > 0:
@@ -228,25 +216,20 @@ def _pt_point(cfg, snr_db, seed):
 
 def _et_point(cfg, snr_db, seed):
     sc = _scenario_for(cfg, snr_db, cfg.epsilon, seed)
+    onebit = variant_model(sc, "ET")
     x0 = _initial_waveform(sc.n_t * sc.block_len, seed + 1)
-    trc = float(np.trace(sc.target.c_aa).real)
     point = f"snr={snr_db:g}"
     rows = []
-    for tag, aware in (("mmcf", True), ("qu_mmcf", False)):
-        prob = EtProblem(c_aa=sc.target.c_aa, sigma_v_sq=sc.sigma_v_sq, n_t=sc.n_t,
-                         n_r=sc.n_r, block_len=sc.block_len, quantization_aware=aware)
-        x, _ = solve_x_et(prob, x0, rho=0.0, power=sc.power, tol=1e-10,
+    for tag, model in (("mmcf", onebit), ("qu_mmcf", variant_model(sc, "ET_QU"))):
+        x, _ = solve_x_et(model, x0, rho=0.0, power=sc.power, tol=1e-10,
                           max_iter=cfg.solver_max_iter)
-        xm = sc.unvec_waveform(x)
         rows.append(ResultRow("et_sweep", point, f"crb_onebit_{tag}",
-                              crb_metrics.crb_et(xm, sc.target.c_aa,
-                                                 sc.sigma_v_sq) / trc,
-                              seed=seed))
+                              onebit.bound(x) / sc.normalizer, seed=seed))
         if cfg.trials > 0:
-            summary = run_trials(sc, xm, cfg.trials, base_seed=seed + 10_000)
+            summary = run_trials(sc, sc.unvec_waveform(x), cfg.trials, base_seed=seed + 10_000)
             rows.append(ResultRow("et_sweep", point, f"blmmse_nmse_{tag}",
                                   summary.normalized_mse,
-                                  std_error=summary.std_error / trc, seed=seed))
+                                  std_error=summary.std_error / sc.normalizer, seed=seed))
     return rows
 
 
@@ -266,25 +249,16 @@ def _convergence_rows(cfg, seed):
 
 
 def _tradeoff_point(cfg, epsilon, seed):
+    """Each variant's design, scored by the one-bit bound."""
     sc = _scenario_for(cfg, cfg.snr_db_list[-1], epsilon, seed)
-    if cfg.target == "pt":
-        variants = ("PT", "PT_INF")
-        def onebit(x):
-            return crb_metrics.crb_pt(x, sc.target.theta,
-                                      sc.target.sigma_alpha_sq, sc.sigma_v_sq,
-                                      sc.n_r, sc.block_len)
-    else:
-        variants = ("ET", "ET_QU")
-        trc = float(np.trace(sc.target.c_aa).real)
-        def onebit(x):
-            return crb_metrics.crb_et(sc.unvec_waveform(x), sc.target.c_aa,
-                                      sc.sigma_v_sq) / trc
+    variants = ("PT", "PT_INF") if cfg.target == "pt" else ("ET", "ET_QU")
+    onebit = variant_model(sc, variants[0])
     rows = []
     for variant in variants:
         res = admm_run(sc, variant, config=_admm_config(cfg, variant), seed=seed)
         point = f"epsilon={epsilon:g}"
         rows.append(ResultRow("tradeoff", point, f"crb_onebit_{variant.lower()}",
-                              onebit(res.x), seed=seed))
+                              onebit.bound(res.x) / sc.normalizer, seed=seed))
         rows.append(ResultRow("tradeoff", point, f"residual_{variant.lower()}",
                               res.trace.residuals[-1], seed=seed))
     return rows
@@ -292,10 +266,9 @@ def _tradeoff_point(cfg, epsilon, seed):
 
 def _timing_rows(cfg, seed):
     rows = []
-    pt_cfg = dict(cfg.__dict__)
     for variant, target in (("PT", "pt"), ("PT_INF", "pt"), ("ET", "et"),
                             ("ET_QU", "et")):
-        local = ExperimentConfig(**{**pt_cfg, "target": target})
+        local = replace(cfg, target=target)
         sc = _scenario_for(local, local.snr_db_list[-1], local.epsilon, seed)
         t0 = time.perf_counter()
         admm_run(sc, variant, config=_admm_config(local, variant), seed=seed)
@@ -311,17 +284,14 @@ def run_experiment(cfg):
     Sweep points run in order, each with its own seed fixed in advance.
     """
     t0 = time.perf_counter()
-    if cfg.experiment == "convergence":
+    sweeps = {"pt_sweep": (cfg.snr_db_list, _pt_point),
+              "et_sweep": (cfg.snr_db_list, _et_point),
+              "tradeoff": (cfg.epsilon_list, _tradeoff_point)}
+    if cfg.experiment in sweeps:
+        values, point = sweeps[cfg.experiment]
+        rows = [r for i, v in enumerate(values) for r in point(cfg, v, cfg.seed + 100 * i)]
+    elif cfg.experiment == "convergence":
         rows = _convergence_rows(cfg, cfg.seed)
-    elif cfg.experiment == "pt_sweep":
-        points = [(snr, cfg.seed + 100 * i) for i, snr in enumerate(cfg.snr_db_list)]
-        rows = [r for snr, s in points for r in _pt_point(cfg, snr, s)]
-    elif cfg.experiment == "et_sweep":
-        points = [(snr, cfg.seed + 100 * i) for i, snr in enumerate(cfg.snr_db_list)]
-        rows = [r for snr, s in points for r in _et_point(cfg, snr, s)]
-    elif cfg.experiment == "tradeoff":
-        points = [(eps, cfg.seed + 100 * i) for i, eps in enumerate(cfg.epsilon_list)]
-        rows = [r for eps, s in points for r in _tradeoff_point(cfg, eps, s)]
     elif cfg.experiment == "timing":
         rows = _timing_rows(cfg, cfg.seed)
     else:  # pragma: no cover - validate() already rejects

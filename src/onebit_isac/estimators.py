@@ -246,8 +246,8 @@ NUMERICAL_ERRORS = (np.linalg.LinAlgError, FloatingPointError)
 
 @dataclass
 class TrialsSummary:
-    """Monte-Carlo MSE summary; ``normalizer`` is tr(C_aa) for extended
-    targets and 1 for point targets. ``squared_errors`` holds trial t's
+    """Monte-Carlo MSE summary; ``normalizer`` is the scenario's: tr(C_aa)
+    for extended targets and 1 for point targets. ``squared_errors`` holds trial t's
     squared error at index t (seed base_seed + t), NaN exactly where the
     trial failed. ``failures`` counts the failed trials per reason
     ("<exception type>: <message>" or "non-finite squared error")."""
@@ -436,7 +436,6 @@ def run_trials(scenario, waveform, n_trials, base_seed, cfg=None, unquantized=Fa
     pt = scenario.kind == "pt"
     if pt and unquantized:
         raise ValueError("unquantized trials need an extended target")
-    normalizer = 1.0 if pt else float(np.trace(scenario.target.c_aa).real)
     seeds = range(base_seed, base_seed + n_trials)
     try:
         if not np.all(np.isfinite(waveform)):
@@ -461,7 +460,7 @@ def run_trials(scenario, waveform, n_trials, base_seed, cfg=None, unquantized=Fa
     if kept.size:
         mse = float(kept.mean())
         se = float(kept.std(ddof=1) / math.sqrt(kept.size)) if kept.size > 1 else 0.0
-    return TrialsSummary(mse, se, n_trials, n_failed, normalizer, squared_errors,
+    return TrialsSummary(mse, se, n_trials, n_failed, scenario.normalizer, squared_errors,
                          dict(Counter(reasons)))
 
 

@@ -52,6 +52,11 @@ class EtProblem:
     def _anchor(self, x):
         return self._prior.anchor(check_waveform(unvec(x, self.n_t, self.block_len)))
 
+    def bound(self, x):
+        """tr(C_aa) - gain at waveform x: crb_et, or mse_et_quantization_unaware
+        when quantization_aware is False."""
+        return self.anchor(x).bound
+
     def objective(self, x):
         """h(x) = -tr(L(x)^H M(x)^{-1} L(x)); the bound is tr(C_aa) + h."""
         return -self.anchor(x).gain

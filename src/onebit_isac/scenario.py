@@ -32,6 +32,12 @@ class Scenario:
         return "pt" if isinstance(self.target, PtTarget) else "et"
 
     @property
+    def normalizer(self):
+        """What a bound is divided by in a design's objective: 1 for a point
+        target, tr(C_aa) for an extended one."""
+        return 1.0 if self.kind == "pt" else float(np.trace(self.target.c_aa).real)
+
+    @property
     def sigma_w(self):
         return math.sqrt(self.sigma_w_sq)
 
@@ -56,11 +62,13 @@ def min_sep_power(scenario):
     return float(np.vdot(x, x).real)
 
 
-def _common(n_t, n_r, n_users, block_len, qam_order, snr_sensing_db, snr_comm_db,
-            epsilon, power, seed):
-    """Channel, symbols and noise powers of a scenario. Raises ValueError
-    unless n_t, n_r and block_len are integers of at least 1, n_users one of
-    at least 0, epsilon lies in (0, 1) and power is finite and positive."""
+def _scenario(target, n_t, n_r, n_users, block_len, qam_order, snr_sensing_db, snr_comm_db,
+              epsilon, power, seed):
+    """A scenario with a random channel and symbols and the target target()
+    builds. Raises ValueError unless n_t, n_r and block_len are integers of
+    at least 1, n_users one of at least 0, epsilon lies in (0, 1), power is
+    finite and positive, and each SNR is finite and gives a finite positive
+    noise power, before drawing anything."""
     for name, value in (("n_t", n_t), ("n_r", n_r), ("block_len", block_len)):
         check_count(name, value)
     if not integer_at_least(n_users, 0):
@@ -68,44 +76,40 @@ def _common(n_t, n_r, n_users, block_len, qam_order, snr_sensing_db, snr_comm_db
     check_epsilon(epsilon)
     if not 0.0 < power < math.inf:
         raise ValueError(f"power must be finite and positive, got {power!r}")
+    noise = []
+    for name, snr_db in (("snr_sensing_db", snr_sensing_db), ("snr_comm_db", snr_comm_db)):
+        try:
+            noise.append(power / 10.0 ** (snr_db / 10.0))
+        except ArithmeticError:  # 10 ** (snr_db / 10) overflowed or was 0
+            noise.append(math.nan)
+        if not 0.0 < noise[-1] < math.inf:
+            raise ValueError(f"{name} must be finite and give a finite positive noise "
+                             f"power, got {snr_db!r}")
     rng = np.random.default_rng(seed)
     channel = complex_normal(rng, (n_users, n_t))
     symbols = random_qam_symbols(n_users, block_len, qam_order, rng)
-    sigma_v_sq = power / 10.0 ** (snr_sensing_db / 10.0)
-    sigma_w_sq = power / 10.0 ** (snr_comm_db / 10.0)
-    return channel, symbols, sigma_v_sq, sigma_w_sq
+    return Scenario(
+        n_t=n_t, n_r=n_r, n_users=n_users, block_len=block_len, qam_order=qam_order,
+        power=power, sigma_v_sq=noise[0], sigma_w_sq=noise[1], epsilon=epsilon,
+        target=target(), channel=channel, symbols=symbols,
+    )
 
 
 def pt_scenario(n_t=8, n_r=8, n_users=4, block_len=10, qam_order=16,
                 snr_sensing_db=30.0, snr_comm_db=30.0, epsilon=1e-2,
                 theta=math.radians(30.0), sigma_alpha_sq=1.0, power=1.0, seed=0):
     """Desk-scale point-target instance with an i.i.d. Gaussian channel."""
-    channel, symbols, sv, sw = _common(
-        n_t, n_r, n_users, block_len, qam_order,
-        snr_sensing_db, snr_comm_db, epsilon, power, seed,
-    )
-    return Scenario(
-        n_t=n_t, n_r=n_r, n_users=n_users, block_len=block_len,
-        qam_order=qam_order, power=power, sigma_v_sq=sv, sigma_w_sq=sw,
-        epsilon=epsilon, target=PtTarget(theta, sigma_alpha_sq),
-        channel=channel, symbols=symbols,
-    )
+    return _scenario(lambda: PtTarget(theta, sigma_alpha_sq), n_t, n_r, n_users, block_len,
+                     qam_order, snr_sensing_db, snr_comm_db, epsilon, power, seed)
 
 
 def et_scenario(n_t=4, n_r=4, n_users=2, block_len=8, qam_order=16,
                 snr_sensing_db=30.0, snr_comm_db=30.0, epsilon=1e-2,
                 correlation=0.5, power=1.0, seed=0):
     """Desk-scale extended-target instance with exponential correlations."""
-    channel, symbols, sv, sw = _common(
-        n_t, n_r, n_users, block_len, qam_order,
-        snr_sensing_db, snr_comm_db, epsilon, power, seed,
-    )
-    target = EtTarget(
-        exponential_correlation(n_r, correlation),
-        exponential_correlation(n_t, correlation),
-    )
-    return Scenario(
-        n_t=n_t, n_r=n_r, n_users=n_users, block_len=block_len,
-        qam_order=qam_order, power=power, sigma_v_sq=sv, sigma_w_sq=sw,
-        epsilon=epsilon, target=target, channel=channel, symbols=symbols,
-    )
+    def target():
+        return EtTarget(exponential_correlation(n_r, correlation),
+                        exponential_correlation(n_t, correlation))
+
+    return _scenario(target, n_t, n_r, n_users, block_len, qam_order, snr_sensing_db,
+                     snr_comm_db, epsilon, power, seed)

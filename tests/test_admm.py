@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from onebit_isac import opt_et, opt_pt
-from onebit_isac.admm import AdmmConfig, admm_run, initialize
+from onebit_isac.admm import AdmmConfig, admm_run, initialize, variant_model
 from onebit_isac.comm_sep import sep_constraints_satisfied
 from onebit_isac.crb_metrics import (DensePrior, KronPrior, PtModel, crb_et, crb_pt,
                                      crb_pt_infinite_resolution, mse_et_quantization_unaware)
 from onebit_isac.linalg import unvec, vec
+from onebit_isac.opt_et import EtProblem
 from onebit_isac.scenario import et_scenario, pt_scenario
 
 
@@ -72,8 +73,9 @@ def test_no_users_reduces_to_pure_objective():
 
 def test_unknown_variant_and_infeasible_start():
     sc = small_pt()
-    with pytest.raises(ValueError):
-        admm_run(sc, "BOGUS")
+    for run in (admm_run, variant_model):
+        with pytest.raises(ValueError, match="unknown variant 'BOGUS'"):
+            run(sc, "BOGUS")
     with pytest.raises(ValueError):
         admm_run(sc, "PT", x_init=np.full(sc.n_t * sc.block_len, 2.0 + 0j))
 
@@ -82,8 +84,31 @@ def test_unknown_variant_and_infeasible_start():
                                               ("PT", et_scenario), ("PT_INF", et_scenario)])
 def test_variant_must_fit_the_scenario_kind(variant, scenario):
     sc = scenario()
-    with pytest.raises(ValueError, match=f"{variant!r}.*scenario.kind {sc.kind!r}"):
-        admm_run(sc, variant)
+    for run in (admm_run, variant_model):
+        with pytest.raises(ValueError, match=f"{variant!r}.*scenario.kind {sc.kind!r}"):
+            run(sc, variant)
+
+
+@pytest.mark.parametrize("variant,scenario,kind,flag,value", [
+    ("PT", small_pt, PtModel, "quantized", True),
+    ("PT_INF", small_pt, PtModel, "quantized", False),
+    ("ET", et_scenario, EtProblem, "quantization_aware", True),
+    ("ET_QU", et_scenario, EtProblem, "quantization_aware", False),
+])
+def test_variant_model_fixes_the_variant_on_its_model(variant, scenario, kind, flag, value):
+    sc = scenario()
+    model = variant_model(sc, variant)
+    assert type(model) is kind and getattr(model, flag) is value
+    assert (model.n_t, model.n_r, model.block_len, model.sigma_v_sq) == (
+        sc.n_t, sc.n_r, sc.block_len, sc.sigma_v_sq)
+    x = initialize(sc, 3)[0]
+    want = {"PT": crb_pt, "PT_INF": crb_pt_infinite_resolution}.get(variant)
+    if want is not None:
+        assert model.bound(x) == want(x, sc.target.theta, sc.target.sigma_alpha_sq,
+                                      sc.sigma_v_sq, sc.n_r, sc.block_len)
+    else:
+        want = crb_et if variant == "ET" else mse_et_quantization_unaware
+        assert model.bound(x) == want(sc.unvec_waveform(x), sc.target.c_aa, sc.sigma_v_sq)
 
 
 def test_trace_lengths_consistent():

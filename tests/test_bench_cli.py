@@ -4,8 +4,10 @@ import math
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from onebit_isac import bench_cli
 from onebit_isac.bench_cli import (
     ConfigError,
     ExperimentConfig,
@@ -14,6 +16,7 @@ from onebit_isac.bench_cli import (
     main,
     run_experiment,
 )
+from onebit_isac.crb_metrics import crb_et, crb_pt
 
 
 def parse_results(path):
@@ -91,8 +94,18 @@ SMALL = {"n_t": 4, "n_r": 4, "n_users": 2, "block_len": 4, "snr_db_list": [20.0]
     ({"experiment": "timing", "correlation": 1.5}, "not PSD"),
     ({"experiment": "tradeoff", "admm_overrides": {"max_outer": 0}}, "max_outer must be"),
     ({"experiment": "et_sweep", "target": "et", "correlation": math.nan}, "non-finite"),
+    # json writes these as -Infinity, Infinity and NaN, which json.load reads
+    # back; they used to pass validation, and -Infinity then aborted the run
+    # with ZeroDivisionError (exit 3)
+    ({"snr_db_list": [20.0, -math.inf]}, "snr_sensing_db must be finite"),
+    ({"snr_db_list": [math.inf]}, "snr_sensing_db must be finite"),
+    ({"experiment": "timing", "snr_comm_db": math.nan}, "snr_comm_db must be finite"),
+    ({"experiment": "tradeoff", "snr_db_list": [1e6]}, "snr_sensing_db must be finite"),
+    # a negative seed used to abort the run with numpy's "expected non-negative integer"
+    ({"seed": -1}, "seed must be >= 0"),
 ], ids=["c_rho", "rho0", "epsilon", "epsilon_list", "qam_order", "theta_deg", "correlation",
-        "timing_correlation", "tradeoff_max_outer", "correlation_nan"])
+        "timing_correlation", "tradeoff_max_outer", "correlation_nan", "snr_minus_inf",
+        "snr_inf", "snr_comm_nan", "snr_overflow", "seed"])
 def test_config_rejects_out_of_range_values(tmp_path, capsys, bad, message):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({**SMALL, **bad}))
@@ -205,6 +218,32 @@ def test_tradeoff_experiment_rows():
     metrics = [r.metric for r in rows]
     assert metrics.count("crb_onebit_pt") == 2
     assert metrics.count("crb_onebit_pt_inf") == 2
+
+
+@pytest.mark.parametrize("target", ["pt", "et"])
+def test_tradeoff_scores_every_design_by_the_one_bit_bound(monkeypatch, target):
+    runs, admm_run = [], bench_cli.admm_run
+
+    def recorded(sc, variant, **kwargs):
+        runs.append((sc, variant, admm_run(sc, variant, **kwargs)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(bench_cli, "admm_run", recorded)
+    cfg = tiny_cfg(experiment="tradeoff", target=target, epsilon_list=[1e-2, 1e-1],
+                   admm_overrides={"max_outer": 4, "max_inner": 4})
+    rows, _ = run_experiment(cfg)
+    values = {(r.point, r.metric): r.value for r in rows}
+    variants = ["PT", "PT_INF"] if target == "pt" else ["ET", "ET_QU"]
+    assert [variant for _, variant, _ in runs] == variants * 2
+    for sc, variant, res in runs:
+        if target == "pt":
+            want = crb_pt(res.x, sc.target.theta, sc.target.sigma_alpha_sq, sc.sigma_v_sq,
+                          sc.n_r, sc.block_len)
+        else:
+            want = (crb_et(sc.unvec_waveform(res.x), sc.target.c_aa, sc.sigma_v_sq)
+                    / float(np.trace(sc.target.c_aa).real))
+        # the baseline's design too is scored by the one-bit bound, not its own
+        assert values[f"epsilon={sc.epsilon:g}", f"crb_onebit_{variant.lower()}"] == want
 
 
 def test_every_experiment_smoke_under_60s(tmp_path):

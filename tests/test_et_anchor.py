@@ -83,6 +83,15 @@ def test_dense_mbar_matches_commutation_form(shape, aware):
     assert rel_err(m_bar, oracle) <= RTOL
 
 
+@pytest.mark.parametrize("aware,bound", [(True, crb_et), (False, mse_et_quantization_unaware)])
+@pytest.mark.parametrize("prior,path", [("kron", KronPrior), ("I+0.3J", DensePrior)])
+def test_problem_bound_is_the_variants_bound(prior, path, aware, bound):
+    prob = make_problem(2, 2, 3, aware, prior=prior)
+    assert type(prob._prior) is path
+    x = complex_normal(np.random.default_rng(5), 6)
+    assert prob.bound(x) == bound(unvec(x, 2, 3), prob.c_aa, prob.sigma_v_sq)
+
+
 @pytest.mark.parametrize("aware", [True, False])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_anchor_matches_dense_kronecker_chain(shape, aware):

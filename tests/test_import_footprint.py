@@ -1,5 +1,6 @@
 """What a fresh interpreter loads: ``import onebit_isac`` loads numpy and the
-package only, a waveform design never loads scipy.linalg, and the first
+package only, a waveform design never loads scipy.linalg, validating an
+isac-bench config loads no scipy at all, and the first
 MLE caps both OpenBLAS builds although scipy's is mapped only by its own
 first call. Each check runs in a new process, because this test process
 has long imported scipy."""
@@ -53,6 +54,21 @@ def test_designs_never_load_scipy_linalg():
     # the SEP thresholds of the scenarios load scipy.special, nothing loads scipy.linalg
     assert seen["designs"] == {"scipy.linalg": False, "scipy.special": True}
     assert seen["trials"]["scipy.linalg"]
+
+
+def test_config_validation_loads_no_scipy():
+    # a bad config exits 2 without paying for scipy: validate builds the run's
+    # scenarios but no SEP spec
+    seen = _run_fresh("""
+        from onebit_isac.bench_cli import EXPERIMENT_KINDS, ExperimentConfig
+
+        for kind in EXPERIMENT_KINDS:
+            ExperimentConfig.from_dict({"experiment": kind,
+                                        "target": "et" if kind == "et_sweep" else "pt"})
+        print(json.dumps({name: name in sys.modules
+                          for name in ("scipy.linalg", "scipy.special")}))
+    """)
+    assert seen == {"scipy.linalg": False, "scipy.special": False}
 
 
 def test_first_estimate_caps_both_openblas_builds():
