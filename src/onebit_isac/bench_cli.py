@@ -323,14 +323,9 @@ def main(argv=None):
         if args.config:
             with open(args.config) as fh:
                 data = json.load(fh)
-        cfg = ExperimentConfig.from_dict(data)
-        if args.experiment:
-            cfg.experiment = args.experiment
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.trials is not None:
-            cfg.trials = args.trials
-        cfg.validate()
+        overrides = {key: getattr(args, key) for key in ("experiment", "seed", "trials")
+                     if getattr(args, key) is not None}
+        cfg = ExperimentConfig.from_dict({**data, **overrides} if isinstance(data, dict) else data)
     except (ConfigError, OSError, json.JSONDecodeError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

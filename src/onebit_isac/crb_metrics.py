@@ -86,6 +86,15 @@ class PtModel:
         """The chain factors at waveform x."""
         return last_call(self, np.asarray(x, dtype=complex), self._factors)
 
+    def keep_row(self, xs, factors, row):
+        """Keep a row of a waveform stack and of its chain factors as the last call
+        of :meth:`workspace`. They have a fresh build's bits where the BLAS rounds each
+        row of a product alike whatever the row count, as the tests check for the BLAS
+        in use; not at L = 1, where a fresh build's one-row product takes another path."""
+        if self.block_len > 1:
+            kept = ChainFactors(*(f[row] for f in factors))
+            object.__setattr__(self, "_last", (xs[row].copy(), kept))
+
     def _factors(self, x):
         xm = unvec(x, self.n_t, self.block_len)
         return self.chain_factors(xm.T @ self.a_t, xm.T @ self.da_t)
@@ -110,7 +119,12 @@ class PtModel:
                        - c * d1 / d0) * b0
         u[1, :, 0] = b0
         p_perp = d1 / d0**2
-        p = ChainP(p_perp, u, self.n_r * p_perp + 2.0 * (u[0, :, 0] * b0.conj()).real, 0.0)
+        diag = self.n_r * p_perp + 2.0 * (u[0, :, 0] * b0.conj()).real
+        n = (u * u.conj()).real.sum(axis=-1)
+        w = (u[0] * u[1].conj()).sum(axis=-1)
+        flat = u.reshape(2, -1)
+        p = ChainP(p_perp, flat, flat.conj().T, diag, np.concatenate((n, w[None])),
+                   np.concatenate((n[::-1], 2.0 * w[None])), p_perp * (diag + 2.0 * w.real), 0.0)
         return p._replace(trace=float(trace_p_dc(sa, p, d1, h, q)[0]))
 
     def bound(self, x):
@@ -186,35 +200,35 @@ class ChainFactors(NamedTuple):
 class ChainP(NamedTuple):
     """P = C^{-1} dC C^{-1} of one chain at one waveform
     (:meth:`PtModel.chain_p`) as diagonal plus rank two: P = diag(p_perp) +
-    v b^H + b v^H on the receive subspace, u = (v, b) of shape (2, L, k),
-    and p_perp on each sample's complement; p_perp is an L-vector (the
-    scalar 0 unquantized). diag holds the per-sample sums of P's diagonal,
-    the complement included, and trace = tr(P dC)."""
+    v b^H + b v^H on the receive subspace, u = (v, b) as a (2, L k) array with
+    its conjugate transpose u_h, and p_perp on each sample's complement (an
+    L-vector, the scalar 0 unquantized). diag holds the per-sample sums of
+    P's diagonal, the complement included, trace = tr(P dC), and z, z_right
+    and lift the tables of :meth:`abs2_apply`, built once with P."""
 
     p_perp: np.ndarray
     u: np.ndarray
+    u_h: np.ndarray
     diag: np.ndarray
+    z: np.ndarray
+    z_right: np.ndarray
+    lift: np.ndarray
     trace: float
 
     def apply(self, y):
         """P y for receive-subspace coordinates y of shape (..., L, k)."""
-        u = self.u.reshape(2, -1)
-        yu = y.reshape(y.shape[:-2] + (-1,)) @ u.conj().T  # (v^H y, b^H y)
-        return (yu[..., ::-1] @ u).reshape(y.shape) + np.reshape(self.p_perp, (-1, 1)) * y
+        yu = y.reshape(y.shape[:-2] + (-1,)) @ self.u_h  # (v^H y, b^H y)
+        return (yu[..., ::-1] @ self.u).reshape(y.shape) + np.reshape(self.p_perp, (-1, 1)) * y
 
     def abs2_apply(self, d):
         """A d for d of shape (..., L), or a scalar d constant over L, where
         A[l, m] sums |P|^2 over the coordinates of samples l and m, the
         complement included: with the per-sample norms n_v, n_b of v, b and
         w = b^H v, A = n_v n_b^T + n_b n_v^T + 2 Re(w w^T) +
-        diag(n_r p_perp^2 + 4 p_perp Re w), and n_r p_perp + 2 Re w = diag."""
-        u = self.u
-        n = (u * u.conj()).real.sum(axis=-1)
-        w = (u[0] * u[1].conj()).sum(axis=-1)
-        z = np.concatenate((n, w[None]))
-        dz = d * z.sum(axis=-1) if np.ndim(d) == 0 else d @ z.T
-        return ((dz @ np.concatenate((n[::-1], 2.0 * w[None]))).real
-                + self.p_perp * (self.diag + 2.0 * w.real) * d)
+        diag(n_r p_perp^2 + 4 p_perp Re w), and n_r p_perp + 2 Re w = diag;
+        z = (n_v, n_b, w), z_right = (n_b, n_v, 2 w), lift = p_perp (diag + 2 Re w)."""
+        dz = d * self.z.sum(axis=-1) if np.ndim(d) == 0 else d @ self.z.T
+        return (dz @ self.z_right).real + self.lift * d
 
 
 def trace_p_dc(sa, p, d1, h, q):

@@ -135,11 +135,6 @@ def mm_update_et(x_t, surrogate, power=1.0):
     return project_power_ball(surrogate.m_t / denom, power)
 
 
-def augmented_objective_et(problem, x, penalty=None):
-    evaluate, _ = _mm_parts(problem, penalty)
-    return evaluate(np.asarray(x))[0]
-
-
 def solve_x_et(problem, x_init, rho=0.0, u_i=None, lambda_i=None, channel=None,
                power=1.0, tol=1e-6, max_iter=20):
     """Closed-form MM loop (linalg.mm_loop) for the extended-target

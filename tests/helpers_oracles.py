@@ -9,7 +9,8 @@ library holds as diagonal plus rank one, the ADMM penalty with I_L kron H
 formed explicitly, the projected-gradient step that scores its
 backtracking candidates one at a time, the extended-target chain as the
 library computed it before the shared anchor and the dense Mbar (explicit
-Kronecker bound and linear term, matrix-free Mbar apply, uncached MM loop,
+Kronecker bound and linear term, matrix-free Mbar apply, the augmented
+objective its MM loop tracks, uncached MM loop,
 a Kronecker Mbar formed densely), the library's dense path forced onto any
 prior, the information form of the extended-target bound, the
 explicit-Kronecker BLMMSE estimator, dense Kronecker/commutation builders
@@ -233,7 +234,8 @@ def scalar_pgd_step(anchor, x_t, penalty=None, power=1.0):
     slack = opt_pt.RELATIVE_SLACK * (abs(m0) + 1.0)
     mu = 0.1 * np.sqrt(power)
     while mu >= opt_pt.STEP_FLOOR:
-        x_new = project_power_ball(x_t - mu * ghat, power)
+        # projected as pgd_step projects its stack, so that x_new has its bits
+        x_new = opt_pt.project_rows(x_t - mu * ghat, power)
         m1 = surrogate_value(anchor, x_new, penalty)
         rhs = (2.0 * mu / gn) * float(np.vdot(grad, x_new - x_t).real)
         if m1 - m0 <= rhs + slack and m1 <= m0 + slack:
@@ -563,6 +565,18 @@ def dense_m_tilde(y, quantization_aware=True):
     if quantization_aware:
         m_tilde = m_tilde + (np.pi / 2.0 - 1.0) * np.diag(np.diag(m_tilde))
     return (m_tilde + m_tilde.conj().T) / 2.0
+
+
+def augmented_objective_et(problem, x, penalty=None):
+    """The extended-target augmented objective -gain + rho ||H X - T||^2 at
+    waveform x (penalty a linalg.Penalty or None): the objective solve_x_et's
+    MM loop tracks."""
+    x = np.asarray(x)
+    value = -problem.anchor(x).gain
+    if penalty is None:
+        return value
+    return value + float(penalty.value(penalty.residual(unvec(x, problem.n_t,
+                                                              problem.block_len))))
 
 
 def uncached_solve_x_et(problem, x_init, rho=0.0, u_i=None, lambda_i=None,

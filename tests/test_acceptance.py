@@ -14,6 +14,7 @@ import numpy as np
 from helpers_oracles import (
     PtSlotOracle,
     augmented_objective,
+    augmented_objective_et,
     conjugate_gradient_fd,
     crb_et_forms_equal,
     random_ball_point,
@@ -35,7 +36,6 @@ from onebit_isac.estimators import run_trials
 from onebit_isac.linalg import build_penalty, complex_normal, psd_sqrt, unvec
 from onebit_isac.opt_et import (
     EtProblem,
-    augmented_objective_et,
     build_et_surrogate,
     mm_update_et,
     solve_x_et,

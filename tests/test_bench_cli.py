@@ -65,6 +65,35 @@ def test_config_rejects_sweep_target_mismatch(tmp_path, capsys):
     assert "experiment 'pt_sweep' needs target 'pt', got target 'et'" in err
 
 
+def test_cli_overrides_join_the_config_before_its_one_validation(tmp_path, monkeypatch, capsys):
+    # a file config that is valid only with the command line's experiment is
+    # accepted, and a run validates (and builds its check scenarios) once
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"experiment": "pt_sweep", "target": "et"}))
+    validate = ExperimentConfig.validate
+    validated, ran = [], []
+
+    def counted(self):
+        validated.append(self.experiment)
+        return validate(self)
+
+    monkeypatch.setattr(ExperimentConfig, "validate", counted)
+    monkeypatch.setattr(bench_cli, "run_experiment", lambda cfg: (ran.append(cfg) or [], "done"))
+    monkeypatch.setattr(bench_cli, "emit", lambda *args: None)
+    out = str(tmp_path / "res.csv")
+    assert main(["--config", str(config), "--experiment", "et_sweep", "--seed", "3",
+                 "--trials", "5", "--out", out]) == 0
+    assert validated == ["et_sweep"]
+    assert [(c.experiment, c.target, c.seed, c.trials) for c in ran] == [("et_sweep", "et", 3, 5)]
+    # the file alone, and a file that is not an object, are still refused
+    assert main(["--config", str(config), "--out", out]) == 2
+    config.write_text("[]")
+    assert main(["--config", str(config), "--seed", "1", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "experiment 'pt_sweep' needs target 'pt'" in err
+    assert "config must be a JSON object" in err
+
+
 @pytest.mark.parametrize("field, value", [
     ("n_t", "8"), ("n_t", True), ("n_t", 8.0), ("seed", None), ("trials", 1.5),
     ("snr_db_list", "0,10"), ("snr_db_list", [0.0, "10"]), ("snr_db_list", [True]),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from helpers_oracles import (
     anchor_linear_term,
+    augmented_objective_et,
     commutation_apply,
     commutation_matrix,
     dense_h_tilde,
@@ -21,7 +22,6 @@ from onebit_isac.linalg import (Penalty, build_penalty, complex_normal, hermitia
                                 unvec, xtilde_multiply)
 from onebit_isac.opt_et import (
     EtProblem,
-    augmented_objective_et,
     build_et_surrogate,
     build_mbar,
     mm_update_et,

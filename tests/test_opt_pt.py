@@ -46,6 +46,14 @@ def penalty_of(model, rho, u, lam, h):
     return build_penalty(rho, u, lam, h, model.n_t, model.block_len)
 
 
+def step_schedule(power):
+    """pgd_step's steps: 0.1 sqrt(power), halved while at least opt_pt.STEP_FLOOR."""
+    mus = [0.1 * math.sqrt(power)]
+    while mus[-1] >= opt_pt.STEP_FLOOR:
+        mus.append(mus[-1] * 0.5)
+    return mus[:-1]
+
+
 def test_gradient_matches_finite_differences():
     for seed in range(8):
         model, x, rho, u, lam, h = make_instance(seed)
@@ -289,9 +297,136 @@ def test_pgd_step_exhausted_schedule_matches_scalar(monkeypatch):
         assert scalar_pgd_step(anchor, x, penalty)[1:] == (0.0, True)
 
 
+def test_pgd_step_equals_scalar_bit_for_bit(monkeypatch):
+    # the chunked line search against the one-candidate-at-a-time oracle, in
+    # four cases: accepted in the first chunk, accepted beyond it, an
+    # exhausted schedule, and a schedule shorter than the first chunk
+    seen = set()
+    for *shape, quantized, rho, power, sv in STEP_CASES:
+        for anchor, x, penalty in mm_anchors(*shape, quantized, rho, power=power, sv=sv):
+            mus = step_schedule(power)
+            _, mu, _ = scalar_pgd_step(anchor, x, penalty, power=power)
+            settings = [(opt_pt.FIRST_CHUNK, opt_pt.STEP_FLOOR), (1, opt_pt.STEP_FLOOR),
+                        (opt_pt.FIRST_CHUNK, 0.75 * mus[2])]
+            if mu < mus[0]:
+                settings.append((1, 1.5 * mu))  # every candidate left fails
+            for first_chunk, floor in settings:
+                with monkeypatch.context() as patch:
+                    patch.setattr(opt_pt, "FIRST_CHUNK", first_chunk)
+                    patch.setattr(opt_pt, "STEP_FLOOR", floor)
+                    got = pgd_step(anchor, x, penalty, power=power)
+                    want = scalar_pgd_step(anchor, x, penalty, power=power)
+                    n_mus = len(step_schedule(power))
+                assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+                if got[2]:
+                    seen.add("exhausted")
+                else:
+                    index = mus.index(got[1])
+                    seen.add("first chunk" if index < first_chunk else "beyond it")
+                if n_mus < first_chunk:
+                    seen.add("short schedule")
+    assert seen == {"first chunk", "beyond it", "exhausted", "short schedule"}
+
+
+class _Tagged(np.ndarray):
+    """An ndarray whose instances take attributes."""
+
+
+class _RowCounter:
+    """The right operand of a product that records the left operand's row count."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, value):
+        self.value, self.rows = value, []
+
+    def __rmatmul__(self, other):
+        self.rows.append(len(other))
+        return other @ self.value
+
+
+def test_rest_chunk_of_one_candidate_keeps_two_row_products(monkeypatch):
+    # with FIRST_CHUNK one short of the schedule the rest chunk holds one
+    # candidate; its right-hand side Re(g^H (x1 - x_t)) is still taken over
+    # the anchor row and its own, as a one-row product rounds differently
+    seen = set()
+    for anchor, x, penalty in mm_anchors(4, 8, 32, True, 0.5, sv=1e-4):
+        mu = scalar_pgd_step(anchor, x, penalty)[1]
+        index = step_schedule(1.0).index(mu) if mu > 0.0 else -1
+        if index < 2:
+            continue
+        grad = surrogate_gradient(anchor, x, penalty)
+        # the floor just below the accepted step ends the schedule there; just
+        # above it, every candidate fails
+        for floor, stalled in ((0.75 * mu, False), (1.5 * mu, True)):
+            counter = _RowCounter(grad.conj())
+            spied = grad.view(_Tagged)
+            spied.conj = lambda: counter
+            with monkeypatch.context() as patch:
+                patch.setattr(opt_pt, "STEP_FLOOR", floor)
+                want = pgd_step(anchor, x, penalty)
+                n_mus = len(step_schedule(1.0))
+                patch.setattr(opt_pt, "FIRST_CHUNK", n_mus - 1)
+                patch.setattr(opt_pt, "surrogate_gradient", lambda *args: spied)
+                got = pgd_step(anchor, x, penalty)
+            assert got[1:] == want[1:] == ((0.0, True) if stalled else (mu, False))
+            assert np.array_equal(got[0], want[0])
+            assert counter.rows == [n_mus, 2]
+            seen.add(stalled)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("quantized", [True, False])
+@pytest.mark.parametrize("rho", [0.0, 0.5])
+def test_surrogate_values_rows_do_not_depend_on_the_stack(quantized, rho):
+    # every row of a 1-, 2-, 9- or 38-row call has the bits it has in the
+    # 38-row call, which the line search's chunks and surrogate_value rely on
+    rng = np.random.default_rng(1)
+    for shape in ((8, 8, 10), (3, 3, 2), (4, 8, 32)):
+        (anchor, x, penalty), = mm_anchors(*shape, quantized, rho, n_steps=1)
+        stack = np.stack([x] + [random_ball_point(rng, x.size) for _ in range(37)])
+        full = surrogate_values(anchor, stack, penalty)
+        for k in (1, 2, 9):
+            for lo in (0, 5, len(stack) - k):
+                assert np.array_equal(surrogate_values(anchor, stack[lo:lo + k], penalty),
+                                      full[lo:lo + k])
+        assert [surrogate_value(anchor, row, penalty) for row in stack] == list(full)
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 10), (4, 8, 32), (3, 3, 1)])
+@pytest.mark.parametrize("quantized", [True, False])
+def test_solve_builds_one_chain_at_its_start(monkeypatch, shape, quantized):
+    # every accepted step hands its chain factors to the next anchor, so a
+    # solve builds a single waveform's chain once, at its start, and a solve
+    # started where the last one ended builds none; a one-sample waveform
+    # builds its own, as the stacked product rounds differently there
+    chain_factors = PtModel.chain_factors
+    single = []
+
+    def counted_chain_factors(self, s, s_d):
+        if np.ndim(s) == 1:
+            single.append(s)
+        return chain_factors(self, s, s_d)
+
+    model, x, *args = make_instance(5, *shape, sv=1e-3, quantized=quantized)
+    monkeypatch.setattr(PtModel, "chain_factors", counted_chain_factors)
+    kept = model.block_len > 1
+    x, info = solve_x_pt(model, x, *args, tol=0.0, max_iter=6)
+    assert info["n_iter"] == 6 and not info["stalled"]
+    assert len(single) == (1 if kept else 7)
+    del single[:]
+    x_again, info = solve_x_pt(model, x, *args, tol=0.0, max_iter=2)
+    assert info["n_iter"] == 2 and not info["stalled"]
+    assert len(single) == (0 if kept else 2)
+    # the handed-over factors have the bits of a fresh build
+    fresh = replace(model).workspace(x_again)
+    assert all(np.array_equal(a, b) for a, b in zip(model.workspace(x_again), fresh))
+
+
 def test_candidate_scoring_builds_no_block_products(monkeypatch):
-    # the step scores its whole schedule from the anchor's P alone: no
-    # workspace and no chain build per candidate
+    # the step scores its schedule from the anchor's P alone: no workspace,
+    # no P and no chain build per candidate, one stacked (K, L) build per
+    # scored chunk and never a one-row build
     chain_factors = PtModel.chain_factors
     builds = []
 
@@ -302,15 +437,20 @@ def test_candidate_scoring_builds_no_block_products(monkeypatch):
         builds.append(np.shape(s))
         return chain_factors(self, s, s_d)
 
-    for quantized in (True, False):
-        model, x, rho, u, lam, h = make_instance(3, n_t=4, n_r=8, block_len=32,
-                                                 quantized=quantized)
-        anchor = build_anchor(model, x)
-        pen = penalty_of(model, rho, u, lam, h)
+    n_mus = len(step_schedule(1.0))
+    two_chunks = 0
+    for quantized, first_chunk in ((True, opt_pt.FIRST_CHUNK), (False, opt_pt.FIRST_CHUNK),
+                                   (True, 1), (False, 1)):
+        monkeypatch.setattr(opt_pt, "FIRST_CHUNK", first_chunk)
+        # at 40 dB the one-bit line search backtracks from this anchor
+        (anchor, x, pen), = mm_anchors(4, 8, 32, quantized, 0.5, n_steps=1, sv=1e-4)
+        model = anchor.model
         want = pgd_step(anchor, x, pen)
+        index = step_schedule(1.0).index(want[1])
         grad = surrogate_gradient(anchor, x, pen)
         stack = np.stack([x, want[0], 0.5 * x])
         values = surrogate_values(anchor, stack, pen)
+        value = surrogate_value(anchor, x, pen)
         builds.clear()
         with monkeypatch.context() as patch:
             patch.setattr(opt_pt, "surrogate_gradient", lambda *args, **kwargs: grad)
@@ -319,11 +459,15 @@ def test_candidate_scoring_builds_no_block_products(monkeypatch):
             patch.setattr(PtModel, "chain_factors", counted_chain_factors)
             got = pgd_step(anchor, x, pen)
             got_values = surrogate_values(anchor, stack, pen)
+            got_value = surrogate_value(anchor, x, pen)
         assert got[1:] == want[1:] and np.array_equal(got[0], want[0])
-        assert np.array_equal(got_values, values)
-        # one stacked (K, L) build for the step's whole schedule, one for the stack
-        assert len(builds) == 2 and builds[1] == (len(stack), model.block_len)
-        assert builds[0][0] > len(stack) and builds[0][1:] == (model.block_len,)
+        assert np.array_equal(got_values, values) and got_value == value
+        # the anchor row beside each chunk of candidates, then the stack and
+        # the one waveform, scored twice
+        chunks = [first_chunk + 1] + ([n_mus - first_chunk + 1] if index >= first_chunk else [])
+        assert builds == [(k, model.block_len) for k in chunks + [len(stack), 2]]
+        two_chunks += len(chunks) == 2
+    assert two_chunks
     # kL = 2048: one kL x kL complex array alone is 67 MB; an anchor and one
     # step take a quarter of that at most
     model, x, rho, u, lam, h = make_instance(3, n_t=2, n_r=8, block_len=1024)
